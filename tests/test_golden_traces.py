@@ -1,0 +1,61 @@
+"""Bit-identity gate: committed traces must replay with zero color mismatches.
+
+Each trace under tests/data/ carries the full ParamSet in its header and
+the color deltas every update produced when it was recorded.  A change
+that alters RNG consumption, the order of color events or any coloring
+shows up here as a mismatch.  Re-record only on purpose, with
+
+    PYTHONPATH=src python tests/test_golden_traces.py
+"""
+
+from pathlib import Path
+
+import pytest
+
+from dyncolor.params import ParamSet
+from dyncolor.runner import record_run, replay_trace
+from dyncolor.trace import TraceFile
+
+DATA = Path(__file__).parent / "data"
+
+# file stem -> (strategy, n, delta, steps, ParamSet keywords)
+GOLDEN = {
+    # nearly empty graph: sparse draws probe the (empty) adjacency side
+    "deletion-heavy": ("deletion-heavy", 512, 32, 320, dict(seed=11)),
+    # every insertion is monochromatic; degrees outgrow the color lists
+    "adaptive-monochrome": ("adaptive-monochrome", 256, 128, 480, dict(seed=12)),
+    # almost-cliques form, get matched and recolored, and dissolve
+    "clique-churn": (
+        "clique-churn", 96, 24, 1200,
+        dict(epsilon=0.15, tau=0.05, sample_count_k=192, fire_threshold=4.0,
+             phase_len_t=20, seed=13),
+    ),
+}
+
+
+def _path(name):
+    return DATA / f"{name}.trace"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_trace_replays_bit_identically(name):
+    trace = TraceFile.load(_path(name))
+    strategy, n, delta, steps, _ = GOLDEN[name]
+    assert trace.header["strategy"] == strategy
+    assert len(trace.updates) == steps and trace.outputs is not None
+    engine, mismatches = replay_trace(trace, check=True)
+    assert mismatches == []
+    assert engine.is_proper()
+    if name == "clique-churn":
+        assert engine.metrics.vertex_moves > 0 and engine.metrics.dense_recolorings > 0
+
+
+def record_all():
+    DATA.mkdir(exist_ok=True)
+    for name, (strategy, n, delta, steps, kw) in GOLDEN.items():
+        _, trace, _ = record_run(n, delta, ParamSet(**kw), strategy, steps)
+        trace.save(_path(name))
+
+
+if __name__ == "__main__":
+    record_all()

@@ -30,7 +30,7 @@ class Adversary:
     def __init__(self, n: int, delta: int, seed: int = 0):
         self.n = n
         self.delta = delta
-        self.mirror = DynamicGraph(n, delta, track_masks=False)
+        self.mirror = DynamicGraph(n, delta)
         self.rng = random.Random(seed)
         self.monochrome_hits = 0
         self.emitted = 0

@@ -17,7 +17,7 @@ from .sampleset import SampleSet
 
 class TrivialBaseline:
     def __init__(self, n: int, delta: int, metrics: Metrics | None = None):
-        self.graph = DynamicGraph(n, delta, track_masks=False)
+        self.graph = DynamicGraph(n, delta)
         self.palette = delta + 1
         self.of = [BLANK] * n
         self.occupants = [SampleSet() for _ in range(self.palette)]

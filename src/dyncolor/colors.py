@@ -1,8 +1,9 @@
 """Shared color assignment plus the per-color occupancy lists.
 
 Sparse vertices live in L(c), dense vertices in L_D(c).  Feasibility
-checks everywhere iterate an occupancy list and probe adjacency, never
-the other way around, so their cost tracks the list length.
+checks iterate an occupancy list and probe adjacency, so their cost
+tracks the list length; the sparse check walks v's adjacency instead
+when that is the shorter side.
 """
 
 from __future__ import annotations
@@ -61,20 +62,27 @@ class ColorState:
                 self._fire(v, old, BLANK)
         return old
 
-    def blank_all(self) -> None:
+    def blank_all(self) -> int:
+        """Blank every vertex; returns the number of occupancy entries cleared.
+
+        Listeners see one (v, old, BLANK) event per colored vertex, in
+        ascending v.
+        """
+        of = self.of
         if self.listeners:
             for v in range(self.n):
-                old = self.of[v]
+                old = of[v]
                 if old != BLANK:
-                    self.of[v] = BLANK
+                    of[v] = BLANK
                     self._fire(v, old, BLANK)
         else:
-            for v in range(self.n):
-                self.of[v] = BLANK
-        for s in self.L:
-            s.clear()
-        for s in self.L_D:
-            s.clear()
+            of[:] = [BLANK] * self.n
+        cleared = 0
+        for s in self.L + self.L_D:
+            if s.items:
+                cleared += len(s.items)
+                s.clear()
+        return cleared
 
     def used_colors(self) -> set[int]:
         return {c for c in self.of if c != BLANK}

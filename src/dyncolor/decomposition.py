@@ -375,13 +375,19 @@ class Decomposition:
 
     # ---- verification ------------------------------------------------------------
 
-    def check_invariants(self, boundary: bool = True, drift: int = 0) -> list[str]:
+    def check_invariants(
+        self, boundary: bool = True, drift: int = 0, common=None
+    ) -> list[str]:
         """Exact audit of the four invariants via oracle common-neighbor counts.
 
         `drift` loosens thresholds by the number of in-phase updates the
         current state may be away from the last full maintenance pass.
+        `common(u, v)` is the exact counter; by default one is built from
+        the graph for this audit.
         """
         g = self.graph
+        if common is None:
+            common = g.common_neighbor_counter()
         delta = g.delta
         c3 = self.params.c3
         eps, tau = self.params.epsilon, self.params.tau
@@ -393,7 +399,7 @@ class Decomposition:
 
         def oracle_friends(v, thr):
             return sum(
-                1 for u in g.adj[v] if g.common_neighbors_exact(u, v) >= thr
+                1 for u in g.adj[v] if common(u, v) >= thr
             )
 
         for v in range(g.n):
@@ -404,7 +410,7 @@ class Decomposition:
             else:
                 cnt = sum(
                     1 for u in g.adj[v]
-                    if g.common_neighbors_exact(u, v) >= sparse_thr
+                    if common(u, v) >= sparse_thr
                 )
                 if cnt >= sparse_thr:
                     out.append(f"Density: sparse vertex {v} looks scale-1 dense")
@@ -416,15 +422,15 @@ class Decomposition:
                 friends_in = sum(
                     1 for u in g.adj[v]
                     if self.clique_of[u] == cid
-                    and g.common_neighbors_exact(u, v) >= friend_thr
+                    and common(u, v) >= friend_thr
                 )
                 if friends_in + c.sigma + drift < (1.0 - c3) * delta:
                     out.append(f"Friendship: vertex {v} in clique {cid}")
-            if size > 1 and not self._spans(c, friend_thr):
+            if size > 1 and not self._spans(c, friend_thr, common):
                 out.append(f"Connectedness: clique {cid} not spanned by friend edges")
         return out
 
-    def _spans(self, c: AlmostClique, thr: float) -> bool:
+    def _spans(self, c: AlmostClique, thr: float, common) -> bool:
         members = sorted(c.members)
         index = {v: i for i, v in enumerate(members)}
         parent = list(range(len(members)))
@@ -439,7 +445,7 @@ class Decomposition:
         for v in members:
             for u in g.adj[v]:
                 if u > v and self.clique_of[u] == c.id:
-                    if g.common_neighbors_exact(u, v) >= thr:
+                    if common(u, v) >= thr:
                         a, b = find(index[u]), find(index[v])
                         if a != b:
                             parent[a] = b

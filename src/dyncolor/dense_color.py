@@ -298,18 +298,22 @@ class DenseColoring:
             self.metrics.work += 2
 
     def rebuild_edge_counts(self) -> None:
-        for clique in self.decomp.cliques.values():
+        cliques = self.decomp.cliques
+        if not cliques:
+            return
+        for clique in cliques.values():
             clique.book.t_c.clear()
             clique.book.heavy.clear()
         of = self.colors.of
-        cliques = self.decomp.cliques
-        for v in range(self.graph.n):
-            if self.decomp.clique_of[v] is not None:
+        clique_of = self.decomp.clique_of
+        # only vertices with a dense neighbor feed any counter
+        for v, nc in enumerate(self.decomp.n_c):
+            if not nc or clique_of[v] is not None:
                 continue
             c = of[v]
             if c == BLANK:
                 continue
-            for cid, nbrs in self.decomp.n_c[v].items():
+            for cid, nbrs in nc.items():
                 if nbrs:
                     self.tc_shift(cliques[cid], c, len(nbrs))
                     self.metrics.work += 1

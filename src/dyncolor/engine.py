@@ -352,7 +352,8 @@ class Engine:
             self.graph.apply(upd.inverse())
         self.journal.revert(self.decomp)
         self.metrics.work += 2 * len(self.phase_updates)
-        self.colors.blank_all()
+        # colors stay as they are until rebuild_colors blanks them: the
+        # replay below never reads them
         for clique in self.decomp.cliques.values():
             clique.book = None
         self.decomp.journal = None
@@ -370,7 +371,7 @@ class Engine:
 
     def rebuild_colors(self) -> None:
         """Recolor everything from scratch on the current decomposition."""
-        self.colors.blank_all()
+        self.metrics.work += self.colors.blank_all()
         self.dense.init_nonedge_matchings()
         for cid in sorted(self.decomp.cliques):
             self.dense.build_book(self.decomp.cliques[cid])

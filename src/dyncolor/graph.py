@@ -1,8 +1,9 @@
 """Dynamic simple-graph substrate with a fixed vertex set and degree cap.
 
-Adjacency is kept twice: as SampleSets (O(1) membership, insert, delete
-and uniform neighbor sampling) and as per-vertex bitmasks, which give the
-exact common-neighborhood counts used by tests and the verifier via a
+Adjacency is kept once, as SampleSets (O(1) membership, insert, delete
+and uniform neighbor sampling), so an update costs O(1) at any n.  Audits
+that count common neighborhoods for every edge take a bitmask snapshot
+once per pass (`common_neighbor_counter`) and answer each count with a
 single AND + popcount.
 """
 
@@ -44,7 +45,7 @@ def dele(u: int, v: int) -> EdgeUpdate:
 class DynamicGraph:
     """Undirected simple graph on [0, n) with hard degree cap `delta`."""
 
-    def __init__(self, n: int, delta: int, track_masks: bool = True):
+    def __init__(self, n: int, delta: int):
         if n <= 0:
             raise ValueError("n must be positive")
         if delta < 0:
@@ -52,7 +53,6 @@ class DynamicGraph:
         self.n = n
         self.delta = delta
         self.adj: list[SampleSet] = [SampleSet() for _ in range(n)]
-        self.masks: list[int] | None = [0] * n if track_masks else None
         self.edge_count = 0
 
     # ---- queries ----------------------------------------------------------
@@ -73,12 +73,28 @@ class DynamicGraph:
         """|N(u) cap N(v)| by exact intersection; the ground-truth oracle."""
         if u == v:
             raise ValueError("u and v must differ")
-        if self.masks is not None:
-            return (self.masks[u] & self.masks[v]).bit_count()
         a, b = self.adj[u], self.adj[v]
         if len(a) > len(b):
             a, b = b, a
         return sum(1 for w in a if w in b)
+
+    def common_neighbor_counter(self):
+        """Bitmask snapshot of the adjacency; returns count(u, v) = |N(u) cap N(v)|.
+
+        Building it costs one pass over the edges; each count is then one
+        AND + popcount.  The snapshot does not follow later updates.
+        """
+        masks = []
+        for s in self.adj:
+            m = 0
+            for w in s.items:
+                m |= 1 << w
+            masks.append(m)
+
+        def count(u: int, v: int) -> int:
+            return (masks[u] & masks[v]).bit_count()
+
+        return count
 
     # ---- mutation ----------------------------------------------------------
 
@@ -111,13 +127,7 @@ class DynamicGraph:
             self.adj[u].add(v)
             self.adj[v].add(u)
             self.edge_count += 1
-            if self.masks is not None:
-                self.masks[u] |= 1 << v
-                self.masks[v] |= 1 << u
         else:
             self.adj[u].discard(v)
             self.adj[v].discard(u)
             self.edge_count -= 1
-            if self.masks is not None:
-                self.masks[u] &= ~(1 << v)
-                self.masks[v] &= ~(1 << u)

@@ -25,13 +25,24 @@ class SparseColoring:
         self.cap = params.loop_cap(graph.n)
 
     def feasible(self, v: int, c: int) -> bool:
-        """True iff no sparse neighbor of v sits in L(c)."""
-        contains = self.graph.adj[v]._pos.__contains__
-        lst = self.colors.L[c].items
-        self.metrics.probes += len(lst)
-        self.metrics.work += len(lst) + 1
-        for w in lst:
-            if contains(w):
+        """True iff no sparse neighbor of v sits in L(c).
+
+        Walks whichever is shorter, v's adjacency or L(c), probing the
+        other's index, and charges the side it walked.
+        """
+        adj = self.graph.adj[v]
+        lst = self.colors.L[c]
+        walk = adj.items
+        if len(walk) < len(lst.items):
+            other = lst._pos
+        else:
+            walk, other = lst.items, adj._pos
+        k = len(walk)
+        m = self.metrics
+        m.probes += k
+        m.work += k + 1
+        for w in walk:
+            if w in other:
                 return False
         return True
 
@@ -42,15 +53,15 @@ class SparseColoring:
         conflict gets colored.  Returns the colored subset.
         """
         order = sorted(vertices)
-        rng = self.rng
-        draw = {v: rng.randrange(self.palette) for v in order}
+        randrange, palette = self.rng.randrange, self.palette
+        draws = [randrange(palette) for _ in order]
         self.metrics.samples += len(order)
         self.metrics.work += len(order)
+        feasible, set_sparse = self.feasible, self.colors.set_sparse
         colored = []
-        for v in order:
-            c = draw[v]
-            if self.feasible(v, c):
-                self.colors.set_sparse(v, c)
+        for v, c in zip(order, draws):
+            if feasible(v, c):
+                set_sparse(v, c)
                 colored.append(v)
         return colored
 
@@ -58,19 +69,27 @@ class SparseColoring:
         """Color every vertex by rejection sampling, in uniform random order."""
         order = sorted(vertices)
         self.rng.shuffle(order)
-        for v in order:
-            self._rejection_color(v)
+        self._rejection_color(order)
 
-    def _rejection_color(self, v: int) -> int:
-        rng = self.rng
-        for _ in range(self.cap):
-            c = rng.randrange(self.palette)
-            self.metrics.samples += 1
-            self.metrics.work += 1
-            if self.feasible(v, c):
-                self.colors.set_sparse(v, c)
-                return c
-        return self._fallback(v)
+    def _rejection_color(self, vertices) -> int:
+        """Rejection-sample a color for each vertex in turn; returns the last one."""
+        randrange, palette, cap = self.rng.randrange, self.palette, self.cap
+        feasible, set_sparse = self.feasible, self.colors.set_sparse
+        c = BLANK
+        drawn = 0
+        for v in vertices:
+            for i in range(cap):
+                c = randrange(palette)
+                if feasible(v, c):
+                    set_sparse(v, c)
+                    drawn += i + 1
+                    break
+            else:
+                drawn += cap
+                c = self._fallback(v)
+        self.metrics.samples += drawn
+        self.metrics.work += drawn
+        return c
 
     def _fallback(self, v: int) -> int:
         # deterministic scan; a free color exists because the palette
@@ -94,8 +113,8 @@ class SparseColoring:
         if vertices is None:
             vertices = self.decomp.sparse_vertices()
         vs = sorted(vertices)
-        rng = self.rng
-        picked = [v for v in vs if rng.random() < 0.5]
+        random = self.rng.random
+        picked = [v for v in vs if random() < 0.5]
         self.metrics.samples += len(vs)
         colored = set(self.one_shot_coloring(picked))
         self.greedy_coloring([v for v in vs if v not in colored])
@@ -104,4 +123,4 @@ class SparseColoring:
         """Drop v's color and rejection-sample a fresh one."""
         self.colors.clear_sparse(v)
         self.metrics.sparse_recolorings += 1
-        return self._rejection_color(v)
+        return self._rejection_color((v,))

@@ -139,6 +139,8 @@ def verify(
     delta = g.delta
     eps = params.epsilon
     drift = 0 if boundary else engine.updates_in_phase
+    # one bitmask snapshot answers every common-neighbor count of this audit
+    common = g.common_neighbor_counter()
 
     # properness ---------------------------------------------------------
     viol = []
@@ -306,7 +308,7 @@ def verify(
             cnt_hi = 0
             for u in g.adj[v]:
                 total += 1
-                commons = g.common_neighbors_exact(u, v)
+                commons = common(u, v)
                 if commons >= hi:
                     cnt_hi += 1
                 if u in lst:
@@ -340,7 +342,7 @@ def verify(
     )
 
     # the four decomposition invariants, estimator misses attributed -----------------
-    raw = dec.check_invariants(boundary=boundary, drift=drift)
+    raw = dec.check_invariants(boundary=boundary, drift=drift, common=common)
     hard = []
     attributed = 0
     for line in raw:

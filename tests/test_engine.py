@@ -5,7 +5,7 @@ import random
 import pytest
 
 from dyncolor.baseline import TrivialBaseline
-from dyncolor.colors import BLANK
+from dyncolor.colors import BLANK, ColorState
 from dyncolor.engine import Engine, EngineConfig
 from dyncolor.graph import dele, ins
 from dyncolor.params import ParamSet, auto_epsilon, trivial_cutoff
@@ -297,3 +297,23 @@ def test_phase_boundary_hooks_fire_per_rebuild():
     run_stream(e, adv, 35)
     assert len(hists) == 3
     assert all(sum(h) == 32 for h in hists)
+
+
+def test_blank_all_reports_cleared_entries_and_fires_in_vertex_order():
+    cs = ColorState(6, 3)
+    cs.set_sparse(4, 1)
+    cs.set_dense(2, 0)
+    cs.set_sparse(5, 1)
+    events = []
+    cs.listeners.append(lambda v, old, new: events.append((v, old, new)))
+    assert cs.blank_all() == 3
+    assert events == [(2, 0, BLANK), (4, 1, BLANK), (5, 1, BLANK)]
+    assert cs.of == [BLANK] * 6
+    assert not any(len(s) for s in cs.L + cs.L_D)
+    # the listener-free path blanks in place
+    cs.listeners.clear()
+    of = cs.of
+    cs.set_sparse(0, 2)
+    assert cs.blank_all() == 1
+    assert cs.of is of and of == [BLANK] * 6
+    assert cs.blank_all() == 0

@@ -85,8 +85,21 @@ def test_common_neighbors_symmetry_random():
             assert g.common_neighbors_exact(u, v) == g.common_neighbors_exact(v, u)
 
 
-def _mask_degree(g, v):
-    return g.masks[v].bit_count()
+def _degree_seen_by_others(g, v):
+    # counted from the other endpoints' adjacency, independent of adj[v]
+    return sum(1 for x in range(g.n) if x != v and v in g.adj[x])
+
+
+def test_common_neighbor_counter_matches_exact_intersection():
+    for seed in range(3):
+        n = 200
+        g = random_graph(n, 24, 900, seed=seed)
+        count = g.common_neighbor_counter()
+        rng = random.Random(seed)
+        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(300)] + list(g.edges())
+        for u, v in pairs:
+            brute = len(set(g.adj[u]) & set(g.adj[v]))
+            assert count(u, v) == brute == g.common_neighbors_exact(u, v)
 
 
 @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=60), st.randoms())
@@ -102,4 +115,4 @@ def test_symmetry_and_cap_hold_after_every_update(pairs, rnd):
         g.apply(upd)
         assert (v in g.adj[u]) == (u in g.adj[v])
         assert all(g.degree(x) <= 4 for x in (u, v))
-        assert _mask_degree(g, u) == g.degree(u)
+        assert _degree_seen_by_others(g, u) == g.degree(u)

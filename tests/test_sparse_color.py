@@ -2,6 +2,9 @@ import itertools
 import math
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from dyncolor.colors import BLANK
 from dyncolor.graph import dele, ins
 
@@ -223,3 +226,32 @@ def test_in_phase_load_growth():
         len(lst) - s0 for lst, s0 in zip(e.colors.L, start)
     )
     assert growth <= 8.0 * math.sqrt(math.log(n))
+
+
+@given(st.randoms(use_true_random=False), st.integers(40, 160))
+@settings(max_examples=40, deadline=None)
+def test_feasible_matches_brute_force_in_both_probe_directions(rnd, m):
+    # color 0 holds about half the vertices, more than any degree, while
+    # the other lists stay short, so both the adjacency-side walk
+    # (deg(v) < |L(c)|) and the list-side walk (deg(v) > |L(c)|) occur
+    n, delta = 40, 10
+    e = blank_engine(n, delta)
+    random_graph(n, delta, m, seed=rnd.randrange(2**32), g=e.graph)
+    for v in range(n):
+        if rnd.random() < 0.5:
+            e.colors.set_sparse(v, 0)
+        elif rnd.random() < 0.8:
+            e.colors.set_sparse(v, rnd.randrange(1, delta + 1))
+    directions = set()
+    for v in range(n):
+        adj = e.graph.adj[v]
+        for c in range(delta + 1):
+            lst = e.colors.L[c]
+            brute = not any(w in lst for w in adj)
+            probes0 = e.metrics.probes
+            assert e.sparse.feasible(v, c) == brute
+            # the walk is charged whole, on the shorter side
+            assert e.metrics.probes - probes0 == min(len(adj), len(lst))
+            if len(adj) != len(lst):
+                directions.add(len(adj) < len(lst))
+    assert directions == {True, False}

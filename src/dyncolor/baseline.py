@@ -9,53 +9,46 @@ the honest cost of this implementation.
 
 from __future__ import annotations
 
-from .colors import BLANK
+from .colors import BLANK, ColoringAlgorithm, ColorState
 from .graph import DynamicGraph
 from .metrics import Metrics
-from .sampleset import SampleSet
 
 
-class TrivialBaseline:
-    def __init__(self, n: int, delta: int, metrics: Metrics | None = None):
+class TrivialBaseline(ColoringAlgorithm):
+    mode = "baseline"
+
+    def __init__(self, n: int, delta: int):
+        self.n = n
+        self.delta = delta
         self.graph = DynamicGraph(n, delta)
         self.palette = delta + 1
-        self.of = [BLANK] * n
-        self.occupants = [SampleSet() for _ in range(self.palette)]
-        self.metrics = metrics if metrics is not None else Metrics()
+        self.colors = ColorState(n, self.palette)
+        self.metrics = Metrics()
         # everyone starts on the first color: the empty graph allows it,
         # and it is the worst case a conflict-seeking adversary could ask for
         for v in range(n):
-            self.of[v] = 0
-            self.occupants[0].add(v)
-
-    def color_of(self, v: int) -> int:
-        return self.of[v]
+            self.colors.set_sparse(v, 0)
 
     def process(self, upd) -> None:
         self.graph.apply(upd)
         self.metrics.updates += 1
         self.metrics.work += 1
-        if upd.insert and self.of[upd.u] == self.of[upd.v]:
+        of = self.colors.of
+        if upd.insert and of[upd.u] == of[upd.v]:
             self.trivial_recolor(upd.v)
 
     def trivial_recolor(self, v: int) -> int:
         used = [False] * self.palette
         adj = self.graph.adj[v]
+        of = self.colors.of
         for w in adj:
-            cw = self.of[w]
+            cw = of[w]
             if cw != BLANK:
                 used[cw] = True
         self.metrics.work += self.palette + len(adj)
         for c, taken in enumerate(used):
             if not taken:
-                old = self.of[v]
-                if old != BLANK:
-                    self.occupants[old].discard(v)
-                self.of[v] = c
-                self.occupants[c].add(v)
+                self.colors.set_sparse(v, c)
                 self.metrics.sparse_recolorings += 1
                 return c
         raise AssertionError("palette exhausted despite degree cap")
-
-    def is_proper(self) -> bool:
-        return all(self.of[u] != self.of[v] for u, v in self.graph.edges())

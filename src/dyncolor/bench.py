@@ -13,9 +13,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .adversary import make_adversary
-from .engine import Engine, EngineConfig
 from .params import ParamSet
-from .runner import run_stream
+from .runner import build_engine, run_stream
 
 COLUMNS = [
     "n", "delta", "strategy", "steps", "seed", "algo",
@@ -39,18 +38,13 @@ def run_cell(cell: dict) -> list[dict]:
             sample_count_k=cell.get("sample_count_k"),
         )
         mode = "full" if algo == "engine" else "baseline"
-        engine = Engine(n, delta, EngineConfig(params=params, mode=mode))
+        engine = build_engine(n, delta, params, mode)
         adversary = make_adversary(strategy, n, delta, seed=seed + 7)
         t0 = time.perf_counter()
         summary = run_stream(engine, adversary, steps)
         wall = time.perf_counter() - t0
         m = engine.metrics
         done = max(summary["steps"], 1)
-        proper = (
-            engine._baseline.is_proper()
-            if engine._baseline is not None
-            else engine.is_proper()
-        )
         rows.append(
             {
                 "n": n,
@@ -68,7 +62,7 @@ def run_cell(cell: dict) -> list[dict]:
                     sum(m.init_work) / len(m.init_work) if m.init_work else 0.0
                 ),
                 "monochrome_hits": summary["monochrome_hits"],
-                "proper": proper,
+                "proper": engine.is_proper(),
             }
         )
     return rows

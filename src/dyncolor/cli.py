@@ -7,11 +7,12 @@ import json
 import sys
 
 from . import bench as benchmod
+from .engine import Engine
 from .params import ParamSet
-from .runner import build_engine, record_run, replay_trace, run_stream
-from .adversary import STRATEGIES, make_adversary
+from .runner import MODES, record_run, replay_trace
+from .adversary import STRATEGIES
 from .trace import TraceFile
-from .verify import verify
+from .verify import at_boundary, verify
 
 
 def _load_config(path: str | None) -> dict:
@@ -59,7 +60,7 @@ def _add_common(p):
     p.add_argument("--samples", type=int, default=None, help="friend-estimate sample count")
     p.add_argument("--profile", choices=["desk", "paper"], default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--mode", choices=["full", "auto", "baseline"], default="full")
+    p.add_argument("--mode", choices=MODES, default="full")
     p.add_argument("--config", help="key=value file; flags override")
 
 
@@ -78,15 +79,16 @@ def cmd_run(args) -> int:
         trace.save(args.trace_out)
     out = {"summary": summary, "snapshot": engine.snapshot()}
     if args.verify:
-        rep = verify(engine, boundary=(engine._baseline is not None or engine.updates_in_phase == 0))
+        rep = verify(engine, boundary=at_boundary(engine))
         print(rep.format_lines(), file=sys.stderr)
         out["verify"] = rep.to_dict()
         out["verify_passed"] = rep.passed
-    if args.load_csv and engine._baseline is None:
+    if args.load_csv:
         benchmod.write_load_histogram(args.load_csv, engine)
-    if args.clique_csv and engine._baseline is None:
+    # the baseline has no cliques and no match dispatches to export
+    if args.clique_csv and isinstance(engine, Engine):
         benchmod.write_clique_rows(args.clique_csv, engine)
-    if getattr(args, "branch_csv", None) and engine._baseline is None:
+    if getattr(args, "branch_csv", None) and isinstance(engine, Engine):
         benchmod.write_branch_log(args.branch_csv, engine)
     _emit(out, args.report_json)
     return 0
@@ -123,7 +125,7 @@ def cmd_verify(args) -> int:
         n = args.n or int(cfg.get("n", 256))
         delta = args.delta or int(cfg.get("delta", n // 2))
         engine, _, _ = record_run(n, delta, params, args.strategy, args.steps, mode=args.mode)
-    rep = verify(engine, boundary=(engine._baseline is not None or engine.updates_in_phase == 0))
+    rep = verify(engine, boundary=at_boundary(engine))
     print(rep.format_lines())
     _emit({"verify": rep.to_dict(), "passed": rep.passed}, args.report_json)
     return 0 if rep.passed else 1

@@ -4,6 +4,9 @@ Sparse vertices live in L(c), dense vertices in L_D(c).  Feasibility
 checks iterate an occupancy list and probe adjacency, so their cost
 tracks the list length; the sparse check walks v's adjacency instead
 when that is the shorter side.
+
+`ColoringAlgorithm` is the read surface every coloring algorithm (the
+engine and the rescan baseline) exposes on top of its `ColorState`.
 """
 
 from __future__ import annotations
@@ -84,5 +87,51 @@ class ColorState:
                 s.clear()
         return cleared
 
-    def used_colors(self) -> set[int]:
-        return {c for c in self.of if c != BLANK}
+
+class ColoringView:
+    """Read-only coloring access handed to adaptive adversaries."""
+
+    def __init__(self, algorithm):
+        self._algorithm = algorithm
+
+    @property
+    def palette(self) -> int:
+        return self._algorithm.palette
+
+    def color_of(self, v: int) -> int:
+        return self._algorithm.color_of(v)
+
+    def occupants(self, c: int) -> tuple[int, ...]:
+        return self._algorithm.occupants(c)
+
+
+class ColoringAlgorithm:
+    """Shared surface of a coloring algorithm.
+
+    A subclass sets `n`, `delta`, `palette`, `graph`, `colors` (a
+    `ColorState`) and `metrics`, and implements `process(upd)`.
+    """
+
+    mode: str  # the snapshot's name for the algorithm
+
+    def color_of(self, v: int) -> int:
+        return self.colors.of[v]
+
+    def occupants(self, c: int) -> tuple[int, ...]:
+        return tuple(self.colors.L[c]) + tuple(self.colors.L_D[c])
+
+    def coloring_view(self) -> ColoringView:
+        return ColoringView(self)
+
+    def is_proper(self) -> bool:
+        of = self.colors.of
+        return all(of[u] != of[v] for u, v in self.graph.edges())
+
+    def snapshot(self) -> dict:
+        return {
+            "n": self.n,
+            "delta": self.delta,
+            "edges": self.graph.edge_count,
+            "metrics": self.metrics.to_dict(),
+            "mode": self.mode,
+        }

@@ -53,7 +53,6 @@ class ChangeSet:
     moved_to_dense: list[int] = field(default_factory=list)
     moved_to_sparse: list[int] = field(default_factory=list)
     collapsed: list[int] = field(default_factory=list)
-    nonedge_delta: int = 0
 
     def empty(self) -> bool:
         return not (self.moved_to_dense or self.moved_to_sparse or self.collapsed)
@@ -79,9 +78,6 @@ class Decomposition:
         self.collapse_limit = params.collapse_limit(delta)
 
     # ---- membership ---------------------------------------------------------
-
-    def is_dense(self, v: int) -> bool:
-        return self.clique_of[v] is not None
 
     def clique(self, v: int) -> AlmostClique | None:
         cid = self.clique_of[v]
@@ -212,7 +208,6 @@ class Decomposition:
         u, v = upd.u, upd.v
         refresh = self.tracker.maintain_friends(upd)
         self.note_edge(upd)
-        base_adj = self.metrics.nonedge_adjustments
         cu, cv = self.clique_of[u], self.clique_of[v]
         if cu is not None and cu == cv:
             c = self.cliques[cu]
@@ -263,7 +258,6 @@ class Decomposition:
             for w in sorted(freed):
                 if w in tracker.vsets[0] and self.clique_of[w] is None:
                     cs.moved_to_dense += self.dense_move(w)
-        cs.nonedge_delta = self.metrics.nonedge_adjustments - base_adj
         return cs
 
     # ---- moves -----------------------------------------------------------------

@@ -18,8 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .baseline import TrivialBaseline
-from .colors import BLANK, ColorState
+from .colors import BLANK, ColoringAlgorithm, ColorState
 from .decomposition import Decomposition
 from .dense_color import DenseColoring
 from .errors import EmptyPalette, IterationCapExceeded
@@ -27,64 +26,27 @@ from .friends import FriendTracker
 from .graph import DynamicGraph, EdgeUpdate
 from .journal import PhaseJournal
 from .metrics import Metrics
-from .params import ParamSet, auto_epsilon, trivial_cutoff
+from .params import ParamSet
 from .sparse_color import SparseColoring
-
-FULL = "full"
-AUTO = "auto"
-BASELINE = "baseline"
 
 
 @dataclass
 class EngineConfig:
     params: ParamSet = field(default_factory=ParamSet)
-    mode: str = FULL  # full | auto | baseline
     strict: bool = False  # raise on decomposition anomalies instead of logging
 
 
-class ColoringView:
-    """Read-only coloring access handed to adaptive adversaries."""
+class Engine(ColoringAlgorithm):
+    mode = "full"
 
-    def __init__(self, engine):
-        self._engine = engine
-
-    @property
-    def palette(self) -> int:
-        return self._engine.palette
-
-    def color_of(self, v: int) -> int:
-        return self._engine.color_of(v)
-
-    def occupants(self, c: int) -> tuple[int, ...]:
-        return self._engine.occupants(c)
-
-
-class Engine:
     def __init__(self, n: int, delta: int, config: EngineConfig | None = None):
         self.config = config or EngineConfig()
-        params = self.config.params
-        mode = self.config.mode
-        if mode == AUTO:
-            if delta <= trivial_cutoff(n):
-                mode = BASELINE
-            else:
-                mode = FULL
-                eps = auto_epsilon(n, delta)
-                params = ParamSet(
-                    epsilon=eps, tau=eps / 3.0, profile=params.profile,
-                    seed=params.seed,
-                )
-        self.params = params
+        self.params = params = self.config.params
         self.n = n
         self.delta = delta
         self.palette = delta + 1
         self.metrics = Metrics()
         self.rng = random.Random(params.seed)
-        self._baseline: TrivialBaseline | None = None
-        if mode == BASELINE:
-            self._baseline = TrivialBaseline(n, delta, self.metrics)
-            self.graph = self._baseline.graph
-            return
         self.graph = DynamicGraph(n, delta)
         self.tracker = FriendTracker(self.graph, params, self.rng, self.metrics)
         self.decomp = Decomposition(
@@ -109,23 +71,7 @@ class Engine:
 
     # ---- public API -------------------------------------------------------------
 
-    def color_of(self, v: int) -> int:
-        if self._baseline is not None:
-            return self._baseline.color_of(v)
-        return self.colors.of[v]
-
-    def occupants(self, c: int) -> tuple[int, ...]:
-        if self._baseline is not None:
-            return tuple(self._baseline.occupants[c])
-        return tuple(self.colors.L[c]) + tuple(self.colors.L_D[c])
-
-    def coloring_view(self) -> ColoringView:
-        return ColoringView(self)
-
     def process(self, upd: EdgeUpdate) -> None:
-        if self._baseline is not None:
-            self._baseline.process(upd)
-            return
         self.graph.apply(upd)
         self.metrics.updates += 1
         self.metrics.work += 1
@@ -139,26 +85,13 @@ class Engine:
         if self.updates_in_phase >= self.phase_len:
             self.initialization()
 
-    def is_proper(self) -> bool:
-        cf = self.color_of
-        return all(cf(u) != cf(v) for u, v in self.graph.edges())
-
     def snapshot(self) -> dict:
-        base = {
-            "n": self.n,
-            "delta": self.delta,
-            "edges": self.graph.edge_count,
-            "metrics": self.metrics.to_dict(),
-        }
-        if self._baseline is not None:
-            base["mode"] = "baseline"
-            return base
-        base["mode"] = "full"
-        base["phase_index"] = self.phase_index
-        base["updates_in_phase"] = self.updates_in_phase
-        base["decomposition"] = self.decomp.snapshot()
-        base["cliques"] = self.dense.clique_rows()
-        return base
+        snap = super().snapshot()
+        snap["phase_index"] = self.phase_index
+        snap["updates_in_phase"] = self.updates_in_phase
+        snap["decomposition"] = self.decomp.snapshot()
+        snap["cliques"] = self.dense.clique_rows()
+        return snap
 
     # ---- per-update dispatch -------------------------------------------------------
 

@@ -165,9 +165,6 @@ class FriendTracker:
 
     # ---- introspection -------------------------------------------------------
 
-    def friend_list(self, v: int, i: int) -> set[int]:
-        return self.lists[i - 1][v]
-
     def in_vset(self, v: int, i: int) -> bool:
         return bool(self.dense_flag[i - 1][v])
 

@@ -38,6 +38,3 @@ class Metrics:
         d = {name: getattr(self, name) for name in self.__slots__ if name != "init_work"}
         d["init_work"] = list(self.init_work)
         return d
-
-    def mean_work_per_update(self) -> float:
-        return self.work / self.updates if self.updates else 0.0

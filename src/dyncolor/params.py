@@ -24,7 +24,6 @@ class ParamSet:
     epsilon: float = 0.2
     tau: float | None = None  # default epsilon / 3
     nu: float | None = None  # clique-collapse fraction; default 2*epsilon/3
-    delta_matching: float = 1.0 / 6.0  # approximate-matching slack, kept for reporting
     phase_len_t: int | None = None  # None -> derived
     sample_count_k: int | None = None  # None -> derived
     confidence_c: float = 3.0  # the constant c in k = 12 c ln(n) / tau^2
@@ -35,7 +34,6 @@ class ParamSet:
     dispatch_frac: float = 0.1  # matching-size dispatcher threshold, fraction of delta
     heavy_frac: float = 0.01  # heavy-color threshold, fraction of delta
     regime_frac: float | None = None  # small/large matching split; default epsilon^2
-    floor_frac: float = 1.0 / (9.0 * E6)  # excess-color floor knob (fraction of eps^2*delta)
     matching_floor_boundary: float = 22.0  # |M_N| >= |nonedges| / (boundary * eps * delta)
     matching_floor_phase: float = 50.0
 
@@ -61,10 +59,6 @@ class ParamSet:
     def c_scale(self, i: int) -> float:
         """Friendship scale i in {1,2,3}: c_i = i*epsilon + tau."""
         return i * self.epsilon + self.tau
-
-    @property
-    def c1(self) -> float:
-        return self.c_scale(1)
 
     @property
     def c3(self) -> float:

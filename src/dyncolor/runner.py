@@ -3,19 +3,20 @@
 from __future__ import annotations
 
 from .adversary import make_adversary
+from .baseline import TrivialBaseline
 from .engine import Engine, EngineConfig
 from .errors import Exhausted
-from .graph import EdgeUpdate
-from .params import ParamSet
+from .params import ParamSet, auto_epsilon, trivial_cutoff
 from .trace import TraceFile
-from .verify import ProperWatch, verify
+from .verify import ProperWatch, at_boundary, verify
+
+MODES = ("full", "auto", "baseline")
 
 
 _HEADER_FIELDS = (
     ("epsilon", float),
     ("tau", float),
     ("nu", float),
-    ("delta_matching", float),
     ("phase_len_t", int),
     ("sample_count_k", int),
     ("confidence_c", float),
@@ -24,7 +25,6 @@ _HEADER_FIELDS = (
     ("dispatch_frac", float),
     ("heavy_frac", float),
     ("regime_frac", float),
-    ("floor_frac", float),
     ("seed", int),
 )
 
@@ -46,8 +46,32 @@ def params_from_header(hdr: dict[str, str]) -> ParamSet:
     return ParamSet(**kw)
 
 
+def build_engine(
+    n: int, delta: int, params: ParamSet, mode: str = "full", strict: bool = False
+) -> Engine | TrivialBaseline:
+    """The full engine or the rescan baseline, chosen by `mode` (see MODES).
+
+    `auto` picks the baseline when delta <= trivial_cutoff(n) and otherwise
+    the full engine at the balanced epsilon = auto_epsilon(n, delta).
+    """
+    if mode == "auto":
+        if delta <= trivial_cutoff(n):
+            mode = "baseline"
+        else:
+            mode = "full"
+            eps = auto_epsilon(n, delta)
+            params = ParamSet(
+                epsilon=eps, tau=eps / 3.0, profile=params.profile, seed=params.seed,
+            )
+    if mode == "baseline":
+        return TrivialBaseline(n, delta)
+    if mode == "full":
+        return Engine(n, delta, EngineConfig(params=params, strict=strict))
+    raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
+
+
 def run_stream(
-    engine: Engine,
+    engine: Engine | TrivialBaseline,
     adversary,
     steps: int,
     watch: bool = False,
@@ -62,7 +86,7 @@ def run_stream(
     verifier on that stride.  Returns a summary dict.
     """
     view = engine.coloring_view() if adversary.adaptive else None
-    watcher = ProperWatch(engine) if watch and engine._baseline is None else None
+    watcher = ProperWatch(engine) if watch else None
     audits = 0
     audit_failures: list[str] = []
     deltas: list[tuple[int, int]] | None = None
@@ -72,10 +96,9 @@ def run_stream(
     def _capture(v, old, new):
         deltas.append((v, new))
 
-    capturing = False
-    if record is not None and engine._baseline is None:
+    capturing = record is not None
+    if capturing:
         engine.colors.listeners.append(_capture)
-        capturing = True
     done = 0
     exhausted = False
     try:
@@ -90,16 +113,13 @@ def run_stream(
             engine.process(upd)
             if watcher is not None:
                 watcher.check(upd)
-            if record is not None:
+            if capturing:
                 record.updates.append(upd)
-                if capturing:
-                    record.outputs.append(deltas)
-                else:
-                    record.outputs.append([])
+                record.outputs.append(deltas)
             if per_update is not None:
                 per_update(engine, upd, i)
             if audit_every and (i + 1) % audit_every == 0:
-                rep = verify(engine, boundary=(engine._baseline is not None or engine.updates_in_phase == 0))
+                rep = verify(engine, boundary=at_boundary(engine))
                 audits += 1
                 if not rep.passed:
                     audit_failures.append(f"update {i}: {rep.failed_names()}")
@@ -119,10 +139,6 @@ def run_stream(
     }
 
 
-def build_engine(n: int, delta: int, params: ParamSet, mode: str = "full", strict: bool = False) -> Engine:
-    return Engine(n, delta, EngineConfig(params=params, mode=mode, strict=strict))
-
-
 def record_run(
     n: int,
     delta: int,
@@ -133,10 +149,10 @@ def record_run(
     adversary_seed: int | None = None,
     branch_log: bool = False,
     **adversary_kw,
-) -> tuple[Engine, TraceFile, dict]:
+) -> tuple[Engine | TrivialBaseline, TraceFile, dict]:
     """Run a fresh engine against an adversary, recording a replayable trace."""
     engine = build_engine(n, delta, params, mode=mode)
-    if branch_log and engine._baseline is None:
+    if branch_log and isinstance(engine, Engine):
         engine.dense.branch_log = []
     adversary = make_adversary(
         strategy, n, delta,
@@ -168,7 +184,7 @@ def replay_trace(trace: TraceFile, params: ParamSet | None = None, check: bool =
     def _capture(v, old, new):
         deltas.append((v, new))
 
-    capturing = check and trace.outputs is not None and engine._baseline is None
+    capturing = check and trace.outputs is not None
     if capturing:
         engine.colors.listeners.append(_capture)
     for i, upd in enumerate(trace.updates):

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .colors import BLANK
+from .engine import Engine
 
 
 @dataclass
@@ -118,29 +119,30 @@ class ProperWatch:
         return ok
 
 
+def at_boundary(engine) -> bool:
+    """Whether `verify`'s boundary-only checks apply to `engine` now.
+
+    True at an engine's phase boundary, and always for the rescan
+    baseline, which has no phases.
+    """
+    return not isinstance(engine, Engine) or engine.updates_in_phase == 0
+
+
 def verify(
     engine,
     boundary: bool = True,
     soundness_floor: float = 0.98,
     load_ceiling: float | None = None,
 ) -> Report:
-    """Recompute every maintained structure from scratch and diff."""
+    """Recompute every maintained structure from scratch and diff.
+
+    The rescan baseline is checked for properness only; the engine's
+    decomposition and color bookkeeping are audited too.
+    """
     rep = Report()
-    if engine._baseline is not None:
-        ok = engine._baseline.is_proper()
-        rep.add(CheckResult("properness", ok))
-        return rep
     g = engine.graph
-    dec = engine.decomp
     colors = engine.colors
-    dense = engine.dense
-    params = engine.params
     palette = engine.palette
-    delta = g.delta
-    eps = params.epsilon
-    drift = 0 if boundary else engine.updates_in_phase
-    # one bitmask snapshot answers every common-neighbor count of this audit
-    common = g.common_neighbor_counter()
 
     # properness ---------------------------------------------------------
     viol = []
@@ -154,6 +156,17 @@ def verify(
         if c == BLANK:
             viol.append(f"vertex {v} is blank")
     rep.add(CheckResult("properness", not viol, viol))
+    if not isinstance(engine, Engine):
+        return rep
+
+    dec = engine.decomp
+    dense = engine.dense
+    params = engine.params
+    delta = g.delta
+    eps = params.epsilon
+    drift = 0 if boundary else engine.updates_in_phase
+    # one bitmask snapshot answers every common-neighbor count of this audit
+    common = g.common_neighbor_counter()
 
     # partition and neighbor-view structures ------------------------------
     viol = dec.check_structures()
@@ -293,25 +306,30 @@ def verify(
     # certifies closeness scaled by the sampled endpoint's degree.  The rate
     # is measured against that certificate; the absolute form (degrees at
     # the cap) is reported alongside.
+    # Each directed edge's common-neighbor count is taken once and judged
+    # at all three scales.
     tracker = engine.tracker
     tau = params.tau
     mismatches = 0
     absolute_false_in = 0
     total = 0
     gap_vertices: set[int] = set()
+    scales = []  # (ratio_hi, hi, lo) per friendship scale
     for i in range(3):
         ratio_hi = 1.0 - ((i + 1) * eps + tau)
         hi = ratio_hi * delta - drift
         lo = (1.0 - ((i + 1) * eps - tau)) * delta + drift
-        for v in range(g.n):
-            lst = tracker.lists[i][v]
-            cnt_hi = 0
-            for u in g.adj[v]:
-                total += 1
-                commons = common(u, v)
+        scales.append((ratio_hi, hi, lo))
+    for v in range(g.n):
+        lists = [tracker.lists[i][v] for i in range(3)]
+        cnt_hi = [0, 0, 0]
+        for u in g.adj[v]:
+            total += 3
+            commons = common(u, v)
+            for i, (ratio_hi, hi, lo) in enumerate(scales):
                 if commons >= hi:
-                    cnt_hi += 1
-                if u in lst:
+                    cnt_hi[i] += 1
+                if u in lists[i]:
                     if commons < hi:
                         # tracker belief diverges from the oracle's absolute
                         # form: usable for attributing invariant misses
@@ -323,8 +341,9 @@ def verify(
                 elif commons >= lo:
                     mismatches += 1
                     gap_vertices.update((u, v))
-            # a dense flag the oracle cannot justify is an estimator gap too
-            if tracker.dense_flag[i][v] and cnt_hi < hi:
+        # a dense flag the oracle cannot justify is an estimator gap too
+        for i, (_, hi, _) in enumerate(scales):
+            if tracker.dense_flag[i][v] and cnt_hi[i] < hi:
                 gap_vertices.add(v)
     rate = 1.0 - (mismatches / total if total else 0.0)
     rep.add(

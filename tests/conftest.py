@@ -20,8 +20,8 @@ def make_params(eps=0.2, tau=None, seed=0, phase_len=None, k=None, fire=None, **
     )
 
 
-def make_engine(n, delta, strict=True, mode="full", **param_kw):
-    return Engine(n, delta, EngineConfig(params=make_params(**param_kw), mode=mode, strict=strict))
+def make_engine(n, delta, strict=True, **param_kw):
+    return Engine(n, delta, EngineConfig(params=make_params(**param_kw), strict=strict))
 
 
 def add_edges(g: DynamicGraph, pairs):

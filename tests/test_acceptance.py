@@ -14,6 +14,7 @@ import pytest
 
 from dyncolor.adversary import make_adversary
 from dyncolor.baseline import TrivialBaseline
+from dyncolor.bench import loglog_slope
 from dyncolor.colors import BLANK
 from dyncolor.engine import Engine, EngineConfig
 from dyncolor.friends import FriendTracker
@@ -300,14 +301,6 @@ def test_accept_6_estimator_soundness():
 # ---- criterion 8: scaling separation ---------------------------------------------------
 
 
-def loglog_slope(points):
-    xs = [math.log(x) for x, _ in points]
-    ys = [math.log(max(y, 1e-9)) for _, y in points]
-    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    den = sum((x - mx) ** 2 for x in xs)
-    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / den
-
-
 def test_accept_8_scaling_separation():
     sizes = [2**p for p in range(8, 14)]
     seeds = (0, 1)
@@ -332,15 +325,7 @@ def test_accept_8_scaling_separation():
             total_fallbacks += engine.metrics.fallbacks
             base = TrivialBaseline(n, delta)
             badv = make_adversary("adaptive-monochrome", n, delta, seed=seed + 77)
-
-            class _View:
-                def color_of(self, v, _b=base):
-                    return _b.of[v]
-
-                def occupants(self, c, _b=base):
-                    return tuple(_b.occupants[c])
-
-            view = _View()
+            view = base.coloring_view()
             for _ in range(steps):
                 base.process(badv.next(view))
             bw.append(base.metrics.work / steps)

@@ -9,24 +9,13 @@ from dyncolor.runner import run_stream
 from conftest import make_engine
 
 
-class BaselineView:
-    def __init__(self, base):
-        self.base = base
-
-    def color_of(self, v):
-        return self.base.of[v]
-
-    def occupants(self, c):
-        return tuple(self.base.occupants[c])
-
-
 def test_all_strategies_emit_only_legal_updates():
     n, delta = 40, 10
     for kind in ("adaptive-monochrome", "oblivious-random", "deletion-heavy", "clique-churn"):
         adv = make_adversary(kind, n, delta, seed=3)
         base = TrivialBaseline(n, delta)
         validator = DynamicGraph(n, delta)
-        view = BaselineView(base)
+        view = base.coloring_view()
         for _ in range(300):
             upd = adv.next(view)
             validator.check_legal(upd)  # raises on an illegal emission
@@ -46,16 +35,15 @@ def test_scripted_adversary_and_exhaustion():
 def test_two_vertex_monochrome_edge_cases():
     # distinct colors and no deletable edge: the stream must end
     base = TrivialBaseline(2, 1)
-    base.of = [0, 1]
-    base.occupants[0].discard(1)
-    base.occupants[1].add(1)
+    base.colors.set_sparse(1, 1)
+    assert base.colors.of == [0, 1]
     adv = make_adversary("adaptive-monochrome", 2, 1, seed=1)
     with pytest.raises(Exhausted):
-        adv.next(BaselineView(base))
+        adv.next(base.coloring_view())
     # same colors: the legal monochromatic insert is found
     base2 = TrivialBaseline(2, 1)
     adv2 = make_adversary("adaptive-monochrome", 2, 1, seed=1)
-    upd = adv2.next(BaselineView(base2))
+    upd = adv2.next(base2.coloring_view())
     assert upd.insert and {upd.u, upd.v} == {0, 1}
 
 
@@ -63,13 +51,13 @@ def test_monochrome_hit_rate_against_baseline():
     n, delta = 4096, 64
     base = TrivialBaseline(n, delta)
     adv = make_adversary("adaptive-monochrome", n, delta, seed=5)
-    view = BaselineView(base)
+    view = base.coloring_view()
     inserts = hits = 0
     for _ in range(2000):
         upd = adv.next(view)
         if upd.insert:
             inserts += 1
-            if base.of[upd.u] == base.of[upd.v]:
+            if base.colors.of[upd.u] == base.colors.of[upd.v]:
                 hits += 1
         base.process(upd)
     assert inserts > 0

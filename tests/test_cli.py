@@ -26,6 +26,27 @@ def test_run_with_verify_and_reports(tmp_path):
     assert {"color", "load"} <= set(rows[0])
 
 
+def test_run_baseline_with_verify_and_load_csv(tmp_path):
+    report = tmp_path / "report.json"
+    load_csv = tmp_path / "load.csv"
+    rc = main(
+        [
+            "run", "--mode", "baseline",
+            "--n", "48", "--delta", "12", "--steps", "300",
+            "--strategy", "adaptive-monochrome", "--seed", "5", "--verify",
+            "--report-json", str(report),
+            "--load-csv", str(load_csv),
+        ]
+    )
+    assert rc == 0
+    data = json.loads(report.read_text())
+    assert data["snapshot"]["mode"] == "baseline"
+    assert data["verify_passed"] is True
+    rows = list(csv.DictReader(load_csv.open()))
+    assert len(rows) == 13  # one row per color
+    assert sum(int(r["load"]) for r in rows) == 48
+
+
 def test_record_then_replay_check(tmp_path):
     trace = tmp_path / "run.trace"
     rc = main(

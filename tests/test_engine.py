@@ -6,10 +6,11 @@ import pytest
 
 from dyncolor.baseline import TrivialBaseline
 from dyncolor.colors import BLANK, ColorState
-from dyncolor.engine import Engine, EngineConfig
+from dyncolor.engine import Engine
 from dyncolor.graph import dele, ins
 from dyncolor.params import ParamSet, auto_epsilon, trivial_cutoff
-from dyncolor.runner import run_stream
+from dyncolor.runner import build_engine, replay_trace, run_stream
+from dyncolor.trace import TraceFile
 from dyncolor.adversary import make_adversary
 from dyncolor.verify import ProperWatch, verify
 
@@ -136,7 +137,7 @@ def test_baseline_greedy_clique_matches_simulation():
         if sim[u] == sim[v]:
             used = {sim[w] for w in adj[v]}
             sim[v] = next(c for c in range(delta + 1) if c not in used)
-    assert base.of == sim
+    assert base.colors.of == sim
     assert base.is_proper()
     assert sorted(sim) == list(range(delta + 1))
 
@@ -188,13 +189,38 @@ def test_case3_deletion_colors_new_pair_and_rematches_displaced():
 def test_auto_mode_picks_baseline_or_full():
     n = 256
     low = int(trivial_cutoff(n)) - 5
-    e = Engine(n, low, EngineConfig(mode="auto"))
-    assert e._baseline is not None
+    e = build_engine(n, low, ParamSet(), mode="auto")
+    assert isinstance(e, TrivialBaseline)
     hi = int(trivial_cutoff(n)) + 5
-    e2 = Engine(n, hi, EngineConfig(mode="auto"))
-    assert e2._baseline is None
+    e2 = build_engine(n, hi, ParamSet(), mode="auto")
+    assert isinstance(e2, Engine)
     assert abs(e2.params.epsilon - auto_epsilon(n, hi)) < 1e-12
     assert abs(e2.params.tau - e2.params.epsilon / 3.0) < 1e-12
+
+
+def test_unknown_mode_is_rejected():
+    with pytest.raises(ValueError, match="bogus"):
+        build_engine(16, 4, ParamSet(), mode="bogus")
+    # a trace header's mode goes through the same factory
+    trace = TraceFile(header={"n": "16", "delta": "4", "mode": "bogus"})
+    with pytest.raises(ValueError, match="bogus"):
+        replay_trace(trace)
+
+
+def test_watch_and_audits_run_on_the_baseline():
+    base = TrivialBaseline(64, 16)
+    adv = make_adversary("adaptive-monochrome", 64, 16, seed=2)
+    res = run_stream(base, adv, 500, watch=True, audit_every=100)
+    assert res["watch_violations"] == []
+    assert res["audits"] == 5 and res["audit_failures"] == []
+    assert base.metrics.sparse_recolorings > 0
+    assert base.colors.listeners == []
+    # the watch sees the baseline's color events: a forced clash is caught
+    watch = ProperWatch(base)
+    u, v = next(base.graph.edges())
+    base.colors.set_sparse(v, base.color_of(u))
+    assert not watch.check(dele(u, v))
+    assert watch.violations
 
 
 def test_initialization_after_dense_phase_keeps_verifier_green():

@@ -1,5 +1,6 @@
 import pytest
 
+from dyncolor.baseline import TrivialBaseline
 from dyncolor.errors import MalformedTrace
 from dyncolor.graph import EdgeUpdate
 from dyncolor.params import ParamSet
@@ -62,3 +63,14 @@ def test_replay_final_coloring_identical():
     assert [engine1.color_of(v) for v in range(40)] == [
         engine2.color_of(v) for v in range(40)
     ]
+
+
+def test_baseline_trace_records_and_replays_color_deltas():
+    params = ParamSet(epsilon=0.2, seed=3)
+    base, trace, _ = record_run(40, 10, params, "adaptive-monochrome", 300, mode="baseline")
+    assert isinstance(base, TrivialBaseline)
+    recorded = sum(len(d) for d in trace.outputs)
+    assert recorded > 0 and recorded == base.metrics.sparse_recolorings
+    replayed, mismatches = replay_trace(TraceFile.loads(trace.dumps()), check=True)
+    assert mismatches == []
+    assert replayed.colors.of == base.colors.of

@@ -6,6 +6,7 @@ from dyncolor.colors import BLANK
 from dyncolor.graph import dele, ins
 from dyncolor.runner import run_stream
 from dyncolor.adversary import make_adversary
+from dyncolor.baseline import TrivialBaseline
 from dyncolor.verify import verify
 
 from conftest import dense_fixture, make_engine, oracle_fill_tracker, install_clique
@@ -43,6 +44,18 @@ def test_fault_properness_names_the_edge():
     rep = verify(engine)
     assert rep.failed_names() == ["properness"]
     assert any("(0,1)" in v or "(1,0)" in v for v in rep.checks["properness"].violations)
+
+
+def test_fault_properness_on_the_baseline():
+    base = TrivialBaseline(8, 3)
+    for u, v in ((0, 1), (1, 2), (2, 3)):
+        base.process(ins(u, v))
+    rep = verify(base)
+    assert rep.passed and list(rep.checks) == ["properness"]
+    base.colors.set_sparse(2, base.color_of(1))
+    rep = verify(base)
+    assert rep.failed_names() == ["properness"]
+    assert any("(1,2)" in v for v in rep.checks["properness"].violations)
 
 
 def test_fault_partition_structures():

@@ -127,8 +127,8 @@ def write_load_histogram(path, engine) -> None:
             writer.writerow([c, len(lst)])
 
 
-def write_clique_rows(path, engine) -> None:
-    rows = engine.dense.clique_rows()
+def write_clique_rows(path, rows) -> None:
+    """CSV of `DenseColoring.clique_rows()`; the header alone when there are none."""
     fields = [
         "clique", "size", "k", "matching", "big_l", "available", "heavy",
         "nonedges", "large_regime",
@@ -141,9 +141,8 @@ def write_clique_rows(path, engine) -> None:
             writer.writerow(r)
 
 
-def write_branch_log(path, engine) -> None:
-    """CSV of (call index, clique, branch) per match dispatch, when collected."""
-    log = engine.dense.branch_log or []
+def write_branch_log(path, log) -> None:
+    """CSV of (call index, clique, branch) per match dispatch in `log`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["call", "clique", "branch"])

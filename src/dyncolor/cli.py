@@ -71,7 +71,7 @@ def cmd_run(args) -> int:
     delta = args.delta or int(cfg.get("delta", n // 2))
     engine, trace, summary = record_run(
         n, delta, params, args.strategy, args.steps, mode=args.mode,
-        branch_log=bool(getattr(args, "branch_csv", None)),
+        branch_log=bool(args.branch_csv),
     )
     if args.trace_out:
         if not args.record_colors:
@@ -85,11 +85,12 @@ def cmd_run(args) -> int:
         out["verify_passed"] = rep.passed
     if args.load_csv:
         benchmod.write_load_histogram(args.load_csv, engine)
-    # the baseline has no cliques and no match dispatches to export
-    if args.clique_csv and isinstance(engine, Engine):
-        benchmod.write_clique_rows(args.clique_csv, engine)
-    if getattr(args, "branch_csv", None) and isinstance(engine, Engine):
-        benchmod.write_branch_log(args.branch_csv, engine)
+    # the baseline has no cliques and no match dispatches: header-only files
+    dense = engine.dense if isinstance(engine, Engine) else None
+    if args.clique_csv:
+        benchmod.write_clique_rows(args.clique_csv, dense.clique_rows() if dense else [])
+    if args.branch_csv:
+        benchmod.write_branch_log(args.branch_csv, dense.branch_log if dense else [])
     _emit(out, args.report_json)
     return 0
 

@@ -17,6 +17,7 @@ large).  R, the colors not shared by any pair, is the complement of an.
 from __future__ import annotations
 
 from .colors import BLANK
+from .draws import palette_drawer
 from .errors import EmptyPalette, IterationCapExceeded
 from .sampleset import SampleSet
 
@@ -255,9 +256,9 @@ class DenseColoring:
                 if pair is not None and w in pair:
                     book.an.pop(old)
                 self._clear_member(clique, w)
-        rng = self.rng
+        draw = palette_drawer(self.rng, self.palette)
         for _ in range(self.cap):
-            c = rng.randrange(self.palette)
+            c = draw()
             self.metrics.samples += 1
             if c in book.an:
                 continue
@@ -346,9 +347,9 @@ class DenseColoring:
     def random_match(self, v: int) -> None:
         clique = self.decomp.clique(v)
         book = clique.book
-        rng = self.rng
+        draw = palette_drawer(self.rng, self.palette)
         for _ in range(self.cap):
-            c = rng.randrange(self.palette)
+            c = draw()
             self.metrics.samples += 1
             if c not in book.A:
                 continue

@@ -16,6 +16,8 @@ ones, which is what keeps the amortized work bounded.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from math import floor
 
 from .errors import InvariantViolation
 
@@ -58,10 +60,16 @@ class FriendTracker:
         items = self.graph.adj[u].items
         if not items:
             return 0  # isolated endpoint: estimate is zero
-        self.metrics.samples += self.k
-        self.metrics.work += self.k
-        contains = self.graph.adj[v]._pos.__contains__
-        return sum(map(contains, self.rng.choices(items, k=self.k)))
+        k = self.k
+        self.metrics.samples += k
+        self.metrics.work += k
+        # the draws of rng.choices(items, k=k), counted without the list
+        random, size, pos = self.rng.random, len(items) + 0.0, self.graph.adj[v]._pos
+        cnt = 0
+        for _ in repeat(None, k):
+            if items[floor(random() * size)] in pos:
+                cnt += 1
+        return cnt
 
     def determine_friend(self, u: int, v: int, eps: float, tau: float) -> bool:
         """Re-estimate one edge at one scale and update that scale's lists.

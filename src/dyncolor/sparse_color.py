@@ -11,6 +11,7 @@ neighbors; the engine reconciles dense neighbors afterwards.
 from __future__ import annotations
 
 from .colors import BLANK
+from .draws import palette_drawer, shuffle
 
 
 class SparseColoring:
@@ -53,47 +54,64 @@ class SparseColoring:
         conflict gets colored.  Returns the colored subset.
         """
         order = sorted(vertices)
-        randrange, palette = self.rng.randrange, self.palette
-        draws = [randrange(palette) for _ in order]
-        self.metrics.samples += len(order)
-        self.metrics.work += len(order)
-        feasible, set_sparse = self.feasible, self.colors.set_sparse
-        colored = []
-        for v, c in zip(order, draws):
-            if feasible(v, c):
-                set_sparse(v, c)
-                colored.append(v)
-        return colored
+        self._rejection_color(order, one_shot=True)
+        of = self.colors.of
+        return [v for v in order if of[v] != BLANK]
 
     def greedy_coloring(self, vertices) -> None:
         """Color every vertex by rejection sampling, in uniform random order."""
         order = sorted(vertices)
-        self.rng.shuffle(order)
+        shuffle(self.rng, order)
         self._rejection_color(order)
 
-    def _rejection_color(self, vertices) -> int:
-        """Rejection-sample a color for each vertex in turn; returns the last one."""
-        randrange, palette, cap = self.rng.randrange, self.palette, self.cap
-        feasible, set_sparse = self.feasible, self.colors.set_sparse
-        c = BLANK
-        drawn = 0
+    def _rejection_color(self, vertices, one_shot: bool = False) -> None:
+        """Give each blank vertex in turn the first feasible of its color draws.
+
+        A vertex draws up to `cap` colors (one in the one-shot pass) and
+        takes the first that `feasible` accepts; when none is, it takes
+        the fallback color, or stays blank in the one-shot pass.  A vertex
+        without neighbors takes its first draw without asking `feasible`,
+        and is charged the unit `feasible` charges for walking nothing.
+        Placement fires the listeners with (v, BLANK, c), as `set_sparse`
+        on a blank v does.
+        """
+        colors = self.colors
+        of, L, listeners = colors.of, colors.L, colors.listeners
+        adj = self.graph.adj
+        draw, feasible = palette_drawer(self.rng, self.palette), self.feasible
+        tries = 1 if one_shot else self.cap
+        drawn = isolated = 0
         for v in vertices:
-            for i in range(cap):
-                c = randrange(palette)
-                if feasible(v, c):
-                    set_sparse(v, c)
-                    drawn += i + 1
-                    break
+            if of[v] != BLANK:
+                raise ValueError(f"vertex {v} is not blank")
+            if not adj[v].items:
+                c = draw()
+                isolated += 1
             else:
-                drawn += cap
-                c = self._fallback(v)
-        self.metrics.samples += drawn
-        self.metrics.work += drawn
-        return c
+                for i in range(tries):
+                    c = draw()
+                    if feasible(v, c):
+                        drawn += i + 1
+                        break
+                else:
+                    drawn += tries
+                    if one_shot:
+                        continue
+                    c = self._fallback(v)
+            of[v] = c
+            lst = L[c]
+            items = lst.items
+            lst._pos[v] = len(items)
+            items.append(v)
+            for fn in listeners:
+                fn(v, BLANK, c)
+        m = self.metrics
+        m.samples += drawn + isolated
+        m.work += drawn + 2 * isolated
 
     def _fallback(self, v: int) -> int:
-        # deterministic scan; a free color exists because the palette
-        # exceeds the degree cap
+        """The lowest color no neighbor of v holds, found by a scan."""
+        # a free color exists because the palette exceeds the degree cap
         self.metrics.fallbacks += 1
         used = set()
         of = self.colors.of
@@ -104,7 +122,6 @@ class SparseColoring:
         self.metrics.work += self.palette + len(self.graph.adj[v])
         for c in range(self.palette):
             if c not in used:
-                self.colors.set_sparse(v, c)
                 return c
         raise AssertionError("palette exhausted despite degree cap")
 
@@ -123,4 +140,5 @@ class SparseColoring:
         """Drop v's color and rejection-sample a fresh one."""
         self.colors.clear_sparse(v)
         self.metrics.sparse_recolorings += 1
-        return self._rejection_color((v,))
+        self._rejection_color((v,))
+        return self.colors.of[v]

@@ -47,6 +47,24 @@ def test_run_baseline_with_verify_and_load_csv(tmp_path):
     assert sum(int(r["load"]) for r in rows) == 48
 
 
+def test_run_baseline_writes_header_only_clique_and_branch_csvs(tmp_path):
+    clique_csv = tmp_path / "cl.csv"
+    branch_csv = tmp_path / "br.csv"
+    rc = main(
+        [
+            "run", "--mode", "baseline",
+            "--n", "32", "--delta", "8", "--steps", "50",
+            "--clique-csv", str(clique_csv),
+            "--branch-csv", str(branch_csv),
+        ]
+    )
+    assert rc == 0
+    # the baseline forms no cliques and dispatches no matches
+    assert clique_csv.read_text().splitlines()[0].startswith("clique,size,k,")
+    assert len(clique_csv.read_text().splitlines()) == 1
+    assert branch_csv.read_text().splitlines() == ["call,clique,branch"]
+
+
 def test_record_then_replay_check(tmp_path):
     trace = tmp_path / "run.trace"
     rc = main(

@@ -1,0 +1,61 @@
+"""The engine's draws equal `random.Random`'s, value for value and state for state.
+
+The palette drawer, the in-place shuffle and the friend sampler skip the
+library's call layers but must make its exact `getrandbits` / `random`
+calls; the golden traces replay only while they do.
+"""
+
+import random
+
+import pytest
+
+from dyncolor.draws import palette_drawer, shuffle
+from dyncolor.friends import FriendTracker
+from dyncolor.graph import DynamicGraph, dele
+from dyncolor.metrics import Metrics
+from dyncolor.params import ParamSet
+
+from conftest import add_edges
+
+PALETTES = [1, 2, 7, 128, 129, 257, 2049]
+
+
+@pytest.mark.parametrize("palette", PALETTES)
+def test_palette_draw_is_randrange(palette):
+    rng, ref = random.Random(palette), random.Random(palette)
+    draw = palette_drawer(rng, palette)
+    assert [draw() for _ in range(300)] == [ref.randrange(palette) for _ in range(300)]
+    assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 50])
+def test_shuffle_is_random_shuffle(length):
+    rng, ref = random.Random(length), random.Random(length)
+    for _ in range(20):
+        x = list(range(length))
+        y = list(x)
+        shuffle(rng, x)
+        ref.shuffle(y)
+        assert x == y
+    assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("size", PALETTES)
+def test_friend_sampler_counts_the_choices_sample(size):
+    # u = 0 has `size` neighbors; each round v = 1 neighbors a fresh random
+    # subset of them, and the sampler's hit count must be that of the
+    # library's choices(items, k=12) from the same generator state
+    graph = DynamicGraph(size + 2, max(size, 2))
+    add_edges(graph, [(0, w) for w in range(2, size + 2)])
+    rng, ref = random.Random(size), random.Random(size)
+    tracker = FriendTracker(graph, ParamSet(sample_count_k=12), rng, Metrics())
+    items = graph.adj[0].items
+    pick = random.Random(~size)
+    for _ in range(40):
+        for w in list(graph.adj[1]):
+            graph.apply(dele(1, w))
+        subset = [w for w in items if pick.random() < 0.5]
+        add_edges(graph, [(1, w) for w in subset])
+        expected = sum(w in graph.adj[1] for w in ref.choices(items, k=12))
+        assert tracker._sample_count(0, 1) == expected
+    assert rng.getstate() == ref.getstate()

@@ -3,11 +3,15 @@
 Each trace under tests/data/ carries the full ParamSet in its header and
 the color deltas every update produced when it was recorded.  A change
 that alters RNG consumption, the order of color events or any coloring
-shows up here as a mismatch.  Re-record only on purpose, with
+shows up here as a mismatch.  Next to each trace, `<name>.counters.json`
+holds the final `Metrics.to_dict()` of the recording run, so a change
+that charges work, samples or any other counter differently shows up
+too.  Re-record only on purpose, with
 
     PYTHONPATH=src python tests/test_golden_traces.py
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -37,6 +41,10 @@ def _path(name):
     return DATA / f"{name}.trace"
 
 
+def _counters_path(name):
+    return DATA / f"{name}.counters.json"
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_trace_replays_bit_identically(name):
     trace = TraceFile.load(_path(name))
@@ -50,11 +58,18 @@ def test_golden_trace_replays_bit_identically(name):
         assert engine.metrics.vertex_moves > 0 and engine.metrics.dense_recolorings > 0
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_trace_charges_the_recorded_counters(name):
+    engine, _ = replay_trace(TraceFile.load(_path(name)))
+    assert engine.metrics.to_dict() == json.loads(_counters_path(name).read_text())
+
+
 def record_all():
     DATA.mkdir(exist_ok=True)
     for name, (strategy, n, delta, steps, kw) in GOLDEN.items():
-        _, trace, _ = record_run(n, delta, ParamSet(**kw), strategy, steps)
+        engine, trace, _ = record_run(n, delta, ParamSet(**kw), strategy, steps)
         trace.save(_path(name))
+        _counters_path(name).write_text(json.dumps(engine.metrics.to_dict(), indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,13 +45,25 @@ def test_one_shot_no_internal_edges_colors_all():
 
 
 class _ForcedDraws:
-    """Stub rng: every randrange returns the same value."""
+    """Stub rng: every palette draw returns the same value (below the palette)."""
 
     def __init__(self, value):
         self.value = value
 
-    def randrange(self, n):
-        return self.value % n
+    def getrandbits(self, k):
+        return self.value
+
+
+def test_coloring_passes_reject_a_colored_vertex():
+    e = blank_engine(8, 4, seed=1)
+    e.colors.set_sparse(3, 2)
+    state = e.rng.getstate()
+    for color_pass in (e.sparse.one_shot_coloring, e.sparse.greedy_coloring):
+        with pytest.raises(ValueError):
+            color_pass([3])
+    # greedy's shuffle of one vertex draws nothing; neither pass drew a color
+    assert e.rng.getstate() == state
+    assert e.colors.of[3] == 2 and list(e.colors.L[2]) == [3]
 
 
 def test_one_shot_conflict_first_processed_wins():

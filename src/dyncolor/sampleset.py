@@ -2,7 +2,10 @@
 
 Backed by a dense list plus a position index (swap-with-last removal).
 Iteration order is the list order, which is deterministic given the
-history of operations.
+history of operations.  `SparseColoring._rejection_color` appends to
+`items` and `_pos` directly, as `add` does for an absent element (on a
+nearly empty graph the phase rebuild measured ~8% faster that way);
+keep the two in step.
 """
 
 

@@ -20,10 +20,21 @@ class SparseColoring:
         self.decomp = decomp
         self.colors = colors
         self.params = params
-        self.rng = rng
         self.metrics = metrics
         self.palette = graph.delta + 1
         self.cap = params.loop_cap(graph.n)
+        self.rng = rng
+
+    @property
+    def rng(self):
+        return self._rng
+
+    @rng.setter
+    def rng(self, rng):
+        # the palette drawer is built once per generator, not once per
+        # call: in-phase recoloring calls the draw loop for one vertex
+        self._rng = rng
+        self._draw = palette_drawer(rng, self.palette)
 
     def feasible(self, v: int, c: int) -> bool:
         """True iff no sparse neighbor of v sits in L(c).
@@ -72,13 +83,14 @@ class SparseColoring:
         the fallback color, or stays blank in the one-shot pass.  A vertex
         without neighbors takes its first draw without asking `feasible`,
         and is charged the unit `feasible` charges for walking nothing.
-        Placement fires the listeners with (v, BLANK, c), as `set_sparse`
-        on a blank v does.
+        Placement appends v to L(c) as `SampleSet.add` does for an absent
+        element, and fires the listeners with (v, BLANK, c), as
+        `set_sparse` on a blank v does.
         """
         colors = self.colors
         of, L, listeners = colors.of, colors.L, colors.listeners
         adj = self.graph.adj
-        draw, feasible = palette_drawer(self.rng, self.palette), self.feasible
+        draw, feasible = self._draw, self.feasible
         tries = 1 if one_shot else self.cap
         drawn = isolated = 0
         for v in vertices:
@@ -107,6 +119,8 @@ class SparseColoring:
                 fn(v, BLANK, c)
         m = self.metrics
         m.samples += drawn + isolated
+        # an isolated vertex: one draw, plus the 1 that feasible charges
+        # for walking an empty adjacency
         m.work += drawn + 2 * isolated
 
     def _fallback(self, v: int) -> int:

@@ -66,6 +66,24 @@ def test_coloring_passes_reject_a_colored_vertex():
     assert e.colors.of[3] == 2 and list(e.colors.L[2]) == [3]
 
 
+def test_isolated_vertex_is_charged_what_feasible_charges():
+    # the draw loop takes an isolated vertex's first draw without calling
+    # `feasible`; it must still charge what that call would have
+    e = blank_engine(6, 3)
+    m = e.metrics
+
+    def charge(fn):
+        before = (m.work, m.probes, m.samples)
+        fn()
+        return tuple(a - b for a, b in zip((m.work, m.probes, m.samples), before))
+
+    check = charge(lambda: e.sparse.feasible(0, 1))
+    placed = charge(lambda: e.sparse.greedy_coloring([0]))
+    # one draw costs one sample and one unit of work, on top of the check
+    assert placed == (check[0] + 1, check[1], check[2] + 1)
+    assert e.colors.of[0] != BLANK
+
+
 def test_one_shot_conflict_first_processed_wins():
     e = blank_engine(8, 6)
     e.graph.apply(ins(0, 1))

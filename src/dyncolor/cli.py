@@ -50,6 +50,16 @@ def _params_from(args, cfg: dict) -> ParamSet:
     )
 
 
+def _size_from(args, cfg: dict) -> tuple[int, int]:
+    """(n, delta) from the flags, else the config file, else 256 and n // 2.
+
+    An explicit zero is kept, so the library rejects or runs it as given.
+    """
+    n = args.n if args.n is not None else int(cfg.get("n", 256))
+    delta = args.delta if args.delta is not None else int(cfg.get("delta", n // 2))
+    return n, delta
+
+
 def _add_common(p):
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--delta", type=int, default=None)
@@ -67,8 +77,7 @@ def _add_common(p):
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
     params = _params_from(args, cfg)
-    n = args.n or int(cfg.get("n", 256))
-    delta = args.delta or int(cfg.get("delta", n // 2))
+    n, delta = _size_from(args, cfg)
     engine, trace, summary = record_run(
         n, delta, params, args.strategy, args.steps, mode=args.mode,
         branch_log=bool(args.branch_csv),
@@ -123,8 +132,7 @@ def cmd_verify(args) -> int:
     else:
         cfg = _load_config(args.config)
         params = _params_from(args, cfg)
-        n = args.n or int(cfg.get("n", 256))
-        delta = args.delta or int(cfg.get("delta", n // 2))
+        n, delta = _size_from(args, cfg)
         engine, _, _ = record_run(n, delta, params, args.strategy, args.steps, mode=args.mode)
     rep = verify(engine, boundary=at_boundary(engine))
     print(rep.format_lines())

@@ -6,6 +6,11 @@ flags is_dense(v, i) plus the sets V_1, V_2, V_3 of vertices with many
 such friends.  Friendship at a stricter scale implies friendship at a
 looser one, so N_1(v) <= N_2(v) <= N_3(v) <= N(v).
 
+The lists are symmetric: every writer updates both endpoints, so u is in
+N_i(v) exactly when v is in N_i(u).  A refresh takes one k-sample count
+per pair, judges it at all three scales, and writes a pair's lists only
+when its membership at a scale changes, which it reads from v's side.
+
 Recomputation is driven by per-vertex update counters: each vertex fires
 a full refresh of its incident estimates after enough direct updates
 (touching it) or indirect updates (a neighbor fired a direct refresh).
@@ -16,10 +21,7 @@ ones, which is what keeps the amortized work bounded.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from math import floor
-
-from .errors import InvariantViolation
 
 
 class FriendTracker:
@@ -55,21 +57,34 @@ class FriendTracker:
 
     # ---- estimation core ----------------------------------------------------
 
+    def _counts(self, v: int, us) -> list[int]:
+        """Per u in us, how many of k uniform samples from N(u) also neighbor v.
+
+        Each u takes the draws of rng.choices(N(u), k=k), in the order of
+        us; an isolated u draws nothing and counts 0.
+        """
+        adj, pos, random = self.graph.adj, self.graph.adj[v]._pos, self.rng.random
+        draws = range(self.k)
+        counts = []
+        sampled = 0
+        for u in us:
+            items = adj[u].items
+            cnt = 0
+            if items:
+                sampled += 1
+                size = len(items) + 0.0
+                for _ in draws:
+                    if items[floor(random() * size)] in pos:
+                        cnt += 1
+            counts.append(cnt)
+        drawn = sampled * self.k
+        self.metrics.samples += drawn
+        self.metrics.work += drawn
+        return counts
+
     def _sample_count(self, u: int, v: int) -> int:
         """Number of k uniform samples from N(u) that also neighbor v."""
-        items = self.graph.adj[u].items
-        if not items:
-            return 0  # isolated endpoint: estimate is zero
-        k = self.k
-        self.metrics.samples += k
-        self.metrics.work += k
-        # the draws of rng.choices(items, k=k), counted without the list
-        random, size, pos = self.rng.random, len(items) + 0.0, self.graph.adj[v]._pos
-        cnt = 0
-        for _ in repeat(None, k):
-            if items[floor(random() * size)] in pos:
-                cnt += 1
-        return cnt
+        return self._counts(v, (u,))[0]
 
     def determine_friend(self, u: int, v: int, eps: float, tau: float) -> bool:
         """Re-estimate one edge at one scale and update that scale's lists.
@@ -91,23 +106,42 @@ class FriendTracker:
             lst[v].discard(u)
         return accept
 
-    def _refresh_pair(self, u: int, v: int) -> None:
-        # one sample draw serves all three scales; each scale's threshold
-        # test sees a valid k-sample estimate
-        cnt = self._sample_count(u, v)
-        for i in range(3):
-            lst = self.lists[i]
-            if cnt >= self._maintain_thr[i]:
-                lst[u].add(v)
-                lst[v].add(u)
-            else:
-                lst[u].discard(v)
-                lst[v].discard(u)
+    def _refresh(self, v: int, us) -> None:
+        # One sample count per pair serves all three scales.  The lists are
+        # symmetric, so v's side tells whether a pair's membership changes,
+        # and only a change is written.  The scales are unrolled because a
+        # loop over them costs more per pair than the writes it saves.
+        counts = self._counts(v, us)
+        (l1, l2, l3), (t1, t2, t3) = self.lists, self._maintain_thr
+        m1, m2, m3 = l1[v], l2[v], l3[v]
+        for u, cnt in zip(us, counts):
+            if cnt >= t1:
+                if u not in m1:
+                    m1.add(u)
+                    l1[u].add(v)
+            elif u in m1:
+                m1.discard(u)
+                l1[u].discard(v)
+            if cnt >= t2:
+                if u not in m2:
+                    m2.add(u)
+                    l2[u].add(v)
+            elif u in m2:
+                m2.discard(u)
+                l2[u].discard(v)
+            if cnt >= t3:
+                if u not in m3:
+                    m3.add(u)
+                    l3[u].add(v)
+            elif u in m3:
+                m3.discard(u)
+                l3[u].discard(v)
 
     def _drop_pair(self, u: int, v: int) -> None:
-        for i in range(3):
-            self.lists[i][u].discard(v)
-            self.lists[i][v].discard(u)
+        for lst in self.lists:
+            if u in lst[v]:
+                lst[v].discard(u)
+                lst[u].discard(v)
 
     # ---- dense flags --------------------------------------------------------
 
@@ -127,8 +161,7 @@ class FriendTracker:
 
     def update_vertex(self, v: int) -> None:
         """Full refresh of v: re-estimate all incident edges at all scales."""
-        for u in list(self.graph.adj[v].items):
-            self._refresh_pair(u, v)
+        self._refresh(v, self.graph.adj[v].items)
         for i in range(3):
             self._set_dense(v, i, len(self.lists[i][v]) >= self._dense_thr[i])
         self.metrics.tracker_updates += 1
@@ -148,7 +181,7 @@ class FriendTracker:
         self.direct[u] += 1
         self.direct[v] += 1
         if upd.insert:
-            self._refresh_pair(u, v)
+            self._refresh(v, (u,))
         else:
             self._drop_pair(u, v)
         fired: list[int] = []
@@ -176,14 +209,24 @@ class FriendTracker:
     def in_vset(self, v: int, i: int) -> bool:
         return bool(self.dense_flag[i - 1][v])
 
-    def check_consistency(self) -> None:
+    def check_consistency(self, boundary: bool = True) -> list[str]:
+        """Audit the lists' symmetry and the flags against V_i; returns violations.
+
+        Only at a phase boundary must every listed pair be an edge: a
+        deletion inside a phase reaches the tracker at the boundary replay.
+        """
+        viol = []
+        has_edge = self.graph.has_edge
         for i in range(3):
+            lists = self.lists[i]
             for v in range(self.n):
-                for u in self.lists[i][v]:
-                    if not self.graph.has_edge(u, v):
-                        raise InvariantViolation(f"stale friend pair ({u},{v})")
-                    if v not in self.lists[i][u]:
-                        raise InvariantViolation(f"asymmetric friend pair ({u},{v})")
-            for v in self.vsets[i]:
-                if not self.dense_flag[i][v]:
-                    raise InvariantViolation(f"vset/flag mismatch at {v}")
+                for u in lists[v]:
+                    if v not in lists[u]:
+                        viol.append(f"N_{i + 1}: asymmetric friend pair ({v},{u})")
+                    if boundary and not has_edge(u, v):
+                        viol.append(f"N_{i + 1}: stale friend pair ({v},{u})")
+            flags, vset = self.dense_flag[i], self.vsets[i]
+            for v in range(self.n):
+                if bool(flags[v]) != (v in vset):
+                    viol.append(f"V_{i + 1}: flag and set disagree at {v}")
+        return viol

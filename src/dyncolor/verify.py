@@ -1,13 +1,14 @@
 """Brute-force verification oracle.
 
 Everything is recomputed from scratch against the graph (the ground
-truth): properness, exact density and friendship of every vertex via
-exact common-neighbor counts, the four decomposition invariants, clique
-size bounds, non-edge exactness, per-clique color discipline, the
-palette identity, matching floors, and edge-counter recounts.  Checks
-whose underlying claims are only high-probability report pass rates and
-attribute misses to estimator gaps (tracker belief differing from the
-oracle) instead of hard-failing.
+truth): properness, the friend lists' symmetry and dense-flag sets,
+exact density and friendship of every vertex via exact common-neighbor
+counts, the four decomposition invariants, clique size bounds, non-edge
+exactness, per-clique color discipline, the palette identity, matching
+floors, and edge-counter recounts.  Checks whose underlying claims are
+only high-probability report pass rates and attribute misses to
+estimator gaps (tracker belief differing from the oracle) instead of
+hard-failing.
 
 `ProperWatch` is the incremental form of the properness check: it feeds
 on color-assignment events, keeps its own occupancy index, and after
@@ -300,6 +301,11 @@ def verify(
                 viol.append(f"clique {cid}: non-edge degree of {v} too high")
     rep.add(CheckResult("nonedges", not viol, viol))
 
+    # friend-list structure: symmetry, flags vs V_i, no stale pair at a boundary --
+    tracker = engine.tracker
+    viol = tracker.check_consistency(boundary=boundary)
+    rep.add(CheckResult("friend_lists", not viol, viol))
+
     # friend-tracker soundness vs the oracle ----------------------------------------
     # The estimate samples one endpoint's neighbor list with replacement, so
     # at degrees below the cap it is inflated by delta/d(u): membership
@@ -308,7 +314,6 @@ def verify(
     # the cap) is reported alongside.
     # Each directed edge's common-neighbor count is taken once and judged
     # at all three scales.
-    tracker = engine.tracker
     tau = params.tau
     mismatches = 0
     absolute_false_in = 0

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from dyncolor.cli import main
 
 
@@ -63,6 +65,17 @@ def test_run_baseline_writes_header_only_clique_and_branch_csvs(tmp_path):
     assert clique_csv.read_text().splitlines()[0].startswith("clique,size,k,")
     assert len(clique_csv.read_text().splitlines()) == 1
     assert branch_csv.read_text().splitlines() == ["call,clique,branch"]
+
+
+def test_explicit_zero_sizes_are_not_replaced_by_defaults(tmp_path):
+    for cmd in ("run", "verify"):
+        with pytest.raises(ValueError, match="n must be positive"):
+            main([cmd, "--n", "0", "--steps", "5"])
+    report = tmp_path / "report.json"
+    rc = main(["run", "--n", "16", "--delta", "0", "--steps", "5", "--report-json", str(report)])
+    assert rc == 0
+    snap = json.loads(report.read_text())["snapshot"]
+    assert (snap["n"], snap["delta"], snap["edges"]) == (16, 0, 0)
 
 
 def test_record_then_replay_check(tmp_path):

@@ -44,18 +44,29 @@ def test_shuffle_is_random_shuffle(length):
 def test_friend_sampler_counts_the_choices_sample(size):
     # u = 0 has `size` neighbors; each round v = 1 neighbors a fresh random
     # subset of them, and the sampler's hit count must be that of the
-    # library's choices(items, k=12) from the same generator state
-    graph = DynamicGraph(size + 2, max(size, 2))
+    # library's choices(items, k=12) from the same generator state.  A
+    # batched count takes one such sample per u, in order, and the
+    # isolated vertex draws nothing.
+    iso = size + 2
+    graph = DynamicGraph(size + 3, max(size, 2))
     add_edges(graph, [(0, w) for w in range(2, size + 2)])
     rng, ref = random.Random(size), random.Random(size)
-    tracker = FriendTracker(graph, ParamSet(sample_count_k=12), rng, Metrics())
+    metrics = Metrics()
+    tracker = FriendTracker(graph, ParamSet(sample_count_k=12), rng, metrics)
     items = graph.adj[0].items
     pick = random.Random(~size)
+
+    def hits(u):
+        sample = ref.choices(graph.adj[u].items, k=12) if graph.adj[u].items else []
+        return sum(w in graph.adj[1] for w in sample)
+
+    batch = (0, iso, 2, 0)
     for _ in range(40):
         for w in list(graph.adj[1]):
             graph.apply(dele(1, w))
         subset = [w for w in items if pick.random() < 0.5]
         add_edges(graph, [(1, w) for w in subset])
-        expected = sum(w in graph.adj[1] for w in ref.choices(items, k=12))
-        assert tracker._sample_count(0, 1) == expected
+        assert tracker._sample_count(0, 1) == hits(0)
+        assert tracker._counts(1, batch) == [hits(u) for u in batch]
     assert rng.getstate() == ref.getstate()
+    assert metrics.samples == metrics.work == 40 * 4 * 12

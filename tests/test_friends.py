@@ -73,7 +73,7 @@ def test_determine_friend_gap_region_no_crash():
     for seed in range(20):
         tr = make_tracker(g, eps, tau, k=256, seed=seed)
         tr.determine_friend(u, v, eps, tau)
-        tr.check_consistency()
+        assert tr.check_consistency() == []
 
 
 def test_determine_dense_clique_and_star():
@@ -175,7 +175,7 @@ def test_counter_bound_between_updates():
             assert tr.direct[w] < limit
             assert tr.indirect[w] < limit
             assert tr.direct[w] + tr.indirect[w] <= 2 * limit - 2
-    tr.check_consistency()
+    assert tr.check_consistency() == []
 
 
 def test_soundness_against_oracle():
@@ -237,3 +237,137 @@ def test_amortized_work_shape():
     shape = 3 * k + 2 * delta * k / f + 2 * delta * delta * k / (f * f)
     per_update = metrics.samples / done
     assert per_update <= 2.0 * shape
+
+
+# ---- the batched refresh against the per-pair refresh it replaced ---------------
+
+
+class _PerPairTracker(FriendTracker):
+    """The refresh as one sampler call and six set writes per pair.
+
+    Reference for the batched refresh: it draws through `rng.choices`, so it
+    shares no sampling or list-writing code with the tracker under test.
+    """
+
+    def _refresh_pair(self, u, v):
+        items = self.graph.adj[u].items
+        cnt = 0
+        if items:
+            self.metrics.samples += self.k
+            self.metrics.work += self.k
+            cnt = sum(w in self.graph.adj[v] for w in self.rng.choices(items, k=self.k))
+        for i in range(3):
+            lst = self.lists[i]
+            if cnt >= self._maintain_thr[i]:
+                lst[u].add(v)
+                lst[v].add(u)
+            else:
+                lst[u].discard(v)
+                lst[v].discard(u)
+
+    def _drop_pair(self, u, v):
+        for i in range(3):
+            self.lists[i][u].discard(v)
+            self.lists[i][v].discard(u)
+
+    def update_vertex(self, v):
+        for u in list(self.graph.adj[v].items):
+            self._refresh_pair(u, v)
+        for i in range(3):
+            self._set_dense(v, i, len(self.lists[i][v]) >= self._dense_thr[i])
+        self.metrics.tracker_updates += 1
+
+    def maintain_friends(self, upd):
+        u, v = upd.u, upd.v
+        self.direct[u] += 1
+        self.direct[v] += 1
+        if upd.insert:
+            self._refresh_pair(u, v)
+        else:
+            self._drop_pair(u, v)
+        fired = []
+        for w in (u, v):
+            if self.direct[w] >= self.fire_limit:
+                self.update_vertex(w)
+                self.direct[w] = 0
+                fired.append(w)
+        result = list(fired)
+        if fired:
+            spread = set()
+            for y in fired:
+                spread.update(self.graph.adj[y].items)
+            for z in sorted(spread):
+                self.indirect[z] += 1
+                if self.indirect[z] >= self.fire_limit:
+                    self.update_vertex(z)
+                    self.indirect[z] = 0
+                    if z not in fired:
+                        result.append(z)
+        return result
+
+
+def _tracker_state(tr):
+    # list(s) keeps each set's iteration order, which skipped no-op writes
+    # must not change either
+    return (
+        [[list(s) for s in lst] for lst in tr.lists],
+        [bytes(f) for f in tr.dense_flag],
+        [list(s) for s in tr.vsets],
+        tr.direct,
+        tr.indirect,
+        tr.metrics.samples,
+        tr.metrics.work,
+        tr.metrics.tracker_updates,
+        tr.rng.getstate(),
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_batched_refresh_matches_the_per_pair_refresh(seed):
+    # dyadic eps and tau make the thresholds 13, 9 and 5 of k = 16 samples
+    # exactly, so a count on a threshold tells >= from >
+    n, delta = 24, 16
+    iso = n  # never gets an edge
+    g = random_graph(n, delta, 150, seed=seed, g=DynamicGraph(n + 1, delta))
+    params = ParamSet(epsilon=0.25, tau=0.25, sample_count_k=16, fire_threshold=3, seed=seed)
+    new, ref = (
+        cls(g, params, random.Random(seed), Metrics()) for cls in (FriendTracker, _PerPairTracker)
+    )
+    assert new._maintain_thr == [13.0, 9.0, 5.0]
+    edges = list(g.edges())
+    for tr in (new, ref):
+        pick = random.Random(seed + 1)
+        for i in range(3):
+            # symmetric lists: half of them edges, the rest arbitrary pairs
+            for _ in range(60):
+                u, v = pick.choice(edges) if pick.random() < 0.5 else pick.sample(range(n), 2)
+                tr.lists[i][u].add(v)
+                tr.lists[i][v].add(u)
+            tr.lists[i][iso].add(0)
+            tr.lists[i][0].add(iso)
+            for v in range(n):
+                if pick.random() < 0.3:
+                    tr._set_dense(v, i, True)
+    assert _tracker_state(new) == _tracker_state(ref)
+    # the isolated endpoint draws nothing and its stale pair goes
+    state = new.rng.getstate()
+    new._refresh(0, (iso,))
+    ref._refresh_pair(iso, 0)
+    assert new.rng.getstate() == state
+    assert all(iso not in new.lists[i][0] for i in range(3))
+    assert _tracker_state(new) == _tracker_state(ref)
+    ops = random.Random(seed + 2)
+    for _ in range(400):
+        if ops.random() < 0.2:
+            v = ops.randrange(n)
+            new.update_vertex(v)
+            ref.update_vertex(v)
+        else:
+            u, v = ops.sample(range(n), 2)
+            upd = dele(u, v) if g.has_edge(u, v) else ins(u, v)
+            if not g.is_legal(upd):
+                continue
+            g.apply(upd)
+            assert new.maintain_friends(upd) == ref.maintain_friends(upd)
+        assert _tracker_state(new) == _tracker_state(ref)
+    assert new.metrics.tracker_updates > 80

@@ -148,6 +148,34 @@ def test_fault_friend_soundness():
     assert "friend_soundness" in rep.failed_names()
 
 
+def test_fault_friend_lists():
+    engine, (c,) = fresh_dense()
+    tr = engine.tracker
+    assert verify(engine).checks["friend_lists"].passed
+    # a symmetric pair on the hole (0, 1) is stale: legal inside a phase,
+    # where deletions wait for the boundary replay, and a fault at a boundary
+    assert not engine.graph.has_edge(0, 1)
+    tr.lists[2][0].add(1)
+    tr.lists[2][1].add(0)
+    assert verify(engine, boundary=False).checks["friend_lists"].passed
+    rep = verify(engine)
+    assert "friend_lists" in rep.failed_names()
+    assert any("stale" in v for v in rep.checks["friend_lists"].violations)
+    tr.lists[2][0].discard(1)
+    tr.lists[2][1].discard(0)
+    # one-sided pair and a flag without its V_i entry fail at any time
+    u = next(x for x in range(engine.n) if tr.lists[1][x])
+    v = next(iter(tr.lists[1][u]))
+    tr.lists[1][v].discard(u)
+    w = next(iter(tr.vsets[0]))
+    tr.vsets[0].discard(w)
+    rep = verify(engine, boundary=False)
+    found = rep.checks["friend_lists"].violations
+    assert "friend_lists" in rep.failed_names()
+    assert f"N_2: asymmetric friend pair ({u},{v})" in found
+    assert f"V_1: flag and set disagree at {w}" in found
+
+
 def test_fault_invariants_hard_violation():
     # a truly dense vertex left on the sparse side is a hard Density miss
     delta = 12

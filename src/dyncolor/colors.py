@@ -5,13 +5,19 @@ checks iterate an occupancy list and probe adjacency, so their cost
 tracks the list length; the sparse check walks v's adjacency instead
 when that is the shorter side.
 
+`L_D(c)` starts as the shared read-only `EMPTY_SAMPLESET` and becomes c's
+own on its first dense vertex; without an almost-clique no color ever
+gets one.  It is never dropped once made, even empty, as a SampleSet's
+order depends on its history.  `L` is written for every color by the
+phase rebuild and is made up front.
+
 `ColoringAlgorithm` is the read surface every coloring algorithm (the
 engine and the rescan baseline) exposes on top of its `ColorState`.
 """
 
 from __future__ import annotations
 
-from .sampleset import SampleSet
+from .sampleset import EMPTY_SAMPLESET, SampleSet, own
 
 BLANK = -1
 
@@ -22,7 +28,7 @@ class ColorState:
         self.palette = palette  # delta + 1
         self.of: list[int] = [BLANK] * n
         self.L: list[SampleSet] = [SampleSet() for _ in range(palette)]
-        self.L_D: list[SampleSet] = [SampleSet() for _ in range(palette)]
+        self.L_D: list[SampleSet] = [EMPTY_SAMPLESET] * palette
         self.listeners: list = []  # callables (v, old, new)
 
     def _fire(self, v: int, old: int, new: int) -> None:
@@ -52,7 +58,7 @@ class ColorState:
         if old != BLANK:
             self.L_D[old].discard(v)
         self.of[v] = c
-        self.L_D[c].add(v)
+        own(self.L_D, c).add(v)
         if self.listeners:
             self._fire(v, old, c)
 

@@ -14,6 +14,13 @@ clique or founding a new one with their scale-1 friends) and leave
 through sparse moves; once a clique has lost enough members it is
 dissolved wholesale and its still-dense vertices re-enter via fresh
 dense moves.
+
+The dense neighbor views `n_d[x]` and `n_c[x]` start as the shared
+read-only `EMPTY_SET` / `EMPTY_MAP` and become x's own on the first add
+(`own`); a vertex with no dense neighbor, which is most vertices on most
+graphs, never gets them.  Once made they are never dropped, even empty:
+a set that grew and shrank can iterate in a different order from a fresh
+one.  `n_s` is written by every vertex with an edge and is made up front.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from dataclasses import dataclass, field
 
 from . import journal as J
 from .errors import InvariantViolation
+from .sampleset import EMPTY_MAP, EMPTY_SET, own
 
 
 class AlmostClique:
@@ -68,8 +76,8 @@ class Decomposition:
         n = graph.n
         self.clique_of: list[int | None] = [None] * n
         self.n_s: list[set[int]] = [set() for _ in range(n)]
-        self.n_d: list[set[int]] = [set() for _ in range(n)]
-        self.n_c: list[dict[int, set[int]]] = [{} for _ in range(n)]
+        self.n_d: list[set[int]] = [EMPTY_SET] * n
+        self.n_c: list[dict[int, set[int]]] = [EMPTY_MAP] * n
         self.cliques: dict[int, AlmostClique] = {}
         self._next_cid = 0
         self.journal: J.PhaseJournal | None = None  # set by the engine during phases
@@ -96,8 +104,8 @@ class Decomposition:
             if jn is not None:
                 jn.note(J.NS_ADD, x, w)
         else:
-            self.n_d[x].add(w)
-            self.n_c[x].setdefault(cid, set()).add(w)
+            own(self.n_d, x).add(w)
+            own(self.n_c, x).setdefault(cid, set()).add(w)
             if jn is not None:
                 jn.note(J.ND_ADD, x, w)
                 jn.note(J.NC_ADD, x, cid, w)
@@ -300,8 +308,8 @@ class Decomposition:
         adj_w = self.graph.adj[w]
         for z in adj_w:
             self.n_s[z].discard(w)
-            self.n_d[z].add(w)
-            self.n_c[z].setdefault(c.id, set()).add(w)
+            own(self.n_d, z).add(w)
+            own(self.n_c, z).setdefault(c.id, set()).add(w)
         n3w = self.tracker.lists[2][w]
         nprime_w = set()
         ne = set()
@@ -406,7 +414,9 @@ class Decomposition:
                     1 for u in g.adj[v]
                     if common(u, v) >= sparse_thr
                 )
-                if cnt >= sparse_thr:
+                # without a single qualifying friend no vertex looks dense,
+                # also where the threshold is 0 (delta = 0)
+                if cnt and cnt >= sparse_thr:
                     out.append(f"Density: sparse vertex {v} looks scale-1 dense")
         for cid, c in sorted(self.cliques.items()):
             size = len(c.members)

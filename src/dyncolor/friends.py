@@ -11,6 +11,13 @@ N_i(v) exactly when v is in N_i(u).  A refresh takes one k-sample count
 per pair, judges it at all three scales, and writes a pair's lists only
 when its membership at a scale changes, which it reads from v's side.
 
+Every list starts as the shared read-only `EMPTY_SET` and becomes a set
+of the vertex's own on its first add (`_link`); most vertices never gain
+a friend, so an untouched vertex costs one list slot, not three sets.  A
+list is never dropped once it exists, even when it empties: a set that
+grew and shrank can iterate in a different order from a fresh one, and
+the order of a list decides the order of later writes.
+
 Recomputation is driven by per-vertex update counters: each vertex fires
 a full refresh of its incident estimates after enough direct updates
 (touching it) or indirect updates (a neighbor fired a direct refresh).
@@ -23,6 +30,24 @@ from __future__ import annotations
 import math
 from math import floor
 
+from .sampleset import EMPTY_SET
+
+
+def _link(lst, v: int, u: int) -> set:
+    """Add the pair (v, u) to one scale's lists; returns v's list.
+
+    An endpoint still on the shared empty gets a set of its own first.
+    """
+    a = lst[v]
+    if a is EMPTY_SET:
+        a = lst[v] = set()
+    a.add(u)
+    b = lst[u]
+    if b is EMPTY_SET:
+        b = lst[u] = set()
+    b.add(v)
+    return a
+
 
 class FriendTracker:
     def __init__(self, graph, params, rng, metrics):
@@ -32,7 +57,7 @@ class FriendTracker:
         self.metrics = metrics
         n = graph.n
         self.n = n
-        self.lists = [[set() for _ in range(n)] for _ in range(3)]  # N_1..N_3
+        self.lists = [[EMPTY_SET] * n for _ in range(3)]  # N_1..N_3
         self.dense_flag = [bytearray(n) for _ in range(3)]
         self.vsets = [set(), set(), set()]  # V_1..V_3
         self.direct = [0] * n
@@ -99,8 +124,7 @@ class FriendTracker:
         accept = cnt >= self.k * (1.0 - (eps - tau / 2.0))
         lst = self.lists[i]
         if accept:
-            lst[u].add(v)
-            lst[v].add(u)
+            _link(lst, u, v)
         else:
             lst[u].discard(v)
             lst[v].discard(u)
@@ -117,22 +141,19 @@ class FriendTracker:
         for u, cnt in zip(us, counts):
             if cnt >= t1:
                 if u not in m1:
-                    m1.add(u)
-                    l1[u].add(v)
+                    m1 = _link(l1, v, u)
             elif u in m1:
                 m1.discard(u)
                 l1[u].discard(v)
             if cnt >= t2:
                 if u not in m2:
-                    m2.add(u)
-                    l2[u].add(v)
+                    m2 = _link(l2, v, u)
             elif u in m2:
                 m2.discard(u)
                 l2[u].discard(v)
             if cnt >= t3:
                 if u not in m3:
-                    m3.add(u)
-                    l3[u].add(v)
+                    m3 = _link(l3, v, u)
             elif u in m3:
                 m3.discard(u)
                 l3[u].discard(v)

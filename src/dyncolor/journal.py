@@ -8,6 +8,8 @@ them to their phase-start state before replaying the phase's updates.
 
 from __future__ import annotations
 
+from .sampleset import own
+
 NS_ADD, NS_REM, ND_ADD, ND_REM, NC_ADD, NC_REM, NE_ADD, NE_REM, MT_ADD, MT_REM = range(10)
 
 
@@ -39,7 +41,7 @@ class PhaseJournal:
             elif tag == ND_ADD:
                 n_d[op[1]].discard(op[2])
             elif tag == ND_REM:
-                n_d[op[1]].add(op[2])
+                own(n_d, op[1]).add(op[2])
             elif tag == NC_ADD:
                 _, x, cid, w = op
                 s = n_c[x].get(cid)
@@ -49,7 +51,7 @@ class PhaseJournal:
                         n_c[x].pop(cid)
             elif tag == NC_REM:
                 _, x, cid, w = op
-                n_c[x].setdefault(cid, set()).add(w)
+                own(n_c, x).setdefault(cid, set()).add(w)
             elif tag == NE_ADD:
                 _, cid, u, v = op
                 decomp._nonedge_remove_raw(cliques[cid], u, v)

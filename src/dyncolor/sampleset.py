@@ -53,3 +53,59 @@ class SampleSet:
 
     def __repr__(self):
         return f"SampleSet({self.items!r})"
+
+
+# ---- shared read-only empties ---------------------------------------------------
+#
+# Per-vertex and per-color containers that most entries never write start
+# as one of these shared empties.  Reads see an empty container; `discard`
+# and `pop` are the no-ops they are on any absent element; a write raises,
+# so a write site that forgot to give its entry a container of its own
+# fails loudly instead of writing into every entry at once.
+
+
+class _EmptySet(frozenset):
+    __slots__ = ()
+
+    def discard(self, x):
+        pass
+
+    def add(self, x):
+        raise TypeError("shared empty set is read-only")
+
+
+class _EmptyMap(dict):
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("shared empty mapping is read-only")
+
+    __setitem__ = setdefault = _read_only
+
+
+class _EmptySampleSet(SampleSet):
+    __slots__ = ()
+
+    def __init__(self):
+        self.items = ()
+        self._pos = EMPTY_MAP
+
+    def add(self, x):
+        raise TypeError("shared empty SampleSet is read-only")
+
+
+EMPTY_SET = _EmptySet()
+EMPTY_MAP = _EmptyMap()
+EMPTY_SAMPLESET = _EmptySampleSet()
+
+
+def own(containers: list, i: int):
+    """containers[i], first given a fresh container of its own if it is a shared empty."""
+    c = containers[i]
+    if c is EMPTY_SET:
+        c = containers[i] = set()
+    elif c is EMPTY_MAP:
+        c = containers[i] = {}
+    elif c is EMPTY_SAMPLESET:
+        c = containers[i] = SampleSet()
+    return c

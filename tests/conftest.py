@@ -53,6 +53,18 @@ def feed_edges(engine, pairs):
         engine.process(ins(u, v))
 
 
+def friend_set(tr, i, v):
+    """v's scale-(i+1) friend list as a set of its own that a test may write.
+
+    An untouched vertex's list is the tracker's shared read-only empty; it
+    is replaced by a fresh set first.
+    """
+    lst = tr.lists[i]
+    if type(lst[v]) is not set:
+        lst[v] = set()
+    return lst[v]
+
+
 def oracle_fill_tracker(engine):
     """Set friend lists and dense flags exactly from the common-neighbor oracle."""
     tr = engine.tracker
@@ -61,11 +73,11 @@ def oracle_fill_tracker(engine):
     for i in range(3):
         thr = (1.0 - (i + 1) * eps) * delta
         for v in range(g.n):
-            tr.lists[i][v].clear()
+            friend_set(tr, i, v).clear()
         for u, v in g.edges():
             if g.common_neighbors_exact(u, v) >= thr:
-                tr.lists[i][u].add(v)
-                tr.lists[i][v].add(u)
+                friend_set(tr, i, u).add(v)
+                friend_set(tr, i, v).add(u)
         for v in range(g.n):
             tr._set_dense(v, i, len(tr.lists[i][v]) >= thr)
 

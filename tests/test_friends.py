@@ -8,7 +8,7 @@ from dyncolor.graph import DynamicGraph, dele, ins
 from dyncolor.metrics import Metrics
 from dyncolor.params import ParamSet
 
-from conftest import add_edges, clique_edges, random_graph
+from conftest import add_edges, clique_edges, friend_set, random_graph
 
 
 def make_tracker(g, eps, tau, k=None, fire=None, seed=0):
@@ -259,8 +259,8 @@ class _PerPairTracker(FriendTracker):
         for i in range(3):
             lst = self.lists[i]
             if cnt >= self._maintain_thr[i]:
-                lst[u].add(v)
-                lst[v].add(u)
+                friend_set(self, i, u).add(v)
+                friend_set(self, i, v).add(u)
             else:
                 lst[u].discard(v)
                 lst[v].discard(u)
@@ -341,10 +341,10 @@ def test_batched_refresh_matches_the_per_pair_refresh(seed):
             # symmetric lists: half of them edges, the rest arbitrary pairs
             for _ in range(60):
                 u, v = pick.choice(edges) if pick.random() < 0.5 else pick.sample(range(n), 2)
-                tr.lists[i][u].add(v)
-                tr.lists[i][v].add(u)
-            tr.lists[i][iso].add(0)
-            tr.lists[i][0].add(iso)
+                friend_set(tr, i, u).add(v)
+                friend_set(tr, i, v).add(u)
+            friend_set(tr, i, iso).add(0)
+            friend_set(tr, i, 0).add(iso)
             for v in range(n):
                 if pick.random() < 0.3:
                     tr._set_dense(v, i, True)

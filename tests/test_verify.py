@@ -9,7 +9,7 @@ from dyncolor.adversary import make_adversary
 from dyncolor.baseline import TrivialBaseline
 from dyncolor.verify import verify
 
-from conftest import dense_fixture, make_engine, oracle_fill_tracker, install_clique
+from conftest import dense_fixture, friend_set, make_engine, oracle_fill_tracker, install_clique
 
 
 def fresh_dense(seed=3, **kw):
@@ -140,8 +140,8 @@ def test_fault_friend_soundness():
     for v in range(g.n):
         for u in g.adj[v]:
             if g.common_neighbors_exact(u, v) == 0:
-                tr.lists[0][v].add(u)
-                tr.lists[0][u].add(v)
+                friend_set(tr, 0, v).add(u)
+                friend_set(tr, 0, u).add(v)
                 planted += 1
     assert planted > 0
     rep = verify(engine, soundness_floor=0.999)
@@ -155,8 +155,8 @@ def test_fault_friend_lists():
     # a symmetric pair on the hole (0, 1) is stale: legal inside a phase,
     # where deletions wait for the boundary replay, and a fault at a boundary
     assert not engine.graph.has_edge(0, 1)
-    tr.lists[2][0].add(1)
-    tr.lists[2][1].add(0)
+    friend_set(tr, 2, 0).add(1)
+    friend_set(tr, 2, 1).add(0)
     assert verify(engine, boundary=False).checks["friend_lists"].passed
     rep = verify(engine)
     assert "friend_lists" in rep.failed_names()
@@ -191,6 +191,17 @@ def test_fault_invariants_hard_violation():
     engine.rebuild_colors()
     rep = verify(engine)
     assert "decomposition_invariants" in rep.failed_names()
+    found = rep.checks["decomposition_invariants"].violations
+    assert f"Density: sparse vertex {victim} looks scale-1 dense" in found
+
+
+def test_edgeless_graph_at_delta_zero_has_no_density_miss():
+    # every threshold is 0 at delta = 0, and a vertex without a single
+    # qualifying friend must not look dense
+    engine = make_engine(8, 0)
+    rep = verify(engine)
+    assert rep.checks["decomposition_invariants"].violations == []
+    assert rep.passed, rep.failed_names()
 
 
 def test_fault_clique_size_bounds():

@@ -1,15 +1,15 @@
 """Trivial comparison algorithm: rescan a neighborhood on every conflict.
 
-On a monochromatic insertion it recolors the second endpoint by marking
-the colors of all neighbors in a palette-sized table and taking the
-smallest unmarked one, which always exists because the palette exceeds
-the degree cap.  Work is metered as the table size plus the scan length,
-the honest cost of this implementation.
+On a monochromatic insertion it recolors the second endpoint with the
+smallest color no neighbor holds (`ColorState.lowest_free`), which always
+exists because the palette exceeds the degree cap.  Work is metered as
+the palette size plus the neighborhood size, the cost of a rescan that
+marks a palette-sized table.
 """
 
 from __future__ import annotations
 
-from .colors import BLANK, ColoringAlgorithm, ColorState
+from .colors import ColoringAlgorithm, ColorState
 from .graph import DynamicGraph
 from .metrics import Metrics
 
@@ -38,17 +38,9 @@ class TrivialBaseline(ColoringAlgorithm):
             self.trivial_recolor(upd.v)
 
     def trivial_recolor(self, v: int) -> int:
-        used = [False] * self.palette
-        adj = self.graph.adj[v]
-        of = self.colors.of
-        for w in adj:
-            cw = of[w]
-            if cw != BLANK:
-                used[cw] = True
+        adj = self.graph.adj[v].items
         self.metrics.work += self.palette + len(adj)
-        for c, taken in enumerate(used):
-            if not taken:
-                self.colors.set_sparse(v, c)
-                self.metrics.sparse_recolorings += 1
-                return c
-        raise AssertionError("palette exhausted despite degree cap")
+        c = self.colors.lowest_free(adj)
+        self.colors.set_sparse(v, c)
+        self.metrics.sparse_recolorings += 1
+        return c

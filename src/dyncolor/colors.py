@@ -71,6 +71,18 @@ class ColorState:
                 self._fire(v, old, BLANK)
         return old
 
+    def lowest_free(self, vertices, avoid=()) -> int | None:
+        """The lowest color no vertex of `vertices` holds and `avoid` lacks.
+
+        None when every color is taken.  The callers charge the scan.
+        """
+        of = self.of
+        used = {of[w] for w in vertices}
+        for c in range(self.palette):
+            if c not in used and c not in avoid:
+                return c
+        return None
+
     def blank_all(self) -> int:
         """Blank every vertex; returns the number of occupancy entries cleared.
 

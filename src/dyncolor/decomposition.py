@@ -205,28 +205,20 @@ class Decomposition:
 
     # ---- the update driver ----------------------------------------------------
 
-    def update_decomposition(self, upd, matching_hook=None) -> ChangeSet:
+    def update_decomposition(self, upd, matching_hook) -> ChangeSet:
         """Process one applied update end to end (friend tracking, moves).
 
-        `matching_hook(clique, upd)` owns non-edge-list and matching surgery
-        for same-clique updates; without one a plain non-edge list update is
-        performed.  Runs with journaling off (phase-boundary replay or
-        standalone use).
+        `matching_hook(clique, upd)` owns the non-edge-list and matching
+        surgery of a same-clique update; the engine passes
+        `DenseColoring.maintain_matching`.  Runs with journaling off (the
+        phase-boundary replay).
         """
         u, v = upd.u, upd.v
         refresh = self.tracker.maintain_friends(upd)
         self.note_edge(upd)
         cu, cv = self.clique_of[u], self.clique_of[v]
         if cu is not None and cu == cv:
-            c = self.cliques[cu]
-            if matching_hook is not None:
-                matching_hook(c, upd)
-            elif upd.insert:
-                if c.partner.get(u) == v:
-                    self.match_remove(c, u, v)
-                self.nonedge_remove(c, u, v)
-            else:
-                self.nonedge_add(c, u, v)
+            matching_hook(self.cliques[cu], upd)
             self._sync_nprime_pair(u, v)
         for w in refresh:
             self._resync_nprime(w)

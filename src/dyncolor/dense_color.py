@@ -94,8 +94,6 @@ class DenseColoring:
     def release_private(self, clique, v: int) -> int:
         old = self._clear_member(clique, v)
         book = clique.book
-        if old != BLANK and book.mp.get(old) == v:
-            book.mp.pop(old)
         if v in book.big_l:
             book.uncolored.add(v)
         return old

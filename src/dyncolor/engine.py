@@ -65,7 +65,6 @@ class Engine(ColoringAlgorithm):
         self.phase_index = 0
         self.updates_in_phase = 0
         self.phase_updates: list[EdgeUpdate] = []
-        self.phase_hooks: list = []  # callables(engine), run after each rebuild
         # the empty graph is colored before the first update arrives
         self.sparse.color_sparse(range(n))
 
@@ -217,21 +216,16 @@ class Engine(ColoringAlgorithm):
     def trivial_recolor(self, v: int) -> int:
         """Full-neighborhood rescan recoloring, repairing all bookkeeping.
 
-        The invoked-as-baseline semantics: mark the colors of all
-        neighbors, take the smallest unmarked one (exists by pigeonhole).
+        The invoked-as-baseline semantics: take the smallest color no
+        neighbor holds (exists by pigeonhole).
         """
         colors = self.colors
-        adj = self.graph.adj[v]
-        used = set()
-        for w in adj:
-            cw = colors.of[w]
-            if cw != BLANK:
-                used.add(cw)
+        adj = self.graph.adj[v].items
         self.metrics.work += self.palette + len(adj)
         cid = self.decomp.clique_of[v]
         if cid is None:
             old = colors.of[v]
-            pick = next(c for c in range(self.palette) if c not in used)
+            pick = colors.lowest_free(adj)
             colors.clear_sparse(v)
             colors.set_sparse(v, pick)
             self.dense.update_edge_counts(v, old, pick)
@@ -255,13 +249,10 @@ class Engine(ColoringAlgorithm):
                 else:
                     self.metrics.fallback_degraded += 1
         self.dense.release_private(clique, v)
-        pick = next(
-            (c for c in range(self.palette) if c not in used and c not in book.usage),
-            None,
-        )
+        pick = colors.lowest_free(adj, book.usage)
         if pick is None:
             self.metrics.fallback_degraded += 1
-            pick = next(c for c in range(self.palette) if c not in used)
+            pick = colors.lowest_free(adj)
         self.dense._set_member(clique, v, pick)
         book.uncolored.discard(v)
         if pick not in book.mp:
@@ -271,9 +262,6 @@ class Engine(ColoringAlgorithm):
         return pick
 
     # ---- phase boundary ------------------------------------------------------------------
-
-    def _replay_matching_hook(self, clique, upd) -> None:
-        self.dense.maintain_matching(clique, upd)
 
     def initialization(self) -> None:
         """End-of-phase rebuild: rewind, replay, rematch, recolor from scratch."""
@@ -292,15 +280,13 @@ class Engine(ColoringAlgorithm):
         self.decomp.journal = None
         for upd in self.phase_updates:
             self.graph.apply(upd)
-            self.decomp.update_decomposition(upd, matching_hook=self._replay_matching_hook)
+            self.decomp.update_decomposition(upd, self.dense.maintain_matching)
         self.rebuild_colors()
         self.phase_updates.clear()
         self.decomp.journal = self.journal
         self.updates_in_phase = 0
         self.phase_index += 1
         self.metrics.init_work.append(self.metrics.work - work0)
-        for hook in self.phase_hooks:
-            hook(self)
 
     def rebuild_colors(self) -> None:
         """Recolor everything from scratch on the current decomposition."""

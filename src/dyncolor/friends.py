@@ -27,7 +27,6 @@ ones, which is what keeps the amortized work bounded.
 
 from __future__ import annotations
 
-import math
 from math import floor
 
 from .sampleset import EMPTY_SET
@@ -65,20 +64,12 @@ class FriendTracker:
         self.k = params.sample_count(n)
         self.fire_limit = params.fire_limit(graph.delta)
         eps, tau, delta = params.epsilon, params.tau, graph.delta
-        # sample-count acceptance thresholds, internal calls use tau/2
+        # u is a scale-i friend of v when its count reaches k(1 - (i*eps - tau/4)),
+        # v is scale-i dense with at least (1 - i*eps) * delta such friends
         self._maintain_thr = [
             max(0.0, self.k * (1.0 - ((i + 1) * eps - tau / 4.0))) for i in range(3)
         ]
         self._dense_thr = [max(0.0, (1.0 - (i + 1) * eps) * delta) for i in range(3)]
-
-    # ---- scale resolution -------------------------------------------------
-
-    def _scale_index(self, eps: float) -> int:
-        base = self.params.epsilon
-        for i in range(3):
-            if math.isclose(eps, (i + 1) * base, rel_tol=1e-9):
-                return i
-        raise ValueError(f"eps {eps} is not one of the tracked scales")
 
     # ---- estimation core ----------------------------------------------------
 
@@ -106,29 +97,6 @@ class FriendTracker:
         self.metrics.samples += drawn
         self.metrics.work += drawn
         return counts
-
-    def _sample_count(self, u: int, v: int) -> int:
-        """Number of k uniform samples from N(u) that also neighbor v."""
-        return self._counts(v, (u,))[0]
-
-    def determine_friend(self, u: int, v: int, eps: float, tau: float) -> bool:
-        """Re-estimate one edge at one scale and update that scale's lists.
-
-        Adds the pair iff the empirical estimate of |N(u) cap N(v)| is at
-        least (1 - (eps - tau/2)) * delta.  Sampling is from N(u).
-        """
-        if not self.graph.has_edge(u, v):
-            raise ValueError(f"({u},{v}) is not an edge")
-        i = self._scale_index(eps)
-        cnt = self._sample_count(u, v)
-        accept = cnt >= self.k * (1.0 - (eps - tau / 2.0))
-        lst = self.lists[i]
-        if accept:
-            _link(lst, u, v)
-        else:
-            lst[u].discard(v)
-            lst[v].discard(u)
-        return accept
 
     def _refresh(self, v: int, us) -> None:
         # One sample count per pair serves all three scales.  The lists are
@@ -172,13 +140,6 @@ class FriendTracker:
             self.vsets[i].add(v)
         else:
             self.vsets[i].discard(v)
-
-    def determine_dense(self, v: int, eps: float, tau: float) -> None:
-        """Re-test every incident edge at one scale, then set the flag."""
-        i = self._scale_index(eps)
-        for u in list(self.graph.adj[v].items):
-            self.determine_friend(u, v, eps, tau)
-        self._set_dense(v, i, len(self.lists[i][v]) >= (1.0 - eps) * self.graph.delta)
 
     def update_vertex(self, v: int) -> None:
         """Full refresh of v: re-estimate all incident edges at all scales."""
@@ -226,9 +187,6 @@ class FriendTracker:
         return result
 
     # ---- introspection -------------------------------------------------------
-
-    def in_vset(self, v: int, i: int) -> bool:
-        return bool(self.dense_flag[i - 1][v])
 
     def check_consistency(self, boundary: bool = True) -> list[str]:
         """Audit the lists' symmetry and the flags against V_i; returns violations.

@@ -11,7 +11,7 @@ are reachable at n up to a few thousand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 E6 = math.e ** 6
 
@@ -104,9 +104,6 @@ class ParamSet:
 
     def loop_cap(self, n: int) -> int:
         return self.cap_factor * math.ceil(math.log2(n + 2))
-
-    def with_seed(self, seed: int) -> "ParamSet":
-        return replace(self, seed=seed)
 
 
 def auto_epsilon(n: int, delta: int) -> float:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .adversary import make_adversary
 from .baseline import TrivialBaseline
 from .engine import Engine, EngineConfig
@@ -52,7 +54,8 @@ def build_engine(
     """The full engine or the rescan baseline, chosen by `mode` (see MODES).
 
     `auto` picks the baseline when delta <= trivial_cutoff(n) and otherwise
-    the full engine at the balanced epsilon = auto_epsilon(n, delta).
+    the full engine at the balanced epsilon = auto_epsilon(n, delta), with
+    tau and nu derived from it and every other field of `params` kept.
     """
     if mode == "auto":
         if delta <= trivial_cutoff(n):
@@ -60,9 +63,7 @@ def build_engine(
         else:
             mode = "full"
             eps = auto_epsilon(n, delta)
-            params = ParamSet(
-                epsilon=eps, tau=eps / 3.0, profile=params.profile, seed=params.seed,
-            )
+            params = replace(params, epsilon=eps, tau=eps / 3.0, nu=2.0 * eps / 3.0)
     if mode == "baseline":
         return TrivialBaseline(n, delta)
     if mode == "full":

@@ -127,17 +127,9 @@ class SparseColoring:
         """The lowest color no neighbor of v holds, found by a scan."""
         # a free color exists because the palette exceeds the degree cap
         self.metrics.fallbacks += 1
-        used = set()
-        of = self.colors.of
-        for w in self.graph.adj[v]:
-            cw = of[w]
-            if cw != BLANK:
-                used.add(cw)
-        self.metrics.work += self.palette + len(self.graph.adj[v])
-        for c in range(self.palette):
-            if c not in used:
-                return c
-        raise AssertionError("palette exhausted despite degree cap")
+        adj = self.graph.adj[v].items
+        self.metrics.work += self.palette + len(adj)
+        return self.colors.lowest_free(adj)
 
     def color_sparse(self, vertices=None) -> None:
         """Phase-start recoloring of the whole sparse side (all blank)."""

@@ -284,10 +284,13 @@ def test_accept_6_estimator_soundness():
     for commons, want in ((hi, True), (lo, False)):
         g = planted_instance(delta, commons)
         k = math.ceil(12 * 3.0 * math.log(g.n) / tau**2)
-        params = ParamSet(epsilon=eps, tau=tau, sample_count_k=k)
+        # a fire limit of 2 keeps the insertion from firing a refresh: it is
+        # judged by one k-sample count from N(0) at the production thresholds
+        params = ParamSet(epsilon=eps, tau=tau, sample_count_k=k, fire_threshold=2.0)
         for seed in range(trials):
             tr = FriendTracker(g, params, random.Random(seed), Metrics())
-            got = tr.determine_friend(0, 1, eps, tau)
+            assert tr.maintain_friends(ins(0, 1)) == []
+            got = 1 in tr.lists[0][0]  # the strictest scale
             if got != want:
                 miss += 1
     rate = miss / (2 * trials)

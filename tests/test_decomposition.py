@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from dyncolor.colors import ColorState
 from dyncolor.decomposition import Decomposition
+from dyncolor.dense_color import DenseColoring
 from dyncolor.errors import InvariantViolation
 from dyncolor.friends import FriendTracker
 from dyncolor.graph import DynamicGraph, dele, ins
@@ -27,17 +29,19 @@ def standalone(n, delta, eps=0.2, tau=None, k=256, fire=1, nu=None, seed=0, stri
     metrics = Metrics()
     tracker = FriendTracker(g, params, random.Random(seed), metrics)
     dec = Decomposition(g, tracker, params, metrics, strict=strict)
-    return g, tracker, dec
+    dense = DenseColoring(g, dec, ColorState(n, delta + 1), params, tracker.rng, metrics)
 
+    def drive(upd):
+        """Apply one update and run it through the decomposition, as the replay does."""
+        g.apply(upd)
+        return dec.update_decomposition(upd, dense.maintain_matching)
 
-def drive(g, dec, upd):
-    g.apply(upd)
-    return dec.update_decomposition(upd)
+    return g, tracker, dec, drive
 
 
 def test_sparse_insertion_changes_nothing():
-    g, _, dec = standalone(16, 8)
-    cs = drive(g, dec, ins(0, 1))
+    g, _, dec, drive = standalone(16, 8)
+    cs = drive(ins(0, 1))
     assert cs.empty()
     assert dec.clique_of[0] is None and dec.clique_of[1] is None
     assert 1 in dec.n_s[0] and 0 in dec.n_s[1]
@@ -47,10 +51,10 @@ def test_incremental_clique_build_first_dense_move():
     # grow a clique edge by edge; the first dense move must produce exactly
     # {v} union N_1(v) for the vertex v that entered the strict scale
     delta = 16
-    g, tracker, dec = standalone(24, delta, eps=0.2, tau=0.2 / 3, k=512)
+    g, tracker, dec, drive = standalone(24, delta, eps=0.2, tau=0.2 / 3, k=512)
     moved = None
     for u, v in clique_edges(range(delta + 1)):
-        cs = drive(g, dec, ins(u, v))
+        cs = drive(ins(u, v))
         if cs.moved_to_dense:
             moved = cs.moved_to_dense
             break
@@ -64,16 +68,16 @@ def test_incremental_clique_build_first_dense_move():
 
 def test_deletions_trigger_sparse_move_and_sigma():
     delta = 16
-    g, tracker, dec = standalone(24, delta, eps=0.2, tau=0.2 / 3, k=512, nu=0.9)
+    g, tracker, dec, drive = standalone(24, delta, eps=0.2, tau=0.2 / 3, k=512, nu=0.9)
     for u, v in clique_edges(range(delta + 1)):
-        drive(g, dec, ins(u, v))
+        drive(ins(u, v))
     assert dec.cliques, "clique should exist after the build"
     cid = next(iter(dec.cliques))
     sigma0 = dec.cliques[cid].sigma
     victim = max(dec.cliques[cid].members)
     moves = []
     for u in sorted(g.adj[victim].items):
-        cs = drive(g, dec, dele(victim, u))
+        cs = drive(dele(victim, u))
         moves += cs.moved_to_sparse
         if victim in moves:
             break
@@ -123,7 +127,7 @@ def test_dense_move_friends_in_one_clique_fuzz():
     # must always sit in a single clique; strict mode raises otherwise
     delta = 16
     for seed in range(6):
-        g, tracker, dec = standalone(
+        g, tracker, dec, drive = standalone(
             48, delta, eps=0.09, tau=0.03, k=512, nu=0.05, seed=seed, strict=True
         )
         rng = random.Random(seed + 100)
@@ -132,12 +136,12 @@ def test_dense_move_friends_in_one_clique_fuzz():
         rng.shuffle(pairs)
         for u, v in pairs:
             if g.degree(u) < delta and g.degree(v) < delta and not g.has_edge(u, v):
-                drive(g, dec, ins(u, v))
+                drive(ins(u, v))
         for _ in range(60):
             u = rng.choice(target)
             if g.degree(u):
                 v = g.adj[u].sample(rng)
-                drive(g, dec, dele(u, v))
+                drive(dele(u, v))
         assert dec.metrics.estimator_gap_events == 0
 
 
@@ -173,7 +177,7 @@ def test_sparse_move_clears_nonedges():
 
 
 def test_check_invariants_empty_graph():
-    _, _, dec = standalone(8, 4)
+    _, _, dec, _ = standalone(8, 4)
     assert dec.check_invariants() == []
 
 
@@ -234,9 +238,9 @@ def test_clique_collapse_and_refounding():
     # small collapse fraction: enough sparse moves dissolve the clique, and
     # still-dense members re-enter through fresh dense moves
     delta = 16
-    g, tracker, dec = standalone(24, delta, eps=0.2, tau=0.2 / 3, k=512, nu=0.12)
+    g, tracker, dec, drive = standalone(24, delta, eps=0.2, tau=0.2 / 3, k=512, nu=0.12)
     for u, v in clique_edges(range(delta + 1)):
-        drive(g, dec, ins(u, v))
+        drive(ins(u, v))
     assert dec.cliques
     collapsed = []
     rng = random.Random(2)
@@ -245,7 +249,7 @@ def test_clique_collapse_and_refounding():
         for u in sorted(g.adj[victim].items):
             if not g.has_edge(victim, u):
                 continue
-            cs = drive(g, dec, dele(victim, u))
+            cs = drive(dele(victim, u))
             collapsed += cs.collapsed
             if collapsed:
                 break

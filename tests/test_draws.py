@@ -66,7 +66,7 @@ def test_friend_sampler_counts_the_choices_sample(size):
             graph.apply(dele(1, w))
         subset = [w for w in items if pick.random() < 0.5]
         add_edges(graph, [(1, w) for w in subset])
-        assert tracker._sample_count(0, 1) == hits(0)
+        assert tracker._counts(1, (0,)) == [hits(0)]
         assert tracker._counts(1, batch) == [hits(u) for u in batch]
     assert rng.getstate() == ref.getstate()
     assert metrics.samples == metrics.work == 40 * 4 * 12

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -125,6 +126,40 @@ def test_trivial_recolor_isolated_and_saturated():
     assert e2.trivial_recolor(0) == 5
 
 
+def test_trivial_recolor_dense_degraded_pick():
+    # K_{delta+1} without the edge (0, 1), which the rebuild matches, plus a
+    # sparse neighbor x of 0 on the clique's one unused color: the only color
+    # no neighbor of 0 holds is the pair's, which the partner keeps
+    delta = 8
+    x = delta + 1
+    engine, (c,) = dense_fixture(
+        12, delta, [list(range(delta + 1))], holes=[(0, 1)], extra_edges=[(0, x)]
+    )
+    assert c.partner.get(0) == 1 and engine.dense.palette_identity_gap(c) == 0
+    (free,) = c.book.A
+    engine.colors.set_sparse(x, free)
+    shared = engine.colors.of[1]
+    m = engine.metrics
+    before = (m.fallback_degraded, m.work)
+    assert engine.trivial_recolor(0) == shared
+    # once for a pick inside book.usage, once for a color another member owns
+    assert (m.fallback_degraded, m.work) == (
+        before[0] + 2, before[1] + engine.palette + delta,
+    )
+    assert 0 not in c.partner and c.book.mp[shared] == 1
+    assert engine.is_proper()
+
+
+def test_lowest_free_skips_held_and_avoided_colors():
+    cs = ColorState(4, 4)
+    for v, col in ((0, 0), (1, 2)):
+        cs.set_sparse(v, col)
+    assert cs.lowest_free([0, 1, 3]) == 1  # a blank vertex holds nothing
+    assert cs.lowest_free([0, 1], avoid={1}) == 3
+    assert cs.lowest_free([0, 1], avoid={1, 3}) is None
+    assert cs.lowest_free([]) == 0
+
+
 def test_baseline_greedy_clique_matches_simulation():
     delta = 8
     base = TrivialBaseline(delta + 1, delta)
@@ -196,6 +231,20 @@ def test_auto_mode_picks_baseline_or_full():
     assert isinstance(e2, Engine)
     assert abs(e2.params.epsilon - auto_epsilon(n, hi)) < 1e-12
     assert abs(e2.params.tau - e2.params.epsilon / 3.0) < 1e-12
+
+
+def test_auto_mode_keeps_pinned_params():
+    # auto retunes epsilon, and tau and nu with it, and keeps every other field
+    n, delta = 64, 60
+    assert delta > trivial_cutoff(n)
+    eps = auto_epsilon(n, delta)
+    pinned = ParamSet(sample_count_k=7, phase_len_t=5, fire_threshold=3.0, seed=4)
+    e = build_engine(n, delta, pinned, mode="auto")
+    assert (e.tracker.k, e.phase_len, e.tracker.fire_limit) == (7, 5, 3.0)
+    assert e.params == replace(pinned, epsilon=eps, tau=eps / 3.0, nu=2.0 * eps / 3.0)
+    # nothing pinned: the balanced epsilon with every other field at its default
+    plain = build_engine(n, delta, ParamSet(seed=4), mode="auto")
+    assert plain.params == ParamSet(epsilon=eps, tau=eps / 3.0, seed=4)
 
 
 def test_unknown_mode_is_rejected():
@@ -315,12 +364,16 @@ def test_frozen_matching_regime_live_churn_stays_proper():
 
 
 def test_phase_boundary_hooks_fire_per_rebuild():
-    # per-boundary export hook: collect a color-load histogram each rebuild
+    # per-boundary export: collect a color-load histogram after each rebuild
     hists = []
+
+    def at_boundary(eng, upd, i):
+        if eng.updates_in_phase == 0:
+            hists.append([len(s) for s in eng.colors.L])
+
     e = make_engine(32, 8, seed=3, phase_len=10)
-    e.phase_hooks.append(lambda eng: hists.append([len(s) for s in eng.colors.L]))
     adv = make_adversary("oblivious-random", 32, 8, seed=4)
-    run_stream(e, adv, 35)
+    run_stream(e, adv, 35, per_update=at_boundary)
     assert len(hists) == 3
     assert all(sum(h) == 32 for h in hists)
 

@@ -20,7 +20,18 @@ def paper_k(n, tau, c=3.0):
     return math.ceil(12.0 * c * math.log(n) / tau**2)
 
 
-def test_determine_friend_clique_statistical():
+def judge(tr, u, v):
+    """Judge the edge (u, v) the way an insertion does; its membership per scale.
+
+    The tracker's fire limit must exceed 1, so the one insertion fires no
+    refresh: this is exactly one k-sample count from N(u), judged at the
+    three production thresholds.
+    """
+    assert tr.maintain_friends(ins(u, v)) == []
+    return [u in tr.lists[i][v] for i in range(3)]
+
+
+def test_insertion_judges_clique_edge_friend_at_every_scale():
     # K_{delta+1}: every edge has delta-1 commons, far above the accept line;
     # with the analysis-grade sample count no trial among 1000 may miss
     delta = 64
@@ -34,21 +45,21 @@ def test_determine_friend_clique_statistical():
     hits = 0
     trials = 1000
     for seed in range(trials):
-        tr = make_tracker(g, eps, tau, k=k, seed=seed)
-        if tr.determine_friend(0, 1, eps, tau):
+        tr = make_tracker(g, eps, tau, k=k, fire=2, seed=seed)
+        if judge(tr, 0, 1) == [True] * 3:
             hits += 1
     assert hits == trials  # failure probability is below n^-3 per trial
 
 
-def test_determine_friend_zero_commons():
+def test_insertion_judges_zero_commons_no_friend():
     g = DynamicGraph(4, 3)
     add_edges(g, [(0, 1)])
-    tr = make_tracker(g, 0.25, 1.0 / 12.0, k=64)
-    assert not tr.determine_friend(0, 1, 0.25, 1.0 / 12.0)
-    assert 1 not in tr.lists[0][0]
+    tr = make_tracker(g, 0.25, 1.0 / 12.0, k=64, fire=2)
+    assert judge(tr, 0, 1) == [False] * 3
+    assert all(1 not in tr.lists[i][0] for i in range(3))
 
 
-def test_determine_friend_gap_region_no_crash():
+def test_insertion_judgement_gap_region_no_crash():
     # exactly (1-eps)*delta commons sits in the contract's gap: any outcome,
     # but the lists must stay consistent
     delta = 16
@@ -71,46 +82,39 @@ def test_determine_friend_gap_region_no_crash():
     assert g.degree(u) == delta and g.degree(v) == delta
     assert g.common_neighbors_exact(u, v) == commons
     for seed in range(20):
-        tr = make_tracker(g, eps, tau, k=256, seed=seed)
-        tr.determine_friend(u, v, eps, tau)
+        tr = make_tracker(g, eps, tau, k=256, fire=2, seed=seed)
+        judge(tr, u, v)
         assert tr.check_consistency() == []
 
 
-def test_determine_dense_clique_and_star():
+def test_update_vertex_dense_clique_and_star():
     delta = 24
     n = delta + 1
     eps, tau = 0.2, 0.05
     g = DynamicGraph(n, delta)
     add_edges(g, clique_edges(range(n)))
     tr = make_tracker(g, eps, tau, k=128)
-    tr.determine_dense(0, eps, tau)
-    assert tr.in_vset(0, 1)  # all delta neighbors qualify as friends
+    tr.update_vertex(0)
+    # all delta neighbors qualify as friends, at the strictest scale too
+    assert [tr.dense_flag[i][0] for i in range(3)] == [1, 1, 1]
 
     star = DynamicGraph(delta + 1, delta)
     add_edges(star, [(0, leaf) for leaf in range(1, delta + 1)])
     tr2 = make_tracker(star, eps, tau, k=128)
-    tr2.determine_dense(0, eps, tau)
-    assert not tr2.in_vset(0, 1)  # leaves share nothing with the center
+    tr2.update_vertex(0)
+    # leaves share nothing with the center: not dense even at the loosest scale
+    assert not tr2.dense_flag[2][0]
 
 
-def test_determine_dense_threshold_friends():
-    # vertex with exactly ceil((1-eps+tau)*delta) clique-certified friends
+def test_update_vertex_dense_at_threshold_friends():
+    # vertex with exactly ceil((1-eps+tau)*delta) clique-certified friends,
+    # its degree padded to delta with pendant leaves
     delta = 20
     eps, tau = 0.25, 1.0 / 12.0
     good = math.ceil((1 - eps + tau) * delta)  # friends inside a big clique
-    n = good + 1 + (delta - good)
-    g = DynamicGraph(n + delta, delta)
-    core = list(range(good + 1))  # v plus its clique friends
-    add_edges(g, clique_edges(core))
+    g = DynamicGraph(2 * delta + 1, delta)
     v = 0
-    w = n
-    for _ in range(delta - good):  # pad v's degree with pendant leaves
-        g.apply(ins(v, w))
-        w -= 1 if False else 0
-        w = w + 1 if False else w
-        break
-    # simpler: pad with fresh leaves
-    extra = delta - good - (0)
+    add_edges(g, clique_edges(range(good + 1)))  # v plus its clique friends
     nxt = good + 1
     while g.degree(v) < delta:
         g.apply(ins(v, nxt))
@@ -118,9 +122,9 @@ def test_determine_dense_threshold_friends():
     hits = 0
     for seed in range(50):
         tr = make_tracker(g, eps, tau, k=paper_k(g.n, tau), seed=seed)
-        tr.determine_dense(v, eps, tau)
-        hits += tr.in_vset(v, 1)
-    assert hits >= 48  # dense w.h.p.: friends >= (1-eps)*delta
+        tr.update_vertex(v)
+        hits += tr.dense_flag[0][v]
+    assert hits >= 48  # dense w.h.p. at the strictest scale: friends >= (1-eps)*delta
 
 
 def test_maintain_friends_below_threshold():

@@ -59,6 +59,15 @@ def test_golden_trace_replays_bit_identically(name):
         assert engine.metrics.vertex_moves > 0 and engine.metrics.dense_recolorings > 0
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_trace_rerecords_byte_for_byte(name):
+    # the recording run reproduces the committed file, header included: the
+    # adversary's stream and the header fields are as stable as the replay
+    strategy, n, delta, steps, kw = GOLDEN[name]
+    _, trace, _ = record_run(n, delta, ParamSet(**kw), strategy, steps)
+    assert trace.dumps() == _path(name).read_text()
+
+
 def record_all():
     DATA.mkdir(exist_ok=True)
     for name, (strategy, n, delta, steps, kw) in GOLDEN.items():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -51,5 +52,5 @@ def test_auto_tuning_formulas():
 
 def test_seed_override():
     p = ParamSet(epsilon=0.2, seed=1)
-    q = p.with_seed(9)
+    q = replace(p, seed=9)
     assert q.seed == 9 and q.epsilon == p.epsilon

@@ -96,6 +96,27 @@ def test_one_shot_conflict_first_processed_wins():
     assert sparse_proper(e)
 
 
+def test_capped_draws_fall_back_to_lowest_free_color():
+    # every draw is color 3, which neighbor 1 holds: the loop runs out its
+    # cap and the rescan takes the lowest color no neighbor holds
+    e = blank_engine(8, 4, cap_factor=1)
+    for u, c in ((1, 3), (2, 0)):
+        e.graph.apply(ins(0, u))
+        e.decomp.note_edge(ins(0, u))
+        e.colors.set_sparse(u, c)
+    e.sparse.rng = _ForcedDraws(3)
+    m = e.metrics
+    cap, palette = e.sparse.cap, e.sparse.palette
+    before = (m.fallbacks, m.work, m.samples)
+    assert e.sparse.recolor_sparse(0) == 1
+    # each draw: one sample and one unit, plus `feasible` walking L(3) (one
+    # entry) for two; then the rescan charges the palette plus the degree
+    assert (m.fallbacks, m.work, m.samples) == (
+        before[0] + 1, before[1] + 3 * cap + palette + 2, before[2] + cap,
+    )
+    assert sparse_proper(e) and list_consistency(e)
+
+
 def one_shot_reference_fraction(n_vertices, palette, adjacency, seed):
     """Independent straight-line simulation of the one-shot process."""
     rng = random.Random(seed)

@@ -1,7 +1,7 @@
 """Update-stream generators, legal by construction.
 
-Each adversary mirrors the graph it has produced so far, so every emitted
-update is valid for the engine's degree cap.  Adaptive strategies see
+Each adversary mirrors the graph it has produced so far, so every update
+it hands out is valid for the engine's degree cap.  Adaptive strategies see
 only the engine's public coloring view, never its internals or
 randomness.
 """
@@ -23,7 +23,7 @@ STRATEGIES = (
 
 
 class Adversary:
-    """Base: keeps a private mirror of the emitted stream."""
+    """Base: keeps a private mirror of the stream produced so far."""
 
     adaptive = False
 
@@ -33,12 +33,10 @@ class Adversary:
         self.mirror = DynamicGraph(n, delta)
         self.rng = random.Random(seed)
         self.monochrome_hits = 0
-        self.emitted = 0
 
     def next(self, view=None) -> EdgeUpdate:
         upd = self._propose(view)
         self.mirror.apply(upd)
-        self.emitted += 1
         return upd
 
     def _propose(self, view) -> EdgeUpdate:

@@ -15,12 +15,14 @@ through sparse moves; once a clique has lost enough members it is
 dissolved wholesale and its still-dense vertices re-enter via fresh
 dense moves.
 
-The dense neighbor views `n_d[x]` and `n_c[x]` start as the shared
-read-only `EMPTY_SET` / `EMPTY_MAP` and become x's own on the first add
-(`own`); a vertex with no dense neighbor, which is most vertices on most
-graphs, never gets them.  Once made they are never dropped, even empty:
-a set that grew and shrank can iterate in a different order from a fresh
-one.  `n_s` is written by every vertex with an edge and is made up front.
+The one neighbor view kept per vertex is `n_c[x]`: x's dense neighbors,
+grouped by clique, which feeds the clique edge counters t_c.  Sparse
+neighbors are read from `graph.adj` and the occupancy lists, so a
+sparse-sparse update touches no view and journals nothing.  `n_c[x]`
+starts as the shared read-only `EMPTY_MAP` and becomes x's own on the
+first add (`own`); a vertex with no dense neighbor, which is most
+vertices on most graphs, never gets one.  Once made it is never dropped,
+even empty.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 from . import journal as J
 from .errors import InvariantViolation
-from .sampleset import EMPTY_MAP, EMPTY_SET, own
+from .sampleset import EMPTY_MAP, own
 
 
 class AlmostClique:
@@ -75,8 +77,6 @@ class Decomposition:
         self.strict = strict
         n = graph.n
         self.clique_of: list[int | None] = [None] * n
-        self.n_s: list[set[int]] = [set() for _ in range(n)]
-        self.n_d: list[set[int]] = [EMPTY_SET] * n
         self.n_c: list[dict[int, set[int]]] = [EMPTY_MAP] * n
         self.cliques: dict[int, AlmostClique] = {}
         self._next_cid = 0
@@ -98,35 +98,21 @@ class Decomposition:
 
     def _nbr_add(self, x: int, w: int) -> None:
         cid = self.clique_of[w]
-        jn = self.journal
-        if cid is None:
-            self.n_s[x].add(w)
-            if jn is not None:
-                jn.note(J.NS_ADD, x, w)
-        else:
-            own(self.n_d, x).add(w)
+        if cid is not None:
             own(self.n_c, x).setdefault(cid, set()).add(w)
-            if jn is not None:
-                jn.note(J.ND_ADD, x, w)
-                jn.note(J.NC_ADD, x, cid, w)
+            if self.journal is not None:
+                self.journal.note(J.NC_ADD, x, cid, w)
 
     def _nbr_remove(self, x: int, w: int) -> None:
         cid = self.clique_of[w]
-        jn = self.journal
-        if cid is None:
-            self.n_s[x].discard(w)
-            if jn is not None:
-                jn.note(J.NS_REM, x, w)
-        else:
-            self.n_d[x].discard(w)
+        if cid is not None:
             s = self.n_c[x].get(cid)
             if s is not None:
                 s.discard(w)
                 if not s:
                     self.n_c[x].pop(cid)
-            if jn is not None:
-                jn.note(J.ND_REM, x, w)
-                jn.note(J.NC_REM, x, cid, w)
+            if self.journal is not None:
+                self.journal.note(J.NC_REM, x, cid, w)
 
     def note_edge(self, upd) -> None:
         """Neighbor-view bookkeeping for one applied update (no non-edge work)."""
@@ -299,8 +285,6 @@ class Decomposition:
         self.clique_of[w] = c.id
         adj_w = self.graph.adj[w]
         for z in adj_w:
-            self.n_s[z].discard(w)
-            own(self.n_d, z).add(w)
             own(self.n_c, z).setdefault(c.id, set()).add(w)
         n3w = self.tracker.lists[2][w]
         nprime_w = set()
@@ -331,8 +315,6 @@ class Decomposition:
         c.members.discard(v)
         self.clique_of[v] = None
         for z in self.graph.adj[v]:
-            self.n_d[z].discard(v)
-            self.n_s[z].add(v)
             s = self.n_c[z].get(cid)
             if s is not None:
                 s.discard(v)
@@ -358,8 +340,6 @@ class Decomposition:
             c.partner.pop(w, None)
         for w in members:
             for z in self.graph.adj[w]:
-                self.n_d[z].discard(w)
-                self.n_s[z].add(w)
                 self.n_c[z].pop(c.id, None)
             self.n_c[w].pop(c.id, None)
         self.metrics.nonedge_adjustments += c.nonedge_count
@@ -453,12 +433,6 @@ class Decomposition:
         g = self.graph
         out = []
         for v in range(g.n):
-            ns = {u for u in g.adj[v] if self.clique_of[u] is None}
-            nd = {u for u in g.adj[v] if self.clique_of[u] is not None}
-            if ns != self.n_s[v]:
-                out.append(f"n_s mismatch at {v}")
-            if nd != self.n_d[v]:
-                out.append(f"n_d mismatch at {v}")
             want_nc = {}
             for u in g.adj[v]:
                 cid = self.clique_of[u]

@@ -8,10 +8,10 @@ random colored member, or a length-5 rotation through two of them.
 
 Per clique a color book tracks: an[c] (pair-shared colors with the pair),
 A (colors unused by any member), usage (color -> members), mp (private
-color -> member), big_l (members outside the non-edge matching),
-uncolored (blank members of big_l), t_c / heavy (counts of edges to
-equally-colored sparse vertices, and the colors where that count is
-large).  R, the colors not shared by any pair, is the complement of an.
+color -> member), big_l (members outside the non-edge matching), t_c /
+heavy (counts of edges to equally-colored sparse vertices, and the colors
+where that count is large).  R, the colors not shared by any pair, is the
+complement of an; the blank members of big_l are read off the coloring.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .sampleset import SampleSet
 
 
 class CliqueBook:
-    __slots__ = ("an", "A", "usage", "mp", "big_l", "uncolored", "t_c", "heavy")
+    __slots__ = ("an", "A", "usage", "mp", "big_l", "t_c", "heavy")
 
     def __init__(self, palette: int, big_l) -> None:
         self.an: dict[int, tuple[int, int]] = {}
@@ -31,7 +31,6 @@ class CliqueBook:
         self.usage: dict[int, set[int]] = {}
         self.mp: dict[int, int] = {}
         self.big_l = SampleSet(big_l)
-        self.uncolored: set[int] = set(big_l)
         self.t_c: dict[int, int] = {}
         self.heavy: set[int] = set()
 
@@ -70,7 +69,7 @@ class DenseColoring:
         else:
             users.add(v)
 
-    def _clear_member(self, clique, v: int) -> int:
+    def release_private(self, clique, v: int) -> int:
         old = self.colors.clear_dense(v)
         if old != BLANK:
             book = clique.book
@@ -86,28 +85,8 @@ class DenseColoring:
 
     def assign_private(self, clique, v: int, c: int) -> None:
         self._set_member(clique, v, c)
-        book = clique.book
-        book.mp[c] = v
-        book.uncolored.discard(v)
+        clique.book.mp[c] = v
         self.metrics.dense_recolorings += 1
-
-    def release_private(self, clique, v: int) -> int:
-        old = self._clear_member(clique, v)
-        book = clique.book
-        if v in book.big_l:
-            book.uncolored.add(v)
-        return old
-
-    def enter_big_l(self, clique, v: int) -> None:
-        book = clique.book
-        book.big_l.add(v)
-        if self.colors.of[v] == BLANK:
-            book.uncolored.add(v)
-
-    def leave_big_l(self, clique, v: int) -> None:
-        book = clique.book
-        book.big_l.discard(v)
-        book.uncolored.discard(v)
 
     # ---- feasibility scans ------------------------------------------------------
 
@@ -253,7 +232,7 @@ class DenseColoring:
                 pair = book.an.get(old)
                 if pair is not None and w in pair:
                     book.an.pop(old)
-                self._clear_member(clique, w)
+                self.release_private(clique, w)
         draw = palette_drawer(self.rng, self.palette)
         for _ in range(self.cap):
             c = draw()
@@ -439,8 +418,10 @@ class DenseColoring:
     def palette_identity_gap(self, clique) -> int:
         """|A| - (delta + 1 - |C| + |matching| + |blank big-L|); zero when consistent."""
         book = clique.book
+        of = self.colors.of
+        blank = sum(1 for v in book.big_l.items if of[v] == BLANK)
         k = self.palette - len(clique.members)
-        return len(book.A) - (k + clique.matching_size() + len(book.uncolored))
+        return len(book.A) - (k + clique.matching_size() + blank)
 
     def clique_rows(self) -> list[dict]:
         rows = []

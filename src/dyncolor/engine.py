@@ -99,7 +99,8 @@ class Engine(ColoringAlgorithm):
         dec = self.decomp
         cu, cv = dec.clique_of[u], dec.clique_of[v]
         colors = self.colors
-        dec.note_edge(upd)
+        if cu is not None or cv is not None:
+            dec.note_edge(upd)  # a sparse-sparse update changes no neighbor view
         if cu is None and cv is None:
             # sparse-sparse: only a monochromatic insertion needs color work
             if upd.insert and colors.of[u] == colors.of[v]:
@@ -162,12 +163,12 @@ class Engine(ColoringAlgorithm):
             if shared != BLANK:
                 book.an.pop(shared, None)
             for w in (upd.u, upd.v):
-                self.dense._clear_member(clique, w)
-                self.dense.enter_big_l(clique, w)
+                self.dense.release_private(clique, w)
+                book.big_l.add(w)
         for w in entered:
             if w in book.big_l:
                 self.dense.release_private(clique, w)
-                self.dense.leave_big_l(clique, w)
+                book.big_l.discard(w)
         for w, x in pairs:
             newc = self._rne_safe(clique, w, x)
             if newc is not None:
@@ -207,8 +208,8 @@ class Engine(ColoringAlgorithm):
                 return c
         # no shared color exists; dissolve the pair and color the endpoints alone
         self.decomp.match_remove(clique, u, v)
-        self.dense.enter_big_l(clique, u)
-        self.dense.enter_big_l(clique, v)
+        book.big_l.add(u)
+        book.big_l.add(v)
         for w in (u, v):
             self.trivial_recolor(w)
         return None
@@ -217,7 +218,10 @@ class Engine(ColoringAlgorithm):
         """Full-neighborhood rescan recoloring, repairing all bookkeeping.
 
         The invoked-as-baseline semantics: take the smallest color no
-        neighbor holds (exists by pigeonhole).
+        neighbor holds (exists by pigeonhole).  A dense v prefers a color
+        no member holds; when every free color is held, a member holding
+        the pick privately is not v's neighbor, and the two become a
+        matched pair sharing it.
         """
         colors = self.colors
         adj = self.graph.adj[v].items
@@ -239,23 +243,30 @@ class Engine(ColoringAlgorithm):
             if old != BLANK:
                 book.an.pop(old, None)
             self.decomp.match_remove(clique, v, p)
-            self.dense.enter_big_l(clique, v)
-            self.dense.enter_big_l(clique, p)
+            book.big_l.add(v)
+            book.big_l.add(p)
             cp = colors.of[p]
             if cp != BLANK:
-                book.uncolored.discard(p)
                 if cp not in book.mp:
                     book.mp[cp] = p
                 else:
                     self.metrics.fallback_degraded += 1
         self.dense.release_private(clique, v)
         pick = colors.lowest_free(adj, book.usage)
+        y = None
         if pick is None:
             self.metrics.fallback_degraded += 1
             pick = colors.lowest_free(adj)
+            y = book.mp.get(pick)
         self.dense._set_member(clique, v, pick)
-        book.uncolored.discard(v)
-        if pick not in book.mp:
+        if y is not None:
+            # the pick is free around v, so y is a non-neighbor: pair them on it
+            self.decomp.match_add(clique, v, y)
+            book.mp.pop(pick)
+            book.an[pick] = (v, y)
+            book.big_l.discard(v)
+            book.big_l.discard(y)
+        elif pick not in book.mp:
             book.mp[pick] = v
         else:
             self.metrics.fallback_degraded += 1

@@ -2,9 +2,9 @@
 
 For scales c_i = i*eps + tau (i in {1,2,3}) the tracker keeps per-vertex
 lists N_i(v) of neighbors whose common neighborhood with v is large, and
-flags is_dense(v, i) plus the sets V_1, V_2, V_3 of vertices with many
-such friends.  Friendship at a stricter scale implies friendship at a
-looser one, so N_1(v) <= N_2(v) <= N_3(v) <= N(v).
+the dense sets V_1, V_2, V_3 of vertices with many such friends.
+Friendship at a stricter scale implies friendship at a looser one, so
+N_1(v) <= N_2(v) <= N_3(v) <= N(v).
 
 The lists are symmetric: every writer updates both endpoints, so u is in
 N_i(v) exactly when v is in N_i(u).  A refresh takes one k-sample count
@@ -57,7 +57,6 @@ class FriendTracker:
         n = graph.n
         self.n = n
         self.lists = [[EMPTY_SET] * n for _ in range(3)]  # N_1..N_3
-        self.dense_flag = [bytearray(n) for _ in range(3)]
         self.vsets = [set(), set(), set()]  # V_1..V_3
         self.direct = [0] * n
         self.indirect = [0] * n
@@ -132,10 +131,9 @@ class FriendTracker:
                 lst[v].discard(u)
                 lst[u].discard(v)
 
-    # ---- dense flags --------------------------------------------------------
+    # ---- dense sets ---------------------------------------------------------
 
     def _set_dense(self, v: int, i: int, flag: bool) -> None:
-        self.dense_flag[i][v] = 1 if flag else 0
         if flag:
             self.vsets[i].add(v)
         else:
@@ -189,7 +187,7 @@ class FriendTracker:
     # ---- introspection -------------------------------------------------------
 
     def check_consistency(self, boundary: bool = True) -> list[str]:
-        """Audit the lists' symmetry and the flags against V_i; returns violations.
+        """Audit the lists' symmetry; returns violations.
 
         Only at a phase boundary must every listed pair be an edge: a
         deletion inside a phase reaches the tracker at the boundary replay.
@@ -204,8 +202,4 @@ class FriendTracker:
                         viol.append(f"N_{i + 1}: asymmetric friend pair ({v},{u})")
                     if boundary and not has_edge(u, v):
                         viol.append(f"N_{i + 1}: stale friend pair ({v},{u})")
-            flags, vset = self.dense_flag[i], self.vsets[i]
-            for v in range(self.n):
-                if bool(flags[v]) != (v in vset):
-                    viol.append(f"V_{i + 1}: flag and set disagree at {v}")
         return viol

@@ -1,16 +1,17 @@
 """Reversible delta log for the structures that stay frozen across a phase.
 
-Every in-phase mutation of the partition-adjacent structures (sparse and
-dense neighbor views, in-clique neighbor lists, non-edge lists, non-edge
-matching) is recorded here so that the end-of-phase rebuild can rewind
-them to their phase-start state before replaying the phase's updates.
+Every in-phase mutation of the partition-adjacent structures (the
+per-clique neighbor view `n_c`, non-edge lists, non-edge matching) is
+recorded here so that the end-of-phase rebuild can rewind them to their
+phase-start state before replaying the phase's updates.  A
+sparse-sparse update records nothing.
 """
 
 from __future__ import annotations
 
 from .sampleset import own
 
-NS_ADD, NS_REM, ND_ADD, ND_REM, NC_ADD, NC_REM, NE_ADD, NE_REM, MT_ADD, MT_REM = range(10)
+NC_ADD, NC_REM, NE_ADD, NE_REM, MT_ADD, MT_REM = range(6)
 
 
 class PhaseJournal:
@@ -25,24 +26,13 @@ class PhaseJournal:
     def __len__(self):
         return len(self.ops)
 
-    def clear(self):
-        self.ops.clear()
-
     def revert(self, decomp) -> None:
         """Undo every recorded op, newest first, then empty the log."""
-        n_s, n_d, n_c = decomp.n_s, decomp.n_d, decomp.n_c
+        n_c = decomp.n_c
         cliques = decomp.cliques
         for op in reversed(self.ops):
             tag = op[0]
-            if tag == NS_ADD:
-                n_s[op[1]].discard(op[2])
-            elif tag == NS_REM:
-                n_s[op[1]].add(op[2])
-            elif tag == ND_ADD:
-                n_d[op[1]].discard(op[2])
-            elif tag == ND_REM:
-                own(n_d, op[1]).add(op[2])
-            elif tag == NC_ADD:
+            if tag == NC_ADD:
                 _, x, cid, w = op
                 s = n_c[x].get(cid)
                 if s is not None:

@@ -100,11 +100,9 @@ EMPTY_SAMPLESET = _EmptySampleSet()
 
 
 def own(containers: list, i: int):
-    """containers[i], first given a fresh container of its own if it is a shared empty."""
+    """containers[i], first made its own if it is `EMPTY_MAP` or `EMPTY_SAMPLESET`."""
     c = containers[i]
-    if c is EMPTY_SET:
-        c = containers[i] = set()
-    elif c is EMPTY_MAP:
+    if c is EMPTY_MAP:
         c = containers[i] = {}
     elif c is EMPTY_SAMPLESET:
         c = containers[i] = SampleSet()

@@ -1,14 +1,14 @@
 """Brute-force verification oracle.
 
 Everything is recomputed from scratch against the graph (the ground
-truth): properness, the friend lists' symmetry and dense-flag sets,
-exact density and friendship of every vertex via exact common-neighbor
-counts, the four decomposition invariants, clique size bounds, non-edge
-exactness, per-clique color discipline, the palette identity, matching
-floors, and edge-counter recounts.  Checks whose underlying claims are
-only high-probability report pass rates and attribute misses to
-estimator gaps (tracker belief differing from the oracle) instead of
-hard-failing.
+truth): properness, the partition and its per-clique neighbor view
+`n_c`, the friend lists' symmetry, exact density and friendship of every
+vertex via exact common-neighbor counts, the four decomposition
+invariants, clique size bounds, non-edge exactness, per-clique color
+discipline, the palette identity, matching floors, and edge-counter
+recounts.  Checks whose underlying claims are only high-probability
+report pass rates and attribute misses to estimator gaps (tracker belief
+differing from the oracle) instead of hard-failing.
 
 `ProperWatch` is the incremental form of the properness check: it feeds
 on color-assignment events, keeps its own occupancy index, and after
@@ -223,8 +223,6 @@ def verify(
         want_big_l = {v for v in cl.members if v not in cl.partner}
         if set(book.big_l) != want_big_l:
             viol.append(f"clique {cid}: big-L set wrong")
-        if book.uncolored != {v for v in want_big_l if colors.of[v] == BLANK}:
-            viol.append(f"clique {cid}: uncolored set wrong")
         for c, v in book.mp.items():
             if colors.of[v] != c or v not in want_big_l:
                 viol.append(f"clique {cid}: private matching entry ({v},{c}) wrong")
@@ -301,7 +299,7 @@ def verify(
                 viol.append(f"clique {cid}: non-edge degree of {v} too high")
     rep.add(CheckResult("nonedges", not viol, viol))
 
-    # friend-list structure: symmetry, flags vs V_i, no stale pair at a boundary --
+    # friend-list structure: symmetry, no stale pair at a boundary ---------------
     tracker = engine.tracker
     viol = tracker.check_consistency(boundary=boundary)
     rep.add(CheckResult("friend_lists", not viol, viol))
@@ -346,9 +344,9 @@ def verify(
                 elif commons >= lo:
                     mismatches += 1
                     gap_vertices.update((u, v))
-        # a dense flag the oracle cannot justify is an estimator gap too
+        # a V_i membership the oracle cannot justify is an estimator gap too
         for i, (_, hi, _) in enumerate(scales):
-            if tracker.dense_flag[i][v] and cnt_hi[i] < hi:
+            if v in tracker.vsets[i] and cnt_hi[i] < hi:
                 gap_vertices.add(v)
     rate = 1.0 - (mismatches / total if total else 0.0)
     rep.add(

@@ -92,8 +92,6 @@ def install_clique(engine, members):
         dec.clique_of[v] = c.id
     # recompute every neighbor view from scratch for global consistency
     for x in range(g.n):
-        dec.n_s[x] = {u for u in g.adj[x] if dec.clique_of[u] is None}
-        dec.n_d[x] = {u for u in g.adj[x] if dec.clique_of[u] is not None}
         nc = {}
         for u in g.adj[x]:
             cid = dec.clique_of[u]

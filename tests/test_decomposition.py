@@ -44,7 +44,8 @@ def test_sparse_insertion_changes_nothing():
     cs = drive(ins(0, 1))
     assert cs.empty()
     assert dec.clique_of[0] is None and dec.clique_of[1] is None
-    assert 1 in dec.n_s[0] and 0 in dec.n_s[1]
+    assert not dec.n_c[0] and not dec.n_c[1]
+    assert dec.check_structures() == []
 
 
 def test_incremental_clique_build_first_dense_move():

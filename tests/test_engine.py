@@ -57,8 +57,6 @@ def test_random_trace_proper_after_every_update():
 def structural_snapshot(engine):
     dec = engine.decomp
     return (
-        copy.deepcopy(dec.n_s),
-        copy.deepcopy(dec.n_d),
         copy.deepcopy(dec.n_c),
         {
             cid: (
@@ -94,6 +92,15 @@ def test_journal_revert_is_identity():
         engine.graph.apply(upd.inverse())
     engine.journal.revert(engine.decomp)
     assert structural_snapshot(engine) == before
+
+
+def test_sparse_updates_journal_nothing():
+    # without a clique no update has a neighbor view or matching to rewind
+    e = make_engine(64, 8, seed=5, phase_len=10**9)
+    adv = make_adversary("oblivious-random", 64, 8, seed=6)
+    run_stream(e, adv, 300)
+    assert not e.decomp.cliques and e.metrics.updates == 300
+    assert len(e.journal) == 0
 
 
 def test_nonedges_change_at_most_one_per_update_in_phase():
@@ -137,17 +144,24 @@ def test_trivial_recolor_dense_degraded_pick():
     )
     assert c.partner.get(0) == 1 and engine.dense.palette_identity_gap(c) == 0
     (free,) = c.book.A
+    old = engine.colors.of[x]
     engine.colors.set_sparse(x, free)
+    engine.dense.update_edge_counts(x, old, free)
     shared = engine.colors.of[1]
     m = engine.metrics
     before = (m.fallback_degraded, m.work)
     assert engine.trivial_recolor(0) == shared
-    # once for a pick inside book.usage, once for a color another member owns
+    # counted once, for a pick inside book.usage; its private holder, the old
+    # partner, pairs with 0 again on it
     assert (m.fallback_degraded, m.work) == (
-        before[0] + 2, before[1] + engine.palette + delta,
+        before[0] + 1, before[1] + engine.palette + delta,
     )
-    assert 0 not in c.partner and c.book.mp[shared] == 1
-    assert engine.is_proper()
+    assert c.partner.get(0) == 1 and c.partner.get(1) == 0
+    assert c.book.an[shared] == (0, 1) and shared not in c.book.mp
+    assert 0 not in c.book.big_l and 1 not in c.book.big_l
+    assert engine.dense.palette_identity_gap(c) == 0
+    rep = verify(engine, boundary=False)
+    assert rep.passed, rep.failed_names()
 
 
 def test_lowest_free_skips_held_and_avoided_colors():

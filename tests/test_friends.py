@@ -96,14 +96,14 @@ def test_update_vertex_dense_clique_and_star():
     tr = make_tracker(g, eps, tau, k=128)
     tr.update_vertex(0)
     # all delta neighbors qualify as friends, at the strictest scale too
-    assert [tr.dense_flag[i][0] for i in range(3)] == [1, 1, 1]
+    assert all(0 in tr.vsets[i] for i in range(3))
 
     star = DynamicGraph(delta + 1, delta)
     add_edges(star, [(0, leaf) for leaf in range(1, delta + 1)])
     tr2 = make_tracker(star, eps, tau, k=128)
     tr2.update_vertex(0)
     # leaves share nothing with the center: not dense even at the loosest scale
-    assert not tr2.dense_flag[2][0]
+    assert 0 not in tr2.vsets[2]
 
 
 def test_update_vertex_dense_at_threshold_friends():
@@ -123,7 +123,7 @@ def test_update_vertex_dense_at_threshold_friends():
     for seed in range(50):
         tr = make_tracker(g, eps, tau, k=paper_k(g.n, tau), seed=seed)
         tr.update_vertex(v)
-        hits += tr.dense_flag[0][v]
+        hits += v in tr.vsets[0]
     assert hits >= 48  # dense w.h.p. at the strictest scale: friends >= (1-eps)*delta
 
 
@@ -315,7 +315,6 @@ def _tracker_state(tr):
     # must not change either
     return (
         [[list(s) for s in lst] for lst in tr.lists],
-        [bytes(f) for f in tr.dense_flag],
         [list(s) for s in tr.vsets],
         tr.direct,
         tr.indirect,

@@ -1,6 +1,6 @@
 """Rarely written containers start as shared read-only empties.
 
-The friend lists, `Decomposition.n_d`/`n_c` and `ColorState.L_D` give an
+The friend lists, `Decomposition.n_c` and `ColorState.L_D` give an
 entry a container of its own on its first add and keep it from then on.
 """
 
@@ -16,17 +16,16 @@ from dyncolor.friends import FriendTracker
 from dyncolor.graph import DynamicGraph, dele
 from dyncolor.metrics import Metrics
 from dyncolor.params import ParamSet
-from dyncolor.sampleset import EMPTY_MAP, EMPTY_SET
+from dyncolor.sampleset import EMPTY_MAP
 
 from conftest import add_edges, clique_edges, dense_fixture, feed_edges, make_engine
 
 
 def _untouched(engine):
     """Each lazy set of vertex/color 0 of a fresh engine, with its name."""
-    dec, tr = engine.decomp, engine.tracker
+    tr = engine.tracker
     return [
         *((f"N_{i + 1}", tr.lists[i][0]) for i in range(3)),
-        ("n_d", dec.n_d[0]),
         ("L_D", engine.colors.L_D[0]),
     ]
 
@@ -37,7 +36,6 @@ def test_untouched_containers_are_one_shared_empty_each():
     for name, first in _untouched(engine) + [("n_c", dec.n_c[0])]:
         assert len(first) == 0 and list(first) == [] and 3 not in first, name
     assert all(s is tr.lists[0][0] for lst in tr.lists for s in lst)
-    assert all(s is dec.n_d[0] for s in dec.n_d)
     assert all(m is dec.n_c[0] for m in dec.n_c)
     assert all(s is engine.colors.L_D[0] for s in engine.colors.L_D)
     assert dec.n_c[0].get(7) is None and list(dec.n_c[0].items()) == []
@@ -100,15 +98,14 @@ def test_neighbor_views_keep_their_containers_after_a_collapse():
     engine = make_engine(8, 4)
     feed_edges(engine, [(0, 1), (0, 5)])
     dec = engine.decomp
-    assert dec.n_d[5] is EMPTY_SET and dec.n_c[5] is EMPTY_MAP
+    assert dec.n_c[5] is EMPTY_MAP
     c = dec._new_clique()
     dec._join(c, 0)
-    views = dec.n_d[5], dec.n_c[5]
-    assert list(views[0]) == [0] and views[1] == {c.id: {0}}
+    view = dec.n_c[5]
+    assert view == {c.id: {0}}
     dec.dissolve(c)
-    assert len(views[0]) == 0 and len(views[1]) == 0
-    assert dec.n_d[5] is views[0] and dec.n_c[5] is views[1]
-    assert dec.n_d[6] is EMPTY_SET and dec.n_c[6] is EMPTY_MAP
+    assert len(view) == 0 and dec.n_c[5] is view
+    assert dec.n_c[6] is EMPTY_MAP
     assert dec.check_structures() == []
 
 
@@ -124,30 +121,30 @@ def test_dense_color_list_keeps_its_sampleset_after_it_empties():
 
 
 def test_journal_revert_writes_into_untouched_neighbor_views():
-    # a member leaves the clique inside a phase (ND_REM / NC_REM noted) and
-    # the revert must re-add it, whatever container the neighbor holds
+    # a member leaves the clique inside a phase (NC_REM noted) and the
+    # revert must re-add it, whatever container the neighbor holds
     delta = 12
     members = list(range(delta))
     engine, (c,) = dense_fixture(24, delta, [members], extra_edges=[(0, 20)], seed=3)
     dec = engine.decomp
     dec._nbr_remove(20, 0)
-    dec.n_d[20], dec.n_c[20] = EMPTY_SET, EMPTY_MAP  # as if never written
+    dec.n_c[20] = EMPTY_MAP  # as if never written
     jn = J.PhaseJournal()
-    jn.note(J.ND_REM, 20, 0)
     jn.note(J.NC_REM, 20, c.id, 0)
     jn.revert(dec)
-    assert set(dec.n_d[20]) == {0} and dec.n_c[20] == {c.id: {0}}
-    assert len(EMPTY_SET) == 0 and len(EMPTY_MAP) == 0
+    assert dec.n_c[20] == {c.id: {0}}
+    assert len(EMPTY_MAP) == 0
     assert dec.check_structures() == []
 
 
 def test_engine_construction_stays_within_its_memory_budget():
     # with three friend sets, n_d, n_c and L_D made up front for every
-    # entry, construction peaked at ~97 MB; made on first add, at ~39 MB
+    # entry, construction peaked at ~97 MB; made on first add, at ~39 MB;
+    # without the sparse and dense neighbor sets n_s / n_d, at ~25 MB
     tracemalloc.start()
     try:
         Engine(2**16, 64)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 60 * 2**20
+    assert peak < 32 * 2**20

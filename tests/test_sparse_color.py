@@ -194,8 +194,6 @@ def test_color_sparse_load_law_small_sweep():
     for seed in range(6):
         e = blank_engine(n, delta, seed=seed)
         random_graph(n, delta, 24_000, seed=seed, g=e.graph)
-        for v in range(n):
-            e.decomp.n_s[v] = set(e.graph.adj[v])
         e.sparse.color_sparse()
         assert sparse_proper(e)
         max_load = max(len(lst) for lst in e.colors.L)
@@ -235,8 +233,6 @@ def test_recolor_sparse_phase_stress_within_caps():
     n, delta = 400, 40
     e = blank_engine(n, delta, seed=6)
     random_graph(n, delta, 4000, seed=6, g=e.graph)
-    for v in range(n):
-        e.decomp.n_s[v] = set(e.graph.adj[v])
     e.sparse.color_sparse()
     t = 60  # phase-scaled number of forced recolorings
     rng = random.Random(9)
@@ -253,8 +249,6 @@ def test_excess_color_floor_after_color_sparse():
     for seed in range(4):
         e = blank_engine(n, delta, eps=eps, seed=seed)
         random_graph(n, delta, 6000, seed=seed, g=e.graph)
-        for v in range(n):
-            e.decomp.n_s[v] = set(e.graph.adj[v])
         e.sparse.color_sparse()
         floor = eps * eps * delta  # floor knob pinned at 1.0 for the check
         for v in range(n):
@@ -266,8 +260,6 @@ def test_in_phase_load_growth():
     n, delta = 1000, 100
     e = blank_engine(n, delta, seed=11)
     random_graph(n, delta, 15_000, seed=11, g=e.graph)
-    for v in range(n):
-        e.decomp.n_s[v] = set(e.graph.adj[v])
     e.sparse.color_sparse()
     start = [len(lst) for lst in e.colors.L]
     t = 80

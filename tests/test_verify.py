@@ -60,9 +60,11 @@ def test_fault_properness_on_the_baseline():
 
 def test_fault_partition_structures():
     engine, (c,) = fresh_dense()
-    engine.decomp.n_s[0].add(5)  # bogus sparse-neighbor entry
+    assert not engine.graph.has_edge(0, 1)
+    engine.decomp.n_c[0][c.id].add(1)  # a non-neighbor listed as a dense neighbor
     rep = verify(engine)
     assert "partition_structures" in rep.failed_names()
+    assert "n_c mismatch at 0" in rep.checks["partition_structures"].violations
 
 
 def test_fault_occupancy_lists():
@@ -88,6 +90,17 @@ def test_fault_palette_identity():
         c.book.A.add(0)
     rep = verify(engine)
     assert "palette_identity" in rep.failed_names()
+
+
+def test_fault_palette_identity_counts_blank_members_from_the_coloring():
+    # a private member blanked in the coloring alone: the identity's blank
+    # big-L count is read off the colors, so |A| now looks one too small
+    engine, (c,) = fresh_dense()
+    v = min(c.book.mp.values())
+    engine.colors.clear_dense(v)
+    rep = verify(engine)
+    assert "palette_identity" in rep.failed_names()
+    assert rep.checks["palette_identity"].violations == [f"clique {c.id}: |A| off by -1"]
 
 
 def test_fault_edge_counters():
@@ -163,17 +176,14 @@ def test_fault_friend_lists():
     assert any("stale" in v for v in rep.checks["friend_lists"].violations)
     tr.lists[2][0].discard(1)
     tr.lists[2][1].discard(0)
-    # one-sided pair and a flag without its V_i entry fail at any time
+    # a one-sided pair fails at any time
     u = next(x for x in range(engine.n) if tr.lists[1][x])
     v = next(iter(tr.lists[1][u]))
     tr.lists[1][v].discard(u)
-    w = next(iter(tr.vsets[0]))
-    tr.vsets[0].discard(w)
     rep = verify(engine, boundary=False)
     found = rep.checks["friend_lists"].violations
     assert "friend_lists" in rep.failed_names()
     assert f"N_2: asymmetric friend pair ({u},{v})" in found
-    assert f"V_1: flag and set disagree at {w}" in found
 
 
 def test_fault_invariants_hard_violation():

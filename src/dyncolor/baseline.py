@@ -3,8 +3,11 @@
 On a monochromatic insertion it recolors the second endpoint with the
 smallest color no neighbor holds (`ColorState.lowest_free`), which always
 exists because the palette exceeds the degree cap.  Work is metered as
-the palette size plus the neighborhood size, the cost of a rescan that
-marks a palette-sized table.
+palette plus neighborhood size, modelling a rescan that marks a
+palette-sized table; accept-8's baseline slope gate rests on that charge.
+`lowest_free` stops at the first free color, so the scan is far cheaper
+on sparse graphs: adaptive-monochrome at n = 4096, delta = 2048 picks
+color 1.87 on average at mean degree 3.0, while work per update is 2053.
 """
 
 from __future__ import annotations

@@ -74,7 +74,8 @@ class ColorState:
     def lowest_free(self, vertices, avoid=()) -> int | None:
         """The lowest color no vertex of `vertices` holds and `avoid` lacks.
 
-        None when every color is taken.  The callers charge the scan.
+        None when every color is taken.  It stops at the first free color;
+        callers charge the table-marking rescan it models, palette + degree.
         """
         of = self.of
         used = {of[w] for w in vertices}

@@ -92,7 +92,7 @@ class Decomposition:
         return None if cid is None else self.cliques[cid]
 
     def sparse_vertices(self) -> list[int]:
-        return [v for v in range(self.graph.n) if self.clique_of[v] is None]
+        return [v for v, cid in enumerate(self.clique_of) if cid is None]
 
     # ---- journaled structure helpers ---------------------------------------
 

@@ -7,7 +7,8 @@ x[i] with x[_randbelow(i + 1)] for i from len(x) - 1 down to 1.  The
 helpers below make exactly those `getrandbits` calls without the call
 layers, so the values returned and the generator state left behind equal
 the library's (pinned by tests/test_draws.py; the golden traces depend on
-it).
+it).  `DenseColoring` draws through `palette_drawer`; the sparse
+rejection loop inlines the same draw, as it runs once per try.
 """
 
 from __future__ import annotations
@@ -30,10 +31,12 @@ def palette_drawer(rng, palette: int):
 def shuffle(rng, x: list) -> None:
     """Shuffle x in place exactly as `rng.shuffle(x)` does."""
     getrandbits = rng.getrandbits
-    for i in range(len(x) - 1, 0, -1):
-        n = i + 1
-        k = n.bit_length()
-        j = getrandbits(k)
-        while j >= n:
+    top = len(x) - 1
+    # walk i down in blocks over which (i + 1).bit_length() stays k
+    for k in range(len(x).bit_length(), 1, -1):
+        for i in range(top, (1 << (k - 1)) - 2, -1):
             j = getrandbits(k)
-        x[i], x[j] = x[j], x[i]
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        top = i - 1

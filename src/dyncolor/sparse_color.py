@@ -3,15 +3,18 @@
 A phase starts with a from-scratch pass: half the sparse vertices try a
 single random color each (one-shot), the rest are colored greedily in
 random order by rejection sampling.  Inside a phase, conflicted sparse
-vertices are recolored by the same rejection loop.  Every feasibility
-check consults only sparse occupants of L(c) and ignores dense
-neighbors; the engine reconciles dense neighbors afterwards.
+vertices are recolored by the same rejection loop.
+
+`_rejection_color` is the one place the feasibility rule is written: a
+color c is feasible for v iff no neighbor of v sits in L(c).  The check
+consults only sparse occupants of L(c) and ignores dense neighbors; the
+engine reconciles dense neighbors afterwards.
 """
 
 from __future__ import annotations
 
 from .colors import BLANK
-from .draws import palette_drawer, shuffle
+from .draws import shuffle
 
 
 class SparseColoring:
@@ -24,39 +27,6 @@ class SparseColoring:
         self.palette = graph.delta + 1
         self.cap = params.loop_cap(graph.n)
         self.rng = rng
-
-    @property
-    def rng(self):
-        return self._rng
-
-    @rng.setter
-    def rng(self, rng):
-        # the palette drawer is built once per generator, not once per
-        # call: in-phase recoloring calls the draw loop for one vertex
-        self._rng = rng
-        self._draw = palette_drawer(rng, self.palette)
-
-    def feasible(self, v: int, c: int) -> bool:
-        """True iff no sparse neighbor of v sits in L(c).
-
-        Walks whichever is shorter, v's adjacency or L(c), probing the
-        other's index, and charges the side it walked.
-        """
-        adj = self.graph.adj[v]
-        lst = self.colors.L[c]
-        walk = adj.items
-        if len(walk) < len(lst.items):
-            other = lst._pos
-        else:
-            walk, other = lst.items, adj._pos
-        k = len(walk)
-        m = self.metrics
-        m.probes += k
-        m.work += k + 1
-        for w in walk:
-            if w in other:
-                return False
-        return True
 
     def one_shot_coloring(self, vertices) -> list[int]:
         """Each vertex draws one color; keeps it if no neighbor beat it to L(c).
@@ -75,39 +45,61 @@ class SparseColoring:
         shuffle(self.rng, order)
         self._rejection_color(order)
 
-    def _rejection_color(self, vertices, one_shot: bool = False) -> None:
+    def _rejection_color(self, vertices, one_shot: bool = False) -> int:
         """Give each blank vertex in turn the first feasible of its color draws.
 
-        A vertex draws up to `cap` colors (one in the one-shot pass) and
-        takes the first that `feasible` accepts; when none is, it takes
-        the fallback color, or stays blank in the one-shot pass.  A vertex
-        without neighbors takes its first draw without asking `feasible`,
-        and is charged the unit `feasible` charges for walking nothing.
+        A vertex draws up to `cap` colors (one in the one-shot pass), each
+        as `palette_drawer` does, and takes the first feasible one; when
+        none is, it takes the fallback color, or stays blank in the
+        one-shot pass.  Returns how many stayed blank.  A check walks the
+        shorter of v's adjacency and L(c), probing the other's index, and
+        is charged whole: a probe per element, and a unit per element plus
+        one.  A vertex without neighbors takes its first draw unchecked,
+        charged as a walk of nothing.  A draw costs a sample and a unit.
         Placement appends v to L(c) as `SampleSet.add` does for an absent
-        element, and fires the listeners with (v, BLANK, c), as
+        element and fires the listeners with (v, BLANK, c), as
         `set_sparse` on a blank v does.
         """
         colors = self.colors
         of, L, listeners = colors.of, colors.L, colors.listeners
         adj = self.graph.adj
-        draw, feasible = self._draw, self.feasible
+        getrandbits = self.rng.getrandbits
+        palette = self.palette
+        k = palette.bit_length()
         tries = 1 if one_shot else self.cap
-        drawn = isolated = 0
+        drawn = probes = missed = 0
         for v in vertices:
             if of[v] != BLANK:
                 raise ValueError(f"vertex {v} is not blank")
-            if not adj[v].items:
-                c = draw()
-                isolated += 1
+            nbrs = adj[v]
+            near = nbrs.items
+            if not near:
+                c = getrandbits(k)
+                while c >= palette:
+                    c = getrandbits(k)
+                drawn += 1
             else:
+                near_pos, deg = nbrs._pos, len(near)
                 for i in range(tries):
-                    c = draw()
-                    if feasible(v, c):
+                    c = getrandbits(k)
+                    while c >= palette:
+                        c = getrandbits(k)
+                    lst = L[c]
+                    if deg < len(lst.items):
+                        walk, index = near, lst._pos
+                    else:
+                        walk, index = lst.items, near_pos
+                    probes += len(walk)
+                    for w in walk:
+                        if w in index:
+                            break
+                    else:
                         drawn += i + 1
                         break
                 else:
                     drawn += tries
                     if one_shot:
+                        missed += 1
                         continue
                     c = self._fallback(v)
             of[v] = c
@@ -115,13 +107,14 @@ class SparseColoring:
             items = lst.items
             lst._pos[v] = len(items)
             items.append(v)
-            for fn in listeners:
-                fn(v, BLANK, c)
+            if listeners:
+                for fn in listeners:
+                    fn(v, BLANK, c)
         m = self.metrics
-        m.samples += drawn + isolated
-        # an isolated vertex: one draw, plus the 1 that feasible charges
-        # for walking an empty adjacency
-        m.work += drawn + 2 * isolated
+        m.probes += probes
+        m.work += 2 * drawn + probes
+        m.samples += drawn
+        return missed
 
     def _fallback(self, v: int) -> int:
         """The lowest color no neighbor of v holds, found by a scan."""
@@ -132,15 +125,23 @@ class SparseColoring:
         return self.colors.lowest_free(adj)
 
     def color_sparse(self, vertices=None) -> None:
-        """Phase-start recoloring of the whole sparse side (all blank)."""
-        if vertices is None:
-            vertices = self.decomp.sparse_vertices()
-        vs = sorted(vertices)
+        """Phase-start recoloring of the sparse side, which must be all blank.
+
+        `vertices` must ascend; by default it is every sparse vertex.
+        """
+        vs = self.decomp.sparse_vertices() if vertices is None else vertices
         random = self.rng.random
         picked = [v for v in vs if random() < 0.5]
         self.metrics.samples += len(vs)
-        colored = set(self.one_shot_coloring(picked))
-        self.greedy_coloring([v for v in vs if v not in colored])
+        missed = self._rejection_color(picked, one_shot=True)
+        of = self.colors.of
+        rest = [v for v in vs if of[v] == BLANK]
+        # a colored picked vertex made the one-shot pass raise; a colored
+        # unpicked one is missing from `rest`, so the counts disagree
+        if len(vs) - len(rest) != len(picked) - missed:
+            raise ValueError("color_sparse needs blank vertices")
+        shuffle(self.rng, rest)
+        self._rejection_color(rest)
 
     def recolor_sparse(self, v: int) -> int:
         """Drop v's color and rejection-sample a fresh one."""

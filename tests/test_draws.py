@@ -28,7 +28,14 @@ def test_palette_draw_is_randrange(palette):
     assert rng.getstate() == ref.getstate()
 
 
-@pytest.mark.parametrize("length", [0, 1, 2, 50])
+# every short length, and both sides of each power of two: the shuffle
+# draws in blocks over which (i + 1).bit_length() is constant
+SHUFFLE_LENGTHS = sorted(
+    set(range(71)) | {(1 << k) + d for k in range(14) for d in (-1, 0, 1)}
+)
+
+
+@pytest.mark.parametrize("length", SHUFFLE_LENGTHS)
 def test_shuffle_is_random_shuffle(length):
     rng, ref = random.Random(length), random.Random(length)
     for _ in range(20):

@@ -67,9 +67,13 @@ def test_coloring_passes_reject_a_colored_vertex():
 
 
 def test_isolated_vertex_is_charged_what_feasible_charges():
-    # the draw loop takes an isolated vertex's first draw without calling
-    # `feasible`; it must still charge what that call would have
+    # the draw loop takes an isolated vertex's first draw without checking
+    # it; it must still charge what a checked draw that walks nothing does:
+    # vertex 1 has a neighbor and L(1) is empty, so its check walks L(1)
     e = blank_engine(6, 3)
+    e.graph.apply(ins(1, 2))
+    e.decomp.note_edge(ins(1, 2))
+    e.sparse.rng = _ForcedDraws(1)
     m = e.metrics
 
     def charge(fn):
@@ -77,11 +81,27 @@ def test_isolated_vertex_is_charged_what_feasible_charges():
         fn()
         return tuple(a - b for a, b in zip((m.work, m.probes, m.samples), before))
 
-    check = charge(lambda: e.sparse.feasible(0, 1))
-    placed = charge(lambda: e.sparse.greedy_coloring([0]))
-    # one draw costs one sample and one unit of work, on top of the check
-    assert placed == (check[0] + 1, check[1], check[2] + 1)
-    assert e.colors.of[0] != BLANK
+    # one draw: one sample and one unit, plus one unit for the empty walk
+    assert charge(lambda: e.sparse.greedy_coloring([1])) == (2, 0, 1)
+    e.colors.clear_sparse(1)
+    assert charge(lambda: e.sparse.greedy_coloring([0])) == (2, 0, 1)
+    assert e.colors.of[0] == 1
+
+
+def test_color_sparse_rejects_a_colored_vertex():
+    # whichever half the colored vertex falls in, the pass refuses it
+    halves = set()
+    for seed in range(8):
+        e = blank_engine(12, 4, seed=seed)
+        e.colors.set_sparse(5, 2)
+        # the pass's first 12 draws pick the one-shot half
+        ahead = random.Random()
+        ahead.setstate(e.rng.getstate())
+        halves.add([ahead.random() < 0.5 for _ in range(12)][5])
+        with pytest.raises(ValueError):
+            e.sparse.color_sparse()
+        assert e.colors.of[5] == 2
+    assert halves == {True, False}
 
 
 def test_one_shot_conflict_first_processed_wins():
@@ -109,7 +129,7 @@ def test_capped_draws_fall_back_to_lowest_free_color():
     cap, palette = e.sparse.cap, e.sparse.palette
     before = (m.fallbacks, m.work, m.samples)
     assert e.sparse.recolor_sparse(0) == 1
-    # each draw: one sample and one unit, plus `feasible` walking L(3) (one
+    # each draw: one sample and one unit, plus the check walking L(3) (one
     # entry) for two; then the rescan charges the palette plus the degree
     assert (m.fallbacks, m.work, m.samples) == (
         before[0] + 1, before[1] + 3 * cap + palette + 2, before[2] + cap,
@@ -279,23 +299,33 @@ def test_feasible_matches_brute_force_in_both_probe_directions(rnd, m):
     # the other lists stay short, so both the adjacency-side walk
     # (deg(v) < |L(c)|) and the list-side walk (deg(v) > |L(c)|) occur
     n, delta = 40, 10
-    e = blank_engine(n, delta)
+    e = blank_engine(n, delta, cap_factor=1)
     random_graph(n, delta, m, seed=rnd.randrange(2**32), g=e.graph)
     for v in range(n):
         if rnd.random() < 0.5:
             e.colors.set_sparse(v, 0)
         elif rnd.random() < 0.8:
             e.colors.set_sparse(v, rnd.randrange(1, delta + 1))
+    cap = e.sparse.cap
     directions = set()
     for v in range(n):
         adj = e.graph.adj[v]
         for c in range(delta + 1):
+            old = e.colors.clear_sparse(v)
             lst = e.colors.L[c]
             brute = not any(w in lst for w in adj)
-            probes0 = e.metrics.probes
-            assert e.sparse.feasible(v, c) == brute
-            # the walk is charged whole, on the shorter side
-            assert e.metrics.probes - probes0 == min(len(adj), len(lst))
+            walk = min(len(adj), len(lst))
             if len(adj) != len(lst):
                 directions.add(len(adj) < len(lst))
+            # every draw is c: v takes it at once, or after `cap` rejected
+            # draws falls back to a color no neighbor holds
+            e.sparse.rng = _ForcedDraws(c)
+            probes0 = e.metrics.probes
+            e.sparse.greedy_coloring([v])
+            assert (e.colors.of[v] == c) == brute
+            # each check is charged whole, on the shorter side
+            assert e.metrics.probes - probes0 == walk * (1 if brute else cap)
+            e.colors.clear_sparse(v)
+            if old != BLANK:
+                e.colors.set_sparse(v, old)
     assert directions == {True, False}

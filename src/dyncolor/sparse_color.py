@@ -28,20 +28,17 @@ class SparseColoring:
         self.cap = params.loop_cap(graph.n)
         self.rng = rng
 
-    def one_shot_coloring(self, vertices) -> list[int]:
-        """Each vertex draws one color; keeps it if no neighbor beat it to L(c).
-
-        Processing order is ascending id; only the winner of a sampled
-        conflict gets colored.  Returns the colored subset.
-        """
-        order = sorted(vertices)
-        self._rejection_color(order, one_shot=True)
-        of = self.colors.of
-        return [v for v in order if of[v] != BLANK]
+    def one_shot_coloring(self, vertices) -> int:
+        """Each vertex, in the given order, draws one color and keeps it if
+        no neighbor is in L(c) yet; returns how many stayed blank."""
+        return self._rejection_color(vertices, one_shot=True)
 
     def greedy_coloring(self, vertices) -> None:
-        """Color every vertex by rejection sampling, in uniform random order."""
-        order = sorted(vertices)
+        """Color every vertex by rejection sampling, in uniform random order.
+
+        `vertices` must ascend, so the shuffle alone fixes the order.
+        """
+        order = list(vertices)
         shuffle(self.rng, order)
         self._rejection_color(order)
 
@@ -133,15 +130,14 @@ class SparseColoring:
         random = self.rng.random
         picked = [v for v in vs if random() < 0.5]
         self.metrics.samples += len(vs)
-        missed = self._rejection_color(picked, one_shot=True)
+        missed = self.one_shot_coloring(picked)
         of = self.colors.of
         rest = [v for v in vs if of[v] == BLANK]
         # a colored picked vertex made the one-shot pass raise; a colored
         # unpicked one is missing from `rest`, so the counts disagree
         if len(vs) - len(rest) != len(picked) - missed:
             raise ValueError("color_sparse needs blank vertices")
-        shuffle(self.rng, rest)
-        self._rejection_color(rest)
+        self.greedy_coloring(rest)
 
     def recolor_sparse(self, v: int) -> int:
         """Drop v's color and rejection-sample a fresh one."""

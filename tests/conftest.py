@@ -20,6 +20,20 @@ def make_params(eps=0.2, tau=None, seed=0, phase_len=None, k=None, fire=None, **
     )
 
 
+def sweep_params(seed, delta):
+    # cheap-tracker desk profile for the large properness and scaling sweeps:
+    # refresh firing and phase length scale with delta so per-update work is
+    # homogeneous across sizes
+    return ParamSet(
+        epsilon=0.2,
+        tau=0.2,
+        seed=seed,
+        sample_count_k=12,
+        fire_threshold=max(8.0, delta / 4.0),
+        phase_len_t=max(64, delta // 8),
+    )
+
+
 def make_engine(n, delta, strict=True, **param_kw):
     return Engine(n, delta, EngineConfig(params=make_params(**param_kw), strict=strict))
 

@@ -24,26 +24,12 @@ from dyncolor.params import ParamSet
 from dyncolor.runner import run_stream
 from dyncolor.verify import verify
 
-from conftest import make_engine, random_graph
+from conftest import make_engine, random_graph, sweep_params
 
 
 def report(name, ok, detail):
     print(f"\nACCEPT {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{name}: {detail}"
-
-
-def sweep_params(seed, delta):
-    # cheap-tracker desk profile for the large properness and scaling sweeps:
-    # refresh firing and phase length scale with delta so per-update work is
-    # homogeneous across sizes
-    return ParamSet(
-        epsilon=0.2,
-        tau=0.2,
-        seed=seed,
-        sample_count_k=12,
-        fire_threshold=max(8.0, delta / 4.0),
-        phase_len_t=max(64, delta // 8),
-    )
 
 
 # ---- criterion 1: master properness --------------------------------------------------

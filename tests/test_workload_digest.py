@@ -22,7 +22,9 @@ from itertools import compress
 
 import pytest
 
-from dyncolor import Engine, EngineConfig, ParamSet, make_adversary
+from dyncolor import Engine, EngineConfig, make_adversary
+
+from conftest import sweep_params
 
 # name -> (strategy, n, delta, updates), as the benchmark defines them
 WORKLOADS = {
@@ -39,18 +41,6 @@ DIGESTS = {
     "churn-dense": "d206b76317065bbed7ecc9c0b1cd48830dffa49e680131607591d52416181681",
     "deletion-wide": "a71f4a41c35403896db802a2bfe22428ff1d98d73e3dd163b4783a5a83eb9e6b",
 }
-
-
-def sweep_params(seed, delta):
-    """The acceptance suite's cheap-tracker desk profile."""
-    return ParamSet(
-        epsilon=0.2,
-        tau=0.2,
-        seed=seed,
-        sample_count_k=12,
-        fire_threshold=max(8.0, delta / 4.0),
-        phase_len_t=max(64, delta // 8),
-    )
 
 
 def _ints(h, xs):

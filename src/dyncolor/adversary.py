@@ -9,6 +9,7 @@ randomness.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 
 from .errors import Exhausted
 from .graph import DynamicGraph, EdgeUpdate
@@ -162,14 +163,15 @@ class CliqueChurn(Adversary):
         self._stage = "build"
         self._churn_left = self.churn_steps
 
-    def _inside_edges(self):
-        g = self.mirror
-        return [
-            (u, v)
-            for i, u in enumerate(self._target)
-            for v in self._target[i + 1 :]
-            if g.has_edge(u, v)
-        ]
+    def _start_churn(self):
+        # the target pairs in lexicographic order and the sorted indices of
+        # the non-edges among them; only churn updates touch the target
+        # from here on, so each step keeps the gaps in step itself
+        t = self._target
+        self._pairs = [(u, v) for i, u in enumerate(t) for v in t[i + 1 :]]
+        has_edge = self.mirror.has_edge
+        self._gaps = [k for k, (u, v) in enumerate(self._pairs) if not has_edge(u, v)]
+        self._stage = "churn"
 
     def _propose(self, view):
         g, rng = self.mirror, self.rng
@@ -182,9 +184,8 @@ class CliqueChurn(Adversary):
                     if g.degree(u) < self.delta and g.degree(v) < self.delta:
                         self._built.append((u, v))
                         return EdgeUpdate(u, v, True)
-                self._stage = "churn"
-                continue
-            if self._stage == "churn":
+                self._start_churn()
+            elif self._stage == "churn":
                 if self._churn_left <= 0:
                     self._stage = "erode"
                     self.rng.shuffle(self._built)
@@ -192,33 +193,32 @@ class CliqueChurn(Adversary):
                     continue
                 self._churn_left -= 1
                 # alternate: knock one inside edge out, or patch one back in
-                inside = self._inside_edges()
+                pairs, gaps, deg = self._pairs, self._gaps, g.degree
                 holes = [
-                    (u, v)
-                    for i, u in enumerate(self._target)
-                    for v in self._target[i + 1 :]
-                    if not g.has_edge(u, v)
-                    and g.degree(u) < self.delta
-                    and g.degree(v) < self.delta
+                    k for k in gaps
+                    if deg(pairs[k][0]) < self.delta and deg(pairs[k][1]) < self.delta
                 ]
+                inside = len(pairs) - len(gaps)
                 if holes and (not inside or self._churn_left % 2 == 0):
-                    return EdgeUpdate(*holes[rng.randrange(len(holes))], True)
+                    k = holes[rng.randrange(len(holes))]
+                    del gaps[bisect_left(gaps, k)]
+                    return EdgeUpdate(*pairs[k], True)
                 if inside:
-                    return EdgeUpdate(*inside[rng.randrange(len(inside))], False)
-                continue
-            if self._stage == "erode":
+                    # the k-th inside pair: step past every gap at or before it
+                    k = rng.randrange(inside)
+                    for gap in gaps:
+                        if gap > k:
+                            break
+                        k += 1
+                    insort(gaps, k)
+                    return EdgeUpdate(*pairs[k], False)
+            else:
                 while self._erode_left > 0 and self._built:
                     u, v = self._built.pop()
                     self._erode_left -= 1
                     if g.has_edge(u, v):
                         return EdgeUpdate(u, v, False)
                 self._pick_target()
-                continue
-            break
-        upd = self._random_insert() or self._random_delete()
-        if upd is None:
-            raise Exhausted("no legal update found")
-        return upd
 
 
 class Scripted(Adversary):

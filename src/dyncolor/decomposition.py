@@ -18,18 +18,16 @@ dense moves.
 The one neighbor view kept per vertex is `n_c[x]`: x's dense neighbors,
 grouped by clique, which feeds the clique edge counters t_c.  Sparse
 neighbors are read from `graph.adj` and the occupancy lists, so a
-sparse-sparse update touches no view and journals nothing.  `n_c[x]`
-starts as the shared read-only `EMPTY_MAP` and becomes x's own on the
-first add (`own`); a vertex with no dense neighbor, which is most
-vertices on most graphs, never gets one.  Once made it is never dropped,
-even empty.
+sparse-sparse update touches no view.  `n_c[x]` starts as the shared
+read-only `EMPTY_MAP` and becomes x's own on the first add (`own`); a
+vertex with no dense neighbor, which is most vertices on most graphs,
+never gets one.  Once made it is never dropped, even empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import journal as J
 from .errors import InvariantViolation
 from .sampleset import EMPTY_MAP, own
 
@@ -80,7 +78,6 @@ class Decomposition:
         self.n_c: list[dict[int, set[int]]] = [EMPTY_MAP] * n
         self.cliques: dict[int, AlmostClique] = {}
         self._next_cid = 0
-        self.journal: J.PhaseJournal | None = None  # set by the engine during phases
         delta = graph.delta
         self.friend_floor = (1.0 - params.c3) * delta
         self.collapse_limit = params.collapse_limit(delta)
@@ -94,14 +91,12 @@ class Decomposition:
     def sparse_vertices(self) -> list[int]:
         return [v for v, cid in enumerate(self.clique_of) if cid is None]
 
-    # ---- journaled structure helpers ---------------------------------------
+    # ---- neighbor views ------------------------------------------------------
 
     def _nbr_add(self, x: int, w: int) -> None:
         cid = self.clique_of[w]
         if cid is not None:
             own(self.n_c, x).setdefault(cid, set()).add(w)
-            if self.journal is not None:
-                self.journal.note(J.NC_ADD, x, cid, w)
 
     def _nbr_remove(self, x: int, w: int) -> None:
         cid = self.clique_of[w]
@@ -111,8 +106,6 @@ class Decomposition:
                 s.discard(w)
                 if not s:
                     self.n_c[x].pop(cid)
-            if self.journal is not None:
-                self.journal.note(J.NC_REM, x, cid, w)
 
     def note_edge(self, upd) -> None:
         """Neighbor-view bookkeeping for one applied update (no non-edge work)."""
@@ -142,26 +135,18 @@ class Decomposition:
     def nonedge_add(self, c: AlmostClique, u: int, v: int) -> None:
         self._nonedge_add_raw(c, u, v)
         self.metrics.nonedge_adjustments += 1
-        if self.journal is not None:
-            self.journal.note(J.NE_ADD, c.id, u, v)
 
     def nonedge_remove(self, c: AlmostClique, u: int, v: int) -> None:
         self._nonedge_remove_raw(c, u, v)
         self.metrics.nonedge_adjustments += 1
-        if self.journal is not None:
-            self.journal.note(J.NE_REM, c.id, u, v)
 
     def match_add(self, c: AlmostClique, u: int, v: int) -> None:
         c.partner[u] = v
         c.partner[v] = u
-        if self.journal is not None:
-            self.journal.note(J.MT_ADD, c.id, u, v)
 
     def match_remove(self, c: AlmostClique, u: int, v: int) -> None:
         c.partner.pop(u, None)
         c.partner.pop(v, None)
-        if self.journal is not None:
-            self.journal.note(J.MT_REM, c.id, u, v)
 
     # ---- scale-3 friend view inside cliques ----------------------------------
 
@@ -196,8 +181,8 @@ class Decomposition:
 
         `matching_hook(clique, upd)` owns the non-edge-list and matching
         surgery of a same-clique update; the engine passes
-        `DenseColoring.maintain_matching`.  Runs with journaling off (the
-        phase-boundary replay).
+        `DenseColoring.maintain_matching`.  Only the phase-boundary replay
+        calls it, so this is where the partition changes.
         """
         u, v = upd.u, upd.v
         refresh = self.tracker.maintain_friends(upd)

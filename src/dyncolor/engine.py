@@ -2,9 +2,9 @@
 
 The decomposition is frozen for a phase of updates while colors are
 maintained incrementally.  At the phase boundary the in-phase structural
-deltas are rewound, the phase's updates are replayed through the full
-decomposition maintainer, matchings are normalized, and every vertex is
-recolored from scratch.
+deltas are rewound from the phase's own updates, which are then replayed
+through the full decomposition maintainer, matchings are normalized, and
+every vertex is recolored from scratch.
 
 The engine's master guarantee is unconditional properness after every
 processed update: every randomized recoloring loop is capped, a capped
@@ -60,7 +60,6 @@ class Engine(ColoringAlgorithm):
             self.graph, self.decomp, self.colors, params, self.rng, self.metrics
         )
         self.journal = PhaseJournal()
-        self.decomp.journal = self.journal
         self.phase_len = params.phase_len(delta)
         self.phase_index = 0
         self.updates_in_phase = 0
@@ -278,23 +277,22 @@ class Engine(ColoringAlgorithm):
         """End-of-phase rebuild: rewind, replay, rematch, recolor from scratch."""
         self.metrics.phase_inits += 1
         work0 = self.metrics.work
-        # rewind the graph and the journaled structures to phase start, so the
-        # replay sees the historically correct adjacency at every step
+        # rewind the graph, the neighbor views, the non-edge lists and the
+        # matchings to phase start, so the replay sees the historically
+        # correct adjacency at every step
         for upd in reversed(self.phase_updates):
             self.graph.apply(upd.inverse())
-        self.journal.revert(self.decomp)
+        self.journal.revert(self.decomp, self.phase_updates)
         self.metrics.work += 2 * len(self.phase_updates)
         # colors stay as they are until rebuild_colors blanks them: the
         # replay below never reads them
         for clique in self.decomp.cliques.values():
             clique.book = None
-        self.decomp.journal = None
         for upd in self.phase_updates:
             self.graph.apply(upd)
             self.decomp.update_decomposition(upd, self.dense.maintain_matching)
         self.rebuild_colors()
         self.phase_updates.clear()
-        self.decomp.journal = self.journal
         self.updates_in_phase = 0
         self.phase_index += 1
         self.metrics.init_work.append(self.metrics.work - work0)
@@ -316,3 +314,5 @@ class Engine(ColoringAlgorithm):
             for v in sorted(clique.book.big_l):
                 if self.colors.of[v] == BLANK:
                     self._match_safe(v)
+        # a phase starts here: the next rewind restores these matchings
+        self.journal.start(self.decomp)

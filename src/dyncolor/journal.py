@@ -1,61 +1,48 @@
-"""Reversible delta log for the structures that stay frozen across a phase.
+"""Rewind of the structures that stay frozen across a phase.
 
-Every in-phase mutation of the partition-adjacent structures (the
-per-clique neighbor view `n_c`, non-edge lists, non-edge matching) is
-recorded here so that the end-of-phase rebuild can rewind them to their
-phase-start state before replaying the phase's updates.  A
-sparse-sparse update records nothing.
+Inside a phase the partition is frozen, so two of the three structures the
+end-of-phase rebuild must rewind follow from the phase's own updates: the
+per-clique neighbor views `n_c` change only as `note_edge` records each
+update, and a same-clique update toggles exactly one non-edge.  `revert`
+undoes both from the update list, newest first, with the helpers that made
+them; a sparse-sparse update changed neither.  The non-edge matching does
+not follow from the graph, because the pair fallbacks break and form pairs,
+so `start` copies each clique's matching when a phase starts and `revert`
+puts the copies back.
 """
 
 from __future__ import annotations
 
-from .sampleset import own
-
-NC_ADD, NC_REM, NE_ADD, NE_REM, MT_ADD, MT_REM = range(6)
-
 
 class PhaseJournal:
-    __slots__ = ("ops",)
+    __slots__ = ("partners",)
 
     def __init__(self):
-        self.ops: list[tuple] = []
+        self.partners: dict[int, dict[int, int]] = {}  # clique id -> matching
 
-    def note(self, *op):
-        self.ops.append(op)
+    def start(self, decomp) -> None:
+        """Copy every clique's matching as it stands at phase start."""
+        self.partners = {cid: dict(c.partner) for cid, c in decomp.cliques.items()}
 
-    def __len__(self):
-        return len(self.ops)
-
-    def revert(self, decomp) -> None:
-        """Undo every recorded op, newest first, then empty the log."""
-        n_c = decomp.n_c
+    def revert(self, decomp, updates) -> None:
+        """Undo the phase's `updates`, newest first, on the frozen partition."""
+        clique_of = decomp.clique_of
         cliques = decomp.cliques
-        for op in reversed(self.ops):
-            tag = op[0]
-            if tag == NC_ADD:
-                _, x, cid, w = op
-                s = n_c[x].get(cid)
-                if s is not None:
-                    s.discard(w)
-                    if not s:
-                        n_c[x].pop(cid)
-            elif tag == NC_REM:
-                _, x, cid, w = op
-                own(n_c, x).setdefault(cid, set()).add(w)
-            elif tag == NE_ADD:
-                _, cid, u, v = op
-                decomp._nonedge_remove_raw(cliques[cid], u, v)
-            elif tag == NE_REM:
-                _, cid, u, v = op
-                decomp._nonedge_add_raw(cliques[cid], u, v)
-            elif tag == MT_ADD:
-                _, cid, u, v = op
-                c = cliques[cid]
-                c.partner.pop(u, None)
-                c.partner.pop(v, None)
-            elif tag == MT_REM:
-                _, cid, u, v = op
-                c = cliques[cid]
-                c.partner[u] = v
-                c.partner[v] = u
-        self.ops.clear()
+        for upd in reversed(updates):
+            u, v = upd.u, upd.v
+            cu, cv = clique_of[u], clique_of[v]
+            if cu is None and cv is None:
+                continue
+            if upd.insert:
+                decomp._nbr_remove(v, u)
+                decomp._nbr_remove(u, v)
+                if cu == cv:
+                    decomp._nonedge_add_raw(cliques[cu], u, v)
+            else:
+                decomp._nbr_add(v, u)
+                decomp._nbr_add(u, v)
+                if cu == cv:
+                    decomp._nonedge_remove_raw(cliques[cu], u, v)
+        for cid, partner in self.partners.items():
+            cliques[cid].partner = partner
+        self.partners = {}

@@ -34,8 +34,6 @@ class ParamSet:
     dispatch_frac: float = 0.1  # matching-size dispatcher threshold, fraction of delta
     heavy_frac: float = 0.01  # heavy-color threshold, fraction of delta
     regime_frac: float | None = None  # small/large matching split; default epsilon^2
-    matching_floor_boundary: float = 22.0  # |M_N| >= |nonedges| / (boundary * eps * delta)
-    matching_floor_phase: float = 50.0
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):

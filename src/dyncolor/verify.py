@@ -24,6 +24,11 @@ from dataclasses import dataclass, field
 from .colors import BLANK
 from .engine import Engine
 
+# matching floors: |M_N| >= |nonedges| / (floor * eps * delta), in-phase and
+# at a phase boundary
+MATCHING_FLOOR_PHASE = 50.0
+MATCHING_FLOOR_BOUNDARY = 22.0
+
 
 @dataclass
 class CheckResult:
@@ -272,13 +277,13 @@ def verify(
                 viol.append(f"clique {cid}: matched pair ({u},{v}) strays")
         if 2 * m > len(cl.members):
             viol.append(f"clique {cid}: matching larger than |C|/2")
-        need_phase = cl.nonedge_count / (params.matching_floor_phase * eps * delta)
+        need_phase = cl.nonedge_count / (MATCHING_FLOOR_PHASE * eps * delta)
         if m < need_phase:
             viol.append(
                 f"clique {cid}: matching {m} below phase floor {need_phase:.2f}"
             )
         if boundary:
-            need_b = cl.nonedge_count / (params.matching_floor_boundary * eps * delta)
+            need_b = cl.nonedge_count / (MATCHING_FLOOR_BOUNDARY * eps * delta)
             if m < need_b:
                 viol.append(
                     f"clique {cid}: matching {m} below boundary floor {need_b:.2f}"

@@ -1,3 +1,6 @@
+import hashlib
+from array import array
+
 import pytest
 
 from dyncolor.adversary import STRATEGIES, make_adversary
@@ -81,3 +84,27 @@ def test_strategy_registry():
     }
     with pytest.raises(ValueError):
         make_adversary("bogus", 4, 2)
+
+
+# sha256 of (u, v, insert) per update, recorded on the generator that
+# rebuilt its inside-edge and hole lists over all target pairs every step
+CHURN_STREAMS = [
+    ((256, 128, 1000), {}, 10_000,
+     "81fb2ee00b6ddd9152397164e084a93e0d82a3676b7a644c4c70bf9cce6b6aa8"),
+    ((256, 128, 1000), {"target_size": 130}, 10_000,
+     "1e106e29d0a1a09db3677297ea05133e191dbc665b082664b71f1337277748d5"),
+    ((1024, 128, 1000), {}, 20_000,
+     "39d004450efca838111d64b3333ad16d67630a6236003f6db1aacbd0b7961978"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, kw, steps, digest", CHURN_STREAMS, ids=["n256", "n256-target130", "n1024"]
+)
+def test_clique_churn_stream_is_unchanged(args, kw, steps, digest):
+    adv = make_adversary("clique-churn", *args, **kw)
+    flat = array("q")
+    for _ in range(steps):
+        upd = adv.next()
+        flat.extend((upd.u, upd.v, upd.insert))
+    assert hashlib.sha256(flat.tobytes()).hexdigest() == digest

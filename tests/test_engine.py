@@ -11,6 +11,7 @@ from dyncolor.engine import Engine
 from dyncolor.graph import dele, ins
 from dyncolor.params import ParamSet, auto_epsilon, trivial_cutoff
 from dyncolor.runner import build_engine, replay_trace, run_stream
+from dyncolor.sampleset import EMPTY_MAP
 from dyncolor.trace import TraceFile
 from dyncolor.adversary import make_adversary
 from dyncolor.verify import ProperWatch, verify
@@ -77,6 +78,13 @@ def test_journal_revert_is_identity():
     holes = [(0, 1), (2, 3)]
     engine, (c,) = dense_fixture(40, delta, [members], holes=holes, seed=8)
     before = structural_snapshot(engine)
+    start_matching = dict(c.partner)
+    assert start_matching.get(2) == 3
+    # a fallback breaks a pair in-phase; no update of the phase records that
+    engine.trivial_recolor(2)
+    assert 2 not in c.partner and 3 not in c.partner
+    engine.process(ins(0, 1))  # a same-clique insertion fills a non-edge
+    engine.process(dele(4, 5))  # a same-clique deletion opens one
     rng = random.Random(4)
     vertices = list(range(40))
     done = 0
@@ -87,10 +95,10 @@ def test_journal_revert_is_identity():
             continue
         engine.process(upd)
         done += 1
-    assert len(engine.journal) > 0
+    assert dict(c.partner) != start_matching
     for upd in reversed(engine.phase_updates):
         engine.graph.apply(upd.inverse())
-    engine.journal.revert(engine.decomp)
+    engine.journal.revert(engine.decomp, engine.phase_updates)
     assert structural_snapshot(engine) == before
 
 
@@ -100,7 +108,7 @@ def test_sparse_updates_journal_nothing():
     adv = make_adversary("oblivious-random", 64, 8, seed=6)
     run_stream(e, adv, 300)
     assert not e.decomp.cliques and e.metrics.updates == 300
-    assert len(e.journal) == 0
+    assert all(nc is EMPTY_MAP for nc in e.decomp.n_c)
 
 
 def test_nonedges_change_at_most_one_per_update_in_phase():

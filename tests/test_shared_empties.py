@@ -121,7 +121,7 @@ def test_dense_color_list_keeps_its_sampleset_after_it_empties():
 
 
 def test_journal_revert_writes_into_untouched_neighbor_views():
-    # a member leaves the clique inside a phase (NC_REM noted) and the
+    # an in-phase deletion drops a member from a neighbor's view and the
     # revert must re-add it, whatever container the neighbor holds
     delta = 12
     members = list(range(delta))
@@ -129,9 +129,7 @@ def test_journal_revert_writes_into_untouched_neighbor_views():
     dec = engine.decomp
     dec._nbr_remove(20, 0)
     dec.n_c[20] = EMPTY_MAP  # as if never written
-    jn = J.PhaseJournal()
-    jn.note(J.NC_REM, 20, c.id, 0)
-    jn.revert(dec)
+    J.PhaseJournal().revert(dec, [dele(0, 20)])
     assert dec.n_c[20] == {c.id: {0}}
     assert len(EMPTY_MAP) == 0
     assert dec.check_structures() == []

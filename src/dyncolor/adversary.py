@@ -91,9 +91,10 @@ class DeletionHeavy(ObliviousRandom):
 class AdaptiveMonochrome(Adversary):
     """Greedily inserts edges between same-colored, non-adjacent vertices.
 
-    Picks a random vertex, reads its color class from the public view and
-    tries to pair it with another occupant; falls back to deleting a
-    random edge when no monochromatic insertion is found.
+    Picks a random vertex, reads the size of its color class from the
+    public view and tries to pair it with a random occupant of that class;
+    falls back to deleting a random edge when no monochromatic insertion
+    is found.
     """
 
     adaptive = True
@@ -109,10 +110,11 @@ class AdaptiveMonochrome(Adversary):
                 u = rng.randrange(self.n)
                 if g.degree(u) >= self.delta:
                     continue
-                mates = view.occupants(view.color_of(u))
-                if len(mates) < 2:
+                c = view.color_of(u)
+                count = view.occupant_count(c)
+                if count < 2:
                     continue
-                v = mates[rng.randrange(len(mates))]
+                v = view.occupant(c, rng.randrange(count))
                 if v == u or g.has_edge(u, v) or g.degree(v) >= self.delta:
                     continue
                 self.monochrome_hits += 1

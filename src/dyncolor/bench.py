@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .adversary import make_adversary
@@ -18,7 +17,7 @@ from .runner import build_engine, run_stream
 
 COLUMNS = [
     "n", "delta", "strategy", "steps", "seed", "algo",
-    "work_per_update", "wall_s", "fallbacks", "fallback_rate",
+    "work_per_update", "wall_s", "adversary_s", "fallbacks", "fallback_rate",
     "phase_inits", "mean_init_work", "monochrome_hits", "proper",
 ]
 
@@ -40,9 +39,7 @@ def run_cell(cell: dict) -> list[dict]:
         mode = "full" if algo == "engine" else "baseline"
         engine = build_engine(n, delta, params, mode)
         adversary = make_adversary(strategy, n, delta, seed=seed + 7)
-        t0 = time.perf_counter()
         summary = run_stream(engine, adversary, steps)
-        wall = time.perf_counter() - t0
         m = engine.metrics
         done = max(summary["steps"], 1)
         rows.append(
@@ -54,7 +51,8 @@ def run_cell(cell: dict) -> list[dict]:
                 "seed": seed,
                 "algo": algo,
                 "work_per_update": m.work / done,
-                "wall_s": wall,
+                "wall_s": summary["algo_s"],
+                "adversary_s": summary["adversary_s"],
                 "fallbacks": m.fallbacks,
                 "fallback_rate": m.fallbacks / done,
                 "phase_inits": m.phase_inits,

@@ -5,19 +5,18 @@ checks iterate an occupancy list and probe adjacency, so their cost
 tracks the list length; the sparse check walks v's adjacency instead
 when that is the shorter side.
 
-`L_D(c)` starts as the shared read-only `EMPTY_SAMPLESET` and becomes c's
-own on its first dense vertex; without an almost-clique no color ever
-gets one.  It is never dropped once made, even empty, as a SampleSet's
-order depends on its history.  `L` is written for every color by the
-phase rebuild and is made up front.
+L(c) and L_D(c) are plain lists, made up front for every color.  The
+lists partition the colored vertices, so one index serves them all:
+`slot[v]` is v's position in its list and `home[v]` is that list, or
+None while v is blank.  A vertex joins at the end of its list and leaves
+by moving the list's last vertex into its slot, so a list's order is a
+deterministic function of its history.
 
 `ColoringAlgorithm` is the read surface every coloring algorithm (the
 engine and the rescan baseline) exposes on top of its `ColorState`.
 """
 
 from __future__ import annotations
-
-from .sampleset import EMPTY_SAMPLESET, SampleSet, own
 
 BLANK = -1
 
@@ -27,49 +26,55 @@ class ColorState:
         self.n = n
         self.palette = palette  # delta + 1
         self.of: list[int] = [BLANK] * n
-        self.L: list[SampleSet] = [SampleSet() for _ in range(palette)]
-        self.L_D: list[SampleSet] = [EMPTY_SAMPLESET] * palette
+        self.L: list[list[int]] = [[] for _ in range(palette)]
+        self.L_D: list[list[int]] = [[] for _ in range(palette)]
+        self.slot: list[int] = [0] * n  # v's index in home[v]
+        self.home: list[list[int] | None] = [None] * n
         self.listeners: list = []  # callables (v, old, new)
 
     def _fire(self, v: int, old: int, new: int) -> None:
         for fn in self.listeners:
             fn(v, old, new)
 
-    def set_sparse(self, v: int, c: int) -> None:
+    def _unlist(self, v: int) -> None:
+        """Take v off the list that holds it, if any."""
+        lst = self.home[v]
+        if lst is not None:
+            self.home[v] = None
+            last = lst.pop()
+            if last != v:
+                i = self.slot[v]
+                lst[i] = last
+                self.slot[last] = i
+
+    def _set(self, v: int, c: int, lst: list[int]) -> None:
         old = self.of[v]
-        if old != BLANK:
-            self.L[old].discard(v)
+        self._unlist(v)
         self.of[v] = c
-        self.L[c].add(v)
+        self.slot[v] = len(lst)
+        self.home[v] = lst
+        lst.append(v)
         if self.listeners:
             self._fire(v, old, c)
 
-    def clear_sparse(self, v: int) -> int:
-        old = self.of[v]
-        if old != BLANK:
-            self.L[old].discard(v)
-            self.of[v] = BLANK
-            if self.listeners:
-                self._fire(v, old, BLANK)
-        return old
+    def set_sparse(self, v: int, c: int) -> None:
+        self._set(v, c, self.L[c])
 
     def set_dense(self, v: int, c: int) -> None:
-        old = self.of[v]
-        if old != BLANK:
-            self.L_D[old].discard(v)
-        self.of[v] = c
-        own(self.L_D, c).add(v)
-        if self.listeners:
-            self._fire(v, old, c)
+        self._set(v, c, self.L_D[c])
 
-    def clear_dense(self, v: int) -> int:
+    def clear_sparse(self, v: int) -> int:
+        """Blank v and take it off its list; returns its old color."""
         old = self.of[v]
         if old != BLANK:
-            self.L_D[old].discard(v)
+            self._unlist(v)
             self.of[v] = BLANK
             if self.listeners:
                 self._fire(v, old, BLANK)
         return old
+
+    # either way v leaves the one list that holds it
+    clear_dense = clear_sparse
 
     def lowest_free(self, vertices, avoid=()) -> int | None:
         """The lowest color no vertex of `vertices` holds and `avoid` lacks.
@@ -99,11 +104,12 @@ class ColorState:
                     self._fire(v, old, BLANK)
         else:
             of[:] = [BLANK] * self.n
+        self.home[:] = [None] * self.n
         cleared = 0
-        for s in self.L + self.L_D:
-            if s.items:
-                cleared += len(s.items)
-                s.clear()
+        for lst in self.L + self.L_D:
+            if lst:
+                cleared += len(lst)
+                lst.clear()
         return cleared
 
 
@@ -120,8 +126,11 @@ class ColoringView:
     def color_of(self, v: int) -> int:
         return self._algorithm.color_of(v)
 
-    def occupants(self, c: int) -> tuple[int, ...]:
-        return self._algorithm.occupants(c)
+    def occupant_count(self, c: int) -> int:
+        return self._algorithm.occupant_count(c)
+
+    def occupant(self, c: int, i: int) -> int:
+        return self._algorithm.occupant(c, i)
 
 
 class ColoringAlgorithm:
@@ -136,8 +145,14 @@ class ColoringAlgorithm:
     def color_of(self, v: int) -> int:
         return self.colors.of[v]
 
-    def occupants(self, c: int) -> tuple[int, ...]:
-        return tuple(self.colors.L[c]) + tuple(self.colors.L_D[c])
+    def occupant_count(self, c: int) -> int:
+        """How many vertices hold color c, sparse and dense."""
+        return len(self.colors.L[c]) + len(self.colors.L_D[c])
+
+    def occupant(self, c: int, i: int) -> int:
+        """The i-th holder of color c: L(c) in order, then L_D(c)."""
+        ls = self.colors.L[c]
+        return ls[i] if i < len(ls) else self.colors.L_D[c][i - len(ls)]
 
     def coloring_view(self) -> ColoringView:
         return ColoringView(self)

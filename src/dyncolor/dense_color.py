@@ -93,8 +93,8 @@ class DenseColoring:
     def full_feasible(self, v: int, c: int, exclude=()) -> bool:
         """No neighbor of v, sparse or dense, holds color c (minus `exclude`)."""
         pos = self.graph.adj[v]._pos
-        ls = self.colors.L[c].items
-        ld = self.colors.L_D[c].items
+        ls = self.colors.L[c]
+        ld = self.colors.L_D[c]
         self.metrics.probes += len(ls) + len(ld)
         self.metrics.work += len(ls) + len(ld) + 1
         for w in ls:
@@ -109,8 +109,8 @@ class DenseColoring:
         """No occupant of L(c) or L_D(c) outside the clique neighbors u or v."""
         posu = self.graph.adj[u]._pos
         posv = self.graph.adj[v]._pos
-        ls = self.colors.L[c].items
-        ld = self.colors.L_D[c].items
+        ls = self.colors.L[c]
+        ld = self.colors.L_D[c]
         self.metrics.probes += len(ls) + len(ld)
         self.metrics.work += len(ls) + len(ld) + 1
         for w in ls:

@@ -125,12 +125,12 @@ class Engine(ColoringAlgorithm):
     def _evict_dense_conflicts(self, v: int, c: int) -> None:
         """Recolor dense neighbors of v that hold v's fresh color c."""
         ld = self.colors.L_D[c]
-        if not len(ld):
+        if not ld:
             return
         pos = self.graph.adj[v]._pos
         self.metrics.probes += len(ld)
         self.metrics.work += len(ld)
-        hits = [w for w in ld.items if w in pos]
+        hits = [w for w in ld if w in pos]
         for w in hits:
             if self.colors.of[w] == c and self.decomp.clique_of[w] is not None:
                 self._recolor_dense_conflict(w)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import replace
 
 from .adversary import make_adversary
@@ -84,7 +85,9 @@ def run_stream(
 
     `watch` attaches the incremental properness oracle; `per_update` is an
     arbitrary callback (engine, update, index); `audit_every` runs the full
-    verifier on that stride.  Returns a summary dict.
+    verifier on that stride.  Returns a summary dict; its `algo_s` is the
+    time spent in `engine.process` and its `adversary_s` the time spent in
+    `adversary.next`, so neither is billed for the other.
     """
     view = engine.coloring_view() if adversary.adaptive else None
     watcher = ProperWatch(engine) if watch else None
@@ -102,16 +105,22 @@ def run_stream(
         engine.colors.listeners.append(_capture)
     done = 0
     exhausted = False
+    clock = time.perf_counter
+    algo_s = adversary_s = 0.0
     try:
         for i in range(steps):
+            t0 = clock()
             try:
                 upd = adversary.next(view)
             except Exhausted:
                 exhausted = True
                 break
+            t1 = clock()
+            adversary_s += t1 - t0
             if capturing:
                 deltas = []
             engine.process(upd)
+            algo_s += clock() - t1
             if watcher is not None:
                 watcher.check(upd)
             if capturing:
@@ -137,6 +146,8 @@ def run_stream(
         "audits": audits,
         "audit_failures": audit_failures,
         "monochrome_hits": adversary.monochrome_hits,
+        "algo_s": algo_s,
+        "adversary_s": adversary_s,
     }
 
 

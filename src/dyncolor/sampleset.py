@@ -2,10 +2,7 @@
 
 Backed by a dense list plus a position index (swap-with-last removal).
 Iteration order is the list order, which is deterministic given the
-history of operations.  `SparseColoring._rejection_color` appends to
-`items` and `_pos` directly, as `add` does for an absent element (on a
-nearly empty graph the phase rebuild measured ~8% faster that way);
-keep the two in step.
+history of operations.
 """
 
 
@@ -57,7 +54,7 @@ class SampleSet:
 
 # ---- shared read-only empties ---------------------------------------------------
 #
-# Per-vertex and per-color containers that most entries never write start
+# Per-vertex containers that most entries never write start
 # as one of these shared empties.  Reads see an empty container; `discard`
 # and `pop` are the no-ops they are on any absent element; a write raises,
 # so a write site that forgot to give its entry a container of its own
@@ -83,27 +80,13 @@ class _EmptyMap(dict):
     __setitem__ = setdefault = _read_only
 
 
-class _EmptySampleSet(SampleSet):
-    __slots__ = ()
-
-    def __init__(self):
-        self.items = ()
-        self._pos = EMPTY_MAP
-
-    def add(self, x):
-        raise TypeError("shared empty SampleSet is read-only")
-
-
 EMPTY_SET = _EmptySet()
 EMPTY_MAP = _EmptyMap()
-EMPTY_SAMPLESET = _EmptySampleSet()
 
 
 def own(containers: list, i: int):
-    """containers[i], first made its own if it is `EMPTY_MAP` or `EMPTY_SAMPLESET`."""
+    """containers[i], first made its own if it is `EMPTY_MAP`."""
     c = containers[i]
     if c is EMPTY_MAP:
         c = containers[i] = {}
-    elif c is EMPTY_SAMPLESET:
-        c = containers[i] = SampleSet()
     return c

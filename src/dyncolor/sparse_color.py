@@ -8,7 +8,9 @@ vertices are recolored by the same rejection loop.
 `_rejection_color` is the one place the feasibility rule is written: a
 color c is feasible for v iff no neighbor of v sits in L(c).  The check
 consults only sparse occupants of L(c) and ignores dense neighbors; the
-engine reconciles dense neighbors afterwards.
+engine reconciles dense neighbors afterwards.  A neighbor w sits in L(c)
+iff `ColorState.home[w]` is that very list, so a dense neighbor, whose
+home is an L_D list, never counts.
 """
 
 from __future__ import annotations
@@ -49,16 +51,17 @@ class SparseColoring:
         as `palette_drawer` does, and takes the first feasible one; when
         none is, it takes the fallback color, or stays blank in the
         one-shot pass.  Returns how many stayed blank.  A check walks the
-        shorter of v's adjacency and L(c), probing the other's index, and
-        is charged whole: a probe per element, and a unit per element plus
+        shorter of v's adjacency and L(c): a neighbor is probed by its
+        home list, an occupant of L(c) by v's adjacency index.  It is
+        charged whole: a probe per element, and a unit per element plus
         one.  A vertex without neighbors takes its first draw unchecked,
         charged as a walk of nothing.  A draw costs a sample and a unit.
-        Placement appends v to L(c) as `SampleSet.add` does for an absent
-        element and fires the listeners with (v, BLANK, c), as
-        `set_sparse` on a blank v does.
+        Placement appends v to L(c) and fires the listeners with
+        (v, BLANK, c), as `set_sparse` on a blank v does.
         """
         colors = self.colors
         of, L, listeners = colors.of, colors.L, colors.listeners
+        slot, home = colors.slot, colors.home
         adj = self.graph.adj
         getrandbits = self.rng.getrandbits
         palette = self.palette
@@ -82,17 +85,22 @@ class SparseColoring:
                     while c >= palette:
                         c = getrandbits(k)
                     lst = L[c]
-                    if deg < len(lst.items):
-                        walk, index = near, lst._pos
-                    else:
-                        walk, index = lst.items, near_pos
-                    probes += len(walk)
-                    for w in walk:
-                        if w in index:
+                    if deg < len(lst):
+                        probes += deg
+                        for w in near:
+                            if home[w] is lst:
+                                break
+                        else:
+                            drawn += i + 1
                             break
                     else:
-                        drawn += i + 1
-                        break
+                        probes += len(lst)
+                        for w in lst:
+                            if w in near_pos:
+                                break
+                        else:
+                            drawn += i + 1
+                            break
                 else:
                     drawn += tries
                     if one_shot:
@@ -101,9 +109,9 @@ class SparseColoring:
                     c = self._fallback(v)
             of[v] = c
             lst = L[c]
-            items = lst.items
-            lst._pos[v] = len(items)
-            items.append(v)
+            slot[v] = len(lst)
+            home[v] = lst
+            lst.append(v)
             if listeners:
                 for fn in listeners:
                     fn(v, BLANK, c)

@@ -43,7 +43,7 @@ class TraceFile:
             if line[0] in "+-":
                 in_header = False
                 parts = line.split()
-                if len(parts) != 3:
+                if len(parts) != 3 or parts[0] not in ("+", "-"):
                     raise MalformedTrace(lineno, f"expected '+/- u v', got {raw!r}")
                 try:
                     u, v = int(parts[1]), int(parts[2])

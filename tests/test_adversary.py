@@ -7,9 +7,9 @@ from dyncolor.adversary import STRATEGIES, make_adversary
 from dyncolor.baseline import TrivialBaseline
 from dyncolor.errors import Exhausted
 from dyncolor.graph import DynamicGraph, EdgeUpdate, ins
-from dyncolor.runner import run_stream
+from dyncolor.runner import build_engine, run_stream
 
-from conftest import make_engine
+from conftest import make_engine, sweep_params
 
 
 def test_all_strategies_emit_only_legal_updates():
@@ -106,5 +106,34 @@ def test_clique_churn_stream_is_unchanged(args, kw, steps, digest):
     flat = array("q")
     for _ in range(steps):
         upd = adv.next()
+        flat.extend((upd.u, upd.v, upd.insert))
+    assert hashlib.sha256(flat.tobytes()).hexdigest() == digest
+
+
+# sha256 of (u, v, insert) per update of adaptive-monochrome against each
+# algorithm (delta = n / 2, 2n steps), recorded while the adversary read a
+# tuple copy of the whole color class on every try
+MONOCHROME_STREAMS = [
+    ("full", 256, "7debc8fe3b803218b2f6d8ab1e6ab673d31920e60c0204c453a95890ba362692"),
+    ("full", 4096, "0ac83d9fb4ef3fb66c61f0c5378adfc38a97ce041365c7b15d98a4030ae14fac"),
+    ("full", 32768, "7e2f6c00bcaa49e93d229abf03e7534f62897b5e2533ec343123e6e8388ca067"),
+    ("baseline", 256, "f903819c1f361df49909e851a5a9a413a45d955b858beeeaafc1338dd565ad24"),
+    ("baseline", 4096, "54fd37f22d4b651d863a90ebe3d5e8de06acee6d14b311162947335a8b2daf79"),
+    ("baseline", 32768, "ce354b260521d869b3c8d3fbdb0e1877653daf864c65d5ed60dbbcdcd616a9de"),
+]
+
+
+@pytest.mark.parametrize(
+    "mode, n, digest", MONOCHROME_STREAMS, ids=[f"{m}-n{n}" for m, n, _ in MONOCHROME_STREAMS]
+)
+def test_adaptive_monochrome_stream_is_unchanged(mode, n, digest):
+    delta = n // 2
+    algo = build_engine(n, delta, sweep_params(0, delta), mode)
+    adv = make_adversary("adaptive-monochrome", n, delta, seed=1000)
+    view = algo.coloring_view()
+    flat = array("q")
+    for _ in range(2 * n):
+        upd = adv.next(view)
+        algo.process(upd)
         flat.extend((upd.u, upd.v, upd.insert))
     assert hashlib.sha256(flat.tobytes()).hexdigest() == digest

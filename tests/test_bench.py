@@ -1,6 +1,9 @@
 import csv
 
+from dyncolor.adversary import make_adversary
 from dyncolor.bench import COLUMNS, loglog_slope, run_cell, run_grid, slope_rows, write_csv
+from dyncolor.params import ParamSet
+from dyncolor.runner import build_engine, run_stream
 
 
 def test_single_cell_single_algo_csv(tmp_path):
@@ -14,6 +17,17 @@ def test_single_cell_single_algo_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 2  # header plus the single row
     assert lines[0] == ",".join(COLUMNS)
+
+
+def test_algorithm_and_adversary_times_are_split():
+    engine = build_engine(64, 16, ParamSet(epsilon=0.2, seed=1))
+    summary = run_stream(engine, make_adversary("adaptive-monochrome", 64, 16, seed=2), 200)
+    assert summary["algo_s"] >= 0 and summary["adversary_s"] >= 0
+    rows = run_cell(
+        {"n": 64, "delta": 16, "strategy": "adaptive-monochrome", "steps": 200, "seed": 1}
+    )
+    for r in rows:
+        assert r["wall_s"] >= 0 and r["adversary_s"] >= 0, r["algo"]
 
 
 def test_engine_vs_baseline_both_proper_with_ratio():

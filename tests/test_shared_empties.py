@@ -1,7 +1,8 @@
 """Rarely written containers start as shared read-only empties.
 
-The friend lists, `Decomposition.n_c` and `ColorState.L_D` give an
-entry a container of its own on its first add and keep it from then on.
+The friend lists and `Decomposition.n_c` give an entry a container of
+its own on its first add and keep it from then on.  `ColorState.L_D`
+is made up front, one list per color, and keeps its lists too.
 """
 
 import random
@@ -10,7 +11,7 @@ import tracemalloc
 import pytest
 
 from dyncolor import journal as J
-from dyncolor.colors import ColorState
+from dyncolor.colors import BLANK, ColorState
 from dyncolor.engine import Engine
 from dyncolor.friends import FriendTracker
 from dyncolor.graph import DynamicGraph, dele
@@ -24,10 +25,7 @@ from conftest import add_edges, clique_edges, dense_fixture, feed_edges, make_en
 def _untouched(engine):
     """Each lazy set of vertex/color 0 of a fresh engine, with its name."""
     tr = engine.tracker
-    return [
-        *((f"N_{i + 1}", tr.lists[i][0]) for i in range(3)),
-        ("L_D", engine.colors.L_D[0]),
-    ]
+    return [(f"N_{i + 1}", tr.lists[i][0]) for i in range(3)]
 
 
 def test_untouched_containers_are_one_shared_empty_each():
@@ -37,10 +35,7 @@ def test_untouched_containers_are_one_shared_empty_each():
         assert len(first) == 0 and list(first) == [] and 3 not in first, name
     assert all(s is tr.lists[0][0] for lst in tr.lists for s in lst)
     assert all(m is dec.n_c[0] for m in dec.n_c)
-    assert all(s is engine.colors.L_D[0] for s in engine.colors.L_D)
     assert dec.n_c[0].get(7) is None and list(dec.n_c[0].items()) == []
-    ld = engine.colors.L_D[0]
-    assert list(ld.items) == [] and 3 not in ld._pos
 
 
 def test_add_on_an_untouched_container_raises():
@@ -68,13 +63,43 @@ def test_discard_and_pop_on_an_untouched_container_are_no_ops():
     assert all(len(c) == 0 for _, c in _untouched(engine))
 
 
-def test_first_add_gives_only_that_entry_a_container():
-    cs = ColorState(6, 4)
-    shared = cs.L_D[0]
+def _assert_slots_consistent(cs):
+    listed = set()
+    for lst in cs.L + cs.L_D:
+        for i, v in enumerate(lst):
+            assert cs.slot[v] == i and cs.home[v] is lst, (v, i)
+            listed.add(v)
+    for v in range(cs.n):
+        assert (cs.home[v] is not None) == (v in listed) == (cs.of[v] != BLANK), v
+
+
+def test_set_and_clear_dense_keep_slots_consistent():
+    cs = ColorState(8, 4)
     cs.set_dense(2, 3)
-    assert list(cs.L_D[3]) == [2] and cs.L_D[3] is not shared
-    assert all(cs.L_D[c] is shared for c in range(3))
-    assert len(shared) == 0
+    assert cs.L_D[3] == [2] and not any(cs.L_D[c] for c in range(3))
+    _assert_slots_consistent(cs)
+    for v in (5, 1, 7):
+        cs.set_dense(v, 3)
+    cs.set_sparse(0, 3)
+    assert cs.L_D[3] == [2, 5, 1, 7] and cs.L[3] == [0]
+    # a removal moves the list's last vertex into the hole
+    assert cs.clear_dense(5) == 3
+    assert cs.L_D[3] == [2, 7, 1]
+    _assert_slots_consistent(cs)
+    # a recolor leaves the old list the same way and joins the new one at its end
+    cs.set_dense(2, 1)
+    assert cs.L_D[3] == [1, 7] and cs.L_D[1] == [2]
+    _assert_slots_consistent(cs)
+    # setting a held color moves the vertex to the end of its list
+    cs.set_dense(1, 3)
+    assert cs.L_D[3] == [7, 1]
+    # the last vertex leaves without a swap
+    assert cs.clear_dense(1) == 3
+    assert cs.L_D[3] == [7] and cs.of[1] == BLANK
+    _assert_slots_consistent(cs)
+    assert cs.clear_dense(1) == BLANK
+    cs.blank_all()
+    _assert_slots_consistent(cs)
 
 
 def test_friend_list_keeps_its_set_after_it_empties():
@@ -109,7 +134,7 @@ def test_neighbor_views_keep_their_containers_after_a_collapse():
     assert dec.check_structures() == []
 
 
-def test_dense_color_list_keeps_its_sampleset_after_it_empties():
+def test_dense_color_list_keeps_its_list_after_it_empties():
     cs = ColorState(6, 4)
     cs.set_dense(2, 3)
     own = cs.L_D[3]

@@ -45,6 +45,14 @@ def test_malformed_traces(text, frag):
     assert frag in str(err.value)
 
 
+@pytest.mark.parametrize("op", ["+x", "-+", "++"])
+def test_garbled_update_op_is_rejected(op):
+    # only the bare tokens + and - name an update; "+x" once replayed as a deletion
+    with pytest.raises(MalformedTrace) as err:
+        TraceFile.loads(f"n=4\n{op} 0 1\n")
+    assert "expected" in str(err.value) and err.value.lineno == 2
+
+
 def test_replay_determinism_same_seed():
     params = ParamSet(epsilon=0.2, seed=42, phase_len_t=16)
     _, trace1, _ = record_run(48, 12, params, "oblivious-random", 400)

@@ -70,9 +70,35 @@ def test_fault_partition_structures():
 def test_fault_occupancy_lists():
     engine, (c,) = fresh_dense()
     v = next(iter(c.members))
-    engine.colors.L_D[engine.colors.of[v]].discard(v)
+    engine.colors.L_D[engine.colors.of[v]].remove(v)
     rep = verify(engine)
     assert "occupancy_lists" in rep.failed_names()
+
+
+def test_fault_occupancy_slots():
+    # two vertices of one list trade slot indices; the lists themselves are intact
+    engine, _ = fresh_dense()
+    cs = engine.colors
+    lst = next(lst for lst in cs.L + cs.L_D if len(lst) >= 2)
+    x, y = lst[0], lst[1]
+    cs.slot[x], cs.slot[y] = cs.slot[y], cs.slot[x]
+    rep = verify(engine)
+    assert rep.failed_names() == ["occupancy_lists"]
+    assert len(rep.checks["occupancy_lists"].violations) == 2
+    assert all("slot or home" in m for m in rep.checks["occupancy_lists"].violations)
+
+
+def test_fault_occupancy_home():
+    # a blanked vertex whose home still names its old list looks like a member
+    engine, (c,) = fresh_dense()
+    cs = engine.colors
+    v = min(c.book.mp.values())
+    home = cs.home[v]
+    engine.dense.release_private(c, v)
+    cs.home[v] = home
+    rep = verify(engine)
+    assert "occupancy_lists" in rep.failed_names()
+    assert f"vertex {v} has a home list that lacks it" in rep.checks["occupancy_lists"].violations
 
 
 def test_fault_color_book_usage():

@@ -63,7 +63,7 @@ def workload_digest(name, seed=SEED):
         if engine.updates_in_phase == 0:
             boundary = list(of)
             for lst in L:
-                boundary += lst.items
+                boundary += lst
                 boundary.append(-1)
             for scale in lists:
                 for v, friends in compress(enumerate(scale), scale):

@@ -26,8 +26,6 @@ never gets one.  Once made it is never dropped, even empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InvariantViolation
 from .sampleset import EMPTY_MAP, own
 
@@ -54,16 +52,6 @@ class AlmostClique:
 
     def matching_pairs(self) -> list[tuple[int, int]]:
         return sorted({(min(u, v), max(u, v)) for u, v in self.partner.items()})
-
-
-@dataclass
-class ChangeSet:
-    moved_to_dense: list[int] = field(default_factory=list)
-    moved_to_sparse: list[int] = field(default_factory=list)
-    collapsed: list[int] = field(default_factory=list)
-
-    def empty(self) -> bool:
-        return not (self.moved_to_dense or self.moved_to_sparse or self.collapsed)
 
 
 class Decomposition:
@@ -176,7 +164,7 @@ class Decomposition:
 
     # ---- the update driver ----------------------------------------------------
 
-    def update_decomposition(self, upd, matching_hook) -> ChangeSet:
+    def update_decomposition(self, upd, matching_hook) -> None:
         """Process one applied update end to end (friend tracking, moves).
 
         `matching_hook(clique, upd)` owns the non-edge-list and matching
@@ -193,12 +181,11 @@ class Decomposition:
             self._sync_nprime_pair(u, v)
         for w in refresh:
             self._resync_nprime(w)
-        cs = ChangeSet()
         tracker = self.tracker
         if upd.insert:
             for w in refresh:
                 if w in tracker.vsets[0] and self.clique_of[w] is None:
-                    cs.moved_to_dense += self.dense_move(w)
+                    self.dense_move(w)
         else:
             to_collapse: list[int] = []
             marked: set[int] = set()
@@ -219,17 +206,12 @@ class Decomposition:
                         to_collapse.append(cid)
                 else:
                     self.sparse_move(w)
-                    cs.moved_to_sparse.append(w)
             freed: list[int] = []
             for cid in to_collapse:
-                members = self.dissolve(self.cliques[cid])
-                cs.collapsed.append(cid)
-                cs.moved_to_sparse += members
-                freed += members
+                freed += self.dissolve(self.cliques[cid])
             for w in sorted(freed):
                 if w in tracker.vsets[0] and self.clique_of[w] is None:
-                    cs.moved_to_dense += self.dense_move(w)
-        return cs
+                    self.dense_move(w)
 
     # ---- moves -----------------------------------------------------------------
 

@@ -1,10 +1,17 @@
-"""Coloring of almost-cliques.
+"""Coloring of almost-cliques, and the sole owner of their color books.
 
 Step one pairs up non-adjacent members (a matching over the clique's
 non-edges) and gives each matched pair one shared color, saving palette.
 Step two keeps every remaining member matched to a private color through
 short augmenting paths: a direct assignment, a length-3 swap through a
 random colored member, or a length-5 rotation through two of them.
+
+All dense recoloring, at the phase boundary and inside a phase, goes
+through two paths, each with its own fallback.  The pair path
+(`recolor_pair`) runs the capped draw, then a palette scan, then
+dissolves the pair, and evicts a member privately holding the pair's
+color.  The member path (`rematch`) runs the matcher, then the rescan.
+The engine dispatches updates here and never touches a book or matching.
 
 Per clique a color book tracks: an[c] (pair-shared colors with the pair),
 A (colors unused by any member), usage (color -> members), mp (private
@@ -40,7 +47,6 @@ class DenseColoring:
         self.graph = graph
         self.decomp = decomp
         self.colors = colors
-        self.params = params
         self.rng = rng
         self.metrics = metrics
         delta = graph.delta
@@ -220,8 +226,8 @@ class DenseColoring:
         """Give the matched non-adjacent pair (u,v) one fresh shared color.
 
         Rejection-samples a color that no pair of the clique holds and no
-        occupant adjacent to u or v outside the clique holds.  The caller
-        must evict any clique member privately holding the result.
+        occupant adjacent to u or v outside the clique holds.  The pair
+        path `recolor_pair` evicts a member privately holding the result.
         """
         if clique.partner.get(u) != v:
             raise ValueError(f"({u},{v}) is not a matched non-edge")
@@ -412,6 +418,166 @@ class DenseColoring:
                 self.assign_private(clique, u, c_new)
                 return
         raise IterationCapExceeded("match_small", v)
+
+    # ---- the pair and member paths ---------------------------------------------------
+
+    def recolor_pair(self, clique, u: int, v: int) -> int | None:
+        """Give the matched pair (u,v) a shared color; None if it was dissolved.
+
+        The capped draw of `recolor_non_edge` first, then the lowest color
+        the pair may share, else the pair leaves the matching and both
+        endpoints are rescanned alone.  A member privately holding the
+        shared color is evicted and rematched.
+        """
+        try:
+            c = self.recolor_non_edge(clique, u, v)
+        except IterationCapExceeded:
+            self.metrics.fallbacks += 1
+            c = self._scan_pair(clique, u, v)
+            if c is None:
+                self.decomp.match_remove(clique, u, v)
+                clique.book.big_l.add(u)
+                clique.book.big_l.add(v)
+                self.rescan(u)
+                self.rescan(v)
+                return None
+        owner = clique.book.mp.get(c)
+        if owner is not None:
+            self.rematch(clique, owner)
+        return c
+
+    def _scan_pair(self, clique, u: int, v: int) -> int | None:
+        """Claim the lowest color the blank pair (u,v) may share, if any."""
+        book = clique.book
+        self.metrics.work += self.palette
+        for c in range(self.palette):
+            if c not in book.an and self._pair_external_feasible(clique, u, v, c):
+                book.an[c] = (u, v)
+                self._set_member(clique, u, c)
+                self._set_member(clique, v, c)
+                return c
+        return None
+
+    def rematch(self, clique, v: int) -> None:
+        """Give member v a fresh private color: the matcher, else the rescan."""
+        self.release_private(clique, v)
+        try:
+            self.match(v)
+        except (IterationCapExceeded, EmptyPalette):
+            self.metrics.fallbacks += 1
+            self.rescan(v)
+
+    def rescan(self, v: int) -> int:
+        """Member v leaves its pair (the partner keeps its color privately)
+        and takes the smallest color no neighbor holds, preferably one no
+        member holds; failing that, a member holding the pick privately is
+        no neighbor of v, and the two become a matched pair sharing it."""
+        colors = self.colors
+        adj = self.graph.adj[v].items
+        self.metrics.work += self.palette + len(adj)
+        clique = self.decomp.clique(v)
+        book = clique.book
+        p = clique.partner.get(v)
+        if p is not None:
+            old = colors.of[v]
+            if old != BLANK:
+                book.an.pop(old, None)
+            self.decomp.match_remove(clique, v, p)
+            book.big_l.add(v)
+            book.big_l.add(p)
+            cp = colors.of[p]
+            if cp != BLANK:
+                if cp not in book.mp:
+                    book.mp[cp] = p
+                else:
+                    self.metrics.fallback_degraded += 1
+        self.release_private(clique, v)
+        pick = colors.lowest_free(adj, book.usage)
+        y = None
+        if pick is None:
+            self.metrics.fallback_degraded += 1
+            pick = colors.lowest_free(adj)
+            y = book.mp.get(pick)
+        self._set_member(clique, v, pick)
+        if y is not None:
+            # the pick is free around v, so y is a non-neighbor: pair them on it
+            self.decomp.match_add(clique, v, y)
+            book.mp.pop(pick)
+            book.an[pick] = (v, y)
+            book.big_l.discard(v)
+            book.big_l.discard(y)
+        elif pick not in book.mp:
+            book.mp[pick] = v
+        else:
+            self.metrics.fallback_degraded += 1
+        return pick
+
+    # ---- engine entry points ---------------------------------------------------------
+
+    def color_cliques(self) -> None:
+        """Phase-start coloring of every clique: its pairs, then blank big-L."""
+        cliques = self.decomp.cliques
+        for cid in sorted(cliques):
+            clique = cliques[cid]
+            for u, v in clique.matching_pairs():
+                self.recolor_pair(clique, u, v)
+        of = self.colors.of
+        for cid in sorted(cliques):
+            clique = cliques[cid]
+            for v in sorted(clique.book.big_l):
+                if of[v] == BLANK:
+                    self.rematch(clique, v)
+
+    def resolve_conflict(self, d: int) -> None:
+        """Member d shares its color with a neighbor: recolor it or its pair."""
+        clique = self.decomp.clique(d)
+        p = clique.partner.get(d)
+        if p is not None:
+            self.recolor_pair(clique, d, p)
+        else:
+            self.rematch(clique, d)
+
+    def evict_conflicts(self, v: int, c: int) -> None:
+        """Resolve every dense neighbor of v that holds v's fresh color c."""
+        ld = self.colors.L_D[c]
+        if not ld:
+            return
+        pos = self.graph.adj[v]._pos
+        self.metrics.probes += len(ld)
+        self.metrics.work += len(ld)
+        hits = [w for w in ld if w in pos]
+        for w in hits:
+            if self.colors.of[w] == c and self.decomp.clique_of[w] is not None:
+                self.resolve_conflict(w)
+
+    def same_clique_update(self, clique, upd) -> None:
+        """Color work of one in-phase update with both endpoints in `clique`.
+
+        A pair the update broke gives up its shared color, pairs that
+        joined the matching take one through the pair path, and members
+        that left it are rematched.
+        """
+        book = clique.book
+        of = self.colors.of
+        pre_matched = clique.partner.get(upd.u) == upd.v
+        left, entered, pairs = self.update_non_edges(clique, upd)
+        if upd.insert and pre_matched:
+            # the inserted edge destroyed a matched pair; drop its shared color
+            shared = of[upd.u]
+            if shared != BLANK:
+                book.an.pop(shared, None)
+            for w in (upd.u, upd.v):
+                self.release_private(clique, w)
+                book.big_l.add(w)
+        for w in entered:
+            if w in book.big_l:
+                self.release_private(clique, w)
+                book.big_l.discard(w)
+        for w, x in pairs:
+            self.recolor_pair(clique, w, x)
+        for w in left:
+            if of[w] == BLANK:
+                self.rematch(clique, w)
 
     # ---- audits ------------------------------------------------------------------------
 

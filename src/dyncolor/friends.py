@@ -51,7 +51,6 @@ def _link(lst, v: int, u: int) -> set:
 class FriendTracker:
     def __init__(self, graph, params, rng, metrics):
         self.graph = graph
-        self.params = params
         self.rng = rng
         self.metrics = metrics
         n = graph.n

@@ -14,18 +14,11 @@ from dataclasses import dataclass
 from .errors import DegreeCapExceeded, DuplicateEdge, MissingEdge
 from .sampleset import SampleSet
 
-INSERT = True
-DELETE = False
-
-
 @dataclass(frozen=True, slots=True)
 class EdgeUpdate:
     u: int
     v: int
     insert: bool
-
-    def key(self):
-        return (self.u, self.v) if self.u < self.v else (self.v, self.u)
 
     def inverse(self) -> "EdgeUpdate":
         return EdgeUpdate(self.u, self.v, not self.insert)

@@ -24,7 +24,6 @@ class SparseColoring:
         self.graph = graph
         self.decomp = decomp
         self.colors = colors
-        self.params = params
         self.metrics = metrics
         self.palette = graph.delta + 1
         self.cap = params.loop_cap(graph.n)

@@ -32,17 +32,26 @@ def standalone(n, delta, eps=0.2, tau=None, k=256, fire=1, nu=None, seed=0, stri
     dense = DenseColoring(g, dec, ColorState(n, delta + 1), params, tracker.rng, metrics)
 
     def drive(upd):
-        """Apply one update and run it through the decomposition, as the replay does."""
+        """Apply one update and run it through the decomposition, as the replay does.
+
+        Returns what the update changed, read off `clique_of` and the clique
+        ids: the vertices that became dense, the vertices that became
+        sparse, and the cliques that collapsed.
+        """
+        of0, ids0 = list(dec.clique_of), set(dec.cliques)
         g.apply(upd)
-        return dec.update_decomposition(upd, dense.maintain_matching)
+        dec.update_decomposition(upd, dense.maintain_matching)
+        of1 = dec.clique_of
+        to_dense = [w for w in range(n) if of0[w] is None and of1[w] is not None]
+        to_sparse = [w for w in range(n) if of0[w] is not None and of1[w] is None]
+        return to_dense, to_sparse, sorted(ids0 - set(dec.cliques))
 
     return g, tracker, dec, drive
 
 
 def test_sparse_insertion_changes_nothing():
     g, _, dec, drive = standalone(16, 8)
-    cs = drive(ins(0, 1))
-    assert cs.empty()
+    assert drive(ins(0, 1)) == ([], [], [])
     assert dec.clique_of[0] is None and dec.clique_of[1] is None
     assert not dec.n_c[0] and not dec.n_c[1]
     assert dec.check_structures() == []
@@ -55,15 +64,17 @@ def test_incremental_clique_build_first_dense_move():
     g, tracker, dec, drive = standalone(24, delta, eps=0.2, tau=0.2 / 3, k=512)
     moved = None
     for u, v in clique_edges(range(delta + 1)):
-        cs = drive(ins(u, v))
-        if cs.moved_to_dense:
-            moved = cs.moved_to_dense
+        moved, _, _ = drive(ins(u, v))
+        if moved:
             break
     assert moved, "no dense move while building a full clique"
-    founder = moved[0]
-    want = {founder} | set(tracker.lists[0][founder])
-    cid = dec.clique_of[founder]
-    assert dec.cliques[cid].members == want
+    founders = [
+        w for w in moved
+        if w in tracker.vsets[0] and {w} | set(tracker.lists[0][w]) == set(moved)
+    ]
+    assert founders
+    cid = dec.clique_of[founders[0]]
+    assert dec.cliques[cid].members == set(moved)
     assert dec.check_structures() == []
 
 
@@ -78,8 +89,7 @@ def test_deletions_trigger_sparse_move_and_sigma():
     victim = max(dec.cliques[cid].members)
     moves = []
     for u in sorted(g.adj[victim].items):
-        cs = drive(dele(victim, u))
-        moves += cs.moved_to_sparse
+        moves += drive(dele(victim, u))[1]
         if victim in moves:
             break
     assert victim in moves
@@ -250,8 +260,7 @@ def test_clique_collapse_and_refounding():
         for u in sorted(g.adj[victim].items):
             if not g.has_edge(victim, u):
                 continue
-            cs = drive(dele(victim, u))
-            collapsed += cs.collapsed
+            collapsed += drive(dele(victim, u))[2]
             if collapsed:
                 break
         if collapsed:

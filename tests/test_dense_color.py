@@ -6,6 +6,7 @@ import pytest
 from dyncolor.colors import BLANK
 from dyncolor.errors import IterationCapExceeded
 from dyncolor.graph import dele, ins
+from dyncolor.verify import verify
 
 from conftest import dense_fixture, make_engine
 
@@ -245,6 +246,87 @@ def test_recolor_non_edge_acceptance_floor():
     assert total / trials <= 1.5 / (feasible / engine.palette)
 
 
+# ---- the pair path ---------------------------------------------------------------------------
+
+
+def cap_pair(engine, pair, shared=True):
+    """Make the capped draw give up at once on `pair`, as past its cap.
+
+    Without `shared`, the palette scan finds no color for it either.
+    """
+    dense = engine.dense
+    draw, feasible = dense.recolor_non_edge, dense._pair_external_feasible
+
+    def capped(clique, u, v):
+        if {u, v} == set(pair):
+            raise IterationCapExceeded("recolor_non_edge", (u, v))
+        return draw(clique, u, v)
+
+    dense.recolor_non_edge = capped
+    if not shared:
+        dense._pair_external_feasible = (
+            lambda clique, u, v, col: {u, v} != set(pair) and feasible(clique, u, v, col)
+        )
+
+
+def test_pair_scan_takes_a_private_color_and_evicts_its_owner():
+    # the deletion opens the non-edge (11,12), which the small regime
+    # matches in-phase (regime_frac pins it); past
+    # the draw's cap the pair takes the lowest color no pair holds, which a
+    # member holds privately
+    engine, (c,) = dense_fixture(
+        28, 12, [list(range(13))], holes=[(0, 1)], seed=3, regime_frac=1.0
+    )
+    cap_pair(engine, (11, 12))
+    book = c.book
+    want = min(col for col in range(engine.palette) if col not in book.an)
+    owner = book.mp[want]
+    assert owner not in (11, 12)
+    fallbacks = engine.metrics.fallbacks
+    engine.process(dele(11, 12))
+    of = engine.colors.of
+    assert c.partner.get(11) == 12 and book.an[want] == (11, 12)
+    assert of[11] == of[12] == want
+    assert of[owner] not in (BLANK, want) and book.mp[of[owner]] == owner
+    assert engine.metrics.fallbacks == fallbacks + 1
+    rep = verify(engine, boundary=False)
+    assert rep.passed, rep.failed_names()
+
+
+def test_pair_without_a_shared_color_is_dissolved_and_rescanned():
+    # as above, but no color fits the new pair: it leaves the matching and
+    # each endpoint is rescanned onto a private color
+    engine, (c,) = dense_fixture(
+        28, 12, [list(range(13))], holes=[(0, 1)], seed=3, regime_frac=1.0
+    )
+    cap_pair(engine, (2, 3), shared=False)
+    fallbacks = engine.metrics.fallbacks
+    engine.process(dele(2, 3))
+    of = engine.colors.of
+    assert 2 not in c.partner and 3 not in c.partner
+    assert {2, 3} <= set(c.book.big_l)
+    assert BLANK not in (of[2], of[3]) and of[2] != of[3]
+    assert c.book.mp[of[2]] == 2 and c.book.mp[of[3]] == 3
+    assert engine.metrics.fallbacks == fallbacks + 1
+    rep = verify(engine, boundary=False)
+    assert rep.passed, rep.failed_names()
+
+
+def test_rebuild_evicts_the_owner_of_a_color_a_pair_takes():
+    # the rebuild dissolves (0,1) and rescans both onto private colors; a
+    # later pair drawing one of them must evict its owner, or the owner and
+    # the pair, its neighbors, share a color
+    for seed in range(60):
+        engine, (c,) = dense_fixture(
+            28, 12, [list(range(13))], holes=[(0, 1), (2, 3)], seed=seed
+        )
+        cap_pair(engine, (0, 1), shared=False)
+        engine.rebuild_colors()
+        assert 0 not in c.partner and c.partner.get(2) == 3
+        rep = verify(engine)
+        assert rep.passed, (seed, rep.failed_names())
+
+
 # ---- edge counters --------------------------------------------------------------------------
 
 
@@ -395,11 +477,11 @@ def test_random_match_cap_exceeded_and_engine_fallback():
     with pytest.raises(IterationCapExceeded):
         engine.dense.random_match(v)
     # the dispatcher may still rescue v via an augmenting path; force the
-    # cap on the whole matcher to exercise the engine fallback
+    # cap on the whole matcher to exercise the member path's rescan fallback
     orig = engine.dense.match
     engine.dense.match = lambda w: (_ for _ in ()).throw(IterationCapExceeded("match", w))
     try:
-        engine._match_safe(v)
+        engine.dense.rematch(c, v)
     finally:
         engine.dense.match = orig
     assert engine.colors.of[v] != BLANK

@@ -297,7 +297,7 @@ class Decomposition:
             if self.clique_of[x] == cid:
                 c.nprime[x].discard(v)
         self.metrics.vertex_moves += 1
-        self.metrics.work += len(mine) + len(self.graph.adj[v])
+        self.metrics.work += len(mine) + self.graph.deg[v]
 
     def dissolve(self, c: AlmostClique) -> list[int]:
         """Drop a whole clique; every member returns to the sparse side."""

@@ -53,15 +53,17 @@ class SparseColoring:
         shorter of v's adjacency and L(c): a neighbor is probed by its
         home list, an occupant of L(c) by v's adjacency index.  It is
         charged whole: a probe per element, and a unit per element plus
-        one.  A vertex without neighbors takes its first draw unchecked,
-        charged as a walk of nothing.  A draw costs a sample and a unit.
+        one.  A vertex whose `graph.deg` entry is 0 takes its first draw
+        unchecked, charged as a walk of nothing, and its adjacency is never
+        loaded; the graph keeps `deg` in step through its one unchecked
+        `toggle`.  A draw costs a sample and a unit.
         Placement appends v to L(c) and fires the listeners with
         (v, BLANK, c), as `set_sparse` on a blank v does.
         """
         colors = self.colors
         of, L, listeners = colors.of, colors.L, colors.listeners
         slot, home = colors.slot, colors.home
-        adj = self.graph.adj
+        adj, degree = self.graph.adj, self.graph.deg
         getrandbits = self.rng.getrandbits
         palette = self.palette
         k = palette.bit_length()
@@ -70,15 +72,15 @@ class SparseColoring:
         for v in vertices:
             if of[v] != BLANK:
                 raise ValueError(f"vertex {v} is not blank")
-            nbrs = adj[v]
-            near = nbrs.items
-            if not near:
+            deg = degree[v]
+            if not deg:
                 c = getrandbits(k)
                 while c >= palette:
                     c = getrandbits(k)
                 drawn += 1
             else:
-                near_pos, deg = nbrs._pos, len(near)
+                nbrs = adj[v]
+                near, near_pos = nbrs.items, nbrs._pos
                 for i in range(tries):
                     c = getrandbits(k)
                     while c >= palette:

@@ -1,7 +1,9 @@
 """Brute-force verification oracle.
 
 Everything is recomputed from scratch against the graph (the ground
-truth): properness, the partition and its per-clique neighbor view
+truth): properness, the graph's own structure (symmetric adjacency,
+position indexes, `deg` and `edge_count`, which the engine's unchecked
+phase rewind trusts), the partition and its per-clique neighbor view
 `n_c`, the friend lists' symmetry, exact density and friendship of every
 vertex via exact common-neighbor counts, the four decomposition
 invariants, clique size bounds, non-edge exactness, per-clique color
@@ -164,6 +166,24 @@ def verify(
     rep.add(CheckResult("properness", not viol, viol))
     if not isinstance(engine, Engine):
         return rep
+
+    # graph structure: what the phase rewind's unchecked toggles trust ------
+    viol = []
+    adj, deg = g.adj, g.deg
+    for v, s in enumerate(adj):
+        items, pos = s.items, s._pos
+        if len(pos) != len(items) or any(pos.get(w) != i for i, w in enumerate(items)):
+            viol.append(f"adj[{v}]'s position index does not index its items")
+        if deg[v] != len(items):
+            viol.append(f"deg[{v}] = {deg[v]}, but adj[{v}] holds {len(items)}")
+        if deg[v] > g.delta:
+            viol.append(f"deg[{v}] = {deg[v]} exceeds delta = {g.delta}")
+        for w in items:
+            if v not in adj[w]._pos:
+                viol.append(f"edge ({v},{w}) is missing from adj[{w}]")
+    if g.edge_count != sum(deg) // 2:
+        viol.append(f"edge_count = {g.edge_count}, but the degrees sum to {sum(deg)}")
+    rep.add(CheckResult("graph_structure", not viol, viol))
 
     dec = engine.decomp
     dense = engine.dense

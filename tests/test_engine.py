@@ -97,7 +97,7 @@ def test_journal_revert_is_identity():
         done += 1
     assert dict(c.partner) != start_matching
     for upd in reversed(engine.phase_updates):
-        engine.graph.apply(upd.inverse())
+        engine.graph.toggle(upd.u, upd.v, not upd.insert)
     engine.journal.revert(engine.decomp, engine.phase_updates)
     assert structural_snapshot(engine) == before
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dyncolor.errors import DegreeCapExceeded, DuplicateEdge, MissingEdge
 from dyncolor.graph import DynamicGraph, EdgeUpdate, dele, ins
+from dyncolor.sampleset import SampleSet
 
 from conftest import add_edges, clique_edges, random_graph
 
@@ -116,3 +117,67 @@ def test_symmetry_and_cap_hold_after_every_update(pairs, rnd):
         assert (v in g.adj[u]) == (u in g.adj[v])
         assert all(g.degree(x) <= 4 for x in (u, v))
         assert _degree_seen_by_others(g, u) == g.degree(u)
+
+
+def _state(adj, deg, edge_count):
+    return [s.items for s in adj], [s._pos for s in adj], list(deg), edge_count
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_toggle_and_apply_agree_through_undo_and_replay(seed):
+    # a legal stream, undone newest first and replayed, through `apply` on
+    # one graph, through `toggle` on a second, and through SampleSet
+    # add/discard on a reference: item orders, position indexes, degrees
+    # and the edge count agree at every stage
+    n, delta = 12, 5
+    rng = random.Random(seed)
+    checked, unchecked = DynamicGraph(n, delta), DynamicGraph(n, delta)
+    ref = [SampleSet() for _ in range(n)]
+    ref_deg, ref_edges = [0] * n, 0
+
+    def ref_toggle(u, v, insert):
+        nonlocal ref_edges
+        for a, b in ((u, v), (v, u)):
+            assert (ref[a].add(b) if insert else ref[a].discard(b))
+            ref_deg[a] += 1 if insert else -1
+        ref_edges += 1 if insert else -1
+
+    def agree():
+        want = _state(ref, ref_deg, ref_edges)
+        assert _state(checked.adj, checked.deg, checked.edge_count) == want
+        assert _state(unchecked.adj, unchecked.deg, unchecked.edge_count) == want
+
+    stream, swaps = [], 0
+    while len(stream) < 400:
+        u, v = rng.sample(range(n), 2)
+        upd = EdgeUpdate(u, v, not checked.has_edge(u, v))
+        if not checked.is_legal(upd):
+            continue
+        if not upd.insert:
+            # a deletion of a neighbor that is not last moves the last one
+            swaps += checked.adj[u].items[-1] != v or checked.adj[v].items[-1] != u
+        checked.apply(upd)
+        unchecked.toggle(u, v, upd.insert)
+        ref_toggle(u, v, upd.insert)
+        stream.append(upd)
+        agree()
+    assert swaps > 50
+    for upd in reversed(stream):
+        checked.apply(EdgeUpdate(upd.u, upd.v, not upd.insert))
+        unchecked.toggle(upd.u, upd.v, not upd.insert)
+        ref_toggle(upd.u, upd.v, not upd.insert)
+    agree()
+    assert checked.edge_count == 0 and not any(checked.deg)
+    for upd in stream:
+        checked.apply(upd)
+        unchecked.toggle(upd.u, upd.v, upd.insert)
+        ref_toggle(upd.u, upd.v, upd.insert)
+    agree()
+
+
+def test_degree_reads_the_flat_list():
+    g = DynamicGraph(5, 3)
+    add_edges(g, [(0, 1), (0, 2), (3, 0)])
+    g.apply(dele(0, 2))
+    assert g.deg == [2, 1, 0, 1, 0]
+    assert [g.degree(v) for v in range(5)] == g.deg

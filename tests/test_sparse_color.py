@@ -88,6 +88,31 @@ def test_isolated_vertex_is_charged_what_feasible_charges():
     assert e.colors.of[0] == 1
 
 
+class _UnreadAdjacency:
+    """Stands in for a vertex's SampleSet; any read of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the draw loop read adjacency attribute {name!r}")
+
+
+def test_vertex_that_lost_its_last_edge_in_phase_takes_the_unchecked_draw():
+    # its SampleSet exists but is empty; the loop reads deg and leaves it
+    # alone, and charges what the isolated-vertex test above pins
+    e = make_engine(6, 3, phase_len=10**9)
+    e.process(ins(1, 2))
+    e.process(ins(1, 3))
+    e.process(dele(1, 2))
+    e.process(dele(3, 1))
+    assert e.graph.deg[1] == 0 and e.updates_in_phase == 4
+    c = next(c for c in range(e.palette) if e.colors.L[c] and c != e.colors.of[1])
+    e.graph.adj[1] = _UnreadAdjacency()
+    e.sparse.rng = _ForcedDraws(c)
+    m = e.metrics
+    before = (m.work, m.probes, m.samples)
+    assert e.sparse.recolor_sparse(1) == c
+    assert tuple(a - b for a, b in zip((m.work, m.probes, m.samples), before)) == (2, 0, 1)
+
+
 def test_color_sparse_rejects_a_colored_vertex():
     # whichever half the colored vertex falls in, the pass refuses it
     halves = set()

@@ -58,6 +58,47 @@ def test_fault_properness_on_the_baseline():
     assert any("(1,2)" in v for v in rep.checks["properness"].violations)
 
 
+def small_sparse_engine():
+    engine = make_engine(24, 8, phase_len=10**9)
+    for u, v in ((0, 1), (0, 2), (3, 4)):
+        engine.process(ins(u, v))
+    return engine
+
+
+def test_fault_graph_structure_degree():
+    engine = small_sparse_engine()
+    engine.graph.deg[0] += 1  # adj[0] still holds two neighbors
+    rep = verify(engine)
+    assert "graph_structure" in rep.failed_names()
+    assert rep.checks["graph_structure"].violations == ["deg[0] = 3, but adj[0] holds 2"]
+
+
+def test_fault_graph_structure_one_sided_edge():
+    # adj[1] loses 0 through the SampleSet itself, and deg[1] follows it,
+    # so only the symmetry and the edge count can tell
+    engine = small_sparse_engine()
+    g = engine.graph
+    g.adj[1].discard(0)
+    g.deg[1] -= 1
+    rep = verify(engine)
+    assert "graph_structure" in rep.failed_names()
+    assert rep.checks["graph_structure"].violations == [
+        "edge (0,1) is missing from adj[1]",
+        "edge_count = 3, but the degrees sum to 5",
+    ]
+
+
+def test_fault_graph_structure_position_index():
+    engine = small_sparse_engine()
+    pos = engine.graph.adj[0]._pos
+    pos[1], pos[2] = pos[2], pos[1]
+    rep = verify(engine)
+    assert rep.failed_names() == ["graph_structure"]
+    assert rep.checks["graph_structure"].violations == [
+        "adj[0]'s position index does not index its items"
+    ]
+
+
 def test_fault_partition_structures():
     engine, (c,) = fresh_dense()
     assert not engine.graph.has_edge(0, 1)

@@ -163,7 +163,10 @@ class DenseColoring:
 
         An insertion kills the pair (u,v) if matched and tries to rematch
         each endpoint with a free non-neighbor; a deletion matches the new
-        non-edge when both sides are free.  Returns the pairs added.
+        non-edge when both sides are free.  Returns the pairs added.  The
+        one exception is a pair `recolor_pair` dissolves: both endpoints
+        stay unmatched, though their non-edge remains, until the next
+        boundary rebuilds the matching.
         """
         u, v = upd.u, upd.v
         dec = self.decomp
@@ -426,8 +429,11 @@ class DenseColoring:
 
         The capped draw of `recolor_non_edge` first, then the lowest color
         the pair may share, else the pair leaves the matching and both
-        endpoints are rescanned alone.  A member privately holding the
-        shared color is evicted and rematched.
+        endpoints are rescanned alone.  A dissolved pair leaves the
+        matching non-maximal: both endpoints stay unmatched on their own
+        non-edge until `init_nonedge_matchings` runs at the next boundary.
+        A member privately holding the shared color is evicted and
+        rematched.
         """
         try:
             c = self.recolor_non_edge(clique, u, v)

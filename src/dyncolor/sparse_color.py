@@ -5,6 +5,15 @@ single random color each (one-shot), the rest are colored greedily in
 random order by rejection sampling.  Inside a phase, conflicted sparse
 vertices are recolored by the same rejection loop.
 
+An isolated vertex ends that pass with a uniform color on which no other
+vertex's draw, check or order depends, so the pass gives every isolated
+vertex its one uniform draw first, in a loop of its own, and runs the
+pick, one-shot and greedy stages on the vertices with neighbors only.
+The law of the coloring is unchanged: isolated colors are iid uniform
+either way, the others keep iid fair picks, the ascending one-shot order
+and a uniform greedy order (a uniform shuffle restricted to a subset is
+uniform).  The draws consumed and the order of L(c) do change.
+
 `_rejection_color` is the one place the feasibility rule is written: a
 color c is feasible for v iff no neighbor of v sits in L(c).  The check
 consults only sparse occupants of L(c) and ignores dense neighbors; the
@@ -53,10 +62,11 @@ class SparseColoring:
         shorter of v's adjacency and L(c): a neighbor is probed by its
         home list, an occupant of L(c) by v's adjacency index.  It is
         charged whole: a probe per element, and a unit per element plus
-        one.  A vertex whose `graph.deg` entry is 0 takes its first draw
-        unchecked, charged as a walk of nothing, and its adjacency is never
-        loaded; the graph keeps `deg` in step through its one unchecked
-        `toggle`.  A draw costs a sample and a unit.
+        one.  A draw costs a sample and a unit.  The pass of `color_sparse`
+        and the in-phase recoloring of a monochromatic edge's endpoint
+        send it only vertices with neighbors; an isolated vertex sent here
+        walks nothing and keeps its first draw, with the charge and color
+        `_color_isolated` gives it.
         Placement appends v to L(c) and fires the listeners with
         (v, BLANK, c), as `set_sparse` on a blank v does.
         """
@@ -73,41 +83,35 @@ class SparseColoring:
             if of[v] != BLANK:
                 raise ValueError(f"vertex {v} is not blank")
             deg = degree[v]
-            if not deg:
+            nbrs = adj[v]
+            near, near_pos = nbrs.items, nbrs._pos
+            for i in range(tries):
                 c = getrandbits(k)
                 while c >= palette:
                     c = getrandbits(k)
-                drawn += 1
-            else:
-                nbrs = adj[v]
-                near, near_pos = nbrs.items, nbrs._pos
-                for i in range(tries):
-                    c = getrandbits(k)
-                    while c >= palette:
-                        c = getrandbits(k)
-                    lst = L[c]
-                    if deg < len(lst):
-                        probes += deg
-                        for w in near:
-                            if home[w] is lst:
-                                break
-                        else:
-                            drawn += i + 1
+                lst = L[c]
+                if deg < len(lst):
+                    probes += deg
+                    for w in near:
+                        if home[w] is lst:
                             break
                     else:
-                        probes += len(lst)
-                        for w in lst:
-                            if w in near_pos:
-                                break
-                        else:
-                            drawn += i + 1
-                            break
+                        drawn += i + 1
+                        break
                 else:
-                    drawn += tries
-                    if one_shot:
-                        missed += 1
-                        continue
-                    c = self._fallback(v)
+                    probes += len(lst)
+                    for w in lst:
+                        if w in near_pos:
+                            break
+                    else:
+                        drawn += i + 1
+                        break
+            else:
+                drawn += tries
+                if one_shot:
+                    missed += 1
+                    continue
+                c = self._fallback(v)
             of[v] = c
             lst = L[c]
             slot[v] = len(lst)
@@ -130,12 +134,53 @@ class SparseColoring:
         self.metrics.work += self.palette + len(adj)
         return self.colors.lowest_free(adj)
 
+    def _color_isolated(self, vertices) -> None:
+        """Give each blank vertex, in order, one uniform color, unchecked.
+
+        The vertices must have no neighbors, so every color is feasible
+        and one `randrange(palette)` draw is the whole rejection process;
+        it is charged as the rejection loop charges a first draw that
+        walks nothing: a sample and two units.  Placement is as in
+        `_rejection_color`.
+        """
+        colors = self.colors
+        of, L, listeners = colors.of, colors.L, colors.listeners
+        slot, home = colors.slot, colors.home
+        getrandbits = self.rng.getrandbits
+        palette = self.palette
+        k = palette.bit_length()
+        for v in vertices:
+            if of[v] != BLANK:
+                raise ValueError(f"vertex {v} is not blank")
+            c = getrandbits(k)
+            while c >= palette:
+                c = getrandbits(k)
+            of[v] = c
+            lst = L[c]
+            slot[v] = len(lst)
+            home[v] = lst
+            lst.append(v)
+            if listeners:
+                for fn in listeners:
+                    fn(v, BLANK, c)
+        m = self.metrics
+        m.work += 2 * len(vertices)
+        m.samples += len(vertices)
+
     def color_sparse(self, vertices=None) -> None:
         """Phase-start recoloring of the sparse side, which must be all blank.
 
-        `vertices` must ascend; by default it is every sparse vertex.
+        `vertices` must ascend; by default it is every sparse vertex.  The
+        isolated ones (`graph.deg` entry 0) are placed first, ascending, by
+        `_color_isolated`: no pick, no shuffle slot, one draw each.  The
+        rest go through the pick, the one-shot pass and the greedy pass.
         """
         vs = self.decomp.sparse_vertices() if vertices is None else vertices
+        deg = self.graph.deg
+        lone = [v for v in vs if not deg[v]]
+        if lone:
+            self._color_isolated(lone)
+            vs = [v for v in vs if deg[v]]
         random = self.rng.random
         picked = [v for v in vs if random() < 0.5]
         self.metrics.samples += len(vs)

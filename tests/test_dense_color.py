@@ -304,6 +304,9 @@ def test_pair_without_a_shared_color_is_dissolved_and_rescanned():
     engine.process(dele(2, 3))
     of = engine.colors.of
     assert 2 not in c.partner and 3 not in c.partner
+    # the matching stays non-maximal until the next boundary: the free
+    # endpoints keep their own non-edge
+    assert 3 in c.nonedges[2] and 2 in c.nonedges[3]
     assert {2, 3} <= set(c.book.big_l)
     assert BLANK not in (of[2], of[3]) and of[2] != of[3]
     assert c.book.mp[of[2]] == 2 and c.book.mp[of[3]] == 3

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -53,6 +54,9 @@ class _ForcedDraws:
     def getrandbits(self, k):
         return self.value
 
+    def random(self):
+        raise AssertionError("a pick draw was made")
+
 
 def test_coloring_passes_reject_a_colored_vertex():
     e = blank_engine(8, 4, seed=1)
@@ -86,6 +90,34 @@ def test_isolated_vertex_is_charged_what_feasible_charges():
     e.colors.clear_sparse(1)
     assert charge(lambda: e.sparse.greedy_coloring([0])) == (2, 0, 1)
     assert e.colors.of[0] == 1
+    # the phase-start pass gives it the same color and charge without a walk
+    e.colors.clear_sparse(0)
+    assert charge(lambda: e.sparse.color_sparse([0])) == (2, 0, 1)
+    assert e.colors.of[0] == 1
+
+
+def test_isolated_vertex_takes_the_same_draw_through_the_walk():
+    # greedy_coloring on an isolated vertex walks an empty adjacency and
+    # keeps its first draw: the color, charge and generator state match
+    # those of the phase-start pass's isolated-vertex loop, with L(c) empty
+    # or occupied
+    for seed in range(20):
+        e = blank_engine(12, 5, seed=seed)
+        for u in range(1, 6):
+            e.graph.apply(ins(0, u))
+            e.colors.set_sparse(u, u - 1)
+        v = 9
+        start = e.rng.getstate()
+        got = []
+        for color_pass in (e.sparse.color_sparse, e.sparse.greedy_coloring):
+            e.rng.setstate(start)
+            m = e.metrics
+            before = (m.work, m.probes, m.samples)
+            color_pass([v])
+            charge = tuple(a - b for a, b in zip((m.work, m.probes, m.samples), before))
+            got.append((e.colors.of[v], charge, e.rng.getstate()))
+            e.colors.clear_sparse(v)
+        assert got[0] == got[1] and got[0][1] == (2, 0, 1)
 
 
 class _UnreadAdjacency:
@@ -96,8 +128,9 @@ class _UnreadAdjacency:
 
 
 def test_vertex_that_lost_its_last_edge_in_phase_takes_the_unchecked_draw():
-    # its SampleSet exists but is empty; the loop reads deg and leaves it
-    # alone, and charges what the isolated-vertex test above pins
+    # its SampleSet exists but is empty; the phase-start pass reads deg,
+    # leaves the adjacency alone, makes no pick draw, and charges what the
+    # isolated-vertex test above pins
     e = make_engine(6, 3, phase_len=10**9)
     e.process(ins(1, 2))
     e.process(ins(1, 3))
@@ -105,27 +138,38 @@ def test_vertex_that_lost_its_last_edge_in_phase_takes_the_unchecked_draw():
     e.process(dele(3, 1))
     assert e.graph.deg[1] == 0 and e.updates_in_phase == 4
     c = next(c for c in range(e.palette) if e.colors.L[c] and c != e.colors.of[1])
+    e.colors.clear_sparse(1)
     e.graph.adj[1] = _UnreadAdjacency()
     e.sparse.rng = _ForcedDraws(c)
     m = e.metrics
     before = (m.work, m.probes, m.samples)
-    assert e.sparse.recolor_sparse(1) == c
+    e.sparse.color_sparse([1])
+    assert e.colors.of[1] == c
     assert tuple(a - b for a, b in zip((m.work, m.probes, m.samples), before)) == (2, 0, 1)
 
 
 def test_color_sparse_rejects_a_colored_vertex():
-    # whichever half the colored vertex falls in, the pass refuses it
+    # vertices 0..9 are matched in pairs and 10, 11 are isolated; whichever
+    # half a colored vertex with a neighbor falls in, and a colored
+    # isolated vertex, the pass refuses it
     halves = set()
     for seed in range(8):
-        e = blank_engine(12, 4, seed=seed)
-        e.colors.set_sparse(5, 2)
-        # the pass's first 12 draws pick the one-shot half
-        ahead = random.Random()
-        ahead.setstate(e.rng.getstate())
-        halves.add([ahead.random() < 0.5 for _ in range(12)][5])
-        with pytest.raises(ValueError):
-            e.sparse.color_sparse()
-        assert e.colors.of[5] == 2
+        for colored in (5, 11):
+            e = blank_engine(12, 4, seed=seed)
+            for u in range(0, 10, 2):
+                e.graph.apply(ins(u, u + 1))
+            e.colors.set_sparse(colored, 2)
+            # the pass draws a color for each of 10 and 11, then picks the
+            # one-shot half of 0..9
+            ahead = random.Random()
+            ahead.setstate(e.rng.getstate())
+            for _ in range(2):
+                ahead.randrange(e.palette)
+            if colored == 5:
+                halves.add([ahead.random() < 0.5 for _ in range(10)][5])
+            with pytest.raises(ValueError):
+                e.sparse.color_sparse()
+            assert e.colors.of[colored] == 2
     assert halves == {True, False}
 
 
@@ -227,9 +271,157 @@ def test_color_sparse_empty_and_edgeless():
     assert e.colors.of[0] == BLANK  # nothing to do
 
     e = blank_engine(30, 8, seed=2)
+    rng = e.sparse.rng = _CountingRandom(2)
+    ref = random.Random(2)
+    m = e.metrics
+    before = (m.work, m.probes, m.samples)
     e.sparse.color_sparse()
     assert all(e.colors.of[v] != BLANK for v in range(30))
     assert list_consistency(e)
+    # one draw, one sample and two units per vertex; no pick, no shuffle
+    assert e.colors.of == [ref.randrange(9) for _ in range(30)]
+    assert rng.getstate() == ref.getstate() and rng.picks == 0
+    assert tuple(a - b for a, b in zip((m.work, m.probes, m.samples), before)) == (60, 0, 30)
+
+
+# isolated 0, 3, 6, 9; a triangle 1-4-7; a path 2-5-8; palette 4
+LAW_N, LAW_DELTA = 10, 3
+LAW_ISOLATED = [0, 3, 6, 9]
+LAW_TRIANGLE = (1, 4, 7)
+LAW_PATH = (2, 5, 8)
+LAW_EDGES = [(1, 4), (4, 7), (1, 7), (2, 5), (5, 8)]
+
+
+def law_engine(seed=0):
+    e = blank_engine(LAW_N, LAW_DELTA, seed=seed)
+    add_edges(e.graph, LAW_EDGES)
+    return e
+
+
+def reference_color_sparse(vertices, palette, cap, edges, rng, of):
+    """The phase-start pass with every vertex in the pick, straight-line.
+
+    Each of `vertices`, ascending, is picked for the one-shot pass with
+    probability 1/2; picked vertices, ascending, keep one draw if no
+    neighbor holds it; the rest, in shuffled order, take the first of up
+    to `cap` draws no neighbor holds, else the lowest such color.  Colors
+    `of` (None for blank) in place and returns the placement order.
+    """
+    nbrs = collections.defaultdict(set)
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    placed = []
+    picked = [v for v in vertices if rng.random() < 0.5]
+    for v in picked:
+        c = rng.randrange(palette)
+        if all(of[w] != c for w in nbrs[v]):
+            of[v] = c
+            placed.append(v)
+    rest = [v for v in vertices if of[v] is None]
+    rng.shuffle(rest)
+    for v in rest:
+        for _ in range(cap):
+            c = rng.randrange(palette)
+            if all(of[w] != c for w in nbrs[v]):
+                break
+        else:
+            c = min(set(range(palette)) - {of[w] for w in nbrs[v]})
+        of[v] = c
+        placed.append(v)
+    return placed
+
+
+def _frequencies(colorings, key):
+    counts = collections.Counter(key(of) for of in colorings)
+    return {k: cnt / len(colorings) for k, cnt in counts.items()}
+
+
+def _total_variation(p, q):
+    return sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in set(p) | set(q)) / 2
+
+
+def test_color_sparse_keeps_the_law_of_the_pass_without_an_isolated_loop():
+    # the isolated-vertex loop changes which draws the pass consumes, not
+    # the law of the coloring: over 20,000 seeds its per-vertex color
+    # frequencies and the joint colors of the triangle and of the path
+    # match a straight-line reference that picks every vertex.  The seeds
+    # are fixed, so the test is deterministic.  The per-vertex bound is 4
+    # standard errors of the difference of two 20,000-sample estimates of
+    # a probability of 1/4 (0.017); the joint bounds are about twice the
+    # total variation distance expected between two such samples over 24
+    # (triangle) and 36 (path) outcomes (0.031, 0.038)
+    runs = 20_000
+    e = law_engine()
+    palette, cap = e.palette, e.sparse.cap
+    got, ref = [], []
+    for seed in range(runs):
+        e.colors.blank_all()
+        e.sparse.rng = random.Random(seed)
+        e.sparse.color_sparse()
+        got.append(tuple(e.colors.of))
+        of = [None] * LAW_N
+        reference_color_sparse(
+            range(LAW_N), palette, cap, LAW_EDGES, random.Random(runs + seed), of
+        )
+        ref.append(tuple(of))
+    assert all(of[u] != of[v] for of in got for u, v in LAW_EDGES)
+    for v in range(LAW_N):
+        p = _frequencies(got, lambda of: of[v])
+        q = _frequencies(ref, lambda of: of[v])
+        assert max(abs(p.get(c, 0.0) - q.get(c, 0.0)) for c in range(palette)) <= 0.017
+    for group, bound in ((LAW_TRIANGLE, 0.031), (LAW_PATH, 0.038)):
+        p = _frequencies(got, lambda of: tuple(of[v] for v in group))
+        q = _frequencies(ref, lambda of: tuple(of[v] for v in group))
+        assert _total_variation(p, q) <= bound
+
+
+class _CountingRandom(random.Random):
+    """A generator that counts its `random()` calls, the pass's pick draws."""
+
+    picks = 0
+
+    def random(self):
+        self.picks += 1
+        return super().random()
+
+
+def test_color_sparse_places_isolated_vertices_first_one_draw_each():
+    # isolated vertices are placed first, ascending, each on exactly one
+    # randrange(palette) draw and no pick draw; the rest are placed, draw
+    # for draw, as the reference pass places them alone.  The listeners
+    # see one (v, BLANK, c) per vertex in placement order, L(c)'s order
+    linked = [v for v in range(LAW_N) if v not in LAW_ISOLATED]
+    for seed in range(40):
+        e = law_engine()
+        rng = _CountingRandom(seed)
+        ref = random.Random(seed)
+        e.sparse.rng = rng
+        events = []
+        e.colors.listeners.append(
+            lambda v, old, new: events.append((v, old, new, rng.getstate()))
+        )
+        samples0 = e.metrics.samples
+        e.sparse.color_sparse()
+        lone = len(LAW_ISOLATED)
+        assert [ev[0] for ev in events[:lone]] == LAW_ISOLATED
+        for v, old, new, state in events[:lone]:
+            assert new == ref.randrange(e.palette) and state == ref.getstate()
+        assert rng.picks == len(linked)
+        of = [None] * LAW_N
+        for v, _, new, _ in events[:lone]:
+            of[v] = new
+        placed = reference_color_sparse(
+            linked, e.palette, e.sparse.cap, LAW_EDGES, ref, of
+        )
+        assert [ev[0] for ev in events[lone:]] == placed
+        assert rng.getstate() == ref.getstate()
+        assert of == e.colors.of
+        assert all(old == BLANK and new == of[v] for v, old, new, _ in events)
+        for c, lst in enumerate(e.colors.L):
+            assert lst == [v for v, _, new, _ in events if new == c]
+        # a pick for each vertex with neighbors, a draw for each vertex
+        assert e.metrics.samples - samples0 >= len(linked) + LAW_N
 
 
 def test_color_sparse_load_law_small_sweep():

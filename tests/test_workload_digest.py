@@ -37,9 +37,9 @@ SEED = 0
 
 # recorded with `__main__` below
 DIGESTS = {
-    "adaptive-sparse": "934a3577083a6289755ec343ba178a6458c7075c0db6d3f7ca7649e47c2844ad",
-    "churn-dense": "d206b76317065bbed7ecc9c0b1cd48830dffa49e680131607591d52416181681",
-    "deletion-wide": "a71f4a41c35403896db802a2bfe22428ff1d98d73e3dd163b4783a5a83eb9e6b",
+    "adaptive-sparse": "aaea9453cc85be64502a5c562b16b60f12c6981ae6d8f5d1eeaa3ed282d8286a",
+    "churn-dense": "7f3d078d83ec2973019e292e3ff42f15baa343ccb9da7d60c6bb04815f2af027",
+    "deletion-wide": "9e52c3aacfaf7aeae20f10821aa0f8e520c9feda7ecf1ad2e525969753b81cb5",
 }
 
 

@@ -9,10 +9,11 @@ An isolated vertex ends that pass with a uniform color on which no other
 vertex's draw, check or order depends, so the pass gives every isolated
 vertex its one uniform draw first, in a loop of its own, and runs the
 pick, one-shot and greedy stages on the vertices with neighbors only.
-The law of the coloring is unchanged: isolated colors are iid uniform
-either way, the others keep iid fair picks, the ascending one-shot order
-and a uniform greedy order (a uniform shuffle restricted to a subset is
-uniform).  The draws consumed and the order of L(c) do change.
+The coloring has the law of a pass that picks every vertex: isolated
+colors are iid uniform either way, the others keep iid fair picks, the
+ascending one-shot order and a uniform greedy order (a uniform shuffle
+restricted to a subset is uniform).  Only which draws are consumed, and
+the order within each L(c), differ.
 
 `_rejection_color` is the one place the feasibility rule is written: a
 color c is feasible for v iff no neighbor of v sits in L(c).  The check

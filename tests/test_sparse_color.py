@@ -90,10 +90,6 @@ def test_isolated_vertex_is_charged_what_feasible_charges():
     e.colors.clear_sparse(1)
     assert charge(lambda: e.sparse.greedy_coloring([0])) == (2, 0, 1)
     assert e.colors.of[0] == 1
-    # the phase-start pass gives it the same color and charge without a walk
-    e.colors.clear_sparse(0)
-    assert charge(lambda: e.sparse.color_sparse([0])) == (2, 0, 1)
-    assert e.colors.of[0] == 1
 
 
 def test_isolated_vertex_takes_the_same_draw_through_the_walk():

@@ -76,9 +76,6 @@ class Decomposition:
         cid = self.clique_of[v]
         return None if cid is None else self.cliques[cid]
 
-    def sparse_vertices(self) -> list[int]:
-        return [v for v, cid in enumerate(self.clique_of) if cid is None]
-
     # ---- neighbor views ------------------------------------------------------
 
     def _nbr_add(self, x: int, w: int) -> None:
@@ -184,7 +181,7 @@ class Decomposition:
         tracker = self.tracker
         if upd.insert:
             for w in refresh:
-                if w in tracker.vsets[0] and self.clique_of[w] is None:
+                if self.clique_of[w] is None and tracker.is_dense(w):
                     self.dense_move(w)
         else:
             to_collapse: list[int] = []
@@ -210,7 +207,7 @@ class Decomposition:
             for cid in to_collapse:
                 freed += self.dissolve(self.cliques[cid])
             for w in sorted(freed):
-                if w in tracker.vsets[0] and self.clique_of[w] is None:
+                if self.clique_of[w] is None and tracker.is_dense(w):
                     self.dense_move(w)
 
     # ---- moves -----------------------------------------------------------------

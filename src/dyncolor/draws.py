@@ -8,8 +8,7 @@ helpers below make exactly those `getrandbits` calls without the call
 layers, so the values returned and the generator state left behind equal
 the library's (pinned by tests/test_draws.py; the golden traces depend on
 it).  `DenseColoring` draws through `palette_drawer`; the sparse
-rejection loop and the isolated-vertex loop inline the same draw, as
-they run once per try.
+rejection loop inlines the same draw, as it runs once per try.
 """
 
 from __future__ import annotations

@@ -138,6 +138,15 @@ class FriendTracker:
         else:
             self.vsets[i].discard(v)
 
+    def is_dense(self, v: int) -> bool:
+        """Whether v's N_1 list, as it stands, puts v in V_1.
+
+        V_1 is written only when v itself is refreshed, while v's list also
+        shrinks when a neighbor's refresh or a deletion drops a pair, so the
+        set can still hold v after its list fell short.
+        """
+        return len(self.lists[0][v]) >= self._dense_thr[0]
+
     def update_vertex(self, v: int) -> None:
         """Full refresh of v: re-estimate all incident edges at all scales."""
         self._refresh(v, self.graph.adj[v].items)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dyncolor.adversary import make_adversary
 from dyncolor.colors import ColorState
 from dyncolor.decomposition import Decomposition
 from dyncolor.dense_color import DenseColoring
@@ -10,6 +11,7 @@ from dyncolor.friends import FriendTracker
 from dyncolor.graph import DynamicGraph, dele, ins
 from dyncolor.metrics import Metrics
 from dyncolor.params import ParamSet
+from dyncolor.runner import run_stream
 
 from conftest import (
     add_edges,
@@ -243,6 +245,31 @@ def test_nonedge_degree_bound():
     c3 = engine.params.c3
     for v in c.members:
         assert len(c.nonedges[v]) <= 3 * c3 * delta
+
+
+def test_dense_moves_read_the_current_friend_lists():
+    # V_1 is written only when a vertex itself is refreshed, while its N_1
+    # list also shrinks when a neighbor's refresh or a deletion drops a
+    # pair.  On this churn stream the set still held a vertex with too few
+    # scale-1 friends at two of the replay's dense moves, which founded
+    # cliques below the size floor; every move must find its vertex dense
+    # by the list as it stands
+    engine = make_engine(
+        64, 16, eps=0.15, tau=0.05, k=192, fire=4, phase_len=24,
+        strict=False, seed=2, regime_frac=1.0,
+    )
+    adv = make_adversary("clique-churn", 64, 16, seed=52, target_size=17, erode_frac=0.5)
+    dec, tracker = engine.decomp, engine.tracker
+    moves = []
+    real = dec.dense_move
+
+    def spy(v):
+        moves.append(tracker.is_dense(v))
+        return real(v)
+
+    dec.dense_move = spy
+    run_stream(engine, adv, 3000)
+    assert moves and all(moves)
 
 
 def test_clique_collapse_and_refounding():

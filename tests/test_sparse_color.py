@@ -38,13 +38,6 @@ def list_consistency(engine):
     return seen == colored
 
 
-def test_one_shot_no_internal_edges_colors_all():
-    e = blank_engine(20, 6)
-    assert e.sparse.one_shot_coloring(range(20)) == 0
-    assert all(e.colors.of[v] != BLANK for v in range(20))
-    assert list_consistency(e)
-
-
 class _ForcedDraws:
     """Stub rng: every palette draw returns the same value (below the palette)."""
 
@@ -58,22 +51,73 @@ class _ForcedDraws:
         raise AssertionError("a pick draw was made")
 
 
+class _ScriptedDraws:
+    """Stub rng: palette and shuffle draws, and pick draws, come from two
+    scripts in order; drawing past either script fails the test."""
+
+    def __init__(self, draws, picks=()):
+        self.draws = list(draws)
+        self.picks = list(picks)
+
+    def getrandbits(self, k):
+        assert self.draws, "a draw past the script"
+        return self.draws.pop(0)
+
+    def random(self):
+        assert self.picks, "a pick draw past the script"
+        return self.picks.pop(0)
+
+    def spent(self):
+        return not self.draws and not self.picks
+
+
+class _CountingRandom(random.Random):
+    """A generator that counts its `random()` calls, the pass's pick draws."""
+
+    picks = 0
+
+    def random(self):
+        self.picks += 1
+        return super().random()
+
+
+PICKED, UNPICKED = 0.0, 0.75
+
+
+def test_one_shot_no_internal_edges_colors_all():
+    # 0..19 each have a neighbor outside the pass and none inside it: every
+    # picked vertex keeps its one draw, so nothing is left for the greedy
+    # pass (an empty shuffle draws nothing)
+    e = blank_engine(40, 6)
+    add_edges(e.graph, [(v, v + 20) for v in range(20)])
+    e.sparse.rng = rng = _ScriptedDraws(
+        [v % e.palette for v in range(20)], [PICKED] * 20
+    )
+    e.sparse.color_sparse(range(20))
+    assert rng.spent()
+    assert e.colors.of[:20] == [v % e.palette for v in range(20)]
+    assert list_consistency(e)
+
+
 def test_coloring_passes_reject_a_colored_vertex():
+    # the blank check comes before any pick or draw, for a vertex with a
+    # neighbor (3) and without one (5)
     e = blank_engine(8, 4, seed=1)
-    e.colors.set_sparse(3, 2)
-    state = e.rng.getstate()
-    for color_pass in (e.sparse.one_shot_coloring, e.sparse.greedy_coloring):
-        with pytest.raises(ValueError):
-            color_pass([3])
-    # greedy's shuffle of one vertex draws nothing; neither pass drew a color
-    assert e.rng.getstate() == state
-    assert e.colors.of[3] == 2 and list(e.colors.L[2]) == [3]
+    e.graph.apply(ins(3, 4))
+    for v in (3, 5):
+        e.colors.set_sparse(v, 2)
+    e.sparse.rng = _ScriptedDraws([])
+    for v in (3, 5):
+        for color_pass in (e.sparse.color_sparse, e.sparse.greedy_coloring):
+            with pytest.raises(ValueError):
+                color_pass([v])
+    assert e.colors.of[3] == e.colors.of[5] == 2 and list(e.colors.L[2]) == [3, 5]
 
 
 def test_isolated_vertex_is_charged_what_feasible_charges():
     # the draw loop takes an isolated vertex's first draw without checking
-    # it; it must still charge what a checked draw that walks nothing does:
-    # vertex 1 has a neighbor and L(1) is empty, so its check walks L(1)
+    # it; it must still charge what a feasible draw that walks nothing
+    # does: vertex 1 has a neighbor and its draw lands on an empty L(1)
     e = blank_engine(6, 3)
     e.graph.apply(ins(1, 2))
     e.decomp.note_edge(ins(1, 2))
@@ -95,8 +139,8 @@ def test_isolated_vertex_is_charged_what_feasible_charges():
 def test_isolated_vertex_takes_the_same_draw_through_the_walk():
     # greedy_coloring on an isolated vertex walks an empty adjacency and
     # keeps its first draw: the color, charge and generator state match
-    # those of the phase-start pass's isolated-vertex loop, with L(c) empty
-    # or occupied
+    # those of the phase-start pass's unchecked draw, with L(c) empty or
+    # occupied
     for seed in range(20):
         e = blank_engine(12, 5, seed=seed)
         for u in range(1, 6):
@@ -145,38 +189,37 @@ def test_vertex_that_lost_its_last_edge_in_phase_takes_the_unchecked_draw():
 
 
 def test_color_sparse_rejects_a_colored_vertex():
-    # vertices 0..9 are matched in pairs and 10, 11 are isolated; whichever
-    # half a colored vertex with a neighbor falls in, and a colored
-    # isolated vertex, the pass refuses it
-    halves = set()
-    for seed in range(8):
+    # vertices 0..9 are matched in pairs and 10, 11 are isolated; whether
+    # the pass picks or defers the vertices before it, a colored vertex
+    # with a neighbor and a colored isolated vertex are refused, before the
+    # pass draws for them
+    for pick in (PICKED, UNPICKED):
         for colored in (5, 11):
-            e = blank_engine(12, 4, seed=seed)
+            e = blank_engine(12, 4)
             for u in range(0, 10, 2):
                 e.graph.apply(ins(u, u + 1))
             e.colors.set_sparse(colored, 2)
-            # the pass draws a color for each of 10 and 11, then picks the
-            # one-shot half of 0..9
-            ahead = random.Random()
-            ahead.setstate(e.rng.getstate())
-            for _ in range(2):
-                ahead.randrange(e.palette)
-            if colored == 5:
-                halves.add([ahead.random() < 0.5 for _ in range(10)][5])
+            linked = min(colored, 10)  # the vertices with a neighbor before it
+            drawn = (linked if pick == PICKED else 0) + colored - linked
+            e.sparse.rng = rng = _ScriptedDraws([3] * drawn, [pick] * linked)
             with pytest.raises(ValueError):
                 e.sparse.color_sparse()
-            assert e.colors.of[colored] == 2
-    assert halves == {True, False}
+            assert rng.spent() and e.colors.of[colored] == 2
 
 
 def test_one_shot_conflict_first_processed_wins():
+    # both endpoints are picked and draw color 3: 0 keeps it, 1 is deferred
+    # and takes its greedy draw, with no fallback
     e = blank_engine(8, 6)
     e.graph.apply(ins(0, 1))
     e.decomp.note_edge(ins(0, 1))
-    e.sparse.rng = _ForcedDraws(3)  # both endpoints sample color 3
-    assert e.sparse.one_shot_coloring([0, 1]) == 1
-    assert e.colors.of[0] == 3
-    assert e.colors.of[1] == BLANK
+    e.sparse.rng = rng = _ScriptedDraws([3, 3, 2], [PICKED, PICKED])
+    events = []
+    e.colors.listeners.append(lambda v, old, new: events.append((v, new)))
+    fallbacks0 = e.metrics.fallbacks
+    e.sparse.color_sparse([0, 1])
+    assert rng.spent() and e.metrics.fallbacks == fallbacks0
+    assert events == [(0, 3), (1, 2)]
     assert sparse_proper(e)
 
 
@@ -212,7 +255,16 @@ def one_shot_reference_fraction(n_vertices, palette, adjacency, seed):
     return len(kept) / n_vertices
 
 
+class _AllPicked(random.Random):
+    """A generator whose pick draws all pick, without consuming state."""
+
+    def random(self):
+        return PICKED
+
+
 def test_one_shot_success_rate_matches_reference():
+    # every vertex is picked, so the pass is the one-shot process on all of
+    # K_delta; the deferred vertices it hands to the greedy pass are its misses
     delta = 24
     n = delta  # complete graph K_delta
     pairs = clique_edges(range(n))
@@ -223,11 +275,17 @@ def test_one_shot_success_rate_matches_reference():
     ) / len(seeds)
     got = 0.0
     for s in seeds:
-        e = blank_engine(n, delta, seed=s)
+        e = blank_engine(n, delta)
         add_edges(e.graph, pairs)
         for u, v in pairs:
             e.decomp.note_edge(ins(u, v))
-        got += (n - e.sparse.one_shot_coloring(range(n))) / n
+        e.sparse.rng = _AllPicked(s)
+        missed = []
+        e.sparse.greedy_coloring = missed.extend
+        e.sparse.color_sparse()
+        assert sparse_proper(e)
+        assert all((e.colors.of[v] == BLANK) == (v in missed) for v in range(n))
+        got += (n - len(missed)) / n
     got /= len(seeds)
     assert abs(got - ref) <= 0.05
 
@@ -282,7 +340,6 @@ def test_color_sparse_empty_and_edgeless():
 
 # isolated 0, 3, 6, 9; a triangle 1-4-7; a path 2-5-8; palette 4
 LAW_N, LAW_DELTA = 10, 3
-LAW_ISOLATED = [0, 3, 6, 9]
 LAW_TRIANGLE = (1, 4, 7)
 LAW_PATH = (2, 5, 8)
 LAW_EDGES = [(1, 4), (4, 7), (1, 7), (2, 5), (5, 8)]
@@ -303,10 +360,7 @@ def reference_color_sparse(vertices, palette, cap, edges, rng, of):
     to `cap` draws no neighbor holds, else the lowest such color.  Colors
     `of` (None for blank) in place and returns the placement order.
     """
-    nbrs = collections.defaultdict(set)
-    for u, v in edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
+    nbrs = neighbor_sets(edges)
     placed = []
     picked = [v for v in vertices if rng.random() < 0.5]
     for v in picked:
@@ -317,14 +371,58 @@ def reference_color_sparse(vertices, palette, cap, edges, rng, of):
     rest = [v for v in vertices if of[v] is None]
     rng.shuffle(rest)
     for v in rest:
-        for _ in range(cap):
-            c = rng.randrange(palette)
-            if all(of[w] != c for w in nbrs[v]):
-                break
-        else:
-            c = min(set(range(palette)) - {of[w] for w in nbrs[v]})
-        of[v] = c
+        of[v] = reference_greedy_color(v, palette, cap, nbrs, rng, of)
         placed.append(v)
+    return placed
+
+
+def neighbor_sets(edges):
+    nbrs = collections.defaultdict(set)
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
+def reference_greedy_color(v, palette, cap, nbrs, rng, of):
+    """The first of up to `cap` draws no neighbor of v holds, else the
+    lowest such color."""
+    for _ in range(cap):
+        c = rng.randrange(palette)
+        if all(of[w] != c for w in nbrs[v]):
+            return c
+    return min(set(range(palette)) - {of[w] for w in nbrs[v]})
+
+
+def reference_phase_start(palette, cap, edges, rng, of):
+    """The phase-start pass as `color_sparse` makes it, straight-line.
+
+    Over the vertices of `of`, ascending: a vertex without neighbors takes
+    one draw; one with neighbors is picked with probability 1/2 and, if
+    picked, keeps one draw if no neighbor holds it; the vertices left
+    blank, in shuffled order, take their greedy color.  Colors `of` (None
+    for blank) in place and returns (v, color, generator state) for each
+    placement, in order.
+    """
+    nbrs = neighbor_sets(edges)
+    placed, deferred = [], []
+    for v in range(len(of)):
+        if not nbrs[v]:
+            c = rng.randrange(palette)
+        elif rng.random() < 0.5:
+            c = rng.randrange(palette)
+            if any(of[w] == c for w in nbrs[v]):
+                deferred.append(v)
+                continue
+        else:
+            deferred.append(v)
+            continue
+        of[v] = c
+        placed.append((v, c, rng.getstate()))
+    rng.shuffle(deferred)
+    for v in deferred:
+        of[v] = reference_greedy_color(v, palette, cap, nbrs, rng, of)
+        placed.append((v, of[v], rng.getstate()))
     return placed
 
 
@@ -338,7 +436,7 @@ def _total_variation(p, q):
 
 
 def test_color_sparse_keeps_the_law_of_the_pass_without_an_isolated_loop():
-    # the isolated-vertex loop changes which draws the pass consumes, not
+    # the ascending phase-start pass changes which draws are consumed, not
     # the law of the coloring: over 20,000 seeds its per-vertex color
     # frequencies and the joint colors of the triangle and of the path
     # match a straight-line reference that picks every vertex.  The seeds
@@ -372,52 +470,79 @@ def test_color_sparse_keeps_the_law_of_the_pass_without_an_isolated_loop():
         assert _total_variation(p, q) <= bound
 
 
-class _CountingRandom(random.Random):
-    """A generator that counts its `random()` calls, the pass's pick draws."""
-
-    picks = 0
-
-    def random(self):
-        self.picks += 1
-        return super().random()
-
-
-def test_color_sparse_places_isolated_vertices_first_one_draw_each():
-    # isolated vertices are placed first, ascending, each on exactly one
-    # randrange(palette) draw and no pick draw; the rest are placed, draw
-    # for draw, as the reference pass places them alone.  The listeners
-    # see one (v, BLANK, c) per vertex in placement order, L(c)'s order
-    linked = [v for v in range(LAW_N) if v not in LAW_ISOLATED]
+def test_color_sparse_makes_one_ascending_pass_draw_for_draw():
+    # the phase-start pass gives each isolated vertex one draw and no pick,
+    # gives each vertex with neighbors its pick and, if picked, one draw,
+    # and places the vertices it leaves blank greedily after one shuffle.
+    # Colors, the listeners' (v, BLANK, c) events, each L(c)'s order and the
+    # generator state after every placement match the reference draw for
+    # draw
     for seed in range(40):
         e = law_engine()
-        rng = _CountingRandom(seed)
-        ref = random.Random(seed)
-        e.sparse.rng = rng
+        rng = e.sparse.rng = random.Random(seed)
         events = []
         e.colors.listeners.append(
             lambda v, old, new: events.append((v, old, new, rng.getstate()))
         )
-        samples0 = e.metrics.samples
         e.sparse.color_sparse()
-        lone = len(LAW_ISOLATED)
-        assert [ev[0] for ev in events[:lone]] == LAW_ISOLATED
-        for v, old, new, state in events[:lone]:
-            assert new == ref.randrange(e.palette) and state == ref.getstate()
-        assert rng.picks == len(linked)
         of = [None] * LAW_N
-        for v, _, new, _ in events[:lone]:
-            of[v] = new
-        placed = reference_color_sparse(
-            linked, e.palette, e.sparse.cap, LAW_EDGES, ref, of
+        placed = reference_phase_start(
+            e.palette, e.sparse.cap, LAW_EDGES, random.Random(seed), of
         )
-        assert [ev[0] for ev in events[lone:]] == placed
-        assert rng.getstate() == ref.getstate()
-        assert of == e.colors.of
-        assert all(old == BLANK and new == of[v] for v, old, new, _ in events)
+        assert events == [(v, BLANK, c, state) for v, c, state in placed]
+        assert e.colors.of == of
         for c, lst in enumerate(e.colors.L):
-            assert lst == [v for v, _, new, _ in events if new == c]
-        # a pick for each vertex with neighbors, a draw for each vertex
-        assert e.metrics.samples - samples0 >= len(linked) + LAW_N
+            assert lst == [v for v, new, _ in placed if new == c]
+
+
+def charged(metrics, fn):
+    """The (work, probes, samples) that running fn charges."""
+    before = (metrics.work, metrics.probes, metrics.samples)
+    fn()
+    after = (metrics.work, metrics.probes, metrics.samples)
+    return tuple(a - b for a, b in zip(after, before))
+
+
+def test_phase_start_pass_charges_picks_draws_walks_and_swaps():
+    # edges 0-1, 2-3, 2-4 and isolated 5, palette 4.  The pass: 0 is picked
+    # and takes 1 on an empty L(1); 1 is deferred; 2 is picked and keeps 1
+    # after walking L(1) = [0]; 3 is picked and refused 1 after walking its
+    # adjacency [2]; 4 is deferred; 5 takes 0 unchecked.  The shuffle of
+    # [1, 3, 4] draws j = 0 for i = 2 and j = 1 for i = 1: [4, 3, 1].  Then
+    # 4 takes 2 on an empty L(2); 3 is refused 1 again and takes 3 on an
+    # empty L(3); 1 is refused 1 after walking [0] and takes 2 after walking
+    # L(2) = [4].  9 palette draws (a sample and two units each), 5 probes
+    # (a unit each), 5 picks (a sample and a unit each), 2 swaps (a unit each)
+    e = blank_engine(6, 3)
+    add_edges(e.graph, [(0, 1), (2, 3), (2, 4)])
+    e.sparse.rng = rng = _ScriptedDraws(
+        [1, 1, 1, 0, 0, 1, 2, 1, 3, 1, 2],
+        [PICKED, UNPICKED, PICKED, PICKED, UNPICKED],
+    )
+    events = []
+    e.colors.listeners.append(lambda v, old, new: events.append(v))
+    assert charged(e.metrics, e.sparse.color_sparse) == (30, 5, 14)
+    assert rng.spent()
+    assert events == [0, 2, 5, 4, 3, 1]
+    assert e.colors.of == [1, 2, 1, 3, 2, 0]
+
+
+def test_draw_on_an_empty_class_does_not_read_adjacency():
+    # 0's neighbor 1 holds color 2; a draw of the empty color 3 is feasible
+    # whatever 0's neighbors are, so the in-phase recolor and the
+    # phase-start pass place 0 on it without reading 0's adjacency, charging
+    # a walk of nothing (and, in the pass, the pick)
+    e = blank_engine(4, 3)
+    e.graph.apply(ins(0, 1))
+    e.colors.set_sparse(1, 2)
+    e.graph.adj[0] = _UnreadAdjacency()
+    e.sparse.rng = _ForcedDraws(3)
+    assert charged(e.metrics, lambda: e.sparse.recolor_sparse(0)) == (2, 0, 1)
+    assert e.colors.of[0] == 3
+    e.colors.clear_sparse(0)
+    e.sparse.rng = rng = _ScriptedDraws([3], [PICKED])
+    assert charged(e.metrics, lambda: e.sparse.color_sparse([0])) == (3, 0, 2)
+    assert rng.spent() and e.colors.of[0] == 3
 
 
 def test_color_sparse_load_law_small_sweep():

@@ -113,12 +113,12 @@ def test_clique_churn_stream_is_unchanged(args, kw, steps, digest):
 # sha256 of (u, v, insert) per update of adaptive-monochrome against each
 # algorithm (delta = n / 2, 2n steps).  The baseline's were recorded while
 # the adversary read a tuple copy of the whole color class on every try;
-# the engine's follow its phase-start pass, which colors isolated sparse
-# vertices before the others
+# the engine's follow its phase-start pass, one ascending pass over the
+# sparse side before the greedy stage
 MONOCHROME_STREAMS = [
-    ("full", 256, "fa43b80fad144e7b57619e4d83daef12c6a133c274bb0a625d64a995eb6370a5"),
-    ("full", 4096, "714d6223961dcef56bb52a6ba25d10c7c240a344be108cdea93548959c0a5840"),
-    ("full", 32768, "1bb45a503119eff29bc3fbf514d5e5d5a0c268592d3ac6aed3aa944ea5b864b4"),
+    ("full", 256, "62dda7268a3575a6519a3af0bdf4a0aa0af21f49197db10a2a026c2f8f1708e3"),
+    ("full", 4096, "7d80d3833c225678500572b57262e7a653912b902a116ba1357960873caf2a83"),
+    ("full", 32768, "5a1484f41c3a85e725231e3851da37bdb930272f9b61654297131e5312d14090"),
     ("baseline", 256, "f903819c1f361df49909e851a5a9a413a45d955b858beeeaafc1338dd565ad24"),
     ("baseline", 4096, "54fd37f22d4b651d863a90ebe3d5e8de06acee6d14b311162947335a8b2daf79"),
     ("baseline", 32768, "ce354b260521d869b3c8d3fbdb0e1877653daf864c65d5ed60dbbcdcd616a9de"),

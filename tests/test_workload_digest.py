@@ -37,9 +37,9 @@ SEED = 0
 
 # recorded with `__main__` below
 DIGESTS = {
-    "adaptive-sparse": "aaea9453cc85be64502a5c562b16b60f12c6981ae6d8f5d1eeaa3ed282d8286a",
-    "churn-dense": "7f3d078d83ec2973019e292e3ff42f15baa343ccb9da7d60c6bb04815f2af027",
-    "deletion-wide": "9e52c3aacfaf7aeae20f10821aa0f8e520c9feda7ecf1ad2e525969753b81cb5",
+    "adaptive-sparse": "8788c737ecdc708e735b7792429bbe47f0e6cc37d1631bc88da1dc57b7408007",
+    "churn-dense": "2fd07115ebd48c44575362bae175b9ac583ae8d160e86fbbb3afbabcb339bce5",
+    "deletion-wide": "6003431d2d036265612d96e37f70c4db3dfb09bfff44aaf906667b5d180f4ab1",
 }
 
 

@@ -59,10 +59,11 @@ class SparseColoring:
     def _rejection_color(self, vertices, phase_start: bool = False) -> list[int]:
         """Give each blank vertex in turn the first feasible of its color draws.
 
-        A vertex with no neighbor takes one draw, unchecked: every color
-        is feasible for it.  A vertex with neighbors draws up to `cap`
-        colors, each as `palette_drawer` does, and takes the first
-        feasible one, or the fallback color when none is.  In the
+        `vertices` is a sequence.  A vertex with no neighbor takes one
+        draw, unchecked: every color is feasible for it.  A vertex with
+        neighbors draws up to `cap` colors, each as `palette_drawer` does,
+        and takes the first feasible one, or the fallback color when none
+        is.  In the
         phase-start pass it first makes its fair pick (`random() < 0.5`,
         a sample and a unit) and, if picked, makes one draw; an unpicked
         vertex, or a picked one whose draw is infeasible, stays blank and
@@ -81,27 +82,26 @@ class SparseColoring:
         of, L, listeners = colors.of, colors.L, colors.listeners
         slot, home = colors.slot, colors.home
         adj, degree = self.graph.adj, self.graph.deg
-        getrandbits, random = self.rng.getrandbits, self.rng.random
+        getrandbits = self.rng.getrandbits
+        random = self.rng.random if phase_start else None
         palette = self.palette
         k = palette.bit_length()
         tries = 1 if phase_start else self.cap
         deferred = []
-        drawn = probes = picks = 0
+        drawn = probes = linked = 0
         for v in vertices:
             if of[v] != BLANK:
                 raise ValueError(f"vertex {v} is not blank")
-            deg = degree[v]
-            if not deg:
+            if not degree[v]:
                 c = getrandbits(k)
                 while c >= palette:
                     c = getrandbits(k)
-                drawn += 1
             else:
-                if phase_start:
-                    picks += 1
-                    if random() >= 0.5:
-                        deferred.append(v)
-                        continue
+                linked += 1
+                if phase_start and random() >= 0.5:
+                    deferred.append(v)
+                    continue
+                deg = degree[v]
                 for i in range(tries):
                     c = getrandbits(k)
                     while c >= palette:
@@ -139,6 +139,9 @@ class SparseColoring:
             if listeners:
                 for fn in listeners:
                     fn(v, BLANK, c)
+        # one unchecked draw per vertex without neighbors
+        drawn += len(vertices) - linked
+        picks = linked if phase_start else 0
         m = self.metrics
         m.probes += probes
         m.work += 2 * drawn + probes + picks
@@ -156,14 +159,15 @@ class SparseColoring:
     def color_sparse(self, vertices=None) -> None:
         """Phase-start recoloring of the sparse side, which must be all blank.
 
-        `vertices` must ascend; by default it is every sparse vertex.  One
-        ascending phase-start pass of `_rejection_color` gives each vertex
-        with no neighbor its draw and each picked vertex its one-shot
-        draw; the vertices it leaves blank, still ascending, go to
-        `greedy_coloring`.
+        `vertices` is an ascending sequence; by default every sparse
+        vertex.  One ascending phase-start pass of `_rejection_color` gives
+        each vertex with no neighbor its draw and each picked vertex its
+        one-shot draw; the vertices it leaves blank, still ascending, go
+        to `greedy_coloring`.
         """
         if vertices is None:
-            vertices = compress(count(), map(is_, self.decomp.clique_of, repeat(None)))
+            sparse = map(is_, self.decomp.clique_of, repeat(None))
+            vertices = list(compress(count(), sparse))
         self.greedy_coloring(self._rejection_color(vertices, phase_start=True))
 
     def recolor_sparse(self, v: int) -> int:

@@ -86,7 +86,7 @@ class SparseColoring:
         random = self.rng.random if phase_start else None
         palette = self.palette
         k = palette.bit_length()
-        tries = 1 if phase_start else self.cap
+        attempts = range(1 if phase_start else self.cap)
         deferred = []
         drawn = probes = linked = 0
         for v in vertices:
@@ -102,7 +102,7 @@ class SparseColoring:
                     deferred.append(v)
                     continue
                 deg = degree[v]
-                for i in range(tries):
+                for i in attempts:
                     c = getrandbits(k)
                     while c >= palette:
                         c = getrandbits(k)

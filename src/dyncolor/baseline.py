@@ -8,13 +8,43 @@ palette-sized table; accept-8's baseline slope gate rests on that charge.
 `lowest_free` stops at the first free color, so the scan is far cheaper
 on sparse graphs: adaptive-monochrome at n = 4096, delta = 2048 picks
 color 1.87 on average at mean degree 3.0, while work per update is 2053.
+
+Every vertex starts in L(0) and the rescan keeps refilling the lowest
+colors, so its classes hold Θ(n) vertices.  `SlottedColorState` finds a
+vertex there by index, where a scan would walk half a class per recolor.
 """
 
 from __future__ import annotations
 
-from .colors import ColoringAlgorithm, ColorState
+from .colors import BLANK, ColoringAlgorithm, ColorState
 from .graph import DynamicGraph
 from .metrics import Metrics
+
+
+class SlottedColorState(ColorState):
+    """A `ColorState` that finds v in its class at `slot[v]`, not by a scan.
+
+    The class order is the same as `ColorState`'s.
+    """
+
+    def __init__(self, n: int, palette: int):
+        super().__init__(n, palette)
+        self.slot = [0] * n
+
+    def _unlist(self, v: int, side: list[list[int]]) -> int:
+        c = self.of[v]
+        if c != BLANK:
+            lst = side[c]
+            last = lst.pop()
+            if last != v:
+                i = self.slot[v]
+                lst[i] = last
+                self.slot[last] = i
+        return c
+
+    def _set(self, v: int, c: int, side: list[list[int]]) -> None:
+        super()._set(v, c, side)
+        self.slot[v] = len(side[c]) - 1
 
 
 class TrivialBaseline(ColoringAlgorithm):
@@ -25,7 +55,7 @@ class TrivialBaseline(ColoringAlgorithm):
         self.delta = delta
         self.graph = DynamicGraph(n, delta)
         self.palette = delta + 1
-        self.colors = ColorState(n, self.palette)
+        self.colors = SlottedColorState(n, self.palette)
         self.metrics = Metrics()
         # everyone starts on the first color: the empty graph allows it,
         # and it is the worst case a conflict-seeking adversary could ask for

@@ -5,18 +5,22 @@ checks iterate an occupancy list and probe adjacency, so their cost
 tracks the list length; the sparse check walks v's adjacency instead
 when that is the shorter side.
 
-L(c) and L_D(c) are plain lists, made up front for every color.  The
-lists partition the colored vertices, so one index serves them all:
-`slot[v]` is v's position in its list and `home[v]` is that list, or
-None while v is blank.  A vertex joins at the end of its list and leaves
-by moving the list's last vertex into its slot, so a list's order is a
-deterministic function of its history.
+L(c) and L_D(c) are plain lists, made up front for every color, and no
+index points into them.  A vertex joins at the end of its list and
+leaves by a scan of that one list for it, after which the list's last
+vertex moves into its place, so a list's order is a deterministic
+function of its history.  Each mutator acts on one side: `set_sparse` and
+`clear_sparse` on L, `set_dense` and `clear_dense` on L_D; a vertex not
+found on the side named is an `InvariantViolation`.  The rescan
+baseline, whose classes hold Θ(n) vertices, keeps an index of its own.
 
 `ColoringAlgorithm` is the read surface every coloring algorithm (the
 engine and the rescan baseline) exposes on top of its `ColorState`.
 """
 
 from __future__ import annotations
+
+from .errors import InvariantViolation, OutOfRange
 
 BLANK = -1
 
@@ -28,53 +32,57 @@ class ColorState:
         self.of: list[int] = [BLANK] * n
         self.L: list[list[int]] = [[] for _ in range(palette)]
         self.L_D: list[list[int]] = [[] for _ in range(palette)]
-        self.slot: list[int] = [0] * n  # v's index in home[v]
-        self.home: list[list[int] | None] = [None] * n
         self.listeners: list = []  # callables (v, old, new)
 
     def _fire(self, v: int, old: int, new: int) -> None:
         for fn in self.listeners:
             fn(v, old, new)
 
-    def _unlist(self, v: int) -> None:
-        """Take v off the list that holds it, if any."""
-        lst = self.home[v]
-        if lst is not None:
-            self.home[v] = None
+    def _unlist(self, v: int, side: list[list[int]]) -> int:
+        """Take v off its list on `side`, if it is colored; returns its color."""
+        c = self.of[v]
+        if c != BLANK:
+            lst = side[c]
+            try:
+                i = lst.index(v)
+            except ValueError:
+                name = "L" if side is self.L else "L_D"
+                raise InvariantViolation(
+                    f"vertex {v} holds color {c} but is not in {name}({c})"
+                ) from None
             last = lst.pop()
             if last != v:
-                i = self.slot[v]
                 lst[i] = last
-                self.slot[last] = i
+        return c
 
-    def _set(self, v: int, c: int, lst: list[int]) -> None:
-        old = self.of[v]
-        self._unlist(v)
+    def _set(self, v: int, c: int, side: list[list[int]]) -> None:
+        old = self._unlist(v, side)
         self.of[v] = c
-        self.slot[v] = len(lst)
-        self.home[v] = lst
-        lst.append(v)
+        side[c].append(v)
         if self.listeners:
             self._fire(v, old, c)
 
     def set_sparse(self, v: int, c: int) -> None:
-        self._set(v, c, self.L[c])
+        self._set(v, c, self.L)
 
     def set_dense(self, v: int, c: int) -> None:
-        self._set(v, c, self.L_D[c])
+        self._set(v, c, self.L_D)
 
-    def clear_sparse(self, v: int) -> int:
-        """Blank v and take it off its list; returns its old color."""
-        old = self.of[v]
+    def _clear(self, v: int, side: list[list[int]]) -> int:
+        old = self._unlist(v, side)
         if old != BLANK:
-            self._unlist(v)
             self.of[v] = BLANK
             if self.listeners:
                 self._fire(v, old, BLANK)
         return old
 
-    # either way v leaves the one list that holds it
-    clear_dense = clear_sparse
+    def clear_sparse(self, v: int) -> int:
+        """Blank v and take it off L; returns its old color."""
+        return self._clear(v, self.L)
+
+    def clear_dense(self, v: int) -> int:
+        """Blank v and take it off L_D; returns its old color."""
+        return self._clear(v, self.L_D)
 
     def lowest_free(self, vertices, avoid=()) -> int | None:
         """The lowest color no vertex of `vertices` holds and `avoid` lacks.
@@ -104,7 +112,6 @@ class ColorState:
                     self._fire(v, old, BLANK)
         else:
             of[:] = [BLANK] * self.n
-        self.home[:] = [None] * self.n
         cleared = 0
         for lst in self.L + self.L_D:
             if lst:
@@ -143,14 +150,21 @@ class ColoringAlgorithm:
     mode: str  # the snapshot's name for the algorithm
 
     def color_of(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise OutOfRange(f"vertex {v} is not in range({self.n})")
         return self.colors.of[v]
 
     def occupant_count(self, c: int) -> int:
         """How many vertices hold color c, sparse and dense."""
+        if not 0 <= c < self.palette:
+            raise OutOfRange(f"color {c} is not in range({self.palette})")
         return len(self.colors.L[c]) + len(self.colors.L_D[c])
 
     def occupant(self, c: int, i: int) -> int:
         """The i-th holder of color c: L(c) in order, then L_D(c)."""
+        count = self.occupant_count(c)
+        if not 0 <= i < count:
+            raise OutOfRange(f"occupant {i} of color {c} is not in range({count})")
         ls = self.colors.L[c]
         return ls[i] if i < len(ls) else self.colors.L_D[c][i - len(ls)]
 

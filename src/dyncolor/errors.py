@@ -55,3 +55,7 @@ class InvariantViolation(DynColorError):
 
 class Exhausted(DynColorError):
     """An adversary has no legal update left to emit."""
+
+
+class OutOfRange(DynColorError, IndexError):
+    """A vertex, color or occupant index outside its range."""

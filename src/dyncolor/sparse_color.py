@@ -20,10 +20,10 @@ differs, and with it the order within each L(c).
 color c is feasible for v iff no neighbor of v sits in L(c).  The check
 consults only sparse occupants of L(c) and ignores dense neighbors; the
 engine reconciles dense neighbors afterwards.  A neighbor w sits in L(c)
-iff `ColorState.home[w]` is that very list, so a dense neighbor, whose
-home is an L_D list, never counts.  A draw whose L(c) is empty is
-feasible whatever v's neighbors are, so the check reads v's adjacency
-only when L(c) is occupied.
+iff `of[w] == c and clique_of[w] is None`: at phase start every dense
+vertex is blank, and inside a phase the side test leaves dense neighbors
+out.  A draw whose L(c) is empty is feasible whatever v's neighbors are,
+so the check reads v's adjacency only when L(c) is occupied.
 """
 
 from __future__ import annotations
@@ -70,17 +70,18 @@ class SparseColoring:
         is returned in the order met.
 
         A draw costs a sample and a unit.  A check walks the shorter of
-        v's adjacency and L(c): a neighbor is probed by its home list, an
-        occupant of L(c) by v's adjacency index.  It is charged whole: a
-        probe per element, and a unit per element plus one.  A draw on an
-        empty L(c) is feasible without reading v's adjacency; it walks
-        nothing and is charged as such a walk, as is an unchecked draw.
-        Placement appends v to L(c) and fires the listeners with
+        v's adjacency and L(c): a neighbor w is probed by
+        `of[w] == c and clique_of[w] is None`, an occupant of L(c) by v's
+        adjacency index.  It is charged whole: a probe per element, and a
+        unit per element plus one.  A draw on an empty L(c) is feasible
+        without reading v's adjacency; it walks nothing and is charged as
+        such a walk, as is an unchecked draw.  Placement is
+        `of[v] = c; L[c].append(v)` and fires the listeners with
         (v, BLANK, c), as `set_sparse` on a blank v does.
         """
         colors = self.colors
         of, L, listeners = colors.of, colors.L, colors.listeners
-        slot, home = colors.slot, colors.home
+        clique_of = self.decomp.clique_of
         adj, degree = self.graph.adj, self.graph.deg
         getrandbits = self.rng.getrandbits
         random = self.rng.random if phase_start else None
@@ -112,7 +113,7 @@ class SparseColoring:
                     if deg < len(lst):
                         probes += deg
                         for w in adj[v].items:
-                            if home[w] is lst:
+                            if of[w] == c and clique_of[w] is None:
                                 break
                         else:
                             break
@@ -132,10 +133,7 @@ class SparseColoring:
                     c = self._fallback(v)
                 drawn += i + 1
             of[v] = c
-            lst = L[c]
-            slot[v] = len(lst)
-            home[v] = lst
-            lst.append(v)
+            L[c].append(v)
             if listeners:
                 for fn in listeners:
                     fn(v, BLANK, c)

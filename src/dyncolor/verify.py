@@ -201,20 +201,20 @@ def verify(
     # occupancy lists ------------------------------------------------------
     viol = []
     seen = set()
-    slot, home, clique_of = colors.slot, colors.home, dec.clique_of
+    of, clique_of = colors.of, dec.clique_of
     for c in range(palette):
         for name, lst, dense_side in (("L", colors.L[c], False), ("L_D", colors.L_D[c], True)):
-            for i, v in enumerate(lst):
-                if (clique_of[v] is not None) != dense_side or colors.of[v] != c or v in seen:
-                    viol.append(f"{name}[{c}] wrongly holds {v}")
-                if slot[v] != i or home[v] is not lst:
-                    viol.append(f"{name}[{c}][{i}] holds {v}, whose slot or home disagrees")
+            for v in lst:
+                if of[v] != c:
+                    viol.append(f"{name}[{c}] holds {v}, whose color is {of[v]}")
+                if (clique_of[v] is not None) != dense_side:
+                    viol.append(f"{name}[{c}] holds {v}, which is on the other side")
+                if v in seen:
+                    viol.append(f"{name}[{c}] lists {v} again")
                 seen.add(v)
     for v in range(g.n):
-        if colors.of[v] != BLANK and v not in seen:
+        if of[v] != BLANK and v not in seen:
             viol.append(f"colored vertex {v} missing from occupancy lists")
-        if home[v] is not None and v not in seen:
-            viol.append(f"vertex {v} has a home list that lacks it")
     rep.add(CheckResult("occupancy_lists", not viol, viol))
 
     # per-clique color book -------------------------------------------------

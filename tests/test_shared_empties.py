@@ -63,21 +63,25 @@ def test_discard_and_pop_on_an_untouched_container_are_no_ops():
     assert all(len(c) == 0 for _, c in _untouched(engine))
 
 
-def _assert_slots_consistent(cs):
-    listed = set()
-    for lst in cs.L + cs.L_D:
-        for i, v in enumerate(lst):
-            assert cs.slot[v] == i and cs.home[v] is lst, (v, i)
-            listed.add(v)
+def _assert_classes_consistent(cs, dense):
+    """Each colored vertex sits once, in the one class of its color and side."""
     for v in range(cs.n):
-        assert (cs.home[v] is not None) == (v in listed) == (cs.of[v] != BLANK), v
+        held = [
+            (side, c)
+            for side, lists in (("L", cs.L), ("L_D", cs.L_D))
+            for c, lst in enumerate(lists)
+            for _ in range(lst.count(v))
+        ]
+        want = [] if cs.of[v] == BLANK else [("L_D" if v in dense else "L", cs.of[v])]
+        assert held == want, v
 
 
-def test_set_and_clear_dense_keep_slots_consistent():
+def test_set_and_clear_dense_keep_classes_consistent():
     cs = ColorState(8, 4)
+    dense = {1, 2, 5, 7}
     cs.set_dense(2, 3)
     assert cs.L_D[3] == [2] and not any(cs.L_D[c] for c in range(3))
-    _assert_slots_consistent(cs)
+    _assert_classes_consistent(cs, dense)
     for v in (5, 1, 7):
         cs.set_dense(v, 3)
     cs.set_sparse(0, 3)
@@ -85,21 +89,21 @@ def test_set_and_clear_dense_keep_slots_consistent():
     # a removal moves the list's last vertex into the hole
     assert cs.clear_dense(5) == 3
     assert cs.L_D[3] == [2, 7, 1]
-    _assert_slots_consistent(cs)
+    _assert_classes_consistent(cs, dense)
     # a recolor leaves the old list the same way and joins the new one at its end
     cs.set_dense(2, 1)
     assert cs.L_D[3] == [1, 7] and cs.L_D[1] == [2]
-    _assert_slots_consistent(cs)
+    _assert_classes_consistent(cs, dense)
     # setting a held color moves the vertex to the end of its list
     cs.set_dense(1, 3)
     assert cs.L_D[3] == [7, 1]
     # the last vertex leaves without a swap
     assert cs.clear_dense(1) == 3
     assert cs.L_D[3] == [7] and cs.of[1] == BLANK
-    _assert_slots_consistent(cs)
+    _assert_classes_consistent(cs, dense)
     assert cs.clear_dense(1) == BLANK
     cs.blank_all()
-    _assert_slots_consistent(cs)
+    _assert_classes_consistent(cs, dense)
 
 
 def test_friend_list_keeps_its_set_after_it_empties():

@@ -116,30 +116,45 @@ def test_fault_occupancy_lists():
     assert "occupancy_lists" in rep.failed_names()
 
 
-def test_fault_occupancy_slots():
-    # two vertices of one list trade slot indices; the lists themselves are intact
+def test_fault_occupancy_listed_twice():
+    # a vertex listed a second time in its own class, at the end
     engine, _ = fresh_dense()
     cs = engine.colors
-    lst = next(lst for lst in cs.L + cs.L_D if len(lst) >= 2)
-    x, y = lst[0], lst[1]
-    cs.slot[x], cs.slot[y] = cs.slot[y], cs.slot[x]
+    c, lst = next((c, lst) for c, lst in enumerate(cs.L) if lst)
+    v = lst[0]
+    lst.append(v)
     rep = verify(engine)
     assert rep.failed_names() == ["occupancy_lists"]
-    assert len(rep.checks["occupancy_lists"].violations) == 2
-    assert all("slot or home" in m for m in rep.checks["occupancy_lists"].violations)
+    assert rep.checks["occupancy_lists"].violations == [f"L[{c}] lists {v} again"]
 
 
-def test_fault_occupancy_home():
-    # a blanked vertex whose home still names its old list looks like a member
+def test_fault_occupancy_wrong_color():
+    # a sparse vertex moved into another color's class, its color unchanged
+    engine, _ = fresh_dense()
+    cs = engine.colors
+    c, lst = next((c, lst) for c, lst in enumerate(cs.L) if lst)
+    v = lst[-1]
+    other = (c + 1) % engine.palette
+    lst.pop()
+    cs.L[other].append(v)
+    rep = verify(engine)
+    assert rep.failed_names() == ["occupancy_lists"]
+    assert rep.checks["occupancy_lists"].violations == [f"L[{other}] holds {v}, whose color is {c}"]
+
+
+def test_fault_occupancy_wrong_side():
+    # a dense member moved from L_D(c) into L(c): its color still matches
     engine, (c,) = fresh_dense()
     cs = engine.colors
     v = min(c.book.mp.values())
-    home = cs.home[v]
-    engine.dense.release_private(c, v)
-    cs.home[v] = home
+    col = cs.of[v]
+    cs.L_D[col].remove(v)
+    cs.L[col].append(v)
     rep = verify(engine)
-    assert "occupancy_lists" in rep.failed_names()
-    assert f"vertex {v} has a home list that lacks it" in rep.checks["occupancy_lists"].violations
+    assert rep.failed_names() == ["occupancy_lists"]
+    assert rep.checks["occupancy_lists"].violations == [
+        f"L[{col}] holds {v}, which is on the other side"
+    ]
 
 
 def test_fault_color_book_usage():

@@ -38,6 +38,22 @@ def test_tau_cannot_exceed_epsilon():
     ParamSet(epsilon=0.1, tau=0.1)  # equality allowed
 
 
+@pytest.mark.parametrize("cap_factor", [0, -3])
+def test_cap_factor_below_one_is_refused(cap_factor):
+    # a loop cap of 0 or less left the rejection loop without an attempt
+    with pytest.raises(ValueError):
+        ParamSet(cap_factor=cap_factor)
+    assert ParamSet(cap_factor=1).loop_cap(6) == 3
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_sample_count_below_one_is_refused(k):
+    # k = 0 put every friend threshold at 0: every edge a friend at every scale
+    with pytest.raises(ValueError):
+        ParamSet(sample_count_k=k)
+    assert ParamSet(sample_count_k=1).sample_count(10) == 1
+
+
 def test_desk_sampling_is_capped():
     p = ParamSet(epsilon=0.2)
     assert p.sample_count(10**6) <= 96

@@ -33,6 +33,7 @@ from operator import is_
 
 from .colors import BLANK
 from .draws import shuffle
+from .errors import InvariantViolation
 
 
 class SparseColoring:
@@ -92,7 +93,7 @@ class SparseColoring:
         drawn = probes = linked = 0
         for v in vertices:
             if of[v] != BLANK:
-                raise ValueError(f"vertex {v} is not blank")
+                raise InvariantViolation(f"vertex {v} is not blank")
             if not degree[v]:
                 c = getrandbits(k)
                 while c >= palette:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyncolor.colors import BLANK
+from dyncolor.errors import InvariantViolation
 from dyncolor.graph import dele, ins
 
 from conftest import add_edges, clique_edges, make_engine, random_graph
@@ -109,7 +110,7 @@ def test_coloring_passes_reject_a_colored_vertex():
     e.sparse.rng = _ScriptedDraws([])
     for v in (3, 5):
         for color_pass in (e.sparse.color_sparse, e.sparse.greedy_coloring):
-            with pytest.raises(ValueError):
+            with pytest.raises(InvariantViolation, match=f"vertex {v} is not blank"):
                 color_pass([v])
     assert e.colors.of[3] == e.colors.of[5] == 2 and list(e.colors.L[2]) == [3, 5]
 
@@ -202,7 +203,7 @@ def test_color_sparse_rejects_a_colored_vertex():
             linked = min(colored, 10)  # the vertices with a neighbor before it
             drawn = (linked if pick == PICKED else 0) + colored - linked
             e.sparse.rng = rng = _ScriptedDraws([3] * drawn, [pick] * linked)
-            with pytest.raises(ValueError):
+            with pytest.raises(InvariantViolation, match=f"vertex {colored} is not blank"):
                 e.sparse.color_sparse()
             assert rng.spent() and e.colors.of[colored] == 2
 

@@ -140,7 +140,7 @@ class Decomposition:
         if cu is None or cu != cv:
             return
         c = self.cliques[cu]
-        if v in self.tracker.lists[2][u]:
+        if v in self.tracker.n3[u]:
             c.nprime[u].add(v)
             c.nprime[v].add(u)
         else:
@@ -149,12 +149,12 @@ class Decomposition:
 
     def _resync_nprime(self, w: int) -> None:
         cid = self.clique_of[w]
-        n3w = self.tracker.lists[2][w]
+        n3w = self.tracker.n3[w]
         if cid is not None:
             c = self.cliques[cid]
             c.nprime[w] = {x for x in n3w if self.clique_of[x] == cid}
             for x in self.n_c[w].get(cid, ()):
-                if w in self.tracker.lists[2][x]:
+                if w in self.tracker.n3[x]:
                     c.nprime[x].add(w)
                 else:
                     c.nprime[x].discard(w)
@@ -191,7 +191,7 @@ class Decomposition:
                 if cid is None:
                     continue
                 c = self.cliques[cid]
-                violates = (w not in tracker.vsets[2]) or (
+                violates = (w not in tracker.vsets[1]) or (
                     len(c.nprime.get(w, ())) <= self.friend_floor
                 )
                 if not violates:
@@ -220,7 +220,7 @@ class Decomposition:
 
     def dense_move(self, v: int) -> list[int]:
         """Move sparse v (now in V_1) to the dense side with its close friends."""
-        n1 = self.tracker.lists[0][v]
+        n1 = self.tracker.n1[v]
         homes: dict[int, int] = {}
         for u in n1:
             cid = self.clique_of[u]
@@ -250,7 +250,7 @@ class Decomposition:
         adj_w = self.graph.adj[w]
         for z in adj_w:
             own(self.n_c, z).setdefault(c.id, set()).add(w)
-        n3w = self.tracker.lists[2][w]
+        n3w = self.tracker.n3[w]
         nprime_w = set()
         ne = set()
         for m in c.members:
@@ -290,7 +290,7 @@ class Decomposition:
         c.nonedge_count -= len(mine)
         self.metrics.nonedge_adjustments += len(mine)
         c.nprime.pop(v, None)
-        for x in self.tracker.lists[2][v]:
+        for x in self.tracker.n3[v]:
             if self.clique_of[x] == cid:
                 c.nprime[x].discard(v)
         self.metrics.vertex_moves += 1

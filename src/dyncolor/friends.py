@@ -1,19 +1,19 @@
 """Sampling-based maintenance of close-friend edges and dense vertices.
 
-For scales c_i = i*eps + tau (i in {1,2,3}) the tracker keeps per-vertex
-lists N_i(v) of neighbors whose common neighborhood with v is large, and
-the dense sets V_1, V_2, V_3 of vertices with many such friends.
-Friendship at a stricter scale implies friendship at a looser one, so
-N_1(v) <= N_2(v) <= N_3(v) <= N(v).
+For scales c_i = i*eps + tau the tracker keeps, at the two scales the
+algorithm reads (i in {1, 3}), per-vertex lists N_i(v) of neighbors whose
+common neighborhood with v is large, and the dense sets V_1 and V_3 of
+vertices with many such friends.  Friendship at the stricter scale
+implies friendship at the looser one, so N_1(v) <= N_3(v) <= N(v).
 
 The lists are symmetric: every writer updates both endpoints, so u is in
 N_i(v) exactly when v is in N_i(u).  A refresh takes one k-sample count
-per pair, judges it at all three scales, and writes a pair's lists only
+per pair, judges it at both scales, and writes a pair's lists only
 when its membership at a scale changes, which it reads from v's side.
 
 Every list starts as the shared read-only `EMPTY_SET` and becomes a set
 of the vertex's own on its first add (`_link`); most vertices never gain
-a friend, so an untouched vertex costs one list slot, not three sets.  A
+a friend, so an untouched vertex costs one list slot, not two sets.  A
 list is never dropped once it exists, even when it empties: a set that
 grew and shrank can iterate in a different order from a fresh one, and
 the order of a list decides the order of later writes.
@@ -55,19 +55,19 @@ class FriendTracker:
         self.metrics = metrics
         n = graph.n
         self.n = n
-        self.lists = [[EMPTY_SET] * n for _ in range(3)]  # N_1..N_3
-        self.vsets = [set(), set(), set()]  # V_1..V_3
+        self.n1 = [EMPTY_SET] * n
+        self.n3 = [EMPTY_SET] * n
+        self.vsets = [set(), set()]  # V_1, V_3
         self.direct = [0] * n
         self.indirect = [0] * n
         self.k = params.sample_count(n)
         self.fire_limit = params.fire_limit(graph.delta)
         eps, tau, delta = params.epsilon, params.tau, graph.delta
         # u is a scale-i friend of v when its count reaches k(1 - (i*eps - tau/4)),
-        # v is scale-i dense with at least (1 - i*eps) * delta such friends
-        self._maintain_thr = [
-            max(0.0, self.k * (1.0 - ((i + 1) * eps - tau / 4.0))) for i in range(3)
-        ]
-        self._dense_thr = [max(0.0, (1.0 - (i + 1) * eps) * delta) for i in range(3)]
+        # v is scale-i dense with at least (1 - i*eps) * delta such friends;
+        # one entry per kept scale, 1 and 3
+        self._maintain_thr = [max(0.0, self.k * (1.0 - (i * eps - tau / 4.0))) for i in (1, 3)]
+        self._dense_thr = [max(0.0, (1.0 - i * eps) * delta) for i in (1, 3)]
 
     # ---- estimation core ----------------------------------------------------
 
@@ -97,13 +97,13 @@ class FriendTracker:
         return counts
 
     def _refresh(self, v: int, us) -> None:
-        # One sample count per pair serves all three scales.  The lists are
+        # One sample count per pair serves both scales.  The lists are
         # symmetric, so v's side tells whether a pair's membership changes,
         # and only a change is written.  The scales are unrolled because a
         # loop over them costs more per pair than the writes it saves.
         counts = self._counts(v, us)
-        (l1, l2, l3), (t1, t2, t3) = self.lists, self._maintain_thr
-        m1, m2, m3 = l1[v], l2[v], l3[v]
+        l1, l3, (t1, t3) = self.n1, self.n3, self._maintain_thr
+        m1, m3 = l1[v], l3[v]
         for u, cnt in zip(us, counts):
             if cnt >= t1:
                 if u not in m1:
@@ -111,12 +111,6 @@ class FriendTracker:
             elif u in m1:
                 m1.discard(u)
                 l1[u].discard(v)
-            if cnt >= t2:
-                if u not in m2:
-                    m2 = _link(l2, v, u)
-            elif u in m2:
-                m2.discard(u)
-                l2[u].discard(v)
             if cnt >= t3:
                 if u not in m3:
                     m3 = _link(l3, v, u)
@@ -125,7 +119,7 @@ class FriendTracker:
                 l3[u].discard(v)
 
     def _drop_pair(self, u: int, v: int) -> None:
-        for lst in self.lists:
+        for lst in (self.n1, self.n3):
             if u in lst[v]:
                 lst[v].discard(u)
                 lst[u].discard(v)
@@ -145,13 +139,13 @@ class FriendTracker:
         shrinks when a neighbor's refresh or a deletion drops a pair, so the
         set can still hold v after its list fell short.
         """
-        return len(self.lists[0][v]) >= self._dense_thr[0]
+        return len(self.n1[v]) >= self._dense_thr[0]
 
     def update_vertex(self, v: int) -> None:
-        """Full refresh of v: re-estimate all incident edges at all scales."""
+        """Full refresh of v: re-estimate all incident edges at both scales."""
         self._refresh(v, self.graph.adj[v].items)
-        for i in range(3):
-            self._set_dense(v, i, len(self.lists[i][v]) >= self._dense_thr[i])
+        self._set_dense(v, 0, len(self.n1[v]) >= self._dense_thr[0])
+        self._set_dense(v, 1, len(self.n3[v]) >= self._dense_thr[1])
         self.metrics.tracker_updates += 1
 
     # ---- per-update maintenance ---------------------------------------------
@@ -195,19 +189,22 @@ class FriendTracker:
     # ---- introspection -------------------------------------------------------
 
     def check_consistency(self, boundary: bool = True) -> list[str]:
-        """Audit the lists' symmetry; returns violations.
+        """Audit the lists' symmetry and nesting; returns violations.
 
         Only at a phase boundary must every listed pair be an edge: a
         deletion inside a phase reaches the tracker at the boundary replay.
         """
         viol = []
-        has_edge = self.graph.has_edge
-        for i in range(3):
-            lists = self.lists[i]
+        has_edge, n1, n3 = self.graph.has_edge, self.n1, self.n3
+        for name, lists in (("N_1", n1), ("N_3", n3)):
             for v in range(self.n):
                 for u in lists[v]:
                     if v not in lists[u]:
-                        viol.append(f"N_{i + 1}: asymmetric friend pair ({v},{u})")
+                        viol.append(f"{name}: asymmetric friend pair ({v},{u})")
                     if boundary and not has_edge(u, v):
-                        viol.append(f"N_{i + 1}: stale friend pair ({v},{u})")
+                        viol.append(f"{name}: stale friend pair ({v},{u})")
+        for v in range(self.n):
+            for u in n1[v]:
+                if u not in n3[v]:
+                    viol.append(f"N_1: friend pair ({v},{u}) missing from N_3")
         return viol

@@ -338,28 +338,28 @@ def verify(
     # is measured against that certificate; the absolute form (degrees at
     # the cap) is reported alongside.
     # Each directed edge's common-neighbor count is taken once and judged
-    # at all three scales.
+    # at both kept scales; each scale's rate must reach the floor.
     tau = params.tau
-    mismatches = 0
     absolute_false_in = 0
     total = 0
     gap_vertices: set[int] = set()
-    scales = []  # (ratio_hi, hi, lo) per friendship scale
-    for i in range(3):
-        ratio_hi = 1.0 - ((i + 1) * eps + tau)
+    names = ("N_1", "N_3")
+    scales = []  # (lists, dense set, ratio_hi, hi, lo) per kept scale
+    for i, lists, vset in ((1, tracker.n1, tracker.vsets[0]), (3, tracker.n3, tracker.vsets[1])):
+        ratio_hi = 1.0 - (i * eps + tau)
         hi = ratio_hi * delta - drift
-        lo = (1.0 - ((i + 1) * eps - tau)) * delta + drift
-        scales.append((ratio_hi, hi, lo))
+        lo = (1.0 - (i * eps - tau)) * delta + drift
+        scales.append((lists, vset, ratio_hi, hi, lo))
+    mismatches = [0, 0]
     for v in range(g.n):
-        lists = [tracker.lists[i][v] for i in range(3)]
-        cnt_hi = [0, 0, 0]
+        cnt_hi = [0, 0]
         for u in g.adj[v]:
-            total += 3
+            total += 1
             commons = common(u, v)
-            for i, (ratio_hi, hi, lo) in enumerate(scales):
+            for j, (lists, _, ratio_hi, hi, lo) in enumerate(scales):
                 if commons >= hi:
-                    cnt_hi[i] += 1
-                if u in lists[i]:
+                    cnt_hi[j] += 1
+                if u in lists[v]:
                     if commons < hi:
                         # tracker belief diverges from the oracle's absolute
                         # form: usable for attributing invariant misses
@@ -367,23 +367,24 @@ def verify(
                         gap_vertices.update((u, v))
                     scaled = ratio_hi * min(delta, g.degree(u), g.degree(v)) - drift
                     if commons < scaled:
-                        mismatches += 1
+                        mismatches[j] += 1
                 elif commons >= lo:
-                    mismatches += 1
+                    mismatches[j] += 1
                     gap_vertices.update((u, v))
         # a V_i membership the oracle cannot justify is an estimator gap too
-        for i, (_, hi, _) in enumerate(scales):
-            if v in tracker.vsets[i] and cnt_hi[i] < hi:
+        for j, (_, vset, _, hi, _) in enumerate(scales):
+            if v in vset and cnt_hi[j] < hi:
                 gap_vertices.add(v)
-    rate = 1.0 - (mismatches / total if total else 0.0)
+    rates = {name: 1.0 - (m / total if total else 0.0) for name, m in zip(names, mismatches)}
+    low = [f"{name} soundness rate {r:.4f}" for name, r in rates.items() if r < soundness_floor]
     rep.add(
         CheckResult(
             "friend_soundness",
-            rate >= soundness_floor,
-            [] if rate >= soundness_floor else [f"soundness rate {rate:.4f}"],
+            not low,
+            low,
             {
-                "rate": rate,
-                "mismatches": mismatches,
+                "rates": rates,
+                "mismatches": dict(zip(names, mismatches)),
                 "absolute_false_in": absolute_false_in,
                 "gap_vertices": len(gap_vertices),
             },

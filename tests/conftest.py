@@ -67,16 +67,15 @@ def feed_edges(engine, pairs):
         engine.process(ins(u, v))
 
 
-def friend_set(tr, i, v):
-    """v's scale-(i+1) friend list as a set of its own that a test may write.
+def friend_set(lists, v):
+    """v's entry of one scale's friend lists, as a set of its own that a test may write.
 
-    An untouched vertex's list is the tracker's shared read-only empty; it
-    is replaced by a fresh set first.
+    `lists` is `tracker.n1` or `tracker.n3`.  An untouched vertex's entry is
+    the tracker's shared read-only empty; it is replaced by a fresh set first.
     """
-    lst = tr.lists[i]
-    if type(lst[v]) is not set:
-        lst[v] = set()
-    return lst[v]
+    if type(lists[v]) is not set:
+        lists[v] = set()
+    return lists[v]
 
 
 def oracle_fill_tracker(engine):
@@ -84,16 +83,16 @@ def oracle_fill_tracker(engine):
     tr = engine.tracker
     g = engine.graph
     eps, delta = engine.params.epsilon, g.delta
-    for i in range(3):
-        thr = (1.0 - (i + 1) * eps) * delta
+    for j, (i, lists) in enumerate(((1, tr.n1), (3, tr.n3))):
+        thr = (1.0 - i * eps) * delta
         for v in range(g.n):
-            friend_set(tr, i, v).clear()
+            friend_set(lists, v).clear()
         for u, v in g.edges():
             if g.common_neighbors_exact(u, v) >= thr:
-                friend_set(tr, i, u).add(v)
-                friend_set(tr, i, v).add(u)
+                friend_set(lists, u).add(v)
+                friend_set(lists, v).add(u)
         for v in range(g.n):
-            tr._set_dense(v, i, len(tr.lists[i][v]) >= thr)
+            tr._set_dense(v, j, len(lists[v]) >= thr)
 
 
 def install_clique(engine, members):
@@ -117,7 +116,7 @@ def install_clique(engine, members):
         miss = {u for u in members if u != v and not g.has_edge(u, v)}
         c.nonedges[v] = miss
         cnt += len(miss)
-        c.nprime[v] = {u for u in engine.tracker.lists[2][v] if u in c.members}
+        c.nprime[v] = {u for u in engine.tracker.n3[v] if u in c.members}
     c.nonedge_count = cnt // 2
     return c
 

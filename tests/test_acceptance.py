@@ -275,7 +275,7 @@ def test_accept_6_estimator_soundness():
         for seed in range(trials):
             tr = FriendTracker(g, params, random.Random(seed), Metrics())
             assert tr.maintain_friends(ins(0, 1)) == []
-            got = 1 in tr.lists[0][0]  # the strictest scale
+            got = 1 in tr.n1[0]  # the strictest scale
             if got != want:
                 miss += 1
     rate = miss / (2 * trials)

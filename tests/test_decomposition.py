@@ -72,7 +72,7 @@ def test_incremental_clique_build_first_dense_move():
     assert moved, "no dense move while building a full clique"
     founders = [
         w for w in moved
-        if w in tracker.vsets[0] and {w} | set(tracker.lists[0][w]) == set(moved)
+        if w in tracker.vsets[0] and {w} | set(tracker.n1[w]) == set(moved)
     ]
     assert founders
     cid = dec.clique_of[founders[0]]
@@ -108,7 +108,7 @@ def test_dense_move_type2_new_clique():
     v = 0
     movers = dec.dense_move(v)
     cid = dec.clique_of[v]
-    assert len(dec.cliques[cid].members) == 1 + len(engine.tracker.lists[0][v])
+    assert len(dec.cliques[cid].members) == 1 + len(engine.tracker.n1[v])
     assert movers[0] == v
     assert dec.check_structures() == []
 

@@ -25,10 +25,10 @@ def judge(tr, u, v):
 
     The tracker's fire limit must exceed 1, so the one insertion fires no
     refresh: this is exactly one k-sample count from N(u), judged at the
-    three production thresholds.
+    production thresholds of the two kept scales, 1 and 3.
     """
     assert tr.maintain_friends(ins(u, v)) == []
-    return [u in tr.lists[i][v] for i in range(3)]
+    return [u in tr.n1[v], u in tr.n3[v]]
 
 
 def test_insertion_judges_clique_edge_friend_at_every_scale():
@@ -46,7 +46,7 @@ def test_insertion_judges_clique_edge_friend_at_every_scale():
     trials = 1000
     for seed in range(trials):
         tr = make_tracker(g, eps, tau, k=k, fire=2, seed=seed)
-        if judge(tr, 0, 1) == [True] * 3:
+        if judge(tr, 0, 1) == [True] * 2:
             hits += 1
     assert hits == trials  # failure probability is below n^-3 per trial
 
@@ -55,8 +55,8 @@ def test_insertion_judges_zero_commons_no_friend():
     g = DynamicGraph(4, 3)
     add_edges(g, [(0, 1)])
     tr = make_tracker(g, 0.25, 1.0 / 12.0, k=64, fire=2)
-    assert judge(tr, 0, 1) == [False] * 3
-    assert all(1 not in tr.lists[i][0] for i in range(3))
+    assert judge(tr, 0, 1) == [False] * 2
+    assert 1 not in tr.n1[0] and 1 not in tr.n3[0]
 
 
 def test_insertion_judgement_gap_region_no_crash():
@@ -96,14 +96,14 @@ def test_update_vertex_dense_clique_and_star():
     tr = make_tracker(g, eps, tau, k=128)
     tr.update_vertex(0)
     # all delta neighbors qualify as friends, at the strictest scale too
-    assert all(0 in tr.vsets[i] for i in range(3))
+    assert all(0 in vset for vset in tr.vsets)
 
     star = DynamicGraph(delta + 1, delta)
     add_edges(star, [(0, leaf) for leaf in range(1, delta + 1)])
     tr2 = make_tracker(star, eps, tau, k=128)
     tr2.update_vertex(0)
     # leaves share nothing with the center: not dense even at the loosest scale
-    assert 0 not in tr2.vsets[2]
+    assert 0 not in tr2.vsets[1]
 
 
 def test_update_vertex_dense_at_threshold_friends():
@@ -151,12 +151,12 @@ def test_maintain_friends_deletion_drops_all_scales():
     add_edges(g, clique_edges(range(delta + 1)))
     tr = make_tracker(g, 0.2, 0.05, k=64, fire=100)
     tr.update_vertex(0)
-    assert 1 in tr.lists[2][0]
+    assert 1 in tr.n3[0]
     g.apply(dele(0, 1))
     tr.maintain_friends(dele(0, 1))
-    for i in range(3):
-        assert 1 not in tr.lists[i][0]
-        assert 0 not in tr.lists[i][1]
+    for lists in (tr.n1, tr.n3):
+        assert 1 not in lists[0]
+        assert 0 not in lists[1]
 
 
 def test_counter_bound_between_updates():
@@ -196,20 +196,20 @@ def test_soundness_against_oracle():
     tr = make_tracker(g, eps, tau, k=paper_k(n, tau), seed=3)
     for v in range(n):
         tr.update_vertex(v)
-    checked = mism = 0
-    for i in range(3):
-        hi = (1 - ((i + 1) * eps + tau)) * delta
-        lo = (1 - ((i + 1) * eps - tau)) * delta
+    for i, lists in ((1, tr.n1), (3, tr.n3)):
+        checked = mism = 0
+        hi = (1 - (i * eps + tau)) * delta
+        lo = (1 - (i * eps - tau)) * delta
         for v in range(n):
             for u in g.adj[v]:
                 checked += 1
                 commons = g.common_neighbors_exact(u, v)
-                if u in tr.lists[i][v] and commons < hi:
+                if u in lists[v] and commons < hi:
                     mism += 1
-                if u not in tr.lists[i][v] and commons >= lo:
+                if u not in lists[v] and commons >= lo:
                     mism += 1
-    assert checked > 0
-    assert mism / checked <= 0.01
+        assert checked > 0
+        assert mism / checked <= 0.01, i
 
 
 def test_amortized_work_shape():
@@ -247,7 +247,7 @@ def test_amortized_work_shape():
 
 
 class _PerPairTracker(FriendTracker):
-    """The refresh as one sampler call and six set writes per pair.
+    """The refresh as one sampler call and four set writes per pair.
 
     Reference for the batched refresh: it draws through `rng.choices`, so it
     shares no sampling or list-writing code with the tracker under test.
@@ -260,25 +260,24 @@ class _PerPairTracker(FriendTracker):
             self.metrics.samples += self.k
             self.metrics.work += self.k
             cnt = sum(w in self.graph.adj[v] for w in self.rng.choices(items, k=self.k))
-        for i in range(3):
-            lst = self.lists[i]
-            if cnt >= self._maintain_thr[i]:
-                friend_set(self, i, u).add(v)
-                friend_set(self, i, v).add(u)
+        for lst, thr in zip((self.n1, self.n3), self._maintain_thr):
+            if cnt >= thr:
+                friend_set(lst, u).add(v)
+                friend_set(lst, v).add(u)
             else:
                 lst[u].discard(v)
                 lst[v].discard(u)
 
     def _drop_pair(self, u, v):
-        for i in range(3):
-            self.lists[i][u].discard(v)
-            self.lists[i][v].discard(u)
+        for lst in (self.n1, self.n3):
+            lst[u].discard(v)
+            lst[v].discard(u)
 
     def update_vertex(self, v):
         for u in list(self.graph.adj[v].items):
             self._refresh_pair(u, v)
-        for i in range(3):
-            self._set_dense(v, i, len(self.lists[i][v]) >= self._dense_thr[i])
+        for i, lst in enumerate((self.n1, self.n3)):
+            self._set_dense(v, i, len(lst[v]) >= self._dense_thr[i])
         self.metrics.tracker_updates += 1
 
     def maintain_friends(self, upd):
@@ -314,7 +313,7 @@ def _tracker_state(tr):
     # list(s) keeps each set's iteration order, which skipped no-op writes
     # must not change either
     return (
-        [[list(s) for s in lst] for lst in tr.lists],
+        [[list(s) for s in lst] for lst in (tr.n1, tr.n3)],
         [list(s) for s in tr.vsets],
         tr.direct,
         tr.indirect,
@@ -327,7 +326,7 @@ def _tracker_state(tr):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_batched_refresh_matches_the_per_pair_refresh(seed):
-    # dyadic eps and tau make the thresholds 13, 9 and 5 of k = 16 samples
+    # dyadic eps and tau make the thresholds 13 and 5 of k = 16 samples
     # exactly, so a count on a threshold tells >= from >
     n, delta = 24, 16
     iso = n  # never gets an edge
@@ -336,18 +335,18 @@ def test_batched_refresh_matches_the_per_pair_refresh(seed):
     new, ref = (
         cls(g, params, random.Random(seed), Metrics()) for cls in (FriendTracker, _PerPairTracker)
     )
-    assert new._maintain_thr == [13.0, 9.0, 5.0]
+    assert new._maintain_thr == [13.0, 5.0]
     edges = list(g.edges())
     for tr in (new, ref):
         pick = random.Random(seed + 1)
-        for i in range(3):
+        for i, lst in enumerate((tr.n1, tr.n3)):
             # symmetric lists: half of them edges, the rest arbitrary pairs
             for _ in range(60):
                 u, v = pick.choice(edges) if pick.random() < 0.5 else pick.sample(range(n), 2)
-                friend_set(tr, i, u).add(v)
-                friend_set(tr, i, v).add(u)
-            friend_set(tr, i, iso).add(0)
-            friend_set(tr, i, 0).add(iso)
+                friend_set(lst, u).add(v)
+                friend_set(lst, v).add(u)
+            friend_set(lst, iso).add(0)
+            friend_set(lst, 0).add(iso)
             for v in range(n):
                 if pick.random() < 0.3:
                     tr._set_dense(v, i, True)
@@ -357,7 +356,7 @@ def test_batched_refresh_matches_the_per_pair_refresh(seed):
     new._refresh(0, (iso,))
     ref._refresh_pair(iso, 0)
     assert new.rng.getstate() == state
-    assert all(iso not in new.lists[i][0] for i in range(3))
+    assert iso not in new.n1[0] and iso not in new.n3[0]
     assert _tracker_state(new) == _tracker_state(ref)
     ops = random.Random(seed + 2)
     for _ in range(400):

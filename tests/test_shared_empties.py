@@ -25,7 +25,7 @@ from conftest import add_edges, clique_edges, dense_fixture, feed_edges, make_en
 def _untouched(engine):
     """Each lazy set of vertex/color 0 of a fresh engine, with its name."""
     tr = engine.tracker
-    return [(f"N_{i + 1}", tr.lists[i][0]) for i in range(3)]
+    return [("N_1", tr.n1[0]), ("N_3", tr.n3[0])]
 
 
 def test_untouched_containers_are_one_shared_empty_each():
@@ -33,7 +33,7 @@ def test_untouched_containers_are_one_shared_empty_each():
     dec, tr = engine.decomp, engine.tracker
     for name, first in _untouched(engine) + [("n_c", dec.n_c[0])]:
         assert len(first) == 0 and list(first) == [] and 3 not in first, name
-    assert all(s is tr.lists[0][0] for lst in tr.lists for s in lst)
+    assert all(s is tr.n1[0] for lst in (tr.n1, tr.n3) for s in lst)
     assert all(m is dec.n_c[0] for m in dec.n_c)
     assert dec.n_c[0].get(7) is None and list(dec.n_c[0].items()) == []
 
@@ -112,15 +112,15 @@ def test_friend_list_keeps_its_set_after_it_empties():
     params = ParamSet(epsilon=0.2, tau=0.2, sample_count_k=32, seed=1)
     tr = FriendTracker(g, params, random.Random(1), Metrics())
     tr.update_vertex(0)
-    own = tr.lists[2][0]
+    own = tr.n3[0]
     assert len(own) == 6 and type(own) is set
-    untouched = tr.lists[2][11]
+    untouched = tr.n3[11]
     for u in range(1, 7):
         upd = dele(0, u)
         g.apply(upd)
         tr.maintain_friends(upd)
-    assert len(own) == 0 and tr.lists[2][0] is own
-    assert tr.lists[2][11] is untouched and len(untouched) == 0
+    assert len(own) == 0 and tr.n3[0] is own
+    assert tr.n3[11] is untouched and len(untouched) == 0
 
 
 def test_neighbor_views_keep_their_containers_after_a_collapse():

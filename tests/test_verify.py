@@ -235,8 +235,8 @@ def test_fault_friend_soundness():
     for v in range(g.n):
         for u in g.adj[v]:
             if g.common_neighbors_exact(u, v) == 0:
-                friend_set(tr, 0, v).add(u)
-                friend_set(tr, 0, u).add(v)
+                friend_set(tr.n1, v).add(u)
+                friend_set(tr.n1, u).add(v)
                 planted += 1
     assert planted > 0
     rep = verify(engine, soundness_floor=0.999)
@@ -250,22 +250,55 @@ def test_fault_friend_lists():
     # a symmetric pair on the hole (0, 1) is stale: legal inside a phase,
     # where deletions wait for the boundary replay, and a fault at a boundary
     assert not engine.graph.has_edge(0, 1)
-    friend_set(tr, 2, 0).add(1)
-    friend_set(tr, 2, 1).add(0)
+    friend_set(tr.n3, 0).add(1)
+    friend_set(tr.n3, 1).add(0)
     assert verify(engine, boundary=False).checks["friend_lists"].passed
     rep = verify(engine)
     assert "friend_lists" in rep.failed_names()
     assert any("stale" in v for v in rep.checks["friend_lists"].violations)
-    tr.lists[2][0].discard(1)
-    tr.lists[2][1].discard(0)
+    tr.n3[0].discard(1)
+    tr.n3[1].discard(0)
     # a one-sided pair fails at any time
-    u = next(x for x in range(engine.n) if tr.lists[1][x])
-    v = next(iter(tr.lists[1][u]))
-    tr.lists[1][v].discard(u)
+    u = next(x for x in range(engine.n) if tr.n3[x])
+    v = next(iter(tr.n3[u]))
+    tr.n3[v].discard(u)
     rep = verify(engine, boundary=False)
     found = rep.checks["friend_lists"].violations
     assert "friend_lists" in rep.failed_names()
-    assert f"N_2: asymmetric friend pair ({u},{v})" in found
+    assert f"N_3: asymmetric friend pair ({u},{v})" in found
+
+
+@pytest.mark.parametrize("scale", ["N_1", "N_3"])
+def test_fault_friend_soundness_names_the_corrupted_scale(scale):
+    engine, _ = fresh_dense()
+    tr = engine.tracker
+    clean = verify(engine).checks["friend_soundness"]
+    assert clean.passed
+    # forget every friend at one scale: the clique's edges, whose endpoints
+    # share nearly all their neighbors, go missing from that scale only
+    lists = {"N_1": tr.n1, "N_3": tr.n3}[scale]
+    for v in range(engine.n):
+        friend_set(lists, v).clear()
+    check = verify(engine).checks["friend_soundness"]
+    assert not check.passed
+    assert [line.split()[0] for line in check.violations] == [scale]
+    other = "N_3" if scale == "N_1" else "N_1"
+    assert check.info["rates"][other] == clean.info["rates"][other]
+    assert check.info["rates"][scale] < 0.98
+
+
+def test_fault_friend_lists_not_nested():
+    engine, _ = fresh_dense()
+    tr = engine.tracker
+    assert verify(engine).checks["friend_lists"].passed
+    # a scale-1 pair must be a scale-3 pair too
+    u = next(x for x in range(engine.n) if tr.n1[x])
+    v = next(iter(tr.n1[u]))
+    tr.n3[u].discard(v)
+    tr.n3[v].discard(u)
+    rep = verify(engine, boundary=False)
+    assert "friend_lists" in rep.failed_names()
+    assert f"N_1: friend pair ({u},{v}) missing from N_3" in rep.checks["friend_lists"].violations
 
 
 def test_fault_invariants_hard_violation():

@@ -54,7 +54,7 @@ def workload_digest(name, seed=SEED):
     adversary = make_adversary(strategy, n, delta, seed=seed + 1000)
     view = engine.coloring_view() if adversary.adaptive else None
     of, L = engine.colors.of, engine.colors.L
-    lists = (engine.tracker.lists[0], engine.tracker.lists[2])
+    lists = (engine.tracker.n1, engine.tracker.n3)
     h = hashlib.sha256()
     endpoints = []
     for _ in range(updates):

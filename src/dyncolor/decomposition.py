@@ -3,7 +3,8 @@
 Vertices are partitioned into a sparse set and a dense set, the dense set
 into almost-cliques.  Four invariants are maintained at update boundaries:
 
-* Density: a dense vertex is in V_3; a sparse vertex is not in V_1.
+* Density: a dense vertex's N_3 list, at its current length, puts it in
+  V_3; a sparse vertex's N_1 list does not put it in V_1.
 * Friendship: a clique member keeps many scale-3 friends inside (counting
   members that left since the clique's creation, bounded by sigma).
 * Size: every almost-clique has Theta(delta) members.
@@ -181,7 +182,7 @@ class Decomposition:
         tracker = self.tracker
         if upd.insert:
             for w in refresh:
-                if self.clique_of[w] is None and tracker.is_dense(w):
+                if self.clique_of[w] is None and tracker.in_v1(w):
                     self.dense_move(w)
         else:
             to_collapse: list[int] = []
@@ -191,7 +192,7 @@ class Decomposition:
                 if cid is None:
                     continue
                 c = self.cliques[cid]
-                violates = (w not in tracker.vsets[1]) or (
+                violates = not tracker.in_v3(w) or (
                     len(c.nprime.get(w, ())) <= self.friend_floor
                 )
                 if not violates:
@@ -207,7 +208,7 @@ class Decomposition:
             for cid in to_collapse:
                 freed += self.dissolve(self.cliques[cid])
             for w in sorted(freed):
-                if self.clique_of[w] is None and tracker.is_dense(w):
+                if self.clique_of[w] is None and tracker.in_v1(w):
                     self.dense_move(w)
 
     # ---- moves -----------------------------------------------------------------

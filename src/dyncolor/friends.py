@@ -1,10 +1,17 @@
 """Sampling-based maintenance of close-friend edges and dense vertices.
 
-For scales c_i = i*eps + tau the tracker keeps, at the two scales the
-algorithm reads (i in {1, 3}), per-vertex lists N_i(v) of neighbors whose
-common neighborhood with v is large, and the dense sets V_1 and V_3 of
-vertices with many such friends.  Friendship at the stricter scale
-implies friendship at the looser one, so N_1(v) <= N_3(v) <= N(v).
+For scales c_i = i*eps + tau the tracker keeps per-vertex lists N_i(v)
+of neighbors whose common neighborhood with v is large, at the two
+scales the algorithm reads: N_1 founds almost-cliques, N_3 keeps them.
+Friendship at the stricter scale implies friendship at the looser one,
+so N_1(v) <= N_3(v) <= N(v).  A vertex is in the dense set V_i when its
+N_i list, as it stands, holds enough friends (`in_v1`, `in_v3`); the
+sets are read from the lists' lengths, not kept.
+
+Nothing reads N_2 or a stored V_i: a flag written at v's own refresh
+goes stale when a neighbor's refresh or a deletion later shrinks v's
+list.  A check that needs scale 2 belongs to the oracle in `verify`,
+not to tracker state.
 
 The lists are symmetric: every writer updates both endpoints, so u is in
 N_i(v) exactly when v is in N_i(u).  A refresh takes one k-sample count
@@ -57,7 +64,6 @@ class FriendTracker:
         self.n = n
         self.n1 = [EMPTY_SET] * n
         self.n3 = [EMPTY_SET] * n
-        self.vsets = [set(), set()]  # V_1, V_3
         self.direct = [0] * n
         self.indirect = [0] * n
         self.k = params.sample_count(n)
@@ -126,26 +132,17 @@ class FriendTracker:
 
     # ---- dense sets ---------------------------------------------------------
 
-    def _set_dense(self, v: int, i: int, flag: bool) -> None:
-        if flag:
-            self.vsets[i].add(v)
-        else:
-            self.vsets[i].discard(v)
-
-    def is_dense(self, v: int) -> bool:
-        """Whether v's N_1 list, as it stands, puts v in V_1.
-
-        V_1 is written only when v itself is refreshed, while v's list also
-        shrinks when a neighbor's refresh or a deletion drops a pair, so the
-        set can still hold v after its list fell short.
-        """
+    def in_v1(self, v: int) -> bool:
+        """Whether v's N_1 list, as it stands, puts v in V_1."""
         return len(self.n1[v]) >= self._dense_thr[0]
+
+    def in_v3(self, v: int) -> bool:
+        """Whether v's N_3 list, as it stands, puts v in V_3."""
+        return len(self.n3[v]) >= self._dense_thr[1]
 
     def update_vertex(self, v: int) -> None:
         """Full refresh of v: re-estimate all incident edges at both scales."""
         self._refresh(v, self.graph.adj[v].items)
-        self._set_dense(v, 0, len(self.n1[v]) >= self._dense_thr[0])
-        self._set_dense(v, 1, len(self.n3[v]) >= self._dense_thr[1])
         self.metrics.tracker_updates += 1
 
     # ---- per-update maintenance ---------------------------------------------

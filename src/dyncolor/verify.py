@@ -4,11 +4,11 @@ Everything is recomputed from scratch against the graph (the ground
 truth): properness, the graph's own structure (symmetric adjacency,
 position indexes, `deg` and `edge_count`, which the engine's unchecked
 phase rewind trusts), the partition and its per-clique neighbor view
-`n_c`, the friend lists' symmetry, exact density and friendship of every
-vertex via exact common-neighbor counts, the four decomposition
-invariants, clique size bounds, non-edge exactness, per-clique color
-discipline, the palette identity, matching floors, and edge-counter
-recounts.  Checks whose underlying claims are only high-probability
+`n_c`, the friend lists' symmetry and nesting, exact density and
+friendship of every vertex via exact common-neighbor counts, the four
+decomposition invariants, clique size bounds, non-edge exactness,
+per-clique color discipline, the palette identity, matching floors, and
+edge-counter recounts.  Checks whose underlying claims are only high-probability
 report pass rates and attribute misses to estimator gaps (tracker belief
 differing from the oracle) instead of hard-failing.
 
@@ -344,12 +344,12 @@ def verify(
     total = 0
     gap_vertices: set[int] = set()
     names = ("N_1", "N_3")
-    scales = []  # (lists, dense set, ratio_hi, hi, lo) per kept scale
-    for i, lists, vset in ((1, tracker.n1, tracker.vsets[0]), (3, tracker.n3, tracker.vsets[1])):
+    scales = []  # (lists, V_i test, ratio_hi, hi, lo) per kept scale
+    for i, lists, in_v in ((1, tracker.n1, tracker.in_v1), (3, tracker.n3, tracker.in_v3)):
         ratio_hi = 1.0 - (i * eps + tau)
         hi = ratio_hi * delta - drift
         lo = (1.0 - (i * eps - tau)) * delta + drift
-        scales.append((lists, vset, ratio_hi, hi, lo))
+        scales.append((lists, in_v, ratio_hi, hi, lo))
     mismatches = [0, 0]
     for v in range(g.n):
         cnt_hi = [0, 0]
@@ -371,9 +371,10 @@ def verify(
                 elif commons >= lo:
                     mismatches[j] += 1
                     gap_vertices.update((u, v))
-        # a V_i membership the oracle cannot justify is an estimator gap too
-        for j, (_, vset, _, hi, _) in enumerate(scales):
-            if v in vset and cnt_hi[j] < hi:
+        # a V_i membership, read from the list's current length, that the
+        # oracle cannot justify is an estimator gap too
+        for j, (_, in_v, _, hi, _) in enumerate(scales):
+            if in_v(v) and cnt_hi[j] < hi:
                 gap_vertices.add(v)
     rates = {name: 1.0 - (m / total if total else 0.0) for name, m in zip(names, mismatches)}
     low = [f"{name} soundness rate {r:.4f}" for name, r in rates.items() if r < soundness_floor]

@@ -79,11 +79,11 @@ def friend_set(lists, v):
 
 
 def oracle_fill_tracker(engine):
-    """Set friend lists and dense flags exactly from the common-neighbor oracle."""
+    """Set the friend lists N_1 and N_3 exactly from the common-neighbor oracle."""
     tr = engine.tracker
     g = engine.graph
     eps, delta = engine.params.epsilon, g.delta
-    for j, (i, lists) in enumerate(((1, tr.n1), (3, tr.n3))):
+    for i, lists in ((1, tr.n1), (3, tr.n3)):
         thr = (1.0 - i * eps) * delta
         for v in range(g.n):
             friend_set(lists, v).clear()
@@ -91,8 +91,6 @@ def oracle_fill_tracker(engine):
             if g.common_neighbors_exact(u, v) >= thr:
                 friend_set(lists, u).add(v)
                 friend_set(lists, v).add(u)
-        for v in range(g.n):
-            tr._set_dense(v, j, len(lists[v]) >= thr)
 
 
 def install_clique(engine, members):

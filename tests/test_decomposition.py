@@ -72,7 +72,7 @@ def test_incremental_clique_build_first_dense_move():
     assert moved, "no dense move while building a full clique"
     founders = [
         w for w in moved
-        if w in tracker.vsets[0] and {w} | set(tracker.n1[w]) == set(moved)
+        if tracker.in_v1(w) and {w} | set(tracker.n1[w]) == set(moved)
     ]
     assert founders
     cid = dec.clique_of[founders[0]]
@@ -126,7 +126,7 @@ def test_dense_move_type1_joins_friends_clique():
     dec = engine.decomp
     oracle_fill_tracker(engine)
     assert dec.clique_of[v] is None and dec.clique_of[w] is None
-    assert v in engine.tracker.vsets[0]
+    assert engine.tracker.in_v1(v)
     size0 = len(c.members)
     movers = dec.dense_move(v)
     assert dec.clique_of[v] == c.id and dec.clique_of[w] == c.id
@@ -264,12 +264,40 @@ def test_dense_moves_read_the_current_friend_lists():
     real = dec.dense_move
 
     def spy(v):
-        moves.append(tracker.is_dense(v))
+        moves.append(tracker.in_v1(v))
         return real(v)
 
     dec.dense_move = spy
     run_stream(engine, adv, 3000)
     assert moves and all(moves)
+
+
+def test_sparse_move_reads_the_current_scale_3_list():
+    # member 0 refreshes first in the update and finds all its friends; the
+    # members refreshed after it judge their pair with 0 false, so when the
+    # density test runs, 0's N_3 list is below the V_3 floor while its scale-3
+    # friends inside the clique still clear the friendship floor
+    delta, m = 20, 17
+    g, tracker, dec, drive = standalone(24, delta, eps=0.2, tau=0.2 / 3, nu=0.9)
+    add_edges(g, clique_edges(range(m)))
+    drop = set()
+
+    def scripted(v, us):
+        return [0 if (v, u) in drop else tracker.k for u in us]
+
+    tracker._counts = scripted
+    for v in range(m):
+        tracker.update_vertex(v)
+    assert tracker.in_v1(0)
+    c = dec.clique(dec.dense_move(0)[0])
+    assert c.members == set(range(m))
+    later = range(1, 9)
+    drop.update((z, 0) for z in later)
+    assert 7 < tracker._dense_thr[1] <= 8 and 6 < dec.friend_floor < 7
+    assert drive(dele(0, m - 1))[1] == [0]  # refreshes 0, 16, then 1..15
+    assert len(tracker.n3[0]) == 7 and not tracker.in_v3(0)
+    assert c.sigma == 1 and dec.clique_of[0] is None
+    assert dec.check_structures() == []
 
 
 def test_clique_collapse_and_refounding():

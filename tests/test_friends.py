@@ -96,14 +96,14 @@ def test_update_vertex_dense_clique_and_star():
     tr = make_tracker(g, eps, tau, k=128)
     tr.update_vertex(0)
     # all delta neighbors qualify as friends, at the strictest scale too
-    assert all(0 in vset for vset in tr.vsets)
+    assert tr.in_v1(0) and tr.in_v3(0)
 
     star = DynamicGraph(delta + 1, delta)
     add_edges(star, [(0, leaf) for leaf in range(1, delta + 1)])
     tr2 = make_tracker(star, eps, tau, k=128)
     tr2.update_vertex(0)
     # leaves share nothing with the center: not dense even at the loosest scale
-    assert 0 not in tr2.vsets[1]
+    assert not tr2.in_v3(0)
 
 
 def test_update_vertex_dense_at_threshold_friends():
@@ -123,7 +123,7 @@ def test_update_vertex_dense_at_threshold_friends():
     for seed in range(50):
         tr = make_tracker(g, eps, tau, k=paper_k(g.n, tau), seed=seed)
         tr.update_vertex(v)
-        hits += v in tr.vsets[0]
+        hits += tr.in_v1(v)
     assert hits >= 48  # dense w.h.p. at the strictest scale: friends >= (1-eps)*delta
 
 
@@ -276,8 +276,6 @@ class _PerPairTracker(FriendTracker):
     def update_vertex(self, v):
         for u in list(self.graph.adj[v].items):
             self._refresh_pair(u, v)
-        for i, lst in enumerate((self.n1, self.n3)):
-            self._set_dense(v, i, len(lst[v]) >= self._dense_thr[i])
         self.metrics.tracker_updates += 1
 
     def maintain_friends(self, upd):
@@ -314,7 +312,6 @@ def _tracker_state(tr):
     # must not change either
     return (
         [[list(s) for s in lst] for lst in (tr.n1, tr.n3)],
-        [list(s) for s in tr.vsets],
         tr.direct,
         tr.indirect,
         tr.metrics.samples,
@@ -339,7 +336,7 @@ def test_batched_refresh_matches_the_per_pair_refresh(seed):
     edges = list(g.edges())
     for tr in (new, ref):
         pick = random.Random(seed + 1)
-        for i, lst in enumerate((tr.n1, tr.n3)):
+        for lst in (tr.n1, tr.n3):
             # symmetric lists: half of them edges, the rest arbitrary pairs
             for _ in range(60):
                 u, v = pick.choice(edges) if pick.random() < 0.5 else pick.sample(range(n), 2)
@@ -347,9 +344,6 @@ def test_batched_refresh_matches_the_per_pair_refresh(seed):
                 friend_set(lst, v).add(u)
             friend_set(lst, iso).add(0)
             friend_set(lst, 0).add(iso)
-            for v in range(n):
-                if pick.random() < 0.3:
-                    tr._set_dense(v, i, True)
     assert _tracker_state(new) == _tracker_state(ref)
     # the isolated endpoint draws nothing and its stale pair goes
     state = new.rng.getstate()

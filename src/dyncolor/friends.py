@@ -4,14 +4,10 @@ For scales c_i = i*eps + tau the tracker keeps per-vertex lists N_i(v)
 of neighbors whose common neighborhood with v is large, at the two
 scales the algorithm reads: N_1 founds almost-cliques, N_3 keeps them.
 Friendship at the stricter scale implies friendship at the looser one,
-so N_1(v) <= N_3(v) <= N(v).  A vertex is in the dense set V_i when its
-N_i list, as it stands, holds enough friends (`in_v1`, `in_v3`); the
-sets are read from the lists' lengths, not kept.
-
-Nothing reads N_2 or a stored V_i: a flag written at v's own refresh
-goes stale when a neighbor's refresh or a deletion later shrinks v's
-list.  A check that needs scale 2 belongs to the oracle in `verify`,
-not to tracker state.
+so N_1(v) <= N_3(v) <= N(v).  v is in the dense set V_i when N_i(v), as
+it stands, holds enough friends (`in_v1`, `in_v3`).  Nothing reads N_2,
+and a stored V_i flag would go stale when a neighbor's refresh shrinks
+v's list; a check that needs scale 2 belongs in `verify`'s oracle.
 
 The lists are symmetric: every writer updates both endpoints, so u is in
 N_i(v) exactly when v is in N_i(u).  A refresh takes one k-sample count
@@ -70,8 +66,7 @@ class FriendTracker:
         self.fire_limit = params.fire_limit(graph.delta)
         eps, tau, delta = params.epsilon, params.tau, graph.delta
         # u is a scale-i friend of v when its count reaches k(1 - (i*eps - tau/4)),
-        # v is scale-i dense with at least (1 - i*eps) * delta such friends;
-        # one entry per kept scale, 1 and 3
+        # v is scale-i dense with at least (1 - i*eps) * delta such friends
         self._maintain_thr = [max(0.0, self.k * (1.0 - (i * eps - tau / 4.0))) for i in (1, 3)]
         self._dense_thr = [max(0.0, (1.0 - i * eps) * delta) for i in (1, 3)]
 
@@ -192,16 +187,14 @@ class FriendTracker:
         deletion inside a phase reaches the tracker at the boundary replay.
         """
         viol = []
-        has_edge, n1, n3 = self.graph.has_edge, self.n1, self.n3
-        for name, lists in (("N_1", n1), ("N_3", n3)):
+        has_edge, n3 = self.graph.has_edge, self.n3
+        for name, lists in (("N_1", self.n1), ("N_3", n3)):
             for v in range(self.n):
                 for u in lists[v]:
                     if v not in lists[u]:
                         viol.append(f"{name}: asymmetric friend pair ({v},{u})")
                     if boundary and not has_edge(u, v):
                         viol.append(f"{name}: stale friend pair ({v},{u})")
-        for v in range(self.n):
-            for u in n1[v]:
-                if u not in n3[v]:
-                    viol.append(f"N_1: friend pair ({v},{u}) missing from N_3")
+                    if u not in n3[v]:
+                        viol.append(f"{name}: friend pair ({v},{u}) missing from N_3")
         return viol

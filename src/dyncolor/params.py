@@ -44,8 +44,7 @@ class ParamSet:
             raise ValueError("tau must not exceed epsilon")
         if self.nu is None:
             self.nu = 2.0 * self.epsilon / 3.0
-        # a cap below 1 leaves the rejection loop without an attempt, and
-        # k = 0 makes every edge a friend at every scale
+        # below 1 the rejection loop makes no attempt, and k = 0 befriends every edge
         if self.cap_factor < 1:
             raise ValueError("cap_factor must be at least 1")
         if self.sample_count_k is not None and self.sample_count_k < 1:

@@ -8,9 +8,9 @@ phase rewind trusts), the partition and its per-clique neighbor view
 friendship of every vertex via exact common-neighbor counts, the four
 decomposition invariants, clique size bounds, non-edge exactness,
 per-clique color discipline, the palette identity, matching floors, and
-edge-counter recounts.  Checks whose underlying claims are only high-probability
-report pass rates and attribute misses to estimator gaps (tracker belief
-differing from the oracle) instead of hard-failing.
+edge-counter recounts.  Checks whose underlying claims are only
+high-probability report pass rates and attribute misses to estimator
+gaps (tracker belief differing from the oracle) instead of hard-failing.
 
 `ProperWatch` is the incremental form of the properness check: it feeds
 on color-assignment events, keeps its own occupancy index, and after
@@ -341,7 +341,7 @@ def verify(
     # at both kept scales; each scale's rate must reach the floor.
     tau = params.tau
     absolute_false_in = 0
-    total = 0
+    total = 2 * g.edge_count  # directed edges, each judged at both scales
     gap_vertices: set[int] = set()
     names = ("N_1", "N_3")
     scales = []  # (lists, V_i test, ratio_hi, hi, lo) per kept scale
@@ -354,7 +354,6 @@ def verify(
     for v in range(g.n):
         cnt_hi = [0, 0]
         for u in g.adj[v]:
-            total += 1
             commons = common(u, v)
             for j, (lists, _, ratio_hi, hi, lo) in enumerate(scales):
                 if commons >= hi:

@@ -172,7 +172,8 @@ class Decomposition:
         """
         u, v = upd.u, upd.v
         refresh = self.tracker.maintain_friends(upd)
-        self.note_edge(upd)
+        if self.cliques:  # a view only ever names a clique
+            self.note_edge(upd)
         cu, cv = self.clique_of[u], self.clique_of[v]
         if cu is not None and cu == cv:
             matching_hook(self.cliques[cu], upd)

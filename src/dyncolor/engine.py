@@ -109,8 +109,11 @@ class Engine(ColoringAlgorithm):
             if upd.insert and colors.of[u] == colors.of[v]:
                 old = colors.of[v]
                 new = self.sparse.recolor_sparse(v)
-                self.dense.update_edge_counts(v, old, new)
-                self.dense.evict_conflicts(v, new)
+                if dec.cliques:
+                    # without a clique every n_c[x] and L_D(c) is empty, so
+                    # these hooks would do nothing and charge nothing
+                    self.dense.update_edge_counts(v, old, new)
+                    self.dense.evict_conflicts(v, new)
         elif cu is None or cv is None:
             s, d = (u, v) if cu is None else (v, u)
             clique = dec.cliques[cv if cu is None else cu]

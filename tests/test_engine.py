@@ -418,3 +418,43 @@ def test_blank_all_reports_cleared_entries_and_fires_in_vertex_order():
     assert cs.blank_all() == 1
     assert cs.of is of and of == [BLANK] * 6
     assert cs.blank_all() == 0
+
+
+@pytest.mark.parametrize(
+    "strategy, n, delta", [("adaptive-monochrome", 256, 128), ("deletion-heavy", 512, 32)]
+)
+def test_clique_free_runs_leave_every_neighbor_view_and_dense_class_empty(strategy, n, delta):
+    # the sparse-sparse dispatch skips the dense hooks while no clique
+    # exists, and the replay skips `note_edge`: exact only while these hold
+    e = make_engine(n, delta, phase_len=40, k=12, fire=8)
+    adv = make_adversary(strategy, n, delta, seed=3)
+    view = e.coloring_view() if adv.adaptive else None
+    for _ in range(400):
+        e.process(adv.next(view))
+        assert not e.decomp.cliques
+        assert not any(e.decomp.n_c)
+        assert not any(e.colors.L_D)
+    assert e.metrics.phase_inits == 10
+    assert e.metrics.sparse_recolorings > 0
+
+
+def test_monochromatic_sparse_insertion_next_to_a_clique_shifts_its_counters():
+    delta = 12
+    members = list(range(delta + 1))
+    v, u = delta + 3, delta + 9  # v neighbors members 0-2; u is isolated
+    holes = [(0, 3), (1, 4), (2, 5)]  # degree slack for the external edges
+    engine, (c,) = dense_fixture(
+        30, delta, [members], holes=holes, extra_edges=[(v, 0), (v, 1), (v, 2)]
+    )
+    colors = engine.colors
+    old = colors.of[v]
+    colors.clear_sparse(u)
+    colors.set_sparse(u, old)
+    before = dict(c.book.t_c)
+    assert before[old] >= 3
+    engine.process(ins(u, v))
+    new = colors.of[v]
+    assert new != old and engine.metrics.sparse_recolorings == 1
+    assert c.book.t_c.get(old, 0) == before[old] - 3
+    assert c.book.t_c.get(new, 0) == before.get(new, 0) + 3
+    assert verify(engine, boundary=False).checks["edge_counters"].passed

@@ -45,6 +45,14 @@ class SparseColoring:
         self.palette = graph.delta + 1
         self.cap = params.loop_cap(graph.n)
         self.rng = rng
+        # what `_rejection_color` reads, bound once: no container here is
+        # ever rebound (`blank_all` rewrites `of[:]` in place).  The attempt
+        # ranges are indexed by `phase_start`
+        self._bound = (
+            colors.of, colors.L, colors.listeners, decomp.clique_of,
+            graph.adj, graph.deg, self.palette, self.palette.bit_length(),
+        )
+        self._attempts = (range(self.cap), range(1))
 
     def greedy_coloring(self, vertices) -> None:
         """Color every vertex by rejection sampling, in uniform random order.
@@ -79,16 +87,18 @@ class SparseColoring:
         such a walk, as is an unchecked draw.  Placement is
         `of[v] = c; L[c].append(v)` and fires the listeners with
         (v, BLANK, c), as `set_sparse` on a blank v does.
+
+        The in-phase recolor hands over one vertex per call, so the set-up
+        is kept to one read: `of`, `L`, `listeners`, `clique_of`, `adj`,
+        `deg`, the palette, its bit length and both attempt ranges are
+        bound in `__init__`, none of them ever being rebound.  `self.rng`
+        is read on every call, so a generator swapped in takes effect.
         """
-        colors = self.colors
-        of, L, listeners = colors.of, colors.L, colors.listeners
-        clique_of = self.decomp.clique_of
-        adj, degree = self.graph.adj, self.graph.deg
-        getrandbits = self.rng.getrandbits
-        random = self.rng.random if phase_start else None
-        palette = self.palette
-        k = palette.bit_length()
-        attempts = range(1 if phase_start else self.cap)
+        of, L, listeners, clique_of, adj, degree, palette, k = self._bound
+        rng = self.rng
+        getrandbits = rng.getrandbits
+        random = rng.random if phase_start else None
+        attempts = self._attempts[phase_start]
         deferred = []
         drawn = probes = linked = 0
         for v in vertices:

@@ -9,6 +9,12 @@ layers, so the values returned and the generator state left behind equal
 the library's (pinned by tests/test_draws.py; the golden traces depend on
 it).  `DenseColoring` draws through `palette_drawer`; the sparse
 rejection loop inlines the same draw, as it runs once per try.
+
+Each call consumes whole 32-bit Mersenne Twister outputs: `getrandbits(b)`
+takes ceil(b / 32) of them (one for b <= 32), and `random()` takes two,
+which it combines into a 53-bit float.  So `getrandbits(64 * k)` leaves the
+generator where k `random()` calls leave it; the friend sampler advances
+past a pair with no common neighbor that way (`FriendTracker._counts`).
 """
 
 from __future__ import annotations

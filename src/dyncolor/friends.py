@@ -34,6 +34,10 @@ from math import floor
 
 from .sampleset import EMPTY_SET
 
+# `_counts` tests a pair for a common neighbor only while the smaller of
+# the two neighborhoods has at most this many entries per sample
+DISJOINT_TEST_PER_SAMPLE = 4
+
 
 def _link(lst, v: int, u: int) -> set:
     """Add the pair (v, u) to one scale's lists; returns v's list.
@@ -77,22 +81,48 @@ class FriendTracker:
 
         Each u takes the draws of rng.choices(N(u), k=k), in the order of
         us; an isolated u draws nothing and counts 0.
+
+        When N(u) and N(v) share no vertex, every draw misses whatever it
+        picks, so the count is 0 and the k draws are replaced by one
+        `getrandbits(64 * k)`, which leaves the generator where k
+        `random()` calls leave it (see `draws`).  The test walks the
+        smaller neighborhood and probes the other's index, and it is made
+        only while that side has at most `DISJOINT_TEST_PER_SAMPLE * k`
+        entries, so a pair never costs more than O(k).  A skipped estimate
+        is charged as drawn, k samples and k units: the generator advanced
+        k draws, and the counters stay those of the per-draw loop.
         """
-        adj, pos, random = self.graph.adj, self.graph.adj[v]._pos, self.rng.random
-        draws = range(self.k)
+        adj, random, getrandbits = self.graph.adj, self.rng.random, self.rng.getrandbits
+        near = adj[v]
+        pos, mine = near._pos, near.items
+        disjoint_from_v = pos.keys().isdisjoint
+        k = self.k
+        draws = range(k)
+        limit = DISJOINT_TEST_PER_SAMPLE * k
+        d = len(mine)
+        v_testable = d <= limit
         counts = []
         sampled = 0
         for u in us:
-            items = adj[u].items
+            nu = adj[u]
+            items = nu.items
             cnt = 0
             if items:
                 sampled += 1
-                size = len(items) + 0.0
-                for _ in draws:
-                    if items[floor(random() * size)] in pos:
-                        cnt += 1
+                size = len(items)
+                if size <= d:
+                    disjoint = size <= limit and disjoint_from_v(items)
+                else:
+                    disjoint = v_testable and nu._pos.keys().isdisjoint(mine)
+                if disjoint:
+                    getrandbits(64 * k)
+                else:
+                    size += 0.0
+                    for _ in draws:
+                        if items[floor(random() * size)] in pos:
+                            cnt += 1
             counts.append(cnt)
-        drawn = sampled * self.k
+        drawn = sampled * k
         self.metrics.samples += drawn
         self.metrics.work += drawn
         return counts

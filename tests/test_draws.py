@@ -47,6 +47,21 @@ def test_shuffle_is_random_shuffle(length):
     assert rng.getstate() == ref.getstate()
 
 
+@pytest.mark.parametrize("k", [1, 4, 12, 96])
+def test_getrandbits_64k_advances_as_k_random_calls(k):
+    # the friend sampler's skip of a pair with no common neighbor stands on
+    # this, also where a prior odd-sized draw left the twister mid-block
+    for seed in range(6):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for r in (rng, ref):
+            r.getrandbits(1 + seed)
+        rng.getrandbits(64 * k)
+        for _ in range(k):
+            ref.random()
+        assert rng.getstate() == ref.getstate()
+        assert rng.random() == ref.random()
+
+
 @pytest.mark.parametrize("size", PALETTES)
 def test_friend_sampler_counts_the_choices_sample(size):
     # u = 0 has `size` neighbors; each round v = 1 neighbors a fresh random

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from dyncolor.friends import FriendTracker
+from dyncolor.friends import DISJOINT_TEST_PER_SAMPLE, FriendTracker
 from dyncolor.graph import DynamicGraph, dele, ins
 from dyncolor.metrics import Metrics
 from dyncolor.params import ParamSet
@@ -367,3 +367,40 @@ def test_batched_refresh_matches_the_per_pair_refresh(seed):
             assert new.maintain_friends(upd) == ref.maintain_friends(upd)
         assert _tracker_state(new) == _tracker_state(ref)
     assert new.metrics.tracker_updates > 80
+
+
+def _per_draw_counts(g, rng, k, v, us):
+    """Per u in us, the hits among k draws of `rng.choices(N(u), k=k)` on N(v)."""
+    near = g.adj[v]
+    return [
+        sum(w in near for w in rng.choices(g.adj[u].items, k=k)) if g.adj[u].items else 0
+        for u in us
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_counts_match_the_per_draw_sampler(seed):
+    # k = 2 puts the disjointness test's cap at 8 neighbors, inside these
+    # graphs' degree range; each v is counted against its neighbors, a few
+    # arbitrary vertices and the isolated one
+    n, delta, k = 60, 16, 2
+    iso = n
+    limit = DISJOINT_TEST_PER_SAMPLE * k
+    g = random_graph(n, delta, 220, seed=seed, g=DynamicGraph(n + 1, delta))
+    tracker = FriendTracker(g, ParamSet(sample_count_k=k), random.Random(seed), Metrics())
+    ref = random.Random(seed)
+    pick = random.Random(~seed)
+    kinds = set()
+    charged = 0
+    for _ in range(200):
+        v = pick.randrange(n)
+        us = list(g.adj[v].items) + pick.sample(range(n), 4) + [iso]
+        assert tracker._counts(v, us) == _per_draw_counts(g, ref, k, v, us)
+        assert tracker.rng.getstate() == ref.getstate()
+        for u in us:
+            if g.adj[u].items:
+                charged += k
+                shares = not set(g.adj[u]).isdisjoint(g.adj[v])
+                kinds.add((shares, min(g.degree(u), g.degree(v)) <= limit))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    assert tracker.metrics.samples == tracker.metrics.work == charged

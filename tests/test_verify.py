@@ -341,6 +341,27 @@ def test_fault_clique_size_bounds():
     assert "clique_size_bounds" in rep.failed_names()
 
 
+def test_fault_clique_level_miss_is_hard_when_its_id_is_a_gap_vertex():
+    # a Size line's first integer is a clique id; a gap vertex with the same
+    # id must not excuse an out-of-size clique
+    engine, (c,) = fresh_dense()
+    assert c.id == 0
+    dec = engine.decomp
+    for v in sorted(c.members)[: len(c.members) - 2]:
+        dec.sparse_move(v)
+    engine.dense.build_book(c)
+    engine.rebuild_colors()
+    # vertex 0, now sparse, gets a scale-3 friend it shares no neighbor with
+    engine.process(ins(0, 20))
+    tr = engine.tracker
+    friend_set(tr.n3, 0).add(20)
+    friend_set(tr.n3, 20).add(0)
+    rep = verify(engine, boundary=False)
+    assert rep.checks["friend_soundness"].info["gap_vertices"] >= 2
+    check = rep.checks["decomposition_invariants"]
+    assert "Size: clique 0 has 2 members" in check.violations
+
+
 def test_fault_good_colors_bound():
     # |C| = delta (k = 1): with the matching wiped, the external-edge bound
     # drops to |L|*k and enough external edges break it

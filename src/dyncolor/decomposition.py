@@ -172,7 +172,7 @@ class Decomposition:
         """
         u, v = upd.u, upd.v
         refresh = self.tracker.maintain_friends(upd)
-        if self.cliques:  # a view only ever names a clique
+        if self.cliques:  # with no clique, no neighbor view changes
             self.note_edge(upd)
         cu, cv = self.clique_of[u], self.clique_of[v]
         if cu is not None and cu == cv:

@@ -36,7 +36,7 @@ from .sampleset import EMPTY_SET
 
 # `_counts` tests a pair for a common neighbor only while the smaller of
 # the two neighborhoods has at most this many entries per sample
-DISJOINT_TEST_PER_SAMPLE = 4
+DISJOINT_TEST_PER_SAMPLE = 2
 
 
 def _link(lst, v: int, u: int) -> set:
@@ -92,30 +92,29 @@ class FriendTracker:
         is charged as drawn, k samples and k units: the generator advanced
         k draws, and the counters stay those of the per-draw loop.
         """
-        adj, random, getrandbits = self.graph.adj, self.rng.random, self.rng.getrandbits
-        near = adj[v]
-        pos, mine = near._pos, near.items
-        disjoint_from_v = pos.keys().isdisjoint
+        adj, random = self.graph.adj, self.rng.random
+        pos = adj[v]._pos
         k = self.k
         draws = range(k)
+        d = len(pos)
+        # u is tested when the smaller of N(u) and N(v) is short: any u
+        # when N(v) is, else a u whose N(u) is
         limit = DISJOINT_TEST_PER_SAMPLE * k
-        d = len(mine)
-        v_testable = d <= limit
+        if d <= limit:
+            limit = self.n
         counts = []
         sampled = 0
         for u in us:
-            nu = adj[u]
-            items = nu.items
+            items = adj[u].items
             cnt = 0
             if items:
                 sampled += 1
                 size = len(items)
-                if size <= d:
-                    disjoint = size <= limit and disjoint_from_v(items)
-                else:
-                    disjoint = v_testable and nu._pos.keys().isdisjoint(mine)
-                if disjoint:
-                    getrandbits(64 * k)
+                if size <= limit and (
+                    pos.keys().isdisjoint(items) if size <= d
+                    else adj[u]._pos.keys().isdisjoint(pos)
+                ):
+                    self.rng.getrandbits(64 * k)
                 else:
                     size += 0.0
                     for _ in draws:

@@ -380,7 +380,7 @@ def _per_draw_counts(g, rng, k, v, us):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_counts_match_the_per_draw_sampler(seed):
-    # k = 2 puts the disjointness test's cap at 8 neighbors, inside these
+    # k = 2 puts the disjointness test's cap at 4 neighbors, inside these
     # graphs' degree range; each v is counted against its neighbors, a few
     # arbitrary vertices and the isolated one
     n, delta, k = 60, 16, 2

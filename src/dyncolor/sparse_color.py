@@ -45,9 +45,8 @@ class SparseColoring:
         self.palette = graph.delta + 1
         self.cap = params.loop_cap(graph.n)
         self.rng = rng
-        # what `_rejection_color` reads, bound once: no container here is
-        # ever rebound (`blank_all` rewrites `of[:]` in place).  The attempt
-        # ranges are indexed by `phase_start`
+        # what `_rejection_color` reads, bound once; the attempt ranges are
+        # indexed by its `phase_start`
         self._bound = (
             colors.of, colors.L, colors.listeners, decomp.clique_of,
             graph.adj, graph.deg, self.palette, self.palette.bit_length(),
@@ -91,8 +90,9 @@ class SparseColoring:
         The in-phase recolor hands over one vertex per call, so the set-up
         is kept to one read: `of`, `L`, `listeners`, `clique_of`, `adj`,
         `deg`, the palette, its bit length and both attempt ranges are
-        bound in `__init__`, none of them ever being rebound.  `self.rng`
-        is read on every call, so a generator swapped in takes effect.
+        bound in `__init__`.  None of them is ever rebound (`blank_all`
+        rewrites `of[:]` in place).  `self.rng` is read on every call, so
+        a generator swapped in takes effect.
         """
         of, L, listeners, clique_of, adj, degree, palette, k = self._bound
         rng = self.rng

@@ -5,6 +5,7 @@ from .baseline import TrivialBaseline
 from .colors import BLANK
 from .engine import Engine, EngineConfig
 from .errors import (
+    BadEndpoints,
     DegreeCapExceeded,
     DuplicateEdge,
     EmptyPalette,
@@ -21,6 +22,7 @@ from .verify import ProperWatch, Report, verify
 
 __all__ = [
     "BLANK",
+    "BadEndpoints",
     "DegreeCapExceeded",
     "DuplicateEdge",
     "DynamicGraph",

@@ -5,8 +5,9 @@ into almost-cliques.  Four invariants are maintained at update boundaries:
 
 * Density: a dense vertex's N_3 list, at its current length, puts it in
   V_3; a sparse vertex's N_1 list does not put it in V_1.
-* Friendship: a clique member keeps many scale-3 friends inside (counting
-  members that left since the clique's creation, bounded by sigma).
+* Friendship: a clique member keeps many scale-3 friends inside, counted
+  off `tracker.n3` where tested (members that left since the clique's
+  creation count too, bounded by sigma).
 * Size: every almost-clique has Theta(delta) members.
 * Connectedness: scale-3 friend edges span each almost-clique.
 
@@ -14,7 +15,7 @@ Vertices enter the dense side through dense moves (joining a friend's
 clique or founding a new one with their scale-1 friends) and leave
 through sparse moves; once a clique has lost enough members it is
 dissolved wholesale and its still-dense vertices re-enter via fresh
-dense moves.
+dense moves.  A clique's non-edge count is read off its non-edge lists.
 
 The one neighbor view kept per vertex is `n_c[x]`: x's dense neighbors,
 grouped by clique, which feeds the clique edge counters t_c.  Sparse
@@ -27,14 +28,34 @@ never gets one.  Once made it is never dropped, even empty.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .errors import InvariantViolation
 from .sampleset import EMPTY_MAP, own
 
 
+class Finding(NamedTuple):
+    """One invariant miss; `vertex` is None for a clique-level one."""
+
+    invariant: str  # Density, Friendship, Size or Connectedness
+    vertex: int | None
+    clique: int | None
+    text: str
+
+    def __str__(self) -> str:
+        return f"{self.invariant}: {self.text}"
+
+
 class AlmostClique:
+    """One almost-clique.
+
+    Its non-edge count is read off `nonedges`, and a member's scale-3
+    friends inside it off `tracker.n3` where they are tested; neither is
+    stored.
+    """
+
     __slots__ = (
-        "id", "members", "sigma", "nonedges", "nonedge_count",
-        "nprime", "partner", "large_regime", "book",
+        "id", "members", "sigma", "nonedges", "partner", "large_regime", "book",
     )
 
     def __init__(self, cid: int):
@@ -42,11 +63,13 @@ class AlmostClique:
         self.members: set[int] = set()
         self.sigma = 0
         self.nonedges: dict[int, set[int]] = {}  # per member: non-neighbor partners in C
-        self.nonedge_count = 0
-        self.nprime: dict[int, set[int]] = {}  # per member: scale-3 friends inside C
         self.partner: dict[int, int] = {}  # non-edge matching, both directions
         self.large_regime = False  # phase-start matching regime
         self.book = None  # per-phase color bookkeeping, owned by dense coloring
+
+    @property
+    def nonedge_count(self) -> int:
+        return sum(map(len, self.nonedges.values())) // 2
 
     def matching_size(self) -> int:
         return len(self.partner) // 2
@@ -108,7 +131,6 @@ class Decomposition:
     def _nonedge_add_raw(self, c: AlmostClique, u: int, v: int) -> None:
         c.nonedges.setdefault(u, set()).add(v)
         c.nonedges.setdefault(v, set()).add(u)
-        c.nonedge_count += 1
 
     def _nonedge_remove_raw(self, c: AlmostClique, u: int, v: int) -> None:
         s = c.nonedges.get(u)
@@ -116,7 +138,6 @@ class Decomposition:
             return
         s.discard(v)
         c.nonedges[v].discard(u)
-        c.nonedge_count -= 1
 
     def nonedge_add(self, c: AlmostClique, u: int, v: int) -> None:
         self._nonedge_add_raw(c, u, v)
@@ -133,32 +154,6 @@ class Decomposition:
     def match_remove(self, c: AlmostClique, u: int, v: int) -> None:
         c.partner.pop(u, None)
         c.partner.pop(v, None)
-
-    # ---- scale-3 friend view inside cliques ----------------------------------
-
-    def _sync_nprime_pair(self, u: int, v: int) -> None:
-        cu, cv = self.clique_of[u], self.clique_of[v]
-        if cu is None or cu != cv:
-            return
-        c = self.cliques[cu]
-        if v in self.tracker.n3[u]:
-            c.nprime[u].add(v)
-            c.nprime[v].add(u)
-        else:
-            c.nprime[u].discard(v)
-            c.nprime[v].discard(u)
-
-    def _resync_nprime(self, w: int) -> None:
-        cid = self.clique_of[w]
-        n3w = self.tracker.n3[w]
-        if cid is not None:
-            c = self.cliques[cid]
-            c.nprime[w] = {x for x in n3w if self.clique_of[x] == cid}
-            for x in self.n_c[w].get(cid, ()):
-                if w in self.tracker.n3[x]:
-                    c.nprime[x].add(w)
-                else:
-                    c.nprime[x].discard(w)
 
     # ---- the update driver ----------------------------------------------------
 
@@ -177,10 +172,7 @@ class Decomposition:
         cu, cv = self.clique_of[u], self.clique_of[v]
         if cu is not None and cu == cv:
             matching_hook(self.cliques[cu], upd)
-            self._sync_nprime_pair(u, v)
-        for w in refresh:
-            self._resync_nprime(w)
-        tracker = self.tracker
+        tracker, clique_of = self.tracker, self.clique_of
         if upd.insert:
             for w in refresh:
                 if self.clique_of[w] is None and tracker.in_v1(w):
@@ -189,15 +181,15 @@ class Decomposition:
             to_collapse: list[int] = []
             marked: set[int] = set()
             for w in refresh:
-                cid = self.clique_of[w]
+                cid = clique_of[w]
                 if cid is None:
                     continue
-                c = self.cliques[cid]
                 violates = not tracker.in_v3(w) or (
-                    len(c.nprime.get(w, ())) <= self.friend_floor
+                    sum(clique_of[x] == cid for x in tracker.n3[w]) <= self.friend_floor
                 )
                 if not violates:
                     continue
+                c = self.cliques[cid]
                 c.sigma += 1
                 if c.sigma >= self.collapse_limit:
                     if cid not in marked:
@@ -252,21 +244,11 @@ class Decomposition:
         adj_w = self.graph.adj[w]
         for z in adj_w:
             own(self.n_c, z).setdefault(c.id, set()).add(w)
-        n3w = self.tracker.n3[w]
-        nprime_w = set()
-        ne = set()
-        for m in c.members:
-            if m not in adj_w:
-                ne.add(m)
-            if m in n3w:
-                nprime_w.add(m)
-                c.nprime[m].add(w)
+        ne = {m for m in c.members if m not in adj_w}
         c.members.add(w)
-        c.nprime[w] = nprime_w
         c.nonedges[w] = ne
         for m in ne:
             c.nonedges[m].add(w)
-        c.nonedge_count += len(ne)
         self.metrics.nonedge_adjustments += len(ne)
         self.metrics.vertex_moves += 1
         self.metrics.work += len(c.members) + len(adj_w)
@@ -289,12 +271,7 @@ class Decomposition:
         mine = c.nonedges.pop(v, set())
         for x in mine:
             c.nonedges[x].discard(v)
-        c.nonedge_count -= len(mine)
         self.metrics.nonedge_adjustments += len(mine)
-        c.nprime.pop(v, None)
-        for x in self.tracker.n3[v]:
-            if self.clique_of[x] == cid:
-                c.nprime[x].discard(v)
         self.metrics.vertex_moves += 1
         self.metrics.work += len(mine) + self.graph.deg[v]
 
@@ -317,7 +294,7 @@ class Decomposition:
 
     def check_invariants(
         self, boundary: bool = True, drift: int = 0, common=None
-    ) -> list[str]:
+    ) -> list[Finding]:
         """Exact audit of the four invariants via oracle common-neighbor counts.
 
         `drift` loosens thresholds by the number of in-phase updates the
@@ -331,22 +308,15 @@ class Decomposition:
         delta = g.delta
         c3 = self.params.c3
         eps, tau = self.params.epsilon, self.params.tau
-        out: list[str] = []
+        out: list[Finding] = []
         friend_thr = (1.0 - c3) * delta - drift
-        dense_floor = (1.0 - c3) * delta - drift
-        sparse_scale = eps - 0.75 * tau
-        sparse_thr = (1.0 - sparse_scale) * delta + drift
-
-        def oracle_friends(v, thr):
-            return sum(
-                1 for u in g.adj[v] if common(u, v) >= thr
-            )
-
+        sparse_thr = (1.0 - (eps - 0.75 * tau)) * delta + drift
         for v in range(g.n):
             cid = self.clique_of[v]
             if cid is not None:
-                if oracle_friends(v, friend_thr) < dense_floor:
-                    out.append(f"Density: dense vertex {v} lacks scale-3 friends")
+                if sum(1 for u in g.adj[v] if common(u, v) >= friend_thr) < friend_thr:
+                    text = f"dense vertex {v} lacks scale-3 friends"
+                    out.append(Finding("Density", v, cid, text))
             else:
                 cnt = sum(
                     1 for u in g.adj[v]
@@ -355,11 +325,12 @@ class Decomposition:
                 # without a single qualifying friend no vertex looks dense,
                 # also where the threshold is 0 (delta = 0)
                 if cnt and cnt >= sparse_thr:
-                    out.append(f"Density: sparse vertex {v} looks scale-1 dense")
+                    text = f"sparse vertex {v} looks scale-1 dense"
+                    out.append(Finding("Density", v, None, text))
         for cid, c in sorted(self.cliques.items()):
             size = len(c.members)
             if not ((1.0 - c3) * delta - drift <= size <= (1.0 + 3.0 * c3) * delta + drift):
-                out.append(f"Size: clique {cid} has {size} members")
+                out.append(Finding("Size", None, cid, f"clique {cid} has {size} members"))
             for v in sorted(c.members):
                 friends_in = sum(
                     1 for u in g.adj[v]
@@ -367,32 +338,24 @@ class Decomposition:
                     and common(u, v) >= friend_thr
                 )
                 if friends_in + c.sigma + drift < (1.0 - c3) * delta:
-                    out.append(f"Friendship: vertex {v} in clique {cid}")
+                    out.append(Finding("Friendship", v, cid, f"vertex {v} in clique {cid}"))
             if size > 1 and not self._spans(c, friend_thr, common):
-                out.append(f"Connectedness: clique {cid} not spanned by friend edges")
+                text = f"clique {cid} not spanned by friend edges"
+                out.append(Finding("Connectedness", None, cid, text))
         return out
 
     def _spans(self, c: AlmostClique, thr: float, common) -> bool:
-        members = sorted(c.members)
-        index = {v: i for i, v in enumerate(members)}
-        parent = list(range(len(members)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        g = self.graph
-        for v in members:
-            for u in g.adj[v]:
-                if u > v and self.clique_of[u] == c.id:
-                    if common(u, v) >= thr:
-                        a, b = find(index[u]), find(index[v])
-                        if a != b:
-                            parent[a] = b
-        root = find(0)
-        return all(find(i) == root for i in range(len(members)))
+        """Whether friend edges at `thr` connect every member of c."""
+        adj, clique_of = self.graph.adj, self.clique_of
+        start = min(c.members)
+        seen, stack = {start}, [start]
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if u not in seen and clique_of[u] == c.id and common(u, v) >= thr:
+                    seen.add(u)
+                    stack.append(u)
+        return len(seen) == len(c.members)
 
     def check_structures(self) -> list[str]:
         """Exact recomputation of every maintained list against the graph."""
@@ -413,18 +376,14 @@ class Decomposition:
             for v in c.members:
                 if self.clique_of[v] != cid:
                     out.append(f"member {v} of clique {cid} points elsewhere")
-            want = {}
-            cnt = 0
-            for v in c.members:
-                miss = {u for u in c.members if u != v and not g.has_edge(u, v)}
-                want[v] = miss
-                cnt += len(miss)
+            want = {
+                v: {u for u in c.members if u != v and not g.has_edge(u, v)}
+                for v in c.members
+            }
             if want != {v: c.nonedges.get(v, set()) for v in c.members} or any(
                 k not in c.members for k in c.nonedges
             ):
                 out.append(f"non-edge lists of clique {cid} inexact")
-            if c.nonedge_count != cnt // 2:
-                out.append(f"non-edge count of clique {cid} off")
             for u, v in c.partner.items():
                 if c.partner.get(v) != u:
                     out.append(f"matching of clique {cid} asymmetric at {u}")

@@ -18,6 +18,14 @@ class DegreeCapExceeded(GraphError):
         )
 
 
+class BadEndpoints(GraphError, ValueError):
+    """A self-loop, or an endpoint outside the vertex range."""
+
+    def __init__(self, u, v):
+        self.pair = (u, v)
+        super().__init__(f"bad endpoints ({u},{v})")
+
+
 class DuplicateEdge(GraphError):
     def __init__(self, u, v):
         self.pair = (u, v)

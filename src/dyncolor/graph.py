@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegreeCapExceeded, DuplicateEdge, MissingEdge
+from .errors import BadEndpoints, DegreeCapExceeded, DuplicateEdge, MissingEdge
 from .sampleset import SampleSet
 
 @dataclass(frozen=True, slots=True)
@@ -96,7 +96,7 @@ class DynamicGraph:
     def check_legal(self, e: EdgeUpdate) -> None:
         u, v = e.u, e.v
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"bad endpoints ({u},{v})")
+            raise BadEndpoints(u, v)
         present = v in self.adj[u]._pos
         if e.insert:
             if present:

@@ -11,6 +11,10 @@ per-clique color discipline, the palette identity, matching floors, and
 edge-counter recounts.  Checks whose underlying claims are only
 high-probability report pass rates and attribute misses to estimator
 gaps (tracker belief differing from the oracle) instead of hard-failing.
+A decomposition-invariant miss is attributed iff it names a vertex and
+that vertex is a gap vertex; a clique-level miss (Size, Connectedness)
+names none and is always hard, the strictest rule, since one judged by
+the clique's members would excuse more.
 
 `ProperWatch` is the incremental form of the properness check: it feeds
 on color-assignment events, keeps its own occupancy index, and after
@@ -286,19 +290,12 @@ def verify(
             viol.append(f"clique {cid}: heavy set wrong")
     rep.add(CheckResult("edge_counters", not viol, viol))
 
-    # matching validity and floors ------------------------------------------------
+    # matching floors (partition_structures checks the pairs themselves) ----------
     viol = []
     floors = []
     for cid in sorted(dec.cliques):
         cl = dec.cliques[cid]
         m = cl.matching_size()
-        for u, v in cl.matching_pairs():
-            if g.has_edge(u, v):
-                viol.append(f"clique {cid}: matched pair ({u},{v}) is an edge")
-            if u not in cl.members or v not in cl.members:
-                viol.append(f"clique {cid}: matched pair ({u},{v}) strays")
-        if 2 * m > len(cl.members):
-            viol.append(f"clique {cid}: matching larger than |C|/2")
         need_phase = cl.nonedge_count / (MATCHING_FLOOR_PHASE * eps * delta)
         if m < need_phase:
             viol.append(
@@ -313,16 +310,14 @@ def verify(
         floors.append((cid, m, cl.nonedge_count))
     rep.add(CheckResult("matching_floors", not viol, viol, {"cliques": len(floors)}))
 
-    # non-edge exactness and degree bound ---------------------------------------------
+    # non-edge degree bound, counted from the graph -----------------------------------
     viol = []
     c3 = params.c3
     for cid in sorted(dec.cliques):
         cl = dec.cliques[cid]
         for v in cl.members:
-            want = {u for u in cl.members if u != v and not g.has_edge(u, v)}
-            if want != cl.nonedges.get(v, set()):
-                viol.append(f"clique {cid}: non-edges of {v} inexact")
-            if len(want) > 3 * c3 * delta + drift:
+            missing = sum(1 for u in cl.members if u != v and not g.has_edge(u, v))
+            if missing > 3 * c3 * delta + drift:
                 viol.append(f"clique {cid}: non-edge degree of {v} too high")
     rep.add(CheckResult("nonedges", not viol, viol))
 
@@ -393,22 +388,9 @@ def verify(
 
     # the four decomposition invariants, estimator misses attributed -----------------
     raw = dec.check_invariants(boundary=boundary, drift=drift, common=common)
-    # A vertex-level miss is excused when the first integer in its line, its
-    # vertex, is a gap vertex.  The first integer of a Size or Connectedness
-    # line is a clique id, not a vertex, so such a line is always hard.
-    hard = []
-    attributed = 0
-    for line in raw:
-        vtx = None
-        if not line.startswith(("Size:", "Connectedness:")):
-            for tok in line.replace(",", " ").split():
-                if tok.isdigit():
-                    vtx = int(tok)
-                    break
-        if vtx is not None and vtx in gap_vertices:
-            attributed += 1
-        else:
-            hard.append(line)
+    # attributed by the rule in the module docstring
+    hard = [str(f) for f in raw if f.vertex is None or f.vertex not in gap_vertices]
+    attributed = len(raw) - len(hard)
     rep.add(
         CheckResult(
             "decomposition_invariants",

@@ -109,13 +109,8 @@ def install_clique(engine, members):
             if cid is not None:
                 nc.setdefault(cid, set()).add(u)
         dec.n_c[x] = nc
-    cnt = 0
     for v in members:
-        miss = {u for u in members if u != v and not g.has_edge(u, v)}
-        c.nonedges[v] = miss
-        cnt += len(miss)
-        c.nprime[v] = {u for u in engine.tracker.n3[v] if u in c.members}
-    c.nonedge_count = cnt // 2
+        c.nonedges[v] = {u for u in members if u != v and not g.has_edge(u, v)}
     return c
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from dyncolor.adversary import make_adversary
 from dyncolor.colors import ColorState
-from dyncolor.decomposition import Decomposition
+from dyncolor.decomposition import Decomposition, Finding
 from dyncolor.dense_color import DenseColoring
 from dyncolor.errors import InvariantViolation
 from dyncolor.friends import FriendTracker
@@ -198,11 +198,13 @@ def test_check_invariants_corrupted_pointer():
     delta = 12
     engine, (c,) = dense_fixture(24, delta, [list(range(delta + 1))], eps=0.25, k=128)
     dec = engine.decomp
-    # orphan a member: density fails for it and the clique loses size
+    # orphan a member: it now looks like a sparse vertex of a dense clique
     victim = min(c.members)
     dec.clique_of[victim] = None
     report = dec.check_invariants()
-    assert any("Density" in line or "Friendship" in line for line in report) or report
+    finding = Finding("Density", victim, None, f"sparse vertex {victim} looks scale-1 dense")
+    assert report == [finding]
+    assert str(finding) == f"Density: sparse vertex {victim} looks scale-1 dense"
     assert dec.check_structures() != []
 
 
@@ -296,6 +298,37 @@ def test_sparse_move_reads_the_current_scale_3_list():
     assert 7 < tracker._dense_thr[1] <= 8 and 6 < dec.friend_floor < 7
     assert drive(dele(0, m - 1))[1] == [0]  # refreshes 0, 16, then 1..15
     assert len(tracker.n3[0]) == 7 and not tracker.in_v3(0)
+    assert c.sigma == 1 and dec.clique_of[0] is None
+    assert dec.check_structures() == []
+
+
+def test_sparse_move_counts_only_scale_3_friends_inside_the_clique():
+    # member 0 stays in V_3 through two scale-3 friends outside its clique,
+    # but a deletion's refresh leaves it exactly friend_floor friends inside:
+    # friendship fails at equality, so 0 must sparse-move
+    delta, m = 16, 15
+    g, tracker, dec, drive = standalone(24, delta, eps=0.125, tau=0.125, nu=0.9)
+    outside = (15, 16)
+    add_edges(g, clique_edges(range(m)) + [(0, x) for x in outside])
+    k = tracker.k
+    scale_3_only = k * 3 // 4  # clears the scale-3 threshold, not the scale-1 one
+    drop = set()
+
+    def scripted(v, us):
+        return [
+            0 if (v, u) in drop else scale_3_only if max(u, v) >= m else k for u in us
+        ]
+
+    tracker._counts = scripted
+    for v in range(m + len(outside)):
+        tracker.update_vertex(v)
+    c = dec.clique(dec.dense_move(0)[0])
+    assert c.members == set(range(m))
+    assert dec.friend_floor == 8.0 and tracker._dense_thr[1] == 10.0
+    drop.update(p for z in range(1, 6) for p in ((0, z), (z, 0)))
+    assert drive(dele(0, m - 1))[1] == [0]  # refreshes 0 first
+    assert sorted(tracker.n3[0]) == list(range(6, m - 1)) + [15, 16]
+    assert tracker.in_v3(0)
     assert c.sigma == 1 and dec.clique_of[0] is None
     assert dec.check_structures() == []
 

@@ -8,6 +8,7 @@ import pytest
 from dyncolor.baseline import TrivialBaseline
 from dyncolor.colors import BLANK, ColorState
 from dyncolor.engine import Engine
+from dyncolor.errors import BadEndpoints, DynColorError
 from dyncolor.graph import dele, ins
 from dyncolor.params import ParamSet, auto_epsilon, trivial_cutoff
 from dyncolor.runner import build_engine, replay_trace, run_stream
@@ -65,7 +66,6 @@ def structural_snapshot(engine):
                 copy.deepcopy(c.nonedges),
                 c.nonedge_count,
                 dict(c.partner),
-                copy.deepcopy(c.nprime),
             )
             for cid, c in dec.cliques.items()
         },
@@ -458,3 +458,18 @@ def test_monochromatic_sparse_insertion_next_to_a_clique_shifts_its_counters():
     assert c.book.t_c.get(old, 0) == before[old] - 3
     assert c.book.t_c.get(new, 0) == before.get(new, 0) + 3
     assert verify(engine, boundary=False).checks["edge_counters"].passed
+
+
+@pytest.mark.parametrize("kind", ["engine", "baseline"])
+@pytest.mark.parametrize("pair", [(3, 3), (-1, 2), (2, 16)], ids=["loop", "negative", "n"])
+def test_bad_endpoints_raise_a_library_error_and_change_nothing(kind, pair):
+    n = 16
+    e = make_engine(n, 4, seed=1) if kind == "engine" else TrivialBaseline(n, 4)
+    e.process(ins(0, 1))
+    metrics, colors = e.metrics.to_dict(), list(e.colors.of)
+    for upd in (ins(*pair), dele(*pair)):
+        with pytest.raises(DynColorError) as info:
+            e.process(upd)
+        assert isinstance(info.value, BadEndpoints) and isinstance(info.value, ValueError)
+        assert info.value.pair == pair
+    assert e.metrics.to_dict() == metrics and list(e.colors.of) == colors

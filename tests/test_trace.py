@@ -1,10 +1,18 @@
+from dataclasses import fields
+
 import pytest
 
 from dyncolor.baseline import TrivialBaseline
 from dyncolor.errors import MalformedTrace
 from dyncolor.graph import EdgeUpdate
 from dyncolor.params import ParamSet
-from dyncolor.runner import record_run, replay_trace
+from dyncolor.runner import (
+    _HEADER_FIELDS,
+    params_from_header,
+    params_to_header,
+    record_run,
+    replay_trace,
+)
 from dyncolor.trace import TraceFile
 
 
@@ -82,3 +90,17 @@ def test_baseline_trace_records_and_replays_color_deltas():
     replayed, mismatches = replay_trace(TraceFile.loads(trace.dumps()), check=True)
     assert mismatches == []
     assert replayed.colors.of == base.colors.of
+
+
+def test_header_round_trips_every_param_field():
+    # every field away from its default; the paper profile pins tau = eps / 3
+    p = ParamSet(
+        epsilon=0.05, tau=0.05 / 3, nu=0.3, phase_len_t=7, sample_count_k=33,
+        confidence_c=2.5, profile="paper", seed=11, cap_factor=9,
+        fire_threshold=2.5, dispatch_frac=0.2, heavy_frac=0.03, regime_frac=0.07,
+    )
+    default = ParamSet()
+    assert all(getattr(p, f.name) != getattr(default, f.name) for f in fields(ParamSet))
+    assert params_from_header(params_to_header(p)) == p
+    names = [name for name, _ in _HEADER_FIELDS] + ["profile"]
+    assert sorted(names) == sorted(f.name for f in fields(ParamSet))

@@ -211,7 +211,9 @@ def test_fault_matched_pair_is_edge():
     c.partner[u] = w
     c.partner[w] = u
     rep = verify(engine)
-    assert "matching_floors" in rep.failed_names()
+    assert "partition_structures" in rep.failed_names()
+    violations = rep.checks["partition_structures"].violations
+    assert f"matched pair ({u},{w}) of clique {c.id} invalid" in violations
 
 
 def test_fault_nonedges_inexact():
@@ -220,7 +222,9 @@ def test_fault_nonedges_inexact():
     assert engine.graph.has_edge(a, b)
     c.nonedges[a].add(b)
     rep = verify(engine)
-    assert "nonedges" in rep.failed_names()
+    assert "partition_structures" in rep.failed_names()
+    violations = rep.checks["partition_structures"].violations
+    assert violations == [f"non-edge lists of clique {c.id} inexact"]
 
 
 def test_fault_friend_soundness():
@@ -342,8 +346,8 @@ def test_fault_clique_size_bounds():
 
 
 def test_fault_clique_level_miss_is_hard_when_its_id_is_a_gap_vertex():
-    # a Size line's first integer is a clique id; a gap vertex with the same
-    # id must not excuse an out-of-size clique
+    # a Size finding names no vertex; a gap vertex whose id equals the
+    # clique's must not excuse it
     engine, (c,) = fresh_dense()
     assert c.id == 0
     dec = engine.decomp

@@ -154,7 +154,7 @@ def cmd_bench(args) -> int:
                         "strategy": strategy,
                         "steps": args.steps,
                         "seed": seed,
-                        "epsilon": args.epsilon or 0.2,
+                        "epsilon": args.epsilon,
                         "tau": args.tau,
                     }
                 )
@@ -221,7 +221,7 @@ def main(argv=None) -> int:
     p.add_argument("--strategies", default="adaptive-monochrome")
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon", type=float, default=0.2)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="bench.csv")

@@ -292,9 +292,7 @@ class Decomposition:
 
     # ---- verification ------------------------------------------------------------
 
-    def check_invariants(
-        self, boundary: bool = True, drift: int = 0, common=None
-    ) -> list[Finding]:
+    def check_invariants(self, drift: int = 0, common=None) -> list[Finding]:
         """Exact audit of the four invariants via oracle common-neighbor counts.
 
         `drift` loosens thresholds by the number of in-phase updates the

@@ -64,15 +64,6 @@ class DynamicGraph:
                 if u < v:
                     yield (u, v)
 
-    def common_neighbors_exact(self, u: int, v: int) -> int:
-        """|N(u) cap N(v)| by exact intersection; the ground-truth oracle."""
-        if u == v:
-            raise ValueError("u and v must differ")
-        a, b = self.adj[u], self.adj[v]
-        if len(a) > len(b):
-            a, b = b, a
-        return sum(1 for w in a if w in b)
-
     def common_neighbor_counter(self):
         """Bitmask snapshot of the adjacency; returns count(u, v) = |N(u) cap N(v)|.
 

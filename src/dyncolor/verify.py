@@ -17,10 +17,10 @@ names none and is always hard, the strictest rule, since one judged by
 the clique's members would excuse more.
 
 `ProperWatch` is the incremental form of the properness check: it feeds
-on color-assignment events, keeps its own occupancy index, and after
-each update verifies every touched vertex against that index plus the
-adjacency ground truth, which by induction certifies properness after
-every single update.
+on color-assignment events, keeps no color index of its own, and after
+each update compares every touched vertex's color with those of its
+neighbors in the graph (the ground truth), which by induction certifies
+properness after every single update.
 """
 
 from __future__ import annotations
@@ -78,45 +78,39 @@ class Report:
 
 
 class ProperWatch:
-    """Exact incremental properness oracle, independent of engine bookkeeping."""
+    """Exact incremental properness oracle, independent of engine bookkeeping.
+
+    A color event only marks its vertex touched.  `check` reports a
+    touched vertex that is blank or shares its color with a neighbor in
+    the graph, and the update's inserted edge if it is monochromatic.  A
+    monochromatic edge has a touched endpoint or is the inserted edge, so
+    no edge escapes.
+    """
 
     def __init__(self, engine):
         self.graph = engine.graph
         self.engine = engine
-        self.index: dict[int, set[int]] = {}
         self.touched: set[int] = set()
         self.violations: list[str] = []
         self.checked_updates = 0
-        for v in range(engine.n):
-            c = engine.color_of(v)
-            if c != BLANK:
-                self.index.setdefault(c, set()).add(v)
         engine.colors.listeners.append(self._on_event)
 
     def _on_event(self, v: int, old: int, new: int) -> None:
-        if old != BLANK:
-            s = self.index.get(old)
-            if s is not None:
-                s.discard(v)
-                if not s:
-                    self.index.pop(old)
-        if new != BLANK:
-            self.index.setdefault(new, set()).add(v)
         self.touched.add(v)
 
     def check(self, upd) -> bool:
         """Call right after engine.process(upd); True iff still proper."""
         ok = True
         of = self.engine.colors.of
-        has_edge = self.graph.has_edge
+        adj = self.graph.adj
         for v in self.touched:
             c = of[v]
             if c == BLANK:
                 self.violations.append(f"update {self.checked_updates}: {v} left blank")
                 ok = False
                 continue
-            for w in self.index.get(c, ()):
-                if w != v and has_edge(v, w):
+            for w in adj[v].items:
+                if of[w] == c:
                     self.violations.append(
                         f"update {self.checked_updates}: edge ({v},{w}) monochromatic ({c})"
                     )
@@ -387,7 +381,7 @@ def verify(
     )
 
     # the four decomposition invariants, estimator misses attributed -----------------
-    raw = dec.check_invariants(boundary=boundary, drift=drift, common=common)
+    raw = dec.check_invariants(drift=drift, common=common)
     # attributed by the rule in the module docstring
     hard = [str(f) for f in raw if f.vertex is None or f.vertex not in gap_vertices]
     attributed = len(raw) - len(hard)

@@ -83,12 +83,13 @@ def oracle_fill_tracker(engine):
     tr = engine.tracker
     g = engine.graph
     eps, delta = engine.params.epsilon, g.delta
+    count = g.common_neighbor_counter()
     for i, lists in ((1, tr.n1), (3, tr.n3)):
         thr = (1.0 - i * eps) * delta
         for v in range(g.n):
             friend_set(lists, v).clear()
         for u, v in g.edges():
-            if g.common_neighbors_exact(u, v) >= thr:
+            if count(u, v) >= thr:
                 friend_set(lists, u).add(v)
                 friend_set(lists, v).add(u)
 

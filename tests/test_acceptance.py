@@ -121,7 +121,7 @@ def dense_sweep():
                     out["boundary_floor_violations"] += 1
             # criterion 3: exact invariant audit on every update
             drift = 0 if boundary else e.updates_in_phase
-            raw = e.decomp.check_invariants(boundary=boundary, drift=drift)
+            raw = e.decomp.check_invariants(drift=drift)
             out["audits"] += 1
             if not raw:
                 out["clean_audits"] += 1
@@ -255,7 +255,7 @@ def planted_instance(delta, commons):
         g.apply(ins(1, w))
         w += 1
     assert g.degree(0) == g.degree(1) == delta
-    assert g.common_neighbors_exact(0, 1) == commons
+    assert g.common_neighbor_counter()(0, 1) == commons
     return g
 
 

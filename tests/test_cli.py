@@ -78,6 +78,15 @@ def test_explicit_zero_sizes_are_not_replaced_by_defaults(tmp_path):
     assert (snap["n"], snap["delta"], snap["edges"]) == (16, 0, 0)
 
 
+def test_explicit_zero_epsilon_is_not_replaced_by_the_default(tmp_path):
+    out = tmp_path / "bench.csv"
+    with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+        main(["run", "--epsilon", "0", "--n", "16", "--steps", "5"])
+    with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+        main(["bench", "--epsilon", "0", "--sizes", "16", "--steps", "5", "--out", str(out)])
+    assert not out.exists()
+
+
 def test_record_then_replay_check(tmp_path):
     trace = tmp_path / "run.trace"
     rc = main(

@@ -234,7 +234,7 @@ def test_full_trace_sweep_invariants_and_exact_nonedges():
     per_upd = engine.metrics.nonedge_adjustments / res["steps"]
     assert per_upd <= 4.0 / eps**4
     if engine.updates_in_phase == 0:
-        assert engine.decomp.check_invariants(boundary=True) == []
+        assert engine.decomp.check_invariants() == []
 
 
 def test_nonedge_degree_bound():

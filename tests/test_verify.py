@@ -7,7 +7,7 @@ from dyncolor.graph import dele, ins
 from dyncolor.runner import run_stream
 from dyncolor.adversary import make_adversary
 from dyncolor.baseline import TrivialBaseline
-from dyncolor.verify import verify
+from dyncolor.verify import ProperWatch, verify
 
 from conftest import dense_fixture, friend_set, make_engine, oracle_fill_tracker, install_clique
 
@@ -235,10 +235,11 @@ def test_fault_friend_soundness():
         engine.process(ins(*pair))  # isolated edges, zero common neighbors
     tr = engine.tracker
     g = engine.graph
+    count = g.common_neighbor_counter()
     planted = 0
     for v in range(g.n):
         for u in g.adj[v]:
-            if g.common_neighbors_exact(u, v) == 0:
+            if count(u, v) == 0:
                 friend_set(tr.n1, v).add(u)
                 friend_set(tr.n1, u).add(v)
                 planted += 1
@@ -401,3 +402,85 @@ def test_verify_after_long_run_passes():
         engine.process(adv.next(None))
     rep = verify(engine)
     assert rep.passed, {n: rep.checks[n].violations[:3] for n in rep.failed_names()}
+
+
+# ---- ProperWatch: faults planted in the engine's in-phase sparse recolor --------------
+
+
+def watch_with_fault(fault):
+    """Run adaptive-monochrome under a `ProperWatch` with one planted fault.
+
+    From update 100 on, the first in-phase sparse recolor that `fault`
+    accepts (returns a detail for, not None) is replaced by `fault(engine,
+    v)`; an update that closes its phase is passed over, since its rebuild
+    recolors everything.  Every earlier check must pass.  Returns the
+    engine, the planted update's index, the detail, that update's check
+    result and the watch's violations.
+    """
+    engine = make_engine(64, 16, phase_len=32)
+    adv = make_adversary("adaptive-monochrome", 64, 16, seed=4)
+    watch = ProperWatch(engine)
+    recolor_sparse = engine.sparse.recolor_sparse
+    planted = []
+
+    def recolor(v):
+        in_phase = engine.updates_in_phase + 1 < engine.phase_len
+        if not planted and engine.metrics.updates > 100 and in_phase:
+            detail = fault(engine, v)
+            if detail is not None:
+                planted.append(detail)
+                return engine.colors.of[v]
+        return recolor_sparse(v)
+
+    engine.sparse.recolor_sparse = recolor
+    view = engine.coloring_view()
+    for i in range(2000):
+        upd = adv.next(view)
+        engine.process(upd)
+        ok = watch.check(upd)
+        if planted:
+            return engine, i, planted[0], ok, watch.violations
+        assert ok, watch.violations
+    raise AssertionError("no fault was planted")
+
+
+def take_a_neighbors_color(engine, v):
+    """Recolor v, skipping the feasibility check, onto a neighbor's color.
+
+    v's old color is the inserted partner's, so the neighbor taken is
+    another one: the clash is not on the inserted edge.
+    """
+    of = engine.colors.of
+    w = next((w for w in engine.graph.adj[v] if of[w] != of[v]), None)
+    if w is None:
+        return None
+    engine.colors.clear_sparse(v)
+    engine.colors.set_sparse(v, of[w])
+    return v, w
+
+
+def leave_blank(engine, v):
+    engine.colors.clear_sparse(v)
+    return v
+
+
+def test_watch_reports_a_recolor_onto_a_neighbors_color_at_its_update():
+    engine, i, (v, w), ok, violations = watch_with_fault(take_a_neighbors_color)
+    c = engine.colors.of[v]
+    assert not ok
+    assert violations == [f"update {i}: edge ({v},{w}) monochromatic ({c})"]
+
+
+def test_watch_reports_a_vertex_left_blank_at_its_update():
+    engine, i, v, ok, violations = watch_with_fault(leave_blank)
+    assert engine.colors.of[v] == BLANK
+    assert not ok
+    assert violations == [f"update {i}: {v} left blank"]
+
+
+def test_a_skipped_recolor_is_repaired_by_the_anchor():
+    # skipping the recolor outright leaves the inserted edge monochromatic;
+    # `Engine.process` repairs that before the watch looks
+    engine, _, _, ok, violations = watch_with_fault(lambda engine, v: v)
+    assert ok and violations == []
+    assert engine.metrics.anchor_repairs == 1

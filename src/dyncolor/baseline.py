@@ -49,6 +49,7 @@ class SlottedColorState(ColorState):
 
 class TrivialBaseline(ColoringAlgorithm):
     mode = "baseline"
+    updates_in_phase = 0  # no phases: every update ends at a boundary
 
     def __init__(self, n: int, delta: int):
         self.n = n

@@ -124,25 +124,3 @@ def write_load_histogram(path, engine) -> None:
         for c, lst in enumerate(engine.colors.L):
             writer.writerow([c, len(lst)])
 
-
-def write_clique_rows(path, rows) -> None:
-    """CSV of `DenseColoring.clique_rows()`; the header alone when there are none."""
-    fields = [
-        "clique", "size", "k", "matching", "big_l", "available", "heavy",
-        "nonedges", "large_regime",
-        "random_matches", "large_matches", "small_matches",
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for r in rows:
-            writer.writerow(r)
-
-
-def write_branch_log(path, log) -> None:
-    """CSV of (call index, clique, branch) per match dispatch in `log`."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["call", "clique", "branch"])
-        for i, (cid, branch) in enumerate(log):
-            writer.writerow([i, cid, branch])

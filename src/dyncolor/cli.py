@@ -7,12 +7,11 @@ import json
 import sys
 
 from . import bench as benchmod
-from .engine import Engine
 from .params import ParamSet
 from .runner import MODES, record_run, replay_trace
 from .adversary import STRATEGIES
 from .trace import TraceFile
-from .verify import at_boundary, verify
+from .verify import verify
 
 
 def _load_config(path: str | None) -> dict:
@@ -79,8 +78,7 @@ def cmd_run(args) -> int:
     params = _params_from(args, cfg)
     n, delta = _size_from(args, cfg)
     engine, trace, summary = record_run(
-        n, delta, params, args.strategy, args.steps, mode=args.mode,
-        branch_log=bool(args.branch_csv),
+        n, delta, params, args.strategy, args.steps, mode=args.mode
     )
     if args.trace_out:
         if not args.record_colors:
@@ -88,18 +86,12 @@ def cmd_run(args) -> int:
         trace.save(args.trace_out)
     out = {"summary": summary, "snapshot": engine.snapshot()}
     if args.verify:
-        rep = verify(engine, boundary=at_boundary(engine))
+        rep = verify(engine, boundary=engine.updates_in_phase == 0)
         print(rep.format_lines(), file=sys.stderr)
         out["verify"] = rep.to_dict()
         out["verify_passed"] = rep.passed
     if args.load_csv:
         benchmod.write_load_histogram(args.load_csv, engine)
-    # the baseline has no cliques and no match dispatches: header-only files
-    dense = engine.dense if isinstance(engine, Engine) else None
-    if args.clique_csv:
-        benchmod.write_clique_rows(args.clique_csv, dense.clique_rows() if dense else [])
-    if args.branch_csv:
-        benchmod.write_branch_log(args.branch_csv, dense.branch_log if dense else [])
     _emit(out, args.report_json)
     return 0
 
@@ -108,8 +100,6 @@ def cmd_record(args) -> int:
     args.record_colors = True
     args.verify = False
     args.load_csv = None
-    args.clique_csv = None
-    args.branch_csv = None
     return cmd_run(args)
 
 
@@ -134,7 +124,7 @@ def cmd_verify(args) -> int:
         params = _params_from(args, cfg)
         n, delta = _size_from(args, cfg)
         engine, _, _ = record_run(n, delta, params, args.strategy, args.steps, mode=args.mode)
-    rep = verify(engine, boundary=at_boundary(engine))
+    rep = verify(engine, boundary=engine.updates_in_phase == 0)
     print(rep.format_lines())
     _emit({"verify": rep.to_dict(), "passed": rep.passed}, args.report_json)
     return 0 if rep.passed else 1
@@ -188,8 +178,6 @@ def main(argv=None) -> int:
     p.add_argument("--record-colors", action="store_true")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--load-csv")
-    p.add_argument("--clique-csv")
-    p.add_argument("--branch-csv")
     p.add_argument("--report-json")
     p.set_defaults(fn=cmd_run)
 

@@ -55,8 +55,6 @@ class DenseColoring:
         self.dispatch_limit = params.dispatch_limit(delta)
         self.heavy_limit = params.heavy_limit(delta)
         self.regime_limit = params.regime_limit(delta)
-        self.branch_counts: dict[int, dict[str, int]] = {}  # clique -> branch tally
-        self.branch_log: list[tuple[int, str]] | None = None  # set to [] to collect
 
     # ---- color book primitives ------------------------------------------------
 
@@ -311,23 +309,13 @@ class DenseColoring:
         """Color the blank big-L vertex v via the branch fitting the clique."""
         clique = self.decomp.clique(v)
         if clique.matching_size() >= self.dispatch_limit:
-            branch = "random"
             self.metrics.random_match_calls += 1
-        elif len(clique.members) > self.graph.delta:
-            branch = "large"
-            self.metrics.match_large_calls += 1
-        else:
-            branch = "small"
-            self.metrics.match_small_calls += 1
-        tally = self.branch_counts.setdefault(clique.id, {})
-        tally[branch] = tally.get(branch, 0) + 1
-        if self.branch_log is not None:
-            self.branch_log.append((clique.id, branch))
-        if branch == "random":
             self.random_match(v)
-        elif branch == "large":
+        elif len(clique.members) > self.graph.delta:
+            self.metrics.match_large_calls += 1
             self.match_large(v)
         else:
+            self.metrics.match_small_calls += 1
             self.match_small(v)
 
     def random_match(self, v: int) -> None:
@@ -594,27 +582,3 @@ class DenseColoring:
         blank = sum(1 for v in book.big_l.items if of[v] == BLANK)
         k = self.palette - len(clique.members)
         return len(book.A) - (k + clique.matching_size() + blank)
-
-    def clique_rows(self) -> list[dict]:
-        rows = []
-        for cid in sorted(self.decomp.cliques):
-            c = self.decomp.cliques[cid]
-            book = c.book
-            tally = self.branch_counts.get(cid, {})
-            rows.append(
-                {
-                    "clique": cid,
-                    "size": len(c.members),
-                    "k": self.palette - len(c.members),
-                    "matching": c.matching_size(),
-                    "big_l": len(book.big_l) if book else 0,
-                    "available": len(book.A) if book else 0,
-                    "heavy": len(book.heavy) if book else 0,
-                    "nonedges": c.nonedge_count,
-                    "large_regime": c.large_regime,
-                    "random_matches": tally.get("random", 0),
-                    "large_matches": tally.get("large", 0),
-                    "small_matches": tally.get("small", 0),
-                }
-            )
-        return rows

@@ -92,7 +92,6 @@ class Engine(ColoringAlgorithm):
         snap["phase_index"] = self.phase_index
         snap["updates_in_phase"] = self.updates_in_phase
         snap["decomposition"] = self.decomp.snapshot()
-        snap["cliques"] = self.dense.clique_rows()
         return snap
 
     # ---- per-update dispatch -------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadEndpoints, DegreeCapExceeded, DuplicateEdge, MissingEdge
+from .errors import BadEndpoints, DegreeCapExceeded, DuplicateEdge, GraphError, MissingEdge
 from .sampleset import SampleSet
 
 @dataclass(frozen=True, slots=True)
@@ -103,7 +103,7 @@ class DynamicGraph:
     def is_legal(self, e: EdgeUpdate) -> bool:
         try:
             self.check_legal(e)
-        except Exception:
+        except GraphError:
             return False
         return True
 

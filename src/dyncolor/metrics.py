@@ -35,6 +35,9 @@ class Metrics:
         self.init_work: list[int] = []
 
     def to_dict(self) -> dict:
-        d = {name: getattr(self, name) for name in self.__slots__ if name != "init_work"}
+        d = {name: getattr(self, name) for name in SCALARS}
         d["init_work"] = list(self.init_work)
         return d
+
+
+SCALARS = tuple(name for name in Metrics.__slots__ if name != "init_work")

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
+from operator import attrgetter
 
 from .adversary import make_adversary
 from .baseline import TrivialBaseline
 from .engine import Engine, EngineConfig
 from .errors import Exhausted
+from .metrics import SCALARS
 from .params import ParamSet, auto_epsilon, trivial_cutoff
 from .trace import TraceFile
-from .verify import ProperWatch, at_boundary, verify
+from .verify import ProperWatch, verify
 
 MODES = ("full", "auto", "baseline")
 
@@ -50,7 +52,7 @@ def params_from_header(hdr: dict[str, str]) -> ParamSet:
 
 
 def build_engine(
-    n: int, delta: int, params: ParamSet, mode: str = "full", strict: bool = False
+    n: int, delta: int, params: ParamSet, mode: str = "full"
 ) -> Engine | TrivialBaseline:
     """The full engine or the rescan baseline, chosen by `mode` (see MODES).
 
@@ -68,7 +70,7 @@ def build_engine(
     if mode == "baseline":
         return TrivialBaseline(n, delta)
     if mode == "full":
-        return Engine(n, delta, EngineConfig(params=params, strict=strict))
+        return Engine(n, delta, EngineConfig(params=params))
     raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
 
 
@@ -87,9 +89,15 @@ def run_stream(
     arbitrary callback (engine, update, index); `audit_every` runs the full
     verifier on that stride.  Returns a summary dict; its `algo_s` is the
     time spent in `engine.process` and its `adversary_s` the time spent in
-    `adversary.next`, so neither is billed for the other.
+    `adversary.next`, so neither is billed for the other.  Its `phases`
+    holds one `_phase_record` per phase that closed during the run.
     """
     view = engine.coloring_view() if adversary.adaptive else None
+    metrics = engine.metrics
+    counters = attrgetter(*SCALARS)
+    mark = counters(metrics)
+    inits = metrics.phase_inits
+    phases: list[dict] = []
     watcher = ProperWatch(engine) if watch else None
     audits = 0
     audit_failures: list[str] = []
@@ -121,6 +129,11 @@ def run_stream(
                 deltas = []
             engine.process(upd)
             algo_s += clock() - t1
+            if metrics.phase_inits != inits:
+                inits = metrics.phase_inits
+                now = counters(metrics)
+                phases.append(_phase_record(engine, mark, now))
+                mark = now
             if watcher is not None:
                 watcher.check(upd)
             if capturing:
@@ -129,7 +142,7 @@ def run_stream(
             if per_update is not None:
                 per_update(engine, upd, i)
             if audit_every and (i + 1) % audit_every == 0:
-                rep = verify(engine, boundary=at_boundary(engine))
+                rep = verify(engine, boundary=engine.updates_in_phase == 0)
                 audits += 1
                 if not rep.passed:
                     audit_failures.append(f"update {i}: {rep.failed_names()}")
@@ -148,7 +161,25 @@ def run_stream(
         "monochrome_hits": adversary.monochrome_hits,
         "algo_s": algo_s,
         "adversary_s": adversary_s,
+        "phases": phases,
     }
+
+
+def _phase_record(engine: Engine, start: tuple, end: tuple) -> dict:
+    """The phase that `engine`'s last rebuild closed.
+
+    `start` and `end` are the `SCALARS` counters at the previous boundary
+    (or the run's start) and now, so each counter's entry is its change
+    over the phase, boundary update and rebuild included.  `rebuild_work`
+    is the rebuild's own share of `work`; `cliques`, `max_l` and `max_ld`
+    are the clique count and the largest L(c) and L_D(c) it left.
+    """
+    rec = {name: b - a for name, a, b in zip(SCALARS, start, end)}
+    rec["rebuild_work"] = engine.metrics.init_work[-1]
+    rec["cliques"] = len(engine.decomp.cliques)
+    rec["max_l"] = max(map(len, engine.colors.L))
+    rec["max_ld"] = max(map(len, engine.colors.L_D))
+    return rec
 
 
 def record_run(
@@ -158,19 +189,10 @@ def record_run(
     strategy: str,
     steps: int,
     mode: str = "full",
-    adversary_seed: int | None = None,
-    branch_log: bool = False,
-    **adversary_kw,
 ) -> tuple[Engine | TrivialBaseline, TraceFile, dict]:
     """Run a fresh engine against an adversary, recording a replayable trace."""
     engine = build_engine(n, delta, params, mode=mode)
-    if branch_log and isinstance(engine, Engine):
-        engine.dense.branch_log = []
-    adversary = make_adversary(
-        strategy, n, delta,
-        seed=params.seed + 1 if adversary_seed is None else adversary_seed,
-        **adversary_kw,
-    )
+    adversary = make_adversary(strategy, n, delta, seed=params.seed + 1)
     header = {"n": str(n), "delta": str(delta), "strategy": strategy, "mode": mode}
     header.update(params_to_header(params))
     trace = TraceFile(header=header, outputs=[])

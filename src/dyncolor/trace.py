@@ -34,7 +34,7 @@ class TraceFile:
         header: dict[str, str] = {}
         updates: list[EdgeUpdate] = []
         outputs: list[list[tuple[int, int]]] = []
-        saw_output = False
+        saw_output = has_output = False
         in_header = True
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -51,10 +51,13 @@ class TraceFile:
                     raise MalformedTrace(lineno, f"non-integer endpoint in {raw!r}")
                 updates.append(EdgeUpdate(u, v, parts[0] == "+"))
                 outputs.append([])
+                has_output = False
             elif line[0] == "!":
                 if not updates:
                     raise MalformedTrace(lineno, "output line before any update")
-                saw_output = True
+                if has_output:
+                    raise MalformedTrace(lineno, "second output line for one update")
+                saw_output = has_output = True
                 deltas = []
                 for tok in line[1:].split():
                     try:

@@ -125,15 +125,6 @@ class ProperWatch:
         return ok
 
 
-def at_boundary(engine) -> bool:
-    """Whether `verify`'s boundary-only checks apply to `engine` now.
-
-    True at an engine's phase boundary, and always for the rescan
-    baseline, which has no phases.
-    """
-    return not isinstance(engine, Engine) or engine.updates_in_phase == 0
-
-
 def verify(
     engine,
     boundary: bool = True,

@@ -49,22 +49,24 @@ def test_run_baseline_with_verify_and_load_csv(tmp_path):
     assert sum(int(r["load"]) for r in rows) == 48
 
 
-def test_run_baseline_writes_header_only_clique_and_branch_csvs(tmp_path):
-    clique_csv = tmp_path / "cl.csv"
-    branch_csv = tmp_path / "br.csv"
+@pytest.mark.parametrize("mode", ["baseline", "full"])
+def test_run_report_holds_one_record_per_closed_phase(tmp_path, mode):
+    report = tmp_path / "report.json"
     rc = main(
         [
-            "run", "--mode", "baseline",
-            "--n", "32", "--delta", "8", "--steps", "50",
-            "--clique-csv", str(clique_csv),
-            "--branch-csv", str(branch_csv),
+            "run", "--mode", mode,
+            "--n", "32", "--delta", "8", "--steps", "50", "--phase-len", "8",
+            "--report-json", str(report),
         ]
     )
     assert rc == 0
-    # the baseline forms no cliques and dispatches no matches
-    assert clique_csv.read_text().splitlines()[0].startswith("clique,size,k,")
-    assert len(clique_csv.read_text().splitlines()) == 1
-    assert branch_csv.read_text().splitlines() == ["call,clique,branch"]
+    data = json.loads(report.read_text())
+    phases = data["summary"]["phases"]
+    metrics = data["snapshot"]["metrics"]
+    # the baseline has no phases; the engine closes one every 8 updates
+    assert len(phases) == metrics["phase_inits"] == (0 if mode == "baseline" else 6)
+    assert [r["rebuild_work"] for r in phases] == metrics["init_work"]
+    assert all(r["updates"] == 8 and r["phase_inits"] == 1 for r in phases)
 
 
 def test_explicit_zero_sizes_are_not_replaced_by_defaults(tmp_path):

@@ -333,18 +333,20 @@ def test_rebuild_work_scales_with_clique_size():
     assert ratio <= 6.0, per_member
 
 
-def test_branch_log_collection():
+def test_match_counts_its_branch():
     import conftest
 
     delta = 12
     engine, (c,) = conftest.dense_fixture(28, delta, [list(range(delta + 1))], seed=2)
-    engine.dense.branch_log = []
     v = min(c.book.big_l)
     engine.dense.release_private(c, v)
+    m = engine.metrics
+    before = (m.random_match_calls, m.match_large_calls, m.match_small_calls)
     engine.dense.match(v)
-    assert engine.dense.branch_log == [(c.id, "large")]
-    rows = engine.dense.clique_rows()
-    assert rows[0]["large_matches"] >= 1  # fixture setup dispatched some too
+    # a clique of delta + 1 members with an empty matching takes the large branch
+    assert (m.random_match_calls, m.match_large_calls, m.match_small_calls) == (
+        before[0], before[1] + 1, before[2]
+    )
 
 
 def test_zero_update_phase_still_recolors_everything():

@@ -16,8 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from dyncolor.adversary import make_adversary
+from dyncolor.metrics import SCALARS
 from dyncolor.params import ParamSet
-from dyncolor.runner import record_run, replay_trace
+from dyncolor.runner import build_engine, record_run, replay_trace, run_stream
 from dyncolor.trace import TraceFile
 
 DATA = Path(__file__).parent / "data"
@@ -66,6 +68,25 @@ def test_golden_trace_rerecords_byte_for_byte(name):
     strategy, n, delta, steps, kw = GOLDEN[name]
     _, trace, _ = record_run(n, delta, ParamSet(**kw), strategy, steps)
     assert trace.dumps() == _path(name).read_text()
+
+
+@pytest.mark.parametrize("name,closed", [("clique-churn", 60), ("adaptive-monochrome", 30)])
+def test_phase_records_add_up_to_the_run(name, closed):
+    strategy, n, delta, steps, kw = GOLDEN[name]
+    params = ParamSet(**kw)
+    engine = build_engine(n, delta, params)
+    m = engine.metrics
+    start = {key: getattr(m, key) for key in SCALARS}
+    adversary = make_adversary(strategy, n, delta, seed=params.seed + 1)
+    phases = run_stream(engine, adversary, steps)["phases"]
+    # both runs end on a boundary, so the records cover every update
+    assert len(phases) == closed == m.phase_inits
+    for key in SCALARS:
+        assert sum(r[key] for r in phases) == getattr(m, key) - start[key], key
+    assert [r["rebuild_work"] for r in phases] == m.init_work
+    if name == "clique-churn":
+        assert sum(r["match_large_calls"] for r in phases) > 0
+        assert max(r["cliques"] for r in phases) >= 1
 
 
 def record_all():

@@ -55,6 +55,17 @@ def test_self_loop_rejected():
         g.apply(ins(1, 1))
 
 
+def test_is_legal_answers_for_graph_errors_only():
+    g = DynamicGraph(4, 1)
+    g.apply(ins(0, 1))
+    assert g.is_legal(dele(0, 1)) and g.is_legal(ins(2, 3))
+    for upd in (ins(0, 1), dele(2, 3), ins(0, 2), ins(1, 1), ins(0, 9)):
+        assert not g.is_legal(upd)
+    # a programming error is not an illegal update
+    with pytest.raises(AttributeError):
+        g.is_legal(None)
+
+
 def test_common_neighbors_k4():
     # oracle by enumeration: in K4 every edge has the remaining 2 as commons
     g = DynamicGraph(4, 3)

@@ -45,6 +45,7 @@ def test_three_update_roundtrip(tmp_path):
         ("n=4\nwhatever\n", "unparseable"),
         ("! 0:1\n", "before any update"),
         ("n=4\n+ 0 1\n! 0:x\n", "bad output token"),
+        ("+ 0 1\n! 0:1\n! 1:2\n", "second output line"),
     ],
 )
 def test_malformed_traces(text, frag):

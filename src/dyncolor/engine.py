@@ -69,7 +69,7 @@ class Engine(ColoringAlgorithm):
         self.updates_in_phase = 0
         self.phase_updates: list[EdgeUpdate] = []
         # the empty graph is colored before the first update arrives
-        self.sparse.color_sparse(range(n))
+        self.sparse.color_sparse()
 
     # ---- public API -------------------------------------------------------------
 

@@ -9,6 +9,12 @@ one body that mutates adjacency; it checks nothing.  `apply` is
 already accepted.  Audits that count common neighborhoods for every edge
 take a bitmask snapshot once per pass (`common_neighbor_counter`) and
 answer each count with a single AND + popcount.
+
+`vertices` is the id list `list(range(n))`, made once and never mutated.
+A pass over every vertex hands on these objects rather than counting
+fresh ints: CPython caches only the ints up to 256, so a pass that counts
+creates n new objects each time, and the boundary's sparse pass would
+store them in the color classes until the next phase frees them.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ class DynamicGraph:
             raise ValueError("delta must be non-negative")
         self.n = n
         self.delta = delta
+        self.vertices: list[int] = list(range(n))
         self.adj: list[SampleSet] = [SampleSet() for _ in range(n)]
         self.deg: list[int] = [0] * n
         self.edge_count = 0

@@ -1,7 +1,8 @@
 """Coloring of the sparse side, kept independent of dense vertices.
 
 A phase starts with a from-scratch pass over the blank sparse vertices,
-ascending.  A vertex with no neighbor takes one uniform draw, unchecked.
+ascending, taken from the graph's id list `graph.vertices` so that the
+pass creates no int objects of its own (see `color_sparse`).  A vertex with no neighbor takes one uniform draw, unchecked.
 A vertex with neighbors makes a fair pick: if picked it draws one color
 and keeps it when feasible (one-shot), else it is deferred; an unpicked
 vertex is deferred.  The deferred vertices, still ascending, are then
@@ -28,7 +29,7 @@ so the check reads v's adjacency only when L(c) is occupied.
 
 from __future__ import annotations
 
-from itertools import compress, count, repeat
+from itertools import compress, repeat
 from operator import is_
 
 from .colors import BLANK
@@ -169,14 +170,18 @@ class SparseColoring:
         """Phase-start recoloring of the sparse side, which must be all blank.
 
         `vertices` is an ascending sequence; by default every sparse
-        vertex.  One ascending phase-start pass of `_rejection_color` gives
+        vertex, handed on as the graph's own id objects: `graph.vertices`
+        itself while no clique exists, else the members of it whose
+        `clique_of` is None.  One ascending phase-start pass of `_rejection_color` gives
         each vertex with no neighbor its draw and each picked vertex its
         one-shot draw; the vertices it leaves blank, still ascending, go
         to `greedy_coloring`.
         """
         if vertices is None:
-            sparse = map(is_, self.decomp.clique_of, repeat(None))
-            vertices = list(compress(count(), sparse))
+            vertices = self.graph.vertices
+            if self.decomp.cliques:
+                sparse = map(is_, self.decomp.clique_of, repeat(None))
+                vertices = list(compress(vertices, sparse))
         self.greedy_coloring(self._rejection_color(vertices, phase_start=True))
 
     def recolor_sparse(self, v: int) -> int:

@@ -2,13 +2,13 @@
 
 A phase starts with a from-scratch pass over the blank sparse vertices,
 ascending, taken from the graph's id list `graph.vertices` so that the
-pass creates no int objects of its own (see `color_sparse`).  A vertex with no neighbor takes one uniform draw, unchecked.
-A vertex with neighbors makes a fair pick: if picked it draws one color
-and keeps it when feasible (one-shot), else it is deferred; an unpicked
-vertex is deferred.  The deferred vertices, still ascending, are then
-colored greedily in uniform random order by rejection sampling.  Inside
-a phase, conflicted sparse vertices are recolored by the same rejection
-loop.
+pass creates no int objects of its own (see `color_sparse`).  A vertex
+with no neighbor takes one uniform draw, unchecked.  A vertex with
+neighbors makes a fair pick: if picked it draws one color and keeps it
+when feasible (one-shot), else it is deferred; an unpicked vertex is
+deferred.  The deferred vertices, still ascending, are then colored
+greedily in uniform random order by rejection sampling.  Inside a phase,
+conflicted sparse vertices are recolored by the same rejection loop.
 
 The coloring has the law of a pass that picks every vertex and runs the
 one-shot stage before any greedy placement: isolated colors are iid
@@ -170,9 +170,9 @@ class SparseColoring:
         """Phase-start recoloring of the sparse side, which must be all blank.
 
         `vertices` is an ascending sequence; by default every sparse
-        vertex, handed on as the graph's own id objects: `graph.vertices`
-        itself while no clique exists, else the members of it whose
-        `clique_of` is None.  One ascending phase-start pass of `_rejection_color` gives
+        vertex, as the graph's own id objects: `graph.vertices` itself
+        while no clique exists, else the ids in it whose `clique_of` is
+        None.  One ascending phase-start pass of `_rejection_color` gives
         each vertex with no neighbor its draw and each picked vertex its
         one-shot draw; the vertices it leaves blank, still ascending, go
         to `greedy_coloring`.

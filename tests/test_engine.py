@@ -7,7 +7,7 @@ import pytest
 
 from dyncolor.baseline import TrivialBaseline
 from dyncolor.colors import BLANK, ColorState
-from dyncolor.engine import Engine
+from dyncolor.engine import Engine, EngineConfig
 from dyncolor.errors import BadEndpoints, DynColorError
 from dyncolor.graph import dele, ins
 from dyncolor.params import ParamSet, auto_epsilon, trivial_cutoff
@@ -17,7 +17,7 @@ from dyncolor.trace import TraceFile
 from dyncolor.adversary import make_adversary
 from dyncolor.verify import ProperWatch, verify
 
-from conftest import clique_edges, dense_fixture, make_engine
+from conftest import clique_edges, dense_fixture, make_engine, sweep_params
 
 
 def test_phase_counter_triggers_single_initialization():
@@ -475,3 +475,57 @@ def test_bad_endpoints_raise_a_library_error_and_change_nothing(kind, pair):
         assert isinstance(info.value, BadEndpoints) and isinstance(info.value, ValueError)
         assert info.value.pair == pair
     assert e.metrics.to_dict() == metrics and list(e.colors.of) == colors
+
+
+@pytest.mark.parametrize(
+    "strategy,n,delta,updates",
+    [("deletion-heavy", 600, 32, 1500), ("clique-churn", 512, 64, 2500)],
+)
+def test_phase_boundary_places_the_graphs_own_vertex_ids(strategy, n, delta, updates):
+    # CPython caches the ints up to 256 only, so with n > 256 an id that a
+    # pass counts afresh is a new object.  After every rebuild each sparse
+    # occupant of L(c) must be the graph's own id object; the clique-churn
+    # run forms a clique, so the filtered branch of `color_sparse` runs too
+    engine = Engine(n, delta, EngineConfig(params=sweep_params(0, delta)))
+    adv = make_adversary(strategy, n, delta, seed=1)
+    vertices = engine.graph.vertices
+    boundaries = with_clique = 0
+
+    def own_ids(e):
+        return all(v is vertices[v] for lst in e.colors.L for v in lst)
+
+    assert own_ids(engine)
+    for _ in range(updates):
+        engine.process(adv.next(None))
+        if engine.updates_in_phase == 0:
+            boundaries += 1
+            with_clique += bool(engine.decomp.cliques)
+            assert own_ids(engine)
+    assert boundaries >= 10
+    assert (with_clique > 0) == (strategy == "clique-churn")
+    assert vertices == list(range(n))
+
+
+@pytest.mark.parametrize("adversary_seed,largest", [(6, 21), (9, 20)])
+def test_a_clique_past_delta_plus_one_keeps_the_coloring_proper(adversary_seed, largest):
+    # with one friend sample per pair (k = 1), a valid setting, the
+    # decomposition grows an almost-clique of more members than the palette
+    # has colors (delta + 1), so members must share colors; properness must
+    # still hold after every update.  `verify`'s structural audit fails on
+    # these runs (a member far below its inside-degree floor), which this
+    # test does not pin
+    n, delta = 64, 16
+    engine = Engine(n, delta, EngineConfig(params=ParamSet(seed=1, sample_count_k=1)))
+    adv = make_adversary("clique-churn", n, delta, seed=adversary_seed)
+    sizes = []
+    res = run_stream(
+        engine, adv, 400, watch=True,
+        per_update=lambda e, upd, i: sizes.extend(
+            len(c.members) for c in e.decomp.cliques.values()
+        ),
+    )
+    assert res["steps"] == 400
+    assert max(sizes) == largest > delta + 1
+    assert res["watch_violations"] == []
+    of = engine.colors.of
+    assert all(of[u] != of[v] for u, v in engine.graph.edges())

@@ -11,7 +11,7 @@ from dyncolor.colors import BLANK
 from dyncolor.errors import InvariantViolation
 from dyncolor.graph import dele, ins
 
-from conftest import add_edges, clique_edges, make_engine, random_graph
+from conftest import add_edges, clique_edges, install_clique, make_engine, random_graph
 
 
 def blank_engine(n, delta, **kw):
@@ -544,6 +544,40 @@ def test_draw_on_an_empty_class_does_not_read_adjacency():
     e.sparse.rng = rng = _ScriptedDraws([3], [PICKED])
     assert charged(e.metrics, lambda: e.sparse.color_sparse([0])) == (3, 0, 2)
     assert rng.spent() and e.colors.of[0] == 3
+
+
+def color_sparse_record(engine, *args):
+    """What `color_sparse(*args)` did: its events, each with the generator
+    state after it, the coloring, every L(c), the final generator state and
+    the charges."""
+    rng = engine.sparse.rng
+    events = []
+    engine.colors.listeners.append(
+        lambda v, old, new: events.append((v, new, rng.getstate()))
+    )
+    cost = charged(engine.metrics, lambda: engine.sparse.color_sparse(*args))
+    L = [list(lst) for lst in engine.colors.L]
+    return events, list(engine.colors.of), L, rng.getstate(), cost
+
+
+@pytest.mark.parametrize("members", [(), (3, 7, 8, 12, 20)], ids=["no-clique", "clique"])
+def test_default_vertex_list_is_every_sparse_vertex_ascending(members):
+    # with no argument `color_sparse` hands on the graph's id list while no
+    # clique exists and filters it by `clique_of` otherwise.  Either way it
+    # makes the pass the ascending sparse ids make, draw for draw, and
+    # leaves the clique's members blank
+    n = 30
+    sparse = [v for v in range(n) if v not in members]
+    runs = []
+    for args in ((), (sparse if members else range(n),)):
+        e = blank_engine(n, 6, seed=3)
+        random_graph(n, 6, 60, seed=3, g=e.graph)
+        if members:
+            install_clique(e, members)
+        runs.append(color_sparse_record(e, *args))
+        assert all(e.colors.of[v] == BLANK for v in members)
+        assert BLANK not in (e.colors.of[v] for v in sparse)
+    assert runs[0] == runs[1]
 
 
 def test_color_sparse_load_law_small_sweep():

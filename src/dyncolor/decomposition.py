@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InvariantViolation
 from .sampleset import EMPTY_MAP, own
 
 
@@ -79,12 +78,11 @@ class AlmostClique:
 
 
 class Decomposition:
-    def __init__(self, graph, tracker, params, metrics, strict: bool = False):
+    def __init__(self, graph, tracker, params, metrics):
         self.graph = graph
         self.tracker = tracker
         self.params = params
         self.metrics = metrics
-        self.strict = strict
         n = graph.n
         self.clique_of: list[int | None] = [None] * n
         self.n_c: list[dict[int, set[int]]] = [EMPTY_MAP] * n
@@ -225,10 +223,6 @@ class Decomposition:
                 # close friends on the dense side must share one clique; a
                 # sampling mis-estimate can break that at small scales
                 self.metrics.estimator_gap_events += 1
-                if self.strict:
-                    raise InvariantViolation(
-                        f"dense friends of {v} span cliques {sorted(homes)}"
-                    )
             target = max(homes.items(), key=lambda kv: (kv[1], -kv[0]))[0]
             c = self.cliques[target]
             movers = [v] + sorted(u for u in n1 if self.clique_of[u] is None)

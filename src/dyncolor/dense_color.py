@@ -156,15 +156,16 @@ class DenseColoring:
                     break
         self.metrics.work += clique.nonedge_count + 1
 
-    def maintain_matching(self, clique, upd) -> list[tuple[int, int]]:
+    def maintain_matching(self, clique, upd, extend: bool = True) -> list[tuple[int, int]]:
         """Keep the matching maximal across one same-clique update.
 
         An insertion kills the pair (u,v) if matched and tries to rematch
         each endpoint with a free non-neighbor; a deletion matches the new
-        non-edge when both sides are free.  Returns the pairs added.  The
-        one exception is a pair `recolor_pair` dissolves: both endpoints
-        stay unmatched, though their non-edge remains, until the next
-        boundary rebuilds the matching.
+        non-edge when both sides are free.  Returns the pairs added.  With
+        `extend` false nothing is matched, so the matching is only trimmed
+        by insertions.  The one exception is a pair `recolor_pair`
+        dissolves: both endpoints stay unmatched, though their non-edge
+        remains, until the next boundary rebuilds the matching.
         """
         u, v = upd.u, upd.v
         dec = self.decomp
@@ -173,7 +174,7 @@ class DenseColoring:
             if clique.partner.get(u) == v:
                 dec.match_remove(clique, u, v)
             dec.nonedge_remove(clique, u, v)
-            for w in (u, v):
+            for w in (u, v) if extend else ():
                 if w in clique.partner:
                     continue
                 cands = clique.nonedges.get(w)
@@ -187,7 +188,7 @@ class DenseColoring:
                         break
         else:
             dec.nonedge_add(clique, u, v)
-            if u not in clique.partner and v not in clique.partner:
+            if extend and u not in clique.partner and v not in clique.partner:
                 dec.match_add(clique, u, v)
                 added.append((u, v))
         return added
@@ -199,26 +200,10 @@ class DenseColoring:
         the endpoints of newly matched pairs.  In the large regime the
         matching is never extended, only trimmed by insertions.
         """
-        u, v = upd.u, upd.v
-        dec = self.decomp
-        left: list[int] = []
-        entered: list[int] = []
-        pairs: list[tuple[int, int]] = []
-        if clique.large_regime:
-            if upd.insert:
-                if clique.partner.get(u) == v:
-                    dec.match_remove(clique, u, v)
-                    left = [u, v]
-                dec.nonedge_remove(clique, u, v)
-            else:
-                dec.nonedge_add(clique, u, v)
-        else:
-            was = {w: (w in clique.partner) for w in (u, v)}
-            pairs = self.maintain_matching(clique, upd)
-            for w in (u, v):
-                if was[w] and w not in clique.partner:
-                    left.append(w)
-            entered = [x for pair in pairs for x in pair]
+        was = [w for w in (upd.u, upd.v) if w in clique.partner]
+        pairs = self.maintain_matching(clique, upd, extend=not clique.large_regime)
+        left = [w for w in was if w not in clique.partner]
+        entered = [x for pair in pairs for x in pair]
         return left, entered, pairs
 
     # ---- pair recoloring -------------------------------------------------------------

@@ -37,7 +37,6 @@ from .sparse_color import SparseColoring
 @dataclass
 class EngineConfig:
     params: ParamSet = field(default_factory=ParamSet)
-    strict: bool = False  # raise on decomposition anomalies instead of logging
 
 
 class Engine(ColoringAlgorithm):
@@ -53,9 +52,7 @@ class Engine(ColoringAlgorithm):
         self.rng = random.Random(params.seed)
         self.graph = DynamicGraph(n, delta)
         self.tracker = FriendTracker(self.graph, params, self.rng, self.metrics)
-        self.decomp = Decomposition(
-            self.graph, self.tracker, params, self.metrics, strict=self.config.strict
-        )
+        self.decomp = Decomposition(self.graph, self.tracker, params, self.metrics)
         self.colors = ColorState(n, self.palette)
         self.sparse = SparseColoring(
             self.graph, self.decomp, self.colors, params, self.rng, self.metrics

@@ -39,9 +39,12 @@ class MissingEdge(GraphError):
 
 
 class MalformedTrace(DynColorError):
+    """A trace file that does not parse; `lineno` is None for a header fault."""
+
     def __init__(self, lineno, reason):
         self.lineno = lineno
-        super().__init__(f"trace line {lineno}: {reason}")
+        where = "trace header" if lineno is None else f"trace line {lineno}"
+        super().__init__(f"{where}: {reason}")
 
 
 class IterationCapExceeded(DynColorError):

@@ -6,6 +6,13 @@ requires epsilon < 3/50 and tau = epsilon/3 and is only meaningful for
 very large graphs.  The ``desk`` profile keeps the same formulas but lets
 every derived quantity be pinned to a small value so that all code paths
 are reachable at n up to a few thousand.
+
+Three constants of the construction are fixed rather than settable:
+`CONFIDENCE_C`, the constant c in the derived sample count
+k = 12 c ln(n) / tau^2; `DISPATCH_FRAC`, the non-edge matching size, as a
+fraction of delta, from which a blank clique member draws its color at
+random; and `HEAVY_FRAC`, the edge count into a clique, as a fraction of
+delta, above which a color is heavy for it.
 """
 
 from __future__ import annotations
@@ -18,22 +25,23 @@ E6 = math.e ** 6
 PAPER = "paper"
 DESK = "desk"
 
+CONFIDENCE_C = 3.0
+DISPATCH_FRAC = 0.1
+HEAVY_FRAC = 0.01
+
 
 @dataclass
 class ParamSet:
+    profile: str = DESK
     epsilon: float = 0.2
     tau: float | None = None  # default epsilon / 3
     nu: float | None = None  # clique-collapse fraction; default 2*epsilon/3
     phase_len_t: int | None = None  # None -> derived
     sample_count_k: int | None = None  # None -> derived
-    confidence_c: float = 3.0  # the constant c in k = 12 c ln(n) / tau^2
-    profile: str = DESK
-    seed: int = 0
     cap_factor: int = 64  # rejection-loop cap = cap_factor * ceil(log2(n+2))
     fire_threshold: float | None = None  # None -> max(1, tau * delta / 8)
-    dispatch_frac: float = 0.1  # matching-size dispatcher threshold, fraction of delta
-    heavy_frac: float = 0.01  # heavy-color threshold, fraction of delta
     regime_frac: float | None = None  # small/large matching split; default epsilon^2
+    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
@@ -72,7 +80,7 @@ class ParamSet:
     def sample_count(self, n: int) -> int:
         if self.sample_count_k is not None:
             return self.sample_count_k
-        k = math.ceil(12.0 * self.confidence_c * math.log(max(n, 2)) / self.tau**2)
+        k = math.ceil(12.0 * CONFIDENCE_C * math.log(max(n, 2)) / self.tau**2)
         if self.profile == DESK:
             # keep sampling affordable at desk sizes; accuracy claims degrade
             # to statistical tests, structural invariants are unaffected
@@ -100,10 +108,10 @@ class ParamSet:
         return frac * delta
 
     def dispatch_limit(self, delta: int) -> float:
-        return self.dispatch_frac * delta
+        return DISPATCH_FRAC * delta
 
     def heavy_limit(self, delta: int) -> float:
-        return self.heavy_frac * delta
+        return HEAVY_FRAC * delta
 
     def loop_cap(self, n: int) -> int:
         return self.cap_factor * math.ceil(math.log2(n + 2))

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from operator import attrgetter
 
-from .adversary import make_adversary
+from .adversary import Scripted, make_adversary
 from .baseline import TrivialBaseline
 from .engine import Engine, EngineConfig
-from .errors import Exhausted
+from .errors import Exhausted, MalformedTrace
 from .metrics import SCALARS
 from .params import ParamSet, auto_epsilon, trivial_cutoff
 from .trace import TraceFile
@@ -18,37 +19,54 @@ from .verify import ProperWatch, verify
 MODES = ("full", "auto", "baseline")
 
 
-_HEADER_FIELDS = (
-    ("epsilon", float),
-    ("tau", float),
-    ("nu", float),
-    ("phase_len_t", int),
-    ("sample_count_k", int),
-    ("confidence_c", float),
-    ("cap_factor", int),
-    ("fire_threshold", float),
-    ("dispatch_frac", float),
-    ("heavy_frac", float),
-    ("regime_frac", float),
-    ("seed", int),
-)
+RUN_KEYS = ("n", "delta", "strategy", "mode")
 
 
 def params_to_header(params: ParamSet) -> dict[str, str]:
-    out = {"profile": params.profile}
-    for name, _ in _HEADER_FIELDS:
-        val = getattr(params, name)
-        out[name] = "none" if val is None else repr(val)
-    return out
+    """Every `ParamSet` field in order: `profile` as its text, any other
+    as its `repr`, or `none` when unset."""
+    hdr = {}
+    for f in fields(ParamSet):
+        val = getattr(params, f.name)
+        hdr[f.name] = val if f.name == "profile" else "none" if val is None else repr(val)
+    return hdr
 
 
 def params_from_header(hdr: dict[str, str]) -> ParamSet:
-    kw = {"profile": hdr.get("profile", "desk")}
-    for name, cast in _HEADER_FIELDS:
-        raw = hdr.get(name)
-        if raw is not None and raw != "none":
-            kw[name] = cast(float(raw)) if cast is int else cast(raw)
-    return ParamSet(**kw)
+    """The `ParamSet` a trace header records; a field it omits keeps its default.
+
+    A key that is neither in `RUN_KEYS` nor a `ParamSet` field, a value
+    that does not parse as its field's type, or a value `ParamSet` refuses
+    raises `MalformedTrace`.
+    """
+    types = {f.name: f.type for f in fields(ParamSet)}
+    kw = {}
+    for key, raw in hdr.items():
+        if key in RUN_KEYS:
+            continue
+        if key not in types:
+            raise MalformedTrace(None, f"unknown key {key!r}")
+        kw[key] = raw if key == "profile" else _header_value(key, raw, types[key])
+    try:
+        return ParamSet(**kw)
+    except ValueError as err:
+        raise MalformedTrace(None, str(err)) from None
+
+
+def _header_value(key: str, raw: str, typ: str):
+    """`raw` read back with `ast.literal_eval` and checked against `typ`, the
+    field's annotation text (``"int"``, ``"float | None"``, ...)."""
+    if raw == "none" and typ.endswith("None"):
+        return None
+    try:
+        val = ast.literal_eval(raw)
+    except (ValueError, SyntaxError):
+        val = None
+    if type(val) is int and typ.startswith("float"):
+        val = float(val)
+    if type(val).__name__ not in typ:
+        raise MalformedTrace(None, f"{key}={raw} is not a value of type {typ}")
+    return val
 
 
 def build_engine(
@@ -193,7 +211,7 @@ def record_run(
     """Run a fresh engine against an adversary, recording a replayable trace."""
     engine = build_engine(n, delta, params, mode=mode)
     adversary = make_adversary(strategy, n, delta, seed=params.seed + 1)
-    header = {"n": str(n), "delta": str(delta), "strategy": strategy, "mode": mode}
+    header = dict(zip(RUN_KEYS, (str(n), str(delta), strategy, mode)))
     header.update(params_to_header(params))
     trace = TraceFile(header=header, outputs=[])
     summary = run_stream(engine, adversary, steps, record=trace)
@@ -201,32 +219,24 @@ def record_run(
 
 
 def replay_trace(trace: TraceFile, params: ParamSet | None = None, check: bool = False):
-    """Drive a fresh engine through a recorded trace.
+    """Drive a fresh engine through a recorded trace; returns (engine, mismatches).
 
-    With `check`, recorded per-update color deltas are compared against the
-    replayed ones; any divergence is reported (determinism gate).
+    With `check`, the replayed per-update color deltas are compared with
+    the recorded ones, and `mismatches` lists the updates where they
+    differ (determinism gate).  A header fault raises `MalformedTrace`.
     """
     hdr = trace.header
-    n = int(hdr["n"])
-    delta = int(hdr["delta"])
+    for key in ("n", "delta"):
+        if key not in hdr:
+            raise MalformedTrace(None, f"missing key {key!r}")
+    n, delta = (_header_value(key, hdr[key], "int") for key in ("n", "delta"))
     if params is None:
         params = params_from_header(hdr)
     engine = build_engine(n, delta, params, mode=hdr.get("mode", "full"))
-    mismatches: list[int] = []
-    deltas: list[tuple[int, int]] = []
-
-    def _capture(v, old, new):
-        deltas.append((v, new))
-
-    capturing = check and trace.outputs is not None
-    if capturing:
-        engine.colors.listeners.append(_capture)
-    for i, upd in enumerate(trace.updates):
-        if capturing:
-            deltas = []
-        engine.process(upd)
-        if capturing and deltas != trace.outputs[i]:
-            mismatches.append(i)
-    if capturing:
-        engine.colors.listeners.remove(_capture)
-    return engine, mismatches
+    updates = trace.updates
+    replayed = TraceFile(outputs=[]) if check and trace.outputs is not None else None
+    run_stream(engine, Scripted(n, delta, updates), len(updates), record=replayed)
+    if replayed is None:
+        return engine, []
+    pairs = enumerate(zip(replayed.outputs, trace.outputs))
+    return engine, [i for i, (got, want) in pairs if got != want]

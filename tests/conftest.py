@@ -34,8 +34,29 @@ def sweep_params(seed, delta):
     )
 
 
+# the metrics of the engines a test made strict; see no_estimator_gaps
+STRICT_METRICS = []
+
+
 def make_engine(n, delta, strict=True, **param_kw):
-    return Engine(n, delta, EngineConfig(params=make_params(**param_kw), strict=strict))
+    """An engine on `make_params(**param_kw)`; `strict` fails the test on any
+    estimator gap event in it."""
+    engine = Engine(n, delta, EngineConfig(params=make_params(**param_kw)))
+    if strict:
+        STRICT_METRICS.append(engine.metrics)
+    return engine
+
+
+@pytest.fixture(autouse=True)
+def no_estimator_gaps():
+    """Fail the test if a strict engine's dense move found a vertex's close
+    friends spread over more than one clique (`estimator_gap_events`)."""
+    STRICT_METRICS.clear()
+    yield
+    gaps = [m.estimator_gap_events for m in STRICT_METRICS]
+    STRICT_METRICS.clear()
+    if any(gaps):
+        pytest.fail(f"estimator gap events in the test's strict engines: {gaps}")
 
 
 def add_edges(g: DynamicGraph, pairs):

@@ -6,7 +6,6 @@ from dyncolor.adversary import make_adversary
 from dyncolor.colors import ColorState
 from dyncolor.decomposition import Decomposition, Finding
 from dyncolor.dense_color import DenseColoring
-from dyncolor.errors import InvariantViolation
 from dyncolor.friends import FriendTracker
 from dyncolor.graph import DynamicGraph, dele, ins
 from dyncolor.metrics import Metrics
@@ -14,6 +13,7 @@ from dyncolor.params import ParamSet
 from dyncolor.runner import run_stream
 
 from conftest import (
+    STRICT_METRICS,
     add_edges,
     clique_edges,
     dense_fixture,
@@ -30,7 +30,9 @@ def standalone(n, delta, eps=0.2, tau=None, k=256, fire=1, nu=None, seed=0, stri
     g = DynamicGraph(n, delta)
     metrics = Metrics()
     tracker = FriendTracker(g, params, random.Random(seed), metrics)
-    dec = Decomposition(g, tracker, params, metrics, strict=strict)
+    dec = Decomposition(g, tracker, params, metrics)
+    if strict:
+        STRICT_METRICS.append(metrics)
     dense = DenseColoring(g, dec, ColorState(n, delta + 1), params, tracker.rng, metrics)
 
     def drive(upd):
@@ -137,7 +139,7 @@ def test_dense_move_type1_joins_friends_clique():
 
 def test_dense_move_friends_in_one_clique_fuzz():
     # with conservative scale parameters, the dense friends of any mover
-    # must always sit in a single clique; strict mode raises otherwise
+    # must always sit in a single clique; a strict run fails otherwise
     delta = 16
     for seed in range(6):
         g, tracker, dec, drive = standalone(

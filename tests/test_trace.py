@@ -7,7 +7,6 @@ from dyncolor.errors import MalformedTrace
 from dyncolor.graph import EdgeUpdate
 from dyncolor.params import ParamSet
 from dyncolor.runner import (
-    _HEADER_FIELDS,
     params_from_header,
     params_to_header,
     record_run,
@@ -96,12 +95,54 @@ def test_baseline_trace_records_and_replays_color_deltas():
 def test_header_round_trips_every_param_field():
     # every field away from its default; the paper profile pins tau = eps / 3
     p = ParamSet(
-        epsilon=0.05, tau=0.05 / 3, nu=0.3, phase_len_t=7, sample_count_k=33,
-        confidence_c=2.5, profile="paper", seed=11, cap_factor=9,
-        fire_threshold=2.5, dispatch_frac=0.2, heavy_frac=0.03, regime_frac=0.07,
+        profile="paper", epsilon=0.05, tau=0.05 / 3, nu=0.3, phase_len_t=7,
+        sample_count_k=33, cap_factor=9, fire_threshold=2.5, regime_frac=0.07, seed=11,
     )
     default = ParamSet()
     assert all(getattr(p, f.name) != getattr(default, f.name) for f in fields(ParamSet))
-    assert params_from_header(params_to_header(p)) == p
-    names = [name for name, _ in _HEADER_FIELDS] + ["profile"]
-    assert sorted(names) == sorted(f.name for f in fields(ParamSet))
+    hdr = params_to_header(p)
+    assert list(hdr) == [f.name for f in fields(ParamSet)]
+    assert params_from_header(hdr) == p
+    # an unset field is written as "none" and read back unset
+    assert params_to_header(default)["phase_len_t"] == "none"
+    assert params_from_header(params_to_header(default)) == default
+
+
+def _recorded_trace():
+    _, trace, _ = record_run(32, 8, ParamSet(seed=1, phase_len_t=16), "oblivious-random", 40)
+    return TraceFile.loads(trace.dumps())
+
+
+def test_unknown_header_key_is_rejected():
+    # a misspelt field once replayed silently with its default (phase length 16)
+    trace = _recorded_trace()
+    del trace.header["phase_len_t"]
+    trace.header["phase_len"] = "5"
+    with pytest.raises(MalformedTrace, match="^trace header: unknown key 'phase_len'$") as err:
+        replay_trace(trace)
+    assert err.value.lineno is None
+
+
+@pytest.mark.parametrize(
+    "key,raw",
+    [
+        ("epsilon", "abc"),  # does not parse
+        ("phase_len_t", "2.5"),  # parses, but not as the field's int
+        ("cap_factor", "none"),  # only an optional field may be unset
+        ("epsilon", "2.0"),  # parses, but ParamSet refuses it
+        ("n", "12x"),
+    ],
+)
+def test_bad_header_value_is_rejected(key, raw):
+    trace = _recorded_trace()
+    trace.header[key] = raw
+    with pytest.raises(MalformedTrace, match=rf"^trace header: {key}\b"):
+        replay_trace(trace)
+
+
+@pytest.mark.parametrize("key", ["n", "delta"])
+def test_missing_size_in_header_is_rejected(key):
+    trace = _recorded_trace()
+    del trace.header[key]
+    with pytest.raises(MalformedTrace, match=f"^trace header: missing key '{key}'$"):
+        replay_trace(trace)

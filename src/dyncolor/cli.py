@@ -10,6 +10,7 @@ from . import bench as benchmod
 from .params import ParamSet
 from .runner import MODES, record_run, replay_trace
 from .adversary import STRATEGIES
+from .errors import DynColorError
 from .trace import TraceFile
 from .verify import verify
 
@@ -217,7 +218,12 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_bench)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except DynColorError as exc:
+        # a bad trace or an illegal update is the input's fault: one line, no traceback
+        print(f"dyncolor: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -26,17 +26,57 @@ a full refresh of its incident estimates after enough direct updates
 (touching it) or indirect updates (a neighbor fired a direct refresh).
 Indirect credit is propagated only by direct firings, never by indirect
 ones, which is what keeps the amortized work bounded.
+
+A refresh reads only two verdicts of a pair's count, count >= t1 and
+count >= t3, where the count of k uniform samples of N(u) that fall in
+N(v) is Binomial(k, s/m) with s = |N(u) cap N(v)| and m = |N(u)|.  For a
+pair whose endpoints both have degree at least `DISJOINT_TEST_PER_SAMPLE
+* k` the tracker draws the verdicts from that law directly (`_counts`):
+it keeps an int bitmask of N(x) for every vertex x it has seen at that
+degree (`masks`), so s is one AND and popcount.  A mask is made from the
+adjacency when `maintain_friends` first sees its vertex at that degree,
+then follows every update the tracker is handed, and is never dropped.
+The tracker sees the graph only through the phase-boundary replay, which
+is continuous across phases, so at every refresh the masks describe the
+graph exactly as the replay has it; the in-phase path pays nothing.
 """
 
 from __future__ import annotations
 
-from math import floor
+from array import array
+from math import ceil, comb, floor
 
 from .sampleset import EMPTY_SET
 
 # `_counts` tests a pair for a common neighbor only while the smaller of
-# the two neighborhoods has at most this many entries per sample
+# the two neighborhoods has at most this many entries per sample, and
+# judges it exactly from bitmasks once both have at least this many
 DISJOINT_TEST_PER_SAMPLE = 2
+
+
+def binomial_tails(k: int, m: int, cuts) -> array:
+    """P(Bin(k, s/m) >= j) for s = 0..m and each j in `cuts`, row by row.
+
+    The value for (s, cuts[i]) sits at s * len(cuts) + i.  Each is the
+    double nearest the exact rational: the terms C(k, i) s^i (m - s)^(k - i)
+    are summed as integers and divided by m^k once.  A cut at or below 0
+    reads 1.0, a cut above k reads 0.0.
+    """
+    coef = [comb(k, i) for i in range(k + 1)]
+    den = m**k
+    cuts = [min(max(j, 0), k + 1) for j in cuts]
+    low = min(cuts)
+    tail = [0] * (k + 2)  # tail[i]: the sum of the terms from i up to k
+    tab = array("d")
+    for s in range(m + 1):
+        r = m - s
+        acc = 0
+        for i in range(k, low - 1, -1):
+            acc += coef[i] * s**i * r ** (k - i)
+            tail[i] = acc
+        for j in cuts:
+            tab.append(tail[j] / den)
+    return tab
 
 
 def _link(lst, v: int, u: int) -> set:
@@ -73,6 +113,13 @@ class FriendTracker:
         # v is scale-i dense with at least (1 - i*eps) * delta such friends
         self._maintain_thr = [max(0.0, self.k * (1.0 - (i * eps - tau / 4.0))) for i in (1, 3)]
         self._dense_thr = [max(0.0, (1.0 - i * eps) * delta) for i in (1, 3)]
+        # the least counts that reach the two thresholds
+        self._cuts = tuple(ceil(t) for t in self._maintain_thr)
+        # the degree from which a vertex keeps a mask and its pairs are judged exactly
+        self._exact_deg = DISJOINT_TEST_PER_SAMPLE * self.k
+        self.masks: dict[int, int] = {}
+        # m -> binomial_tails(k, m, cuts), made when a pair first needs it
+        self._tails: dict[int, array] = {}
 
     # ---- estimation core ----------------------------------------------------
 
@@ -81,6 +128,19 @@ class FriendTracker:
 
         Each u takes the draws of rng.choices(N(u), k=k), in the order of
         us; an isolated u draws nothing and counts 0.
+
+        A pair whose endpoints both have degree at least `_exact_deg` and a
+        mask draws no sample.  Its count is Binomial(k, s/m), with
+        s = |N(u) cap N(v)| read off the masks and m = |N(u)|, and the
+        refresh reads only whether it reaches the cuts j1 = ceil(t1) and
+        j3 = ceil(t3), so the tail probabilities q1 <= q3 of those two
+        events (`binomial_tails`) are all that matter.  One U = random()
+        gives in1 = U < q1 and in3 = U < q3, which is the joint law of the
+        two verdicts, since in1 implies in3.  The pair reports j1, j3 or 0,
+        the least count with its verdict.  When q3 == 0 or q1 == 1 the
+        verdict is certain and nothing is drawn.  The estimate is charged
+        k samples and k units, as a drawn one is, so the counters do not
+        depend on which path judged a pair.
 
         When N(u) and N(v) share no vertex, every draw misses whatever it
         picks, so the count is 0 and the k draws are replaced by one
@@ -97,11 +157,15 @@ class FriendTracker:
         k = self.k
         draws = range(k)
         d = len(pos)
+        masks, tails = self.masks, self._tails
+        cap = self._exact_deg
+        j1, j3 = self._cuts
+        # u is judged exactly when both degrees reach the cap and both
+        # endpoints have masks
+        mv = masks.get(v) if d >= cap else None
         # u is tested when the smaller of N(u) and N(v) is short: any u
         # when N(v) is, else a u whose N(u) is
-        limit = DISJOINT_TEST_PER_SAMPLE * k
-        if d <= limit:
-            limit = self.n
+        limit = self.n if d <= cap else cap
         counts = []
         sampled = 0
         for u in us:
@@ -110,7 +174,18 @@ class FriendTracker:
             if items:
                 sampled += 1
                 size = len(items)
-                if size <= limit and (
+                if mv is not None and size >= cap and (mu := masks.get(u)) is not None:
+                    s = 2 * (mv & mu).bit_count()
+                    tab = tails.get(size) or self._tail_table(size)
+                    q3 = tab[s + 1]
+                    if q3:
+                        q1 = tab[s]
+                        if q1 == 1.0:
+                            cnt = j1
+                        else:
+                            x = random()
+                            cnt = j1 if x < q1 else j3 if x < q3 else 0
+                elif size <= limit and (
                     pos.keys().isdisjoint(items) if size <= d
                     else adj[u]._pos.keys().isdisjoint(pos)
                 ):
@@ -125,6 +200,10 @@ class FriendTracker:
         self.metrics.samples += drawn
         self.metrics.work += drawn
         return counts
+
+    def _tail_table(self, m: int) -> array:
+        tab = self._tails[m] = binomial_tails(self.k, m, self._cuts)
+        return tab
 
     def _refresh(self, v: int, us) -> None:
         # One sample count per pair serves both scales.  The lists are
@@ -178,9 +257,18 @@ class FriendTracker:
         re-estimated (insertion) or dropped (deletion).  Vertices whose
         direct counter reaches the firing limit are refreshed and spread
         one indirect credit to each neighbor; neighbors reaching the limit
-        refresh too but spread nothing further.
+        refresh too but spread nothing further.  Each endpoint's mask
+        follows the update first; an endpoint without one gets one once it
+        has degree `_exact_deg`.
         """
         u, v = upd.u, upd.v
+        masks, deg = self.masks, self.graph.deg
+        for a, b in ((u, v), (v, u)):
+            mask = masks.get(a)
+            if mask is not None:
+                masks[a] = mask ^ (1 << b)
+            elif deg[a] >= self._exact_deg:
+                masks[a] = self.graph.neighbor_mask(a)
         self.direct[u] += 1
         self.direct[v] += 1
         if upd.insert:
@@ -210,13 +298,24 @@ class FriendTracker:
     # ---- introspection -------------------------------------------------------
 
     def check_consistency(self, boundary: bool = True) -> list[str]:
-        """Audit the lists' symmetry and nesting; returns violations.
+        """Audit the lists' symmetry and nesting, and the masks; returns violations.
 
-        Only at a phase boundary must every listed pair be an edge: a
-        deletion inside a phase reaches the tracker at the boundary replay.
+        Only at a phase boundary must every listed pair be an edge, every
+        vertex of degree `_exact_deg` or more have a mask and every mask
+        equal its vertex's adjacency: an update inside a phase reaches the
+        tracker at the boundary replay.
         """
         viol = []
-        has_edge, n3 = self.graph.has_edge, self.n3
+        graph, n3 = self.graph, self.n3
+        has_edge = graph.has_edge
+        if boundary:
+            for v in range(self.n):
+                mask = self.masks.get(v)
+                if mask is None:
+                    if graph.deg[v] >= self._exact_deg:
+                        viol.append(f"mask: vertex {v} of degree {graph.deg[v]} has none")
+                elif mask != graph.neighbor_mask(v):
+                    viol.append(f"mask: vertex {v}'s mask differs from its adjacency")
         for name, lists in (("N_1", self.n1), ("N_3", n3)):
             for v in range(self.n):
                 for u in lists[v]:

@@ -7,8 +7,8 @@ one body that mutates adjacency; it checks nothing.  `apply` is
 `check_legal` plus `toggle`, and the engine's phase rewind and replay call
 `toggle` directly, since they only undo and redo updates that `apply`
 already accepted.  Audits that count common neighborhoods for every edge
-take a bitmask snapshot once per pass (`common_neighbor_counter`) and
-answer each count with a single AND + popcount.
+take a bitmask snapshot once per pass (`common_neighbor_counter`, built
+from `neighbor_mask`) and answer each count with a single AND + popcount.
 
 `vertices` is the id list `list(range(n))`, made once and never mutated.
 A pass over every vertex hands on these objects rather than counting
@@ -71,18 +71,20 @@ class DynamicGraph:
                 if u < v:
                     yield (u, v)
 
+    def neighbor_mask(self, v: int) -> int:
+        """N(v) as an int bitmask: bit w is set when w neighbors v."""
+        m = 0
+        for w in self.adj[v].items:
+            m |= 1 << w
+        return m
+
     def common_neighbor_counter(self):
         """Bitmask snapshot of the adjacency; returns count(u, v) = |N(u) cap N(v)|.
 
         Building it costs one pass over the edges; each count is then one
         AND + popcount.  The snapshot does not follow later updates.
         """
-        masks = []
-        for s in self.adj:
-            m = 0
-            for w in s.items:
-                m |= 1 << w
-            masks.append(m)
+        masks = list(map(self.neighbor_mask, self.vertices))
 
         def count(u: int, v: int) -> int:
             return (masks[u] & masks[v]).bit_count()

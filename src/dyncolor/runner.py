@@ -218,7 +218,7 @@ def record_run(
     return engine, trace, summary
 
 
-def replay_trace(trace: TraceFile, params: ParamSet | None = None, check: bool = False):
+def replay_trace(trace: TraceFile, check: bool = False):
     """Drive a fresh engine through a recorded trace; returns (engine, mismatches).
 
     With `check`, the replayed per-update color deltas are compared with
@@ -230,9 +230,7 @@ def replay_trace(trace: TraceFile, params: ParamSet | None = None, check: bool =
         if key not in hdr:
             raise MalformedTrace(None, f"missing key {key!r}")
     n, delta = (_header_value(key, hdr[key], "int") for key in ("n", "delta"))
-    if params is None:
-        params = params_from_header(hdr)
-    engine = build_engine(n, delta, params, mode=hdr.get("mode", "full"))
+    engine = build_engine(n, delta, params_from_header(hdr), mode=hdr.get("mode", "full"))
     updates = trace.updates
     replayed = TraceFile(outputs=[]) if check and trace.outputs is not None else None
     run_stream(engine, Scripted(n, delta, updates), len(updates), record=replayed)

@@ -107,6 +107,47 @@ def test_record_then_replay_check(tmp_path):
     assert data["mismatched_updates"] == []
 
 
+def _recorded_trace(tmp_path):
+    trace = tmp_path / "run.trace"
+    rc = main(
+        [
+            "record",
+            "--n", "24", "--delta", "6", "--steps", "30",
+            "--seed", "1", "--phase-len", "16", "--trace-out", str(trace),
+        ]
+    )
+    assert rc == 0
+    return trace
+
+
+def test_replay_of_a_bad_header_fails_with_one_line(tmp_path, capsys):
+    # a misspelt key: the library raises MalformedTrace, the CLI reports it
+    trace = _recorded_trace(tmp_path)
+    text = trace.read_text().replace("phase_len_t=16", "phase_len=5")
+    assert "phase_len=5" in text
+    trace.write_text(text)
+    capsys.readouterr()
+    assert main(["replay", "--trace", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err == "dyncolor: trace header: unknown key 'phase_len'\n"
+
+
+def test_verify_of_a_trace_with_an_illegal_update_fails_with_one_line(tmp_path, capsys):
+    # the first update inserted again right after it, with its color line:
+    # the replay raises DuplicateEdge, a GraphError
+    trace = _recorded_trace(tmp_path)
+    lines = trace.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("+"))
+    _, u, v = lines[i].split()
+    assert lines[i + 1].startswith("!")
+    lines[i + 2:i + 2] = lines[i:i + 2]
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--trace", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"dyncolor: edge ({u},{v}) already present\n"
+
+
 def test_verify_subcommand(tmp_path, capsys):
     rc = main(
         [

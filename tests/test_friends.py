@@ -1,14 +1,17 @@
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from dyncolor.friends import DISJOINT_TEST_PER_SAMPLE, FriendTracker
+from dyncolor import Engine, EngineConfig, make_adversary
+from dyncolor.friends import DISJOINT_TEST_PER_SAMPLE, FriendTracker, binomial_tails
 from dyncolor.graph import DynamicGraph, dele, ins
 from dyncolor.metrics import Metrics
 from dyncolor.params import ParamSet
 
-from conftest import add_edges, clique_edges, friend_set, random_graph
+from conftest import add_edges, clique_edges, friend_set, random_graph, sweep_params
 
 
 def make_tracker(g, eps, tau, k=None, fire=None, seed=0):
@@ -405,3 +408,128 @@ def test_counts_match_the_per_draw_sampler(seed):
                 kinds.add((shares, min(g.degree(u), g.degree(v)) <= limit))
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
     assert tracker.metrics.samples == tracker.metrics.work == charged
+
+
+# ---- the exact path: pairs judged from the masks' common-neighbor count -----------
+
+
+@pytest.mark.parametrize("k", [2, 12])
+@pytest.mark.parametrize("m", [24, 64, 128])
+def test_tail_tables_equal_the_exact_binomial_sums(k, m):
+    # eps = tau = 0.2 puts the cuts at (2, 1) for k = 2 and (11, 6) for
+    # k = 12; the cuts 0 and k + 1 read the certain verdicts
+    g = DynamicGraph(m + 1, m)
+    tr = make_tracker(g, 0.2, 0.2, k=k)
+    cuts = tr._cuts
+    assert cuts == {2: (2, 1), 12: (11, 6)}[k]
+    table = tr._tail_table(m)
+    assert tr._tails[m] is table and len(table) == 2 * (m + 1)
+    ends = binomial_tails(k, m, (0, k + 1))
+    for s in range(m + 1):
+        p = Fraction(s, m)
+        pmf = [math.comb(k, i) * p**i * (1 - p) ** (k - i) for i in range(k + 1)]
+        for col, j in enumerate(cuts):
+            assert abs(table[2 * s + col] - float(sum(pmf[j:]))) <= 1e-12, (s, j)
+        assert (ends[2 * s], ends[2 * s + 1]) == (1.0, 0.0)
+
+
+def _pair_graph(k, m, s, dv):
+    """u (vertex 0) with m neighbors and v (vertex 1) with dv, s of them shared.
+
+    Every edge reaches the tracker through `maintain_friends`, as the
+    boundary replay hands it over, so both endpoints hold masks.
+    """
+    n = 2 + m + dv - s
+    g = DynamicGraph(n, max(m, dv))
+    tr = make_tracker(g, 0.2, 0.2, k=k, fire=10**9)
+    shared = range(2, 2 + s)
+    edges = [(0, w) for w in shared] + [(1, w) for w in shared]
+    edges += [(0, w) for w in range(2 + s, 2 + m)]
+    edges += [(1, w) for w in range(2 + m, n)]
+    for a, b in edges:
+        g.apply(ins(a, b))
+        tr.maintain_friends(ins(a, b))
+    assert (g.degree(0), g.degree(1)) == (m, dv)
+    assert g.common_neighbor_counter()(0, 1) == s
+    assert 0 in tr.masks and 1 in tr.masks
+    return g, tr
+
+
+@pytest.mark.parametrize("s,m,dv", [(12, 24, 24), (30, 36, 40), (40, 42, 60), (5, 30, 28)])
+def test_exact_verdicts_follow_the_per_draw_law(s, m, dv):
+    # one uniform draw against the tails gives the pair of verdicts
+    # (count >= t1, count >= t3) the law of k draws does; each outcome's
+    # frequency agrees within 5 sigma, and in1 without in3 never occurs
+    k, trials = 12, 20_000
+    g, tr = _pair_graph(k, m, s, dv)
+    t1, t3 = tr._maintain_thr
+    exact, drawn = Counter(), Counter()
+    samples = tr.metrics.samples
+    for seed in range(trials):
+        tr.rng.seed(seed)
+        (cnt,) = tr._counts(1, (0,))
+        exact[cnt >= t1, cnt >= t3] += 1
+        (cnt,) = _per_draw_counts(g, random.Random(seed), k, 1, (0,))
+        drawn[cnt >= t1, cnt >= t3] += 1
+    assert tr.metrics.samples - samples == k * trials
+    assert exact[True, False] == 0
+    for outcome in ((True, True), (False, True), (False, False)):
+        pooled = (exact[outcome] + drawn[outcome]) / (2 * trials)
+        sigma = math.sqrt(pooled * (1 - pooled) * 2 / trials)
+        assert abs(exact[outcome] - drawn[outcome]) / trials <= 5 * sigma + 1e-12, outcome
+    # a verdict in doubt takes exactly one random() draw
+    tr.rng.seed(7)
+    tr._counts(1, (0,))
+    ref = random.Random(7)
+    ref.random()
+    assert tr.rng.getstate() == ref.getstate()
+
+
+def test_a_certain_exact_verdict_draws_nothing():
+    # no common neighbor: q3 == 0; a shared neighborhood of 24: q1 == 1
+    for s, verdict in ((0, 0), (24, 11)):
+        g, tr = _pair_graph(12, 24, s, 24)
+        state = tr.rng.getstate()
+        assert tr._counts(1, (0,)) == [verdict]
+        assert tr.rng.getstate() == state
+        assert tr.metrics.samples >= 12
+
+
+def test_mask_audit_names_a_planted_fault():
+    delta = 6
+    g = DynamicGraph(delta + 1, delta)
+    tr = make_tracker(g, 0.2, 0.2, k=2, fire=10**9)
+    for u, v in clique_edges(range(delta + 1)):
+        g.apply(ins(u, v))
+        tr.maintain_friends(ins(u, v))
+    assert sorted(tr.masks) == list(range(delta + 1))
+    assert tr.check_consistency() == []
+    tr.masks[3] ^= 1 << 5
+    assert tr.check_consistency() == ["mask: vertex 3's mask differs from its adjacency"]
+    # in a phase the masks lag the graph, as the lists do: no audit
+    assert tr.check_consistency(boundary=False) == []
+    tr.masks[3] ^= 1 << 5
+    del tr.masks[4]
+    assert tr.check_consistency() == ["mask: vertex 4 of degree 6 has none"]
+
+
+def test_masks_follow_the_graph_across_phase_boundaries():
+    # clique-churn forms an almost-clique; at every boundary each mask is
+    # its vertex's neighbor bitmask, the one `common_neighbor_counter`
+    # snapshots, and every vertex at the exact path's degree has one
+    n, delta = 512, 64
+    engine = Engine(n, delta, EngineConfig(params=sweep_params(0, delta)))
+    adv = make_adversary("clique-churn", n, delta, seed=1)
+    g, tr = engine.graph, engine.tracker
+    boundaries = with_clique = with_masks = 0
+    for _ in range(2500):
+        engine.process(adv.next(None))
+        if engine.updates_in_phase == 0:
+            boundaries += 1
+            with_clique += bool(engine.decomp.cliques)
+            with_masks += bool(tr.masks)
+            for x, mask in tr.masks.items():
+                assert mask == g.neighbor_mask(x), x
+            assert all(x in tr.masks for x in range(n) if g.degree(x) >= tr._exact_deg)
+            assert tr.check_consistency() == []
+    assert boundaries >= 10 and with_clique > 0 and with_masks > 0

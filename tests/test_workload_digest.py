@@ -38,7 +38,7 @@ SEED = 0
 # recorded with `__main__` below
 DIGESTS = {
     "adaptive-sparse": "8788c737ecdc708e735b7792429bbe47f0e6cc37d1631bc88da1dc57b7408007",
-    "churn-dense": "689c546eec166c800e169402bcf050f4ab73127586fc72fc427dac2ff5f0f8f8",
+    "churn-dense": "89d209923b761befcb8a909205210fcd05f6c4a4b6d91f5a655870f56ffb738d",
     "deletion-wide": "6003431d2d036265612d96e37f70c4db3dfb09bfff44aaf906667b5d180f4ab1",
 }
 

@@ -11,8 +11,9 @@ v's list; a check that needs scale 2 belongs in `verify`'s oracle.
 
 The lists are symmetric: every writer updates both endpoints, so u is in
 N_i(v) exactly when v is in N_i(u).  A refresh takes one k-sample count
-per pair, judges it at both scales, and writes a pair's lists only
-when its membership at a scale changes, which it reads from v's side.
+per pair (or its exact stand-in, below), judges it at both scales, and
+writes a pair's lists only when its membership at a scale changes, which
+it reads from v's side.
 
 Every list starts as the shared read-only `EMPTY_SET` and becomes a set
 of the vertex's own on its first add (`_link`); most vertices never gain

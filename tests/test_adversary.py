@@ -139,3 +139,36 @@ def test_adaptive_monochrome_stream_is_unchanged(mode, n, digest):
         algo.process(upd)
         flat.extend((upd.u, upd.v, upd.insert))
     assert hashlib.sha256(flat.tobytes()).hexdigest() == digest
+
+
+# sha256 of (u, v, insert) per update of the two oblivious random
+# strategies, recorded while the adversary sampled deletions from the
+# engine-shaped mirror's own neighbor lists: one run at deletion-wide's
+# scale (its seed-0 stream) and one small run whose graph saturates its
+# degree cap, so about half its updates are deletions
+RANDOM_STREAMS = [
+    ("deletion-heavy", (8192, 256, 1000), 6400,
+     "abe6d081d0bee7e118f557339c829db00e0182139e11209f0992e0a70cb5a574"),
+    ("deletion-heavy", (64, 8, 3), 6000,
+     "97ce8691fac4d0fbae89aa43afbe30a4e31faf619fcec269fc99358c066a100b"),
+    ("oblivious-random", (8192, 256, 1000), 6400,
+     "93f5bbc3e3bf48a86f9e67e14bdfa1eb28de2513f59e4aa29871d4b6440985e9"),
+    ("oblivious-random", (64, 8, 3), 6000,
+     "ca74ee898c6680551567e9d0276ea296cc034995ed77260c2403366c378a4193"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, args, steps, digest", RANDOM_STREAMS,
+    ids=[f"{kind}-n{args[0]}" for kind, args, _, _ in RANDOM_STREAMS],
+)
+def test_random_stream_is_unchanged(kind, args, steps, digest):
+    adv = make_adversary(kind, *args)
+    flat = array("q")
+    deletions = 0
+    for _ in range(steps):
+        upd = adv.next()
+        deletions += not upd.insert
+        flat.extend((upd.u, upd.v, upd.insert))
+    assert deletions >= steps // 4
+    assert hashlib.sha256(flat.tobytes()).hexdigest() == digest

@@ -33,13 +33,13 @@ count >= t3, where the count of k uniform samples of N(u) that fall in
 N(v) is Binomial(k, s/m) with s = |N(u) cap N(v)| and m = |N(u)|.  For a
 pair whose endpoints both have degree at least `DISJOINT_TEST_PER_SAMPLE
 * k` the tracker draws the verdicts from that law directly (`_counts`):
-it keeps an int bitmask of N(x) for every vertex x it has seen at that
-degree (`masks`), so s is one AND and popcount.  A mask is made from the
-adjacency when `maintain_friends` first sees its vertex at that degree,
-then follows every update the tracker is handed, and is never dropped.
-The tracker sees the graph only through the phase-boundary replay, which
-is continuous across phases, so at every refresh the masks describe the
-graph exactly as the replay has it; the in-phase path pays nothing.
+it reads s as one AND and popcount of int bitmasks of the two
+neighborhoods (`masks`).  A vertex's mask is made from the adjacency when
+a pair first needs it, then follows every update the tracker is handed,
+and is never dropped.  The tracker sees the graph only through the
+phase-boundary replay, which is continuous across phases, so at every
+refresh the adjacency, and with it every mask, is the graph exactly as
+the replay has it; the in-phase path pays nothing.
 """
 
 from __future__ import annotations
@@ -130,8 +130,8 @@ class FriendTracker:
         Each u takes the draws of rng.choices(N(u), k=k), in the order of
         us; an isolated u draws nothing and counts 0.
 
-        A pair whose endpoints both have degree at least `_exact_deg` and a
-        mask draws no sample.  Its count is Binomial(k, s/m), with
+        A pair whose endpoints both have degree at least `_exact_deg` draws
+        no sample; an endpoint without a mask gets one first (`_mask`).  Its count is Binomial(k, s/m), with
         s = |N(u) cap N(v)| read off the masks and m = |N(u)|, and the
         refresh reads only whether it reaches the cuts j1 = ceil(t1) and
         j3 = ceil(t3), so the tail probabilities q1 <= q3 of those two
@@ -147,9 +147,9 @@ class FriendTracker:
         picks, so the count is 0 and the k draws are replaced by one
         `getrandbits(64 * k)`, which leaves the generator where k
         `random()` calls leave it (see `draws`).  The test walks the
-        smaller neighborhood and probes the other's index, and it is made
-        only while that side has at most `DISJOINT_TEST_PER_SAMPLE * k`
-        entries, so a pair never costs more than O(k).  A skipped estimate
+        smaller neighborhood and probes the other's index.  A pair not
+        judged exactly has a side of at most `DISJOINT_TEST_PER_SAMPLE * k`
+        entries, so the test never costs more than O(k).  A skipped estimate
         is charged as drawn, k samples and k units: the generator advanced
         k draws, and the counters stay those of the per-draw loop.
         """
@@ -161,12 +161,10 @@ class FriendTracker:
         masks, tails = self.masks, self._tails
         cap = self._exact_deg
         j1, j3 = self._cuts
-        # u is judged exactly when both degrees reach the cap and both
-        # endpoints have masks
-        mv = masks.get(v) if d >= cap else None
-        # u is tested when the smaller of N(u) and N(v) is short: any u
-        # when N(v) is, else a u whose N(u) is
-        limit = self.n if d <= cap else cap
+        # u is judged exactly when both degrees reach the cap; v's mask is
+        # read when its first such pair comes up
+        exact = d >= cap
+        mv = None
         counts = []
         sampled = 0
         for u in us:
@@ -175,7 +173,14 @@ class FriendTracker:
             if items:
                 sampled += 1
                 size = len(items)
-                if mv is not None and size >= cap and (mu := masks.get(u)) is not None:
+                if exact and size >= cap:
+                    if mv is None:
+                        mv = masks.get(v)
+                        if mv is None:
+                            mv = self._mask(v)
+                    mu = masks.get(u)
+                    if mu is None:
+                        mu = self._mask(u)
                     s = 2 * (mv & mu).bit_count()
                     tab = tails.get(size) or self._tail_table(size)
                     q3 = tab[s + 1]
@@ -186,7 +191,7 @@ class FriendTracker:
                         else:
                             x = random()
                             cnt = j1 if x < q1 else j3 if x < q3 else 0
-                elif size <= limit and (
+                elif (
                     pos.keys().isdisjoint(items) if size <= d
                     else adj[u]._pos.keys().isdisjoint(pos)
                 ):
@@ -201,6 +206,10 @@ class FriendTracker:
         self.metrics.samples += drawn
         self.metrics.work += drawn
         return counts
+
+    def _mask(self, x: int) -> int:
+        mask = self.masks[x] = self.graph.neighbor_mask(x)
+        return mask
 
     def _tail_table(self, m: int) -> array:
         tab = self._tails[m] = binomial_tails(self.k, m, self._cuts)
@@ -258,21 +267,15 @@ class FriendTracker:
         re-estimated (insertion) or dropped (deletion).  Vertices whose
         direct counter reaches the firing limit are refreshed and spread
         one indirect credit to each neighbor; neighbors reaching the limit
-        refresh too but spread nothing further.  Each endpoint's mask
-        follows the update first; an endpoint without one gets one once it
-        has degree `_exact_deg`.  The endpoints are written out in turn: a
-        loop over them measured slower.
+        refresh too but spread nothing further.  An endpoint's mask, if it
+        has one, follows the update first.
         """
         u, v = upd.u, upd.v
-        masks, deg, cap = self.masks, self.graph.deg, self._exact_deg
+        masks = self.masks
         if u in masks:
             masks[u] ^= 1 << v
-        elif deg[u] >= cap:
-            masks[u] = self.graph.neighbor_mask(u)
         if v in masks:
             masks[v] ^= 1 << u
-        elif deg[v] >= cap:
-            masks[v] = self.graph.neighbor_mask(v)
         self.direct[u] += 1
         self.direct[v] += 1
         if upd.insert:
@@ -304,21 +307,16 @@ class FriendTracker:
     def check_consistency(self, boundary: bool = True) -> list[str]:
         """Audit the lists' symmetry and nesting, and the masks; returns violations.
 
-        Only at a phase boundary must every listed pair be an edge, every
-        vertex of degree `_exact_deg` or more have a mask and every mask
-        equal its vertex's adjacency: an update inside a phase reaches the
-        tracker at the boundary replay.
+        Only at a phase boundary must every listed pair be an edge and
+        every mask equal its vertex's adjacency: an update inside a phase
+        reaches the tracker at the boundary replay.
         """
         viol = []
         graph, n3 = self.graph, self.n3
         has_edge = graph.has_edge
         if boundary:
-            for v in range(self.n):
-                mask = self.masks.get(v)
-                if mask is None:
-                    if graph.deg[v] >= self._exact_deg:
-                        viol.append(f"mask: vertex {v} of degree {graph.deg[v]} has none")
-                elif mask != graph.neighbor_mask(v):
+            for v, mask in sorted(self.masks.items()):
+                if mask != graph.neighbor_mask(v):
                     viol.append(f"mask: vertex {v}'s mask differs from its adjacency")
         for name, lists in (("N_1", self.n1), ("N_3", n3)):
             for v in range(self.n):

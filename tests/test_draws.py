@@ -68,7 +68,8 @@ def test_friend_sampler_counts_the_choices_sample(size):
     # subset of them, and the sampler's hit count must be that of the
     # library's choices(items, k=12) from the same generator state.  A
     # batched count takes one such sample per u, in order, and the
-    # isolated vertex draws nothing.
+    # isolated vertex draws nothing.  v keeps fewer than 2k = 24 neighbors,
+    # so no pair reaches the exact path and every count is sampled.
     iso = size + 2
     graph = DynamicGraph(size + 3, max(size, 2))
     add_edges(graph, [(0, w) for w in range(2, size + 2)])
@@ -86,9 +87,10 @@ def test_friend_sampler_counts_the_choices_sample(size):
     for _ in range(40):
         for w in list(graph.adj[1]):
             graph.apply(dele(1, w))
-        subset = [w for w in items if pick.random() < 0.5]
+        subset = [w for w in items if pick.random() < 0.5][:23]
         add_edges(graph, [(1, w) for w in subset])
         assert tracker._counts(1, (0,)) == [hits(0)]
         assert tracker._counts(1, batch) == [hits(u) for u in batch]
     assert rng.getstate() == ref.getstate()
+    assert tracker.masks == {}
     assert metrics.samples == metrics.work == 40 * 4 * 12

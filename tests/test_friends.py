@@ -384,12 +384,13 @@ def _per_draw_counts(g, rng, k, v, us):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_counts_match_the_per_draw_sampler(seed):
-    # k = 2 puts the disjointness test's cap at 4 neighbors, inside these
-    # graphs' degree range; each v is counted against its neighbors, a few
-    # arbitrary vertices and the isolated one
+    # k = 2 puts the exact path's degree at 4, inside these graphs' degree
+    # range; each v is counted against those of its neighbors, of a few
+    # arbitrary vertices and of the isolated one that the exact path does
+    # not judge, and the disjointness test walks either side
     n, delta, k = 60, 16, 2
     iso = n
-    limit = DISJOINT_TEST_PER_SAMPLE * k
+    cap = DISJOINT_TEST_PER_SAMPLE * k
     g = random_graph(n, delta, 220, seed=seed, g=DynamicGraph(n + 1, delta))
     tracker = FriendTracker(g, ParamSet(sample_count_k=k), random.Random(seed), Metrics())
     ref = random.Random(seed)
@@ -398,15 +399,19 @@ def test_counts_match_the_per_draw_sampler(seed):
     charged = 0
     for _ in range(200):
         v = pick.randrange(n)
-        us = list(g.adj[v].items) + pick.sample(range(n), 4) + [iso]
+        us = [
+            u for u in list(g.adj[v].items) + pick.sample(range(n), 4) + [iso]
+            if min(g.degree(u), g.degree(v)) < cap
+        ]
         assert tracker._counts(v, us) == _per_draw_counts(g, ref, k, v, us)
         assert tracker.rng.getstate() == ref.getstate()
         for u in us:
             if g.adj[u].items:
                 charged += k
                 shares = not set(g.adj[u]).isdisjoint(g.adj[v])
-                kinds.add((shares, min(g.degree(u), g.degree(v)) <= limit))
+                kinds.add((shares, g.degree(u) <= g.degree(v)))
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    assert tracker.masks == {}
     assert tracker.metrics.samples == tracker.metrics.work == charged
 
 
@@ -437,7 +442,8 @@ def _pair_graph(k, m, s, dv):
     """u (vertex 0) with m neighbors and v (vertex 1) with dv, s of them shared.
 
     Every edge reaches the tracker through `maintain_friends`, as the
-    boundary replay hands it over, so both endpoints hold masks.
+    boundary replay hands it over.  No pair of two vertices of degree at
+    least 2k has been judged yet, so no mask exists.
     """
     n = 2 + m + dv - s
     g = DynamicGraph(n, max(m, dv))
@@ -451,7 +457,7 @@ def _pair_graph(k, m, s, dv):
         tr.maintain_friends(ins(a, b))
     assert (g.degree(0), g.degree(1)) == (m, dv)
     assert g.common_neighbor_counter()(0, 1) == s
-    assert 0 in tr.masks and 1 in tr.masks
+    assert tr.masks == {}
     return g, tr
 
 
@@ -472,6 +478,8 @@ def test_exact_verdicts_follow_the_per_draw_law(s, m, dv):
         (cnt,) = _per_draw_counts(g, random.Random(seed), k, 1, (0,))
         drawn[cnt >= t1, cnt >= t3] += 1
     assert tr.metrics.samples - samples == k * trials
+    # the first judgement made both endpoints' masks from the adjacency
+    assert tr.masks == {0: g.neighbor_mask(0), 1: g.neighbor_mask(1)}
     assert exact[True, False] == 0
     for outcome in ((True, True), (False, True), (False, False)):
         pooled = (exact[outcome] + drawn[outcome]) / (2 * trials)
@@ -495,6 +503,29 @@ def test_a_certain_exact_verdict_draws_nothing():
         assert tr.metrics.samples >= 12
 
 
+def test_masks_are_made_on_demand_and_follow_later_updates():
+    # a mask is made when a pair of two vertices of degree >= 2k is first
+    # judged, and from then on follows every update the tracker is handed
+    delta = 6
+    g = DynamicGraph(delta + 2, delta)
+    tr = make_tracker(g, 0.2, 0.2, k=2, fire=10**9)
+    for u, v in clique_edges(range(delta + 1)):
+        g.apply(ins(u, v))
+        tr.maintain_friends(ins(u, v))
+    # the pairs judged exactly were the inserted ones whose endpoints both
+    # had degree >= 4 by then
+    made = sorted(tr.masks)
+    assert made and len(made) < delta + 1
+    tr.update_vertex(0)
+    assert sorted(tr.masks) == list(range(delta + 1))
+    assert tr.check_consistency() == []
+    for upd in (dele(0, 1), ins(0, delta + 1)):
+        g.apply(upd)
+        tr.maintain_friends(upd)
+    assert 7 not in tr.masks
+    assert all(mask == g.neighbor_mask(x) for x, mask in tr.masks.items())
+
+
 def test_mask_audit_names_a_planted_fault():
     delta = 6
     g = DynamicGraph(delta + 1, delta)
@@ -502,21 +533,23 @@ def test_mask_audit_names_a_planted_fault():
     for u, v in clique_edges(range(delta + 1)):
         g.apply(ins(u, v))
         tr.maintain_friends(ins(u, v))
+    tr.update_vertex(0)
     assert sorted(tr.masks) == list(range(delta + 1))
     assert tr.check_consistency() == []
     tr.masks[3] ^= 1 << 5
     assert tr.check_consistency() == ["mask: vertex 3's mask differs from its adjacency"]
     # in a phase the masks lag the graph, as the lists do: no audit
     assert tr.check_consistency(boundary=False) == []
+    # a vertex without a mask is not a fault: its first exact pair makes one
     tr.masks[3] ^= 1 << 5
     del tr.masks[4]
-    assert tr.check_consistency() == ["mask: vertex 4 of degree 6 has none"]
+    assert tr.check_consistency() == []
 
 
 def test_masks_follow_the_graph_across_phase_boundaries():
     # clique-churn forms an almost-clique; at every boundary each mask is
     # its vertex's neighbor bitmask, the one `common_neighbor_counter`
-    # snapshots, and every vertex at the exact path's degree has one
+    # snapshots
     n, delta = 512, 64
     engine = Engine(n, delta, EngineConfig(params=sweep_params(0, delta)))
     adv = make_adversary("clique-churn", n, delta, seed=1)
@@ -530,6 +563,5 @@ def test_masks_follow_the_graph_across_phase_boundaries():
             with_masks += bool(tr.masks)
             for x, mask in tr.masks.items():
                 assert mask == g.neighbor_mask(x), x
-            assert all(x in tr.masks for x in range(n) if g.degree(x) >= tr._exact_deg)
             assert tr.check_consistency() == []
     assert boundaries >= 10 and with_clique > 0 and with_masks > 0

@@ -45,7 +45,7 @@ the replay has it; the in-phase path pays nothing.
 from __future__ import annotations
 
 from array import array
-from math import ceil, comb, floor
+from math import ceil, comb, floor, nan
 
 from .sampleset import EMPTY_SET
 
@@ -55,29 +55,23 @@ from .sampleset import EMPTY_SET
 DISJOINT_TEST_PER_SAMPLE = 2
 
 
-def binomial_tails(k: int, m: int, cuts) -> array:
-    """P(Bin(k, s/m) >= j) for s = 0..m and each j in `cuts`, row by row.
+def binomial_tails(coef: list[int], m: int, s: int, cuts) -> list[float]:
+    """P(Bin(k, s/m) >= j) for each j in `cuts`, with coef = [C(k, 0), .., C(k, k)].
 
-    The value for (s, cuts[i]) sits at s * len(cuts) + i.  Each is the
-    double nearest the exact rational: the terms C(k, i) s^i (m - s)^(k - i)
-    are summed as integers and divided by m^k once.  A cut at or below 0
-    reads 1.0, a cut above k reads 0.0.
+    Each is the double nearest the exact rational: the terms
+    C(k, i) s^i (m - s)^(k - i) are summed as integers and divided by m^k
+    once.  A cut at or below 0 reads 1.0, a cut above k reads 0.0.
     """
-    coef = [comb(k, i) for i in range(k + 1)]
-    den = m**k
+    k = len(coef) - 1
     cuts = [min(max(j, 0), k + 1) for j in cuts]
-    low = min(cuts)
+    r = m - s
     tail = [0] * (k + 2)  # tail[i]: the sum of the terms from i up to k
-    tab = array("d")
-    for s in range(m + 1):
-        r = m - s
-        acc = 0
-        for i in range(k, low - 1, -1):
-            acc += coef[i] * s**i * r ** (k - i)
-            tail[i] = acc
-        for j in cuts:
-            tab.append(tail[j] / den)
-    return tab
+    acc = 0
+    for i in range(k, min(cuts) - 1, -1):
+        acc += coef[i] * s**i * r ** (k - i)
+        tail[i] = acc
+    den = m**k
+    return [tail[j] / den for j in cuts]
 
 
 def _link(lst, v: int, u: int) -> set:
@@ -119,8 +113,11 @@ class FriendTracker:
         # the degree from which a vertex keeps a mask and its pairs are judged exactly
         self._exact_deg = DISJOINT_TEST_PER_SAMPLE * self.k
         self.masks: dict[int, int] = {}
-        # m -> binomial_tails(k, m, cuts), made when a pair first needs it
+        # m -> the tails P(count >= cut) for s = 0..m, two per s; a table is
+        # made when a pair first needs it, a row when a pair first reads it
         self._tails: dict[int, array] = {}
+        # C(k, 0..k), made with the first table: at the paper's k it is large
+        self._coef: list[int] = []
 
     # ---- estimation core ----------------------------------------------------
 
@@ -186,9 +183,11 @@ class FriendTracker:
                     q3 = tab[s + 1]
                     if q3:
                         q1 = tab[s]
+                        if q1 != q1:  # NaN: the row is not built yet
+                            q1, q3 = self._tail_row(tab, size, s)
                         if q1 == 1.0:
                             cnt = j1
-                        else:
+                        elif q3:
                             x = random()
                             cnt = j1 if x < q1 else j3 if x < q3 else 0
                 elif (
@@ -212,8 +211,17 @@ class FriendTracker:
         return mask
 
     def _tail_table(self, m: int) -> array:
-        tab = self._tails[m] = binomial_tails(self.k, m, self._cuts)
+        """m's table of tails, every row NaN until `_tail_row` builds it."""
+        if not self._coef:
+            self._coef = [comb(self.k, i) for i in range(self.k + 1)]
+        tab = self._tails[m] = array("d", [nan]) * (2 * (m + 1))
         return tab
+
+    def _tail_row(self, tab: array, m: int, at: int) -> list[float]:
+        """Builds the row of m's table at index `at` = 2s; returns it (q1, q3)."""
+        row = binomial_tails(self._coef, m, at // 2, self._cuts)
+        tab[at], tab[at + 1] = row
+        return row
 
     def _refresh(self, v: int, us) -> None:
         # One sample count per pair serves both scales.  The lists are

@@ -429,13 +429,16 @@ def test_tail_tables_equal_the_exact_binomial_sums(k, m):
     assert cuts == {2: (2, 1), 12: (11, 6)}[k]
     table = tr._tail_table(m)
     assert tr._tails[m] is table and len(table) == 2 * (m + 1)
-    ends = binomial_tails(k, m, (0, k + 1))
+    # a row is built when a pair first reads it
+    assert all(math.isnan(q) for q in table)
+    coef = [math.comb(k, i) for i in range(k + 1)]
     for s in range(m + 1):
+        assert tr._tail_row(table, m, 2 * s) == list(table[2 * s : 2 * s + 2])
         p = Fraction(s, m)
         pmf = [math.comb(k, i) * p**i * (1 - p) ** (k - i) for i in range(k + 1)]
         for col, j in enumerate(cuts):
             assert abs(table[2 * s + col] - float(sum(pmf[j:]))) <= 1e-12, (s, j)
-        assert (ends[2 * s], ends[2 * s + 1]) == (1.0, 0.0)
+        assert binomial_tails(coef, m, s, (0, k + 1)) == [1.0, 0.0]
 
 
 def _pair_graph(k, m, s, dv):

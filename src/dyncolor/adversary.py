@@ -1,9 +1,13 @@
 """Update-stream generators, legal by construction.
 
-Each adversary mirrors the graph it has produced so far, so every update
-it hands out is valid for the engine's degree cap.  Adaptive strategies see
-only the engine's public coloring view, never its internals or
-randomness.
+Each generating adversary mirrors the graph it has produced so far, so
+every update it hands out is valid for the engine's degree cap.  Only the
+strategies that delete a uniformly random edge (`_random_delete`) also
+keep each vertex's neighbors as a `SampleSet`, whose list they sample.
+`Scripted` keeps neither: it hands out a recorded stream as it stands,
+and the engine's own `graph.apply` rejects an illegal update before it
+changes anything.  Adaptive strategies see only the engine's public
+coloring view, never its internals or randomness.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from bisect import bisect_left, insort
 
 from .errors import Exhausted
 from .graph import DynamicGraph, EdgeUpdate
+from .sampleset import SampleSet
 
 STRATEGIES = (
     "adaptive-monochrome",
@@ -24,16 +29,26 @@ STRATEGIES = (
 
 
 class Adversary:
-    """Base: keeps a private mirror of the stream produced so far."""
+    """Base: hands out one update per `next` call."""
 
     adaptive = False
 
     def __init__(self, n: int, delta: int, seed: int = 0):
         self.n = n
         self.delta = delta
-        self.mirror = DynamicGraph(n, delta)
         self.rng = random.Random(seed)
         self.monochrome_hits = 0
+
+    def next(self, view=None) -> EdgeUpdate:
+        raise NotImplementedError
+
+
+class _Mirrored(Adversary):
+    """Keeps a private mirror of the stream produced so far."""
+
+    def __init__(self, n: int, delta: int, seed: int = 0):
+        super().__init__(n, delta, seed)
+        self.mirror = DynamicGraph(n, delta)
 
     def next(self, view=None) -> EdgeUpdate:
         upd = self._propose(view)
@@ -43,7 +58,28 @@ class Adversary:
     def _propose(self, view) -> EdgeUpdate:
         raise NotImplementedError
 
-    # helpers ------------------------------------------------------------
+
+class _RandomEdits(_Mirrored):
+    """Also keeps each vertex's neighbors as a `SampleSet`, for `_random_delete`.
+
+    A list grows by appending and shrinks by moving its last entry into
+    the hole, so the neighbor a draw picks depends only on the history.
+    """
+
+    def __init__(self, n: int, delta: int, seed: int = 0):
+        super().__init__(n, delta, seed)
+        self.nbrs = [SampleSet() for _ in range(n)]
+
+    def next(self, view=None) -> EdgeUpdate:
+        upd = super().next(view)
+        u, v = upd.u, upd.v
+        if upd.insert:
+            self.nbrs[u].add(v)
+            self.nbrs[v].add(u)
+        else:
+            self.nbrs[u].discard(v)
+            self.nbrs[v].discard(u)
+        return upd
 
     def _random_insert(self, tries: int = 50) -> EdgeUpdate | None:
         g, rng = self.mirror, self.rng
@@ -63,12 +99,12 @@ class Adversary:
         for _ in range(tries):
             u = rng.randrange(self.n)
             if g.degree(u):
-                v = g.adj[u].sample(rng)
+                v = self.nbrs[u].sample(rng)
                 return EdgeUpdate(u, v, False)
         return None
 
 
-class ObliviousRandom(Adversary):
+class ObliviousRandom(_RandomEdits):
     def __init__(self, n, delta, seed=0, p_insert=0.7):
         super().__init__(n, delta, seed)
         self.p_insert = p_insert
@@ -88,7 +124,7 @@ class DeletionHeavy(ObliviousRandom):
         super().__init__(n, delta, seed, p_insert=0.35)
 
 
-class AdaptiveMonochrome(Adversary):
+class AdaptiveMonochrome(_RandomEdits):
     """Greedily inserts edges between same-colored, non-adjacent vertices.
 
     Picks a random vertex, reads the size of its color class from the
@@ -126,7 +162,7 @@ class AdaptiveMonochrome(Adversary):
         return upd
 
 
-class CliqueChurn(Adversary):
+class CliqueChurn(_Mirrored):
     """Builds a near-clique on a random target set, churns it, erodes it.
 
     After assembling the densest legal graph on the target (a clique cap
@@ -224,16 +260,16 @@ class CliqueChurn(Adversary):
 
 
 class Scripted(Adversary):
+    """Hands out `updates` in order, unchecked; the consumer rejects an illegal one."""
+
     def __init__(self, n, delta, updates, seed=0):
         super().__init__(n, delta, seed)
-        self._queue = list(updates)
-        self._at = 0
+        self._queue = iter(updates)
 
-    def _propose(self, view):
-        if self._at >= len(self._queue):
+    def next(self, view=None) -> EdgeUpdate:
+        upd = next(self._queue, None)
+        if upd is None:
             raise Exhausted("script finished")
-        upd = self._queue[self._at]
-        self._at += 1
         return upd
 
 

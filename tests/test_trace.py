@@ -3,8 +3,8 @@ from dataclasses import fields
 import pytest
 
 from dyncolor.baseline import TrivialBaseline
-from dyncolor.errors import MalformedTrace
-from dyncolor.graph import EdgeUpdate
+from dyncolor.errors import DuplicateEdge, MalformedTrace
+from dyncolor.graph import EdgeUpdate, ins
 from dyncolor.params import ParamSet
 from dyncolor.runner import (
     params_from_header,
@@ -79,6 +79,18 @@ def test_replay_final_coloring_identical():
     assert [engine1.color_of(v) for v in range(40)] == [
         engine2.color_of(v) for v in range(40)
     ]
+
+
+@pytest.mark.parametrize("mode", ["full", "baseline"])
+def test_replay_rejects_a_repeated_insertion(mode):
+    # the replay hands each update to the engine once, unchecked; the
+    # engine's graph rejects the repeat before it changes anything
+    trace = TraceFile(
+        header={"n": "8", "delta": "3", "mode": mode},
+        updates=[ins(0, 1), ins(1, 2), ins(0, 1)],
+    )
+    with pytest.raises(DuplicateEdge):
+        replay_trace(trace)
 
 
 def test_baseline_trace_records_and_replays_color_deltas():

@@ -72,7 +72,7 @@ class TrivialBaseline(ColoringAlgorithm):
             self.trivial_recolor(upd.v)
 
     def trivial_recolor(self, v: int) -> int:
-        adj = self.graph.adj[v].items
+        adj = self.graph.adj[v]
         self.metrics.work += self.palette + len(adj)
         c = self.colors.lowest_free(adj)
         self.colors.set_sparse(v, c)

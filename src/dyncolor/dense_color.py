@@ -96,7 +96,7 @@ class DenseColoring:
 
     def full_feasible(self, v: int, c: int, exclude=()) -> bool:
         """No neighbor of v, sparse or dense, holds color c (minus `exclude`)."""
-        pos = self.graph.adj[v]._pos
+        pos = self.graph.adj[v]
         ls = self.colors.L[c]
         ld = self.colors.L_D[c]
         self.metrics.probes += len(ls) + len(ld)
@@ -111,8 +111,8 @@ class DenseColoring:
 
     def _pair_external_feasible(self, clique, u: int, v: int, c: int) -> bool:
         """No occupant of L(c) or L_D(c) outside the clique neighbors u or v."""
-        posu = self.graph.adj[u]._pos
-        posv = self.graph.adj[v]._pos
+        posu = self.graph.adj[u]
+        posv = self.graph.adj[v]
         ls = self.colors.L[c]
         ld = self.colors.L_D[c]
         self.metrics.probes += len(ls) + len(ld)
@@ -452,7 +452,7 @@ class DenseColoring:
         member holds; failing that, a member holding the pick privately is
         no neighbor of v, and the two become a matched pair sharing it."""
         colors = self.colors
-        adj = self.graph.adj[v].items
+        adj = self.graph.adj[v]
         self.metrics.work += self.palette + len(adj)
         clique = self.decomp.clique(v)
         book = clique.book
@@ -521,7 +521,7 @@ class DenseColoring:
         ld = self.colors.L_D[c]
         if not ld:
             return
-        pos = self.graph.adj[v]._pos
+        pos = self.graph.adj[v]
         self.metrics.probes += len(ld)
         self.metrics.work += len(ld)
         hits = [w for w in ld if w in pos]

@@ -130,7 +130,7 @@ class Engine(ColoringAlgorithm):
         if self.decomp.clique_of[v] is not None:
             return self.dense.rescan(v)
         colors = self.colors
-        adj = self.graph.adj[v].items
+        adj = self.graph.adj[v]
         self.metrics.work += self.palette + len(adj)
         old = colors.of[v]
         pick = colors.lowest_free(adj)

@@ -124,12 +124,13 @@ class FriendTracker:
     def _counts(self, v: int, us) -> list[int]:
         """Per u in us, how many of k uniform samples from N(u) also neighbor v.
 
-        Each u takes the draws of rng.choices(N(u), k=k), in the order of
-        us; an isolated u draws nothing and counts 0.
+        Each u takes the draws of rng.choices(list(N(u)), k=k), in the order
+        of us; an isolated u draws nothing and counts 0.
 
         A pair whose endpoints both have degree at least `_exact_deg` draws
-        no sample; an endpoint without a mask gets one first (`_mask`).  Its count is Binomial(k, s/m), with
-        s = |N(u) cap N(v)| read off the masks and m = |N(u)|, and the
+        no sample; an endpoint without a mask gets one first (`_mask`).
+        Its count is Binomial(k, s/m), with s = |N(u) cap N(v)| read off
+        the masks and m = |N(u)|, and the
         refresh reads only whether it reaches the cuts j1 = ceil(t1) and
         j3 = ceil(t3), so the tail probabilities q1 <= q3 of those two
         events (`binomial_tails`) are all that matter.  One U = random()
@@ -144,17 +145,17 @@ class FriendTracker:
         picks, so the count is 0 and the k draws are replaced by one
         `getrandbits(64 * k)`, which leaves the generator where k
         `random()` calls leave it (see `draws`).  The test walks the
-        smaller neighborhood and probes the other's index.  A pair not
+        smaller neighborhood and probes the other's dict.  A pair not
         judged exactly has a side of at most `DISJOINT_TEST_PER_SAMPLE * k`
         entries, so the test never costs more than O(k).  A skipped estimate
         is charged as drawn, k samples and k units: the generator advanced
         k draws, and the counters stay those of the per-draw loop.
         """
         adj, random = self.graph.adj, self.rng.random
-        pos = adj[v]._pos
+        near = adj[v]
         k = self.k
         draws = range(k)
-        d = len(pos)
+        d = len(near)
         masks, tails = self.masks, self._tails
         cap = self._exact_deg
         j1, j3 = self._cuts
@@ -165,11 +166,11 @@ class FriendTracker:
         counts = []
         sampled = 0
         for u in us:
-            items = adj[u].items
+            nu = adj[u]
             cnt = 0
-            if items:
+            if nu:
                 sampled += 1
-                size = len(items)
+                size = len(nu)
                 if exact and size >= cap:
                     if mv is None:
                         mv = masks.get(v)
@@ -190,15 +191,13 @@ class FriendTracker:
                         elif q3:
                             x = random()
                             cnt = j1 if x < q1 else j3 if x < q3 else 0
-                elif (
-                    pos.keys().isdisjoint(items) if size <= d
-                    else adj[u]._pos.keys().isdisjoint(pos)
-                ):
+                elif near.keys().isdisjoint(nu) if size <= d else nu.keys().isdisjoint(near):
                     self.rng.getrandbits(64 * k)
                 else:
+                    items = list(nu)
                     size += 0.0
                     for _ in draws:
-                        if items[floor(random() * size)] in pos:
+                        if items[floor(random() * size)] in near:
                             cnt += 1
             counts.append(cnt)
         drawn = sampled * k
@@ -263,7 +262,7 @@ class FriendTracker:
 
     def update_vertex(self, v: int) -> None:
         """Full refresh of v: re-estimate all incident edges at both scales."""
-        self._refresh(v, self.graph.adj[v].items)
+        self._refresh(v, self.graph.adj[v])
         self.metrics.tracker_updates += 1
 
     # ---- per-update maintenance ---------------------------------------------
@@ -300,7 +299,7 @@ class FriendTracker:
         if fired:
             spread = set()
             for y in fired:
-                spread.update(self.graph.adj[y].items)
+                spread.update(self.graph.adj[y])
             for z in sorted(spread):
                 self.indirect[z] += 1
                 if self.indirect[z] >= self.fire_limit:

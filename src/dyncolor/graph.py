@@ -1,9 +1,14 @@
 """Dynamic simple-graph substrate with a fixed vertex set and degree cap.
 
-Adjacency is kept once, as SampleSets (O(1) membership, insert, delete
-and uniform neighbor sampling), beside a flat degree list `deg`, so an
-update costs O(1) at any n and a degree is one list read.  `toggle` is the
-one body that mutates adjacency; it checks nothing.  `apply` is
+Adjacency is kept once, as one plain dict per vertex (neighbor -> None:
+O(1) membership, insert and delete), beside a flat degree list `deg`, so
+an update costs O(1) at any n and a degree is one list read.  Readers use
+the dict as a set: `in`, iteration, `len` and `keys().isdisjoint`.
+Iteration follows insertion order, so it is deterministic given the
+history of updates.  Nothing in the engine samples a uniform neighbor
+except the per-draw friend sampler, which indexes a list copy.  Every
+dict is made up front: creating them on first use measured slower.
+`toggle` is the one body that mutates adjacency; it checks nothing.  `apply` is
 `check_legal` plus `toggle`, and the engine's phase rewind and replay call
 `toggle` directly, since they only undo and redo updates that `apply`
 already accepted.  Audits that count common neighborhoods for every edge
@@ -22,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadEndpoints, DegreeCapExceeded, DuplicateEdge, GraphError, MissingEdge
-from .sampleset import SampleSet
 
 @dataclass(frozen=True, slots=True)
 class EdgeUpdate:
@@ -53,14 +57,14 @@ class DynamicGraph:
         self.n = n
         self.delta = delta
         self.vertices: list[int] = list(range(n))
-        self.adj: list[SampleSet] = [SampleSet() for _ in range(n)]
+        self.adj: list[dict[int, None]] = [{} for _ in range(n)]
         self.deg: list[int] = [0] * n
         self.edge_count = 0
 
     # ---- queries ----------------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]._pos
+        return v in self.adj[u]
 
     def degree(self, v: int) -> int:
         return self.deg[v]
@@ -74,7 +78,7 @@ class DynamicGraph:
     def neighbor_mask(self, v: int) -> int:
         """N(v) as an int bitmask: bit w is set when w neighbors v."""
         m = 0
-        for w in self.adj[v].items:
+        for w in self.adj[v]:
             m |= 1 << w
         return m
 
@@ -97,7 +101,7 @@ class DynamicGraph:
         u, v = e.u, e.v
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             raise BadEndpoints(u, v)
-        present = v in self.adj[u]._pos
+        present = v in self.adj[u]
         if e.insert:
             if present:
                 raise DuplicateEdge(u, v)
@@ -123,33 +127,19 @@ class DynamicGraph:
     def toggle(self, u: int, v: int, insert: bool) -> None:
         """Insert or delete the edge {u, v} without checking that it is legal.
 
-        Each endpoint's SampleSet changes as its `add` / `discard` would:
-        an insertion appends, a deletion moves the last neighbor into the
-        hole.  The caller guarantees legality; `apply` checks first.  The
-        two endpoints are written out in turn: a loop over them measured
-        slower.
+        An insertion adds each endpoint to the other's dict, a deletion
+        removes it.  The caller guarantees legality; `apply` checks first.
         """
-        a, b = self.adj[u], self.adj[v]
         deg = self.deg
         if insert:
-            a._pos[v] = len(a.items)
-            a.items.append(v)
-            b._pos[u] = len(b.items)
-            b.items.append(u)
+            self.adj[u][v] = None
+            self.adj[v][u] = None
             deg[u] += 1
             deg[v] += 1
             self.edge_count += 1
         else:
-            i = a._pos.pop(v)
-            last = a.items.pop()
-            if last != v:
-                a.items[i] = last
-                a._pos[last] = i
-            i = b._pos.pop(u)
-            last = b.items.pop()
-            if last != u:
-                b.items[i] = last
-                b._pos[last] = i
+            del self.adj[u][v]
+            del self.adj[v][u]
             deg[u] -= 1
             deg[v] -= 1
             self.edge_count -= 1

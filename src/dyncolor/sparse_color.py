@@ -124,14 +124,14 @@ class SparseColoring:
                         break
                     if deg < len(lst):
                         probes += deg
-                        for w in adj[v].items:
+                        for w in adj[v]:
                             if of[w] == c and clique_of[w] is None:
                                 break
                         else:
                             break
                     else:
                         probes += len(lst)
-                        near = adj[v]._pos
+                        near = adj[v]
                         for w in lst:
                             if w in near:
                                 break
@@ -162,7 +162,7 @@ class SparseColoring:
         """The lowest color no neighbor of v holds, found by a scan."""
         # a free color exists because the palette exceeds the degree cap
         self.metrics.fallbacks += 1
-        adj = self.graph.adj[v].items
+        adj = self.graph.adj[v]
         self.metrics.work += self.palette + len(adj)
         return self.colors.lowest_free(adj)
 

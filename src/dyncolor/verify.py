@@ -2,7 +2,7 @@
 
 Everything is recomputed from scratch against the graph (the ground
 truth): properness, the graph's own structure (symmetric adjacency,
-position indexes, `deg` and `edge_count`, which the engine's unchecked
+the degree cap, `deg` and `edge_count`, which the engine's unchecked
 phase rewind trusts), the partition and its per-clique neighbor view
 `n_c`, the friend lists' symmetry and nesting, exact density and
 friendship of every vertex via exact common-neighbor counts, the four
@@ -109,7 +109,7 @@ class ProperWatch:
                 self.violations.append(f"update {self.checked_updates}: {v} left blank")
                 ok = False
                 continue
-            for w in adj[v].items:
+            for w in adj[v]:
                 if of[w] == c:
                     self.violations.append(
                         f"update {self.checked_updates}: edge ({v},{w}) monochromatic ({c})"
@@ -159,16 +159,13 @@ def verify(
     # graph structure: what the phase rewind's unchecked toggles trust ------
     viol = []
     adj, deg = g.adj, g.deg
-    for v, s in enumerate(adj):
-        items, pos = s.items, s._pos
-        if len(pos) != len(items) or any(pos.get(w) != i for i, w in enumerate(items)):
-            viol.append(f"adj[{v}]'s position index does not index its items")
-        if deg[v] != len(items):
-            viol.append(f"deg[{v}] = {deg[v]}, but adj[{v}] holds {len(items)}")
+    for v, near in enumerate(adj):
+        if deg[v] != len(near):
+            viol.append(f"deg[{v}] = {deg[v]}, but adj[{v}] holds {len(near)}")
         if deg[v] > g.delta:
             viol.append(f"deg[{v}] = {deg[v]} exceeds delta = {g.delta}")
-        for w in items:
-            if v not in adj[w]._pos:
+        for w in near:
+            if v not in adj[w]:
                 viol.append(f"edge ({v},{w}) is missing from adj[{w}]")
     if g.edge_count != sum(deg) // 2:
         viol.append(f"edge_count = {g.edge_count}, but the degrees sum to {sum(deg)}")

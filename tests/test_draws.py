@@ -76,11 +76,11 @@ def test_friend_sampler_counts_the_choices_sample(size):
     rng, ref = random.Random(size), random.Random(size)
     metrics = Metrics()
     tracker = FriendTracker(graph, ParamSet(sample_count_k=12), rng, metrics)
-    items = graph.adj[0].items
+    items = list(graph.adj[0])
     pick = random.Random(~size)
 
     def hits(u):
-        sample = ref.choices(graph.adj[u].items, k=12) if graph.adj[u].items else []
+        sample = ref.choices(list(graph.adj[u]), k=12) if graph.adj[u] else []
         return sum(w in graph.adj[1] for w in sample)
 
     batch = (0, iso, 2, 0)

@@ -258,7 +258,7 @@ class _PerPairTracker(FriendTracker):
     """
 
     def _refresh_pair(self, u, v):
-        items = self.graph.adj[u].items
+        items = list(self.graph.adj[u])
         cnt = 0
         if items:
             self.metrics.samples += self.k
@@ -278,7 +278,7 @@ class _PerPairTracker(FriendTracker):
             lst[v].discard(u)
 
     def update_vertex(self, v):
-        for u in list(self.graph.adj[v].items):
+        for u in list(self.graph.adj[v]):
             self._refresh_pair(u, v)
         self.metrics.tracker_updates += 1
 
@@ -300,7 +300,7 @@ class _PerPairTracker(FriendTracker):
         if fired:
             spread = set()
             for y in fired:
-                spread.update(self.graph.adj[y].items)
+                spread.update(self.graph.adj[y])
             for z in sorted(spread):
                 self.indirect[z] += 1
                 if self.indirect[z] >= self.fire_limit:
@@ -377,7 +377,7 @@ def _per_draw_counts(g, rng, k, v, us):
     """Per u in us, the hits among k draws of `rng.choices(N(u), k=k)` on N(v)."""
     near = g.adj[v]
     return [
-        sum(w in near for w in rng.choices(g.adj[u].items, k=k)) if g.adj[u].items else 0
+        sum(w in near for w in rng.choices(list(g.adj[u]), k=k)) if g.adj[u] else 0
         for u in us
     ]
 
@@ -400,13 +400,13 @@ def test_counts_match_the_per_draw_sampler(seed):
     for _ in range(200):
         v = pick.randrange(n)
         us = [
-            u for u in list(g.adj[v].items) + pick.sample(range(n), 4) + [iso]
+            u for u in list(g.adj[v]) + pick.sample(range(n), 4) + [iso]
             if min(g.degree(u), g.degree(v)) < cap
         ]
         assert tracker._counts(v, us) == _per_draw_counts(g, ref, k, v, us)
         assert tracker.rng.getstate() == ref.getstate()
         for u in us:
-            if g.adj[u].items:
+            if g.adj[u]:
                 charged += k
                 shares = not set(g.adj[u]).isdisjoint(g.adj[v])
                 kinds.add((shares, g.degree(u) <= g.degree(v)))

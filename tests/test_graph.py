@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dyncolor.errors import DegreeCapExceeded, DuplicateEdge, MissingEdge
 from dyncolor.graph import DynamicGraph, EdgeUpdate, dele, ins
-from dyncolor.sampleset import SampleSet
 
 from conftest import add_edges, clique_edges, random_graph
 
@@ -133,25 +132,29 @@ def test_symmetry_and_cap_hold_after_every_update(pairs, rnd):
 
 
 def _state(adj, deg, edge_count):
-    return [s.items for s in adj], [s._pos for s in adj], list(deg), edge_count
+    return [list(s) for s in adj], list(deg), edge_count
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_toggle_and_apply_agree_through_undo_and_replay(seed):
     # a legal stream, undone newest first and replayed, through `apply` on
-    # one graph, through `toggle` on a second, and through SampleSet
-    # add/discard on a reference: item orders, position indexes, degrees
-    # and the edge count agree at every stage
+    # one graph, through `toggle` on a second, and through plain dict
+    # writes on a reference: adjacency dicts (with their iteration order),
+    # degrees and the edge count agree at every stage
     n, delta = 12, 5
     rng = random.Random(seed)
     checked, unchecked = DynamicGraph(n, delta), DynamicGraph(n, delta)
-    ref = [SampleSet() for _ in range(n)]
+    ref = [{} for _ in range(n)]
     ref_deg, ref_edges = [0] * n, 0
 
     def ref_toggle(u, v, insert):
         nonlocal ref_edges
         for a, b in ((u, v), (v, u)):
-            assert (ref[a].add(b) if insert else ref[a].discard(b))
+            assert (b in ref[a]) != insert
+            if insert:
+                ref[a][b] = None
+            else:
+                del ref[a][b]
             ref_deg[a] += 1 if insert else -1
         ref_edges += 1 if insert else -1
 
@@ -160,21 +163,22 @@ def test_toggle_and_apply_agree_through_undo_and_replay(seed):
         assert _state(checked.adj, checked.deg, checked.edge_count) == want
         assert _state(unchecked.adj, unchecked.deg, unchecked.edge_count) == want
 
-    stream, swaps = [], 0
+    stream, inner = [], 0
     while len(stream) < 400:
         u, v = rng.sample(range(n), 2)
         upd = EdgeUpdate(u, v, not checked.has_edge(u, v))
         if not checked.is_legal(upd):
             continue
         if not upd.insert:
-            # a deletion of a neighbor that is not last moves the last one
-            swaps += checked.adj[u].items[-1] != v or checked.adj[v].items[-1] != u
+            # a deletion of a neighbor that is not the newest leaves the
+            # others in insertion order
+            inner += list(checked.adj[u])[-1] != v or list(checked.adj[v])[-1] != u
         checked.apply(upd)
         unchecked.toggle(u, v, upd.insert)
         ref_toggle(u, v, upd.insert)
         stream.append(upd)
         agree()
-    assert swaps > 50
+    assert inner > 50
     for upd in reversed(stream):
         checked.apply(EdgeUpdate(upd.u, upd.v, not upd.insert))
         unchecked.toggle(upd.u, upd.v, not upd.insert)

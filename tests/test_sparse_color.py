@@ -162,14 +162,19 @@ def test_isolated_vertex_takes_the_same_draw_through_the_walk():
 
 
 class _UnreadAdjacency:
-    """Stands in for a vertex's SampleSet; any read of it fails the test."""
+    """Stands in for a vertex's adjacency dict; any read of it fails the test."""
 
     def __getattr__(self, name):
         raise AssertionError(f"the draw loop read adjacency attribute {name!r}")
 
+    def _read(self, *args):
+        raise AssertionError("the draw loop read the adjacency")
+
+    __iter__ = __contains__ = __len__ = __bool__ = __getitem__ = _read
+
 
 def test_vertex_that_lost_its_last_edge_in_phase_takes_the_unchecked_draw():
-    # its SampleSet exists but is empty; the phase-start pass reads deg,
+    # its dict exists but is empty; the phase-start pass reads deg,
     # leaves the adjacency alone, makes no pick draw, and charges what the
     # isolated-vertex test above pins
     e = make_engine(6, 3, phase_len=10**9)

@@ -74,11 +74,11 @@ def test_fault_graph_structure_degree():
 
 
 def test_fault_graph_structure_one_sided_edge():
-    # adj[1] loses 0 through the SampleSet itself, and deg[1] follows it,
-    # so only the symmetry and the edge count can tell
+    # adj[1] loses 0 through its dict, and deg[1] follows it, so only the
+    # symmetry and the edge count can tell
     engine = small_sparse_engine()
     g = engine.graph
-    g.adj[1].discard(0)
+    del g.adj[1][0]
     g.deg[1] -= 1
     rep = verify(engine)
     assert "graph_structure" in rep.failed_names()
@@ -88,14 +88,16 @@ def test_fault_graph_structure_one_sided_edge():
     ]
 
 
-def test_fault_graph_structure_position_index():
+def test_fault_graph_structure_one_sided_entry():
+    # adj[5] gains 7 behind the graph's back: deg[5] does not follow, and
+    # adj[7] does not know 5; the degrees still sum to twice the edge count
     engine = small_sparse_engine()
-    pos = engine.graph.adj[0]._pos
-    pos[1], pos[2] = pos[2], pos[1]
+    engine.graph.adj[5][7] = None
     rep = verify(engine)
     assert rep.failed_names() == ["graph_structure"]
     assert rep.checks["graph_structure"].violations == [
-        "adj[0]'s position index does not index its items"
+        "deg[5] = 0, but adj[5] holds 1",
+        "edge (5,7) is missing from adj[7]",
     ]
 
 

@@ -38,7 +38,7 @@ SEED = 0
 # recorded with `__main__` below
 DIGESTS = {
     "adaptive-sparse": "8788c737ecdc708e735b7792429bbe47f0e6cc37d1631bc88da1dc57b7408007",
-    "churn-dense": "89d209923b761befcb8a909205210fcd05f6c4a4b6d91f5a655870f56ffb738d",
+    "churn-dense": "cf3e52fa804f9aa4bb9f2b5e9b966b53851f1eea34380644463383d0faabee18",
     "deletion-wide": "6003431d2d036265612d96e37f70c4db3dfb09bfff44aaf906667b5d180f4ab1",
 }
 

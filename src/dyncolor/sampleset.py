@@ -2,7 +2,9 @@
 
 Backed by a dense list plus a position index (swap-with-last removal).
 Iteration order is the list order, which is deterministic given the
-history of operations.
+history of operations.  It serves the clique color books (`CliqueBook`'s
+free colors and its L) and the adversaries that delete a uniformly random
+edge; the graph's adjacency is plain dicts, which sample nothing.
 """
 
 

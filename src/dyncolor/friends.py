@@ -110,7 +110,7 @@ class FriendTracker:
         self._dense_thr = [max(0.0, (1.0 - i * eps) * delta) for i in (1, 3)]
         # the least counts that reach the two thresholds
         self._cuts = tuple(ceil(t) for t in self._maintain_thr)
-        # the degree from which a vertex keeps a mask and its pairs are judged exactly
+        # the degree from which a vertex's pairs are judged exactly, from masks
         self._exact_deg = DISJOINT_TEST_PER_SAMPLE * self.k
         self.masks: dict[int, int] = {}
         # m -> the tails P(count >= cut) for s = 0..m, two per s; a table is
@@ -130,10 +130,10 @@ class FriendTracker:
         A pair whose endpoints both have degree at least `_exact_deg` draws
         no sample; an endpoint without a mask gets one first (`_mask`).
         Its count is Binomial(k, s/m), with s = |N(u) cap N(v)| read off
-        the masks and m = |N(u)|, and the
-        refresh reads only whether it reaches the cuts j1 = ceil(t1) and
-        j3 = ceil(t3), so the tail probabilities q1 <= q3 of those two
-        events (`binomial_tails`) are all that matter.  One U = random()
+        the masks and m = |N(u)|, and the refresh reads only whether it
+        reaches the cuts j1 = ceil(t1) and j3 = ceil(t3), so the tail
+        probabilities q1 <= q3 of those two events (`binomial_tails`) are
+        all that matter.  One U = random()
         gives in1 = U < q1 and in3 = U < q3, which is the joint law of the
         two verdicts, since in1 implies in3.  The pair reports j1, j3 or 0,
         the least count with its verdict.  When q3 == 0 or q1 == 1 the
@@ -172,13 +172,10 @@ class FriendTracker:
                 sampled += 1
                 size = len(nu)
                 if exact and size >= cap:
+                    # a vertex of degree >= cap has a nonzero mask
                     if mv is None:
-                        mv = masks.get(v)
-                        if mv is None:
-                            mv = self._mask(v)
-                    mu = masks.get(u)
-                    if mu is None:
-                        mu = self._mask(u)
+                        mv = masks.get(v) or self._mask(v)
+                    mu = masks.get(u) or self._mask(u)
                     s = 2 * (mv & mu).bit_count()
                     tab = tails.get(size) or self._tail_table(size)
                     q3 = tab[s + 1]

@@ -7,8 +7,8 @@ the dict as a set: `in`, iteration, `len` and `keys().isdisjoint`.
 Iteration follows insertion order, so it is deterministic given the
 history of updates.  Nothing in the engine samples a uniform neighbor
 except the per-draw friend sampler, which indexes a list copy.  Every
-dict is made up front: creating them on first use measured slower.
-`toggle` is the one body that mutates adjacency; it checks nothing.  `apply` is
+dict is made up front, so no reader tests for a missing one.  `toggle` is
+the one body that mutates adjacency; it checks nothing.  `apply` is
 `check_legal` plus `toggle`, and the engine's phase rewind and replay call
 `toggle` directly, since they only undo and redo updates that `apply`
 already accepted.  Audits that count common neighborhoods for every edge
@@ -130,16 +130,16 @@ class DynamicGraph:
         An insertion adds each endpoint to the other's dict, a deletion
         removes it.  The caller guarantees legality; `apply` checks first.
         """
-        deg = self.deg
+        adj, deg = self.adj, self.deg
         if insert:
-            self.adj[u][v] = None
-            self.adj[v][u] = None
+            adj[u][v] = None
+            adj[v][u] = None
             deg[u] += 1
             deg[v] += 1
             self.edge_count += 1
         else:
-            del self.adj[u][v]
-            del self.adj[v][u]
+            del adj[u][v]
+            del adj[v][u]
             deg[u] -= 1
             deg[v] -= 1
             self.edge_count -= 1

@@ -35,6 +35,14 @@ def test_scripted_adversary_and_exhaustion():
         adv.next(None)
 
 
+def test_scripted_adversary_hands_out_an_illegal_update_unchecked():
+    # it keeps no mirror graph: the engine that consumes the stream rejects
+    # the repeat (see test_trace's replay test), so the stream is applied once
+    ups = [ins(0, 1), ins(0, 1)]
+    adv = make_adversary("scripted", 4, 3, updates=ups)
+    assert [adv.next(None), adv.next(None)] == ups
+
+
 def test_two_vertex_monochrome_edge_cases():
     # distinct colors and no deletable edge: the stream must end
     base = TrivialBaseline(2, 1)

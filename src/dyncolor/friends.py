@@ -59,17 +59,20 @@ def binomial_tails(coef: list[int], m: int, s: int, cuts) -> list[float]:
     """P(Bin(k, s/m) >= j) for each j in `cuts`, with coef = [C(k, 0), .., C(k, k)].
 
     Each is the double nearest the exact rational: the terms
-    C(k, i) s^i (m - s)^(k - i) are summed as integers and divided by m^k
-    once.  A cut at or below 0 reads 1.0, a cut above k reads 0.0.
+    C(k, i) s^i (m - s)^(k - i) are summed as integers, i from k down, and
+    divided by m^k once; the power of m - s grows by one factor per term.
+    A cut at or below 0 reads 1.0, a cut above k reads 0.0.
     """
     k = len(coef) - 1
     cuts = [min(max(j, 0), k + 1) for j in cuts]
     r = m - s
     tail = [0] * (k + 2)  # tail[i]: the sum of the terms from i up to k
     acc = 0
+    rp = 1
     for i in range(k, min(cuts) - 1, -1):
-        acc += coef[i] * s**i * r ** (k - i)
+        acc += coef[i] * s**i * rp
         tail[i] = acc
+        rp *= r
     den = m**k
     return [tail[j] / den for j in cuts]
 

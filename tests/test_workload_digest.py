@@ -3,15 +3,20 @@
 The golden traces pin runs with n <= 512 and palettes <= 129.  This test
 rebuilds the benchmark's workloads (adaptive-sparse, churn-dense and
 deletion-wide) from their strategy, n, delta and parameter profile, plays
-each whole stream against a fresh engine and hashes:
+each whole stream against a fresh engine and hashes two halves.
+
+The coloring half covers:
 
 - both endpoint colors after every update;
-- at every phase boundary, the coloring, the item order of every L(c) and
-  every friend list N_1 and N_3 in iteration order;
+- at every phase boundary, the coloring and the item order of every L(c);
 - the engine generator's final state and the final `Metrics`.
 
+The decomposition half covers, at every phase boundary, every friend list
+N_1 and N_3 in iteration order and every vertex's clique.
+
 A change that alters a draw, a placement, a list order or a counter
-changes the hash.  Re-record only on purpose, with
+changes a hash.  Re-record only on
+purpose, with
 
     PYTHONPATH=src python tests/test_workload_digest.py
 """
@@ -37,9 +42,18 @@ SEED = 0
 
 # recorded with `__main__` below
 DIGESTS = {
-    "adaptive-sparse": "8788c737ecdc708e735b7792429bbe47f0e6cc37d1631bc88da1dc57b7408007",
-    "churn-dense": "cf3e52fa804f9aa4bb9f2b5e9b966b53851f1eea34380644463383d0faabee18",
-    "deletion-wide": "6003431d2d036265612d96e37f70c4db3dfb09bfff44aaf906667b5d180f4ab1",
+    "adaptive-sparse": {
+        "coloring": "378089e3efe97ea6afc59fd85748b267b872ac1f0cbe28b51b2d862dcb9d1306",
+        "decomposition": "238af0febf8b2a891ff0652d3a4f0bc9a4e334e19612c3e705669e5d12a1295f",
+    },
+    "churn-dense": {
+        "coloring": "2666cc5c4b96ba4bba7b08122fbf7e001d0c6498a19635c96d45051e226a7b3c",
+        "decomposition": "20c47cbc9c64c994932fb0e03587bd868084cd33902cb197bc33aa4bdc6fb6a2",
+    },
+    "deletion-wide": {
+        "coloring": "6003431d2d036265612d96e37f70c4db3dfb09bfff44aaf906667b5d180f4ab1",
+        "decomposition": "15374f04a61f8043051936710351483bc17b3d691f4cb985e1ee7fd8bf6d3866",
+    },
 }
 
 
@@ -48,14 +62,16 @@ def _ints(h, xs):
     h.update(b"|")
 
 
-def workload_digest(name, seed=SEED):
+def workload_digests(name, seed=SEED):
+    """The run's {"coloring": sha256, "decomposition": sha256}."""
     strategy, n, delta, updates = WORKLOADS[name]
     engine = Engine(n, delta, EngineConfig(params=sweep_params(seed, delta)))
     adversary = make_adversary(strategy, n, delta, seed=seed + 1000)
     view = engine.coloring_view() if adversary.adaptive else None
     of, L = engine.colors.of, engine.colors.L
     lists = (engine.tracker.n1, engine.tracker.n3)
-    h = hashlib.sha256()
+    clique_of = engine.decomp.clique_of
+    coloring, decomposition = hashlib.sha256(), hashlib.sha256()
     endpoints = []
     for _ in range(updates):
         upd = adversary.next(view)
@@ -66,23 +82,29 @@ def workload_digest(name, seed=SEED):
             for lst in L:
                 boundary += lst
                 boundary.append(-1)
+            _ints(coloring, boundary)
+            boundary = [-1 if cid is None else cid for cid in clique_of]
             for scale in lists:
                 for v, friends in compress(enumerate(scale), scale):
                     boundary.append(v)
                     boundary += friends
                     boundary.append(-1)
-            _ints(h, boundary)
-    _ints(h, endpoints)
-    h.update(repr(engine.rng.getstate()).encode())
-    h.update(repr(engine.metrics.to_dict()).encode())
-    return h.hexdigest()
+            _ints(decomposition, boundary)
+    _ints(coloring, endpoints)
+    coloring.update(repr(engine.rng.getstate()).encode())
+    coloring.update(repr(engine.metrics.to_dict()).encode())
+    return {"coloring": coloring.hexdigest(), "decomposition": decomposition.hexdigest()}
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_digest_is_unchanged(name):
-    assert workload_digest(name) == DIGESTS[name]
+    assert workload_digests(name) == DIGESTS[name]
 
 
 if __name__ == "__main__":
     for name in sorted(WORKLOADS):
-        print(f'    "{name}": "{workload_digest(name)}",')
+        digests = workload_digests(name)
+        print(f'    "{name}": {{')
+        for half in ("coloring", "decomposition"):
+            print(f'        "{half}": "{digests[half]}",')
+        print("    },")

@@ -33,6 +33,11 @@ from .metrics import Metrics
 from .params import ParamSet
 from .sparse_color import SparseColoring
 
+# the friend tracker draws from a generator of its own, seeded with
+# params.seed plus this offset: a change to the coloring's draws leaves the
+# tracker's stream as it was, and a trace header's seed still fixes both
+TRACKER_SEED_OFFSET = 1 << 32
+
 
 @dataclass
 class EngineConfig:
@@ -51,7 +56,9 @@ class Engine(ColoringAlgorithm):
         self.metrics = Metrics()
         self.rng = random.Random(params.seed)
         self.graph = DynamicGraph(n, delta)
-        self.tracker = FriendTracker(self.graph, params, self.rng, self.metrics)
+        self.tracker = FriendTracker(
+            self.graph, params, random.Random(params.seed + TRACKER_SEED_OFFSET), self.metrics
+        )
         self.decomp = Decomposition(self.graph, self.tracker, params, self.metrics)
         self.colors = ColorState(n, self.palette)
         self.sparse = SparseColoring(

@@ -14,8 +14,10 @@ The coloring half covers:
 The decomposition half covers, at every phase boundary, every friend list
 N_1 and N_3 in iteration order and every vertex's clique.
 
-A change that alters a draw, a placement, a list order or a counter
-changes a hash.  Re-record only on
+The friend tracker draws from a generator of its own, so a change to its
+draws alone moves the decomposition half and leaves the coloring half as
+it was wherever no almost-clique forms.  A change that alters a draw, a
+placement, a list order or a counter changes a hash.  Re-record only on
 purpose, with
 
     PYTHONPATH=src python tests/test_workload_digest.py

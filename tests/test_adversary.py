@@ -124,9 +124,9 @@ def test_clique_churn_stream_is_unchanged(args, kw, steps, digest):
 # the engine's follow its phase-start pass, one ascending pass over the
 # sparse side before the greedy stage
 MONOCHROME_STREAMS = [
-    ("full", 256, "62dda7268a3575a6519a3af0bdf4a0aa0af21f49197db10a2a026c2f8f1708e3"),
-    ("full", 4096, "7d80d3833c225678500572b57262e7a653912b902a116ba1357960873caf2a83"),
-    ("full", 32768, "5a1484f41c3a85e725231e3851da37bdb930272f9b61654297131e5312d14090"),
+    ("full", 256, "a99bd9fcd09f95dc5737c0e4fba5062e1d99d1574cdb6bc6959e08dc82dcce27"),
+    ("full", 4096, "8b5e2f3c8a86efb9c43acb789e77d2a1c2fb733ac54320a9f6fc250342e0cce3"),
+    ("full", 32768, "f9fab34d32c80528ae53e501c0d88d4c8a97b75f0d68552143ed5b935c2a64c8"),
     ("baseline", 256, "f903819c1f361df49909e851a5a9a413a45d955b858beeeaafc1338dd565ad24"),
     ("baseline", 4096, "54fd37f22d4b651d863a90ebe3d5e8de06acee6d14b311162947335a8b2daf79"),
     ("baseline", 32768, "ce354b260521d869b3c8d3fbdb0e1877653daf864c65d5ed60dbbcdcd616a9de"),

@@ -45,15 +45,15 @@ SEED = 0
 # recorded with `__main__` below
 DIGESTS = {
     "adaptive-sparse": {
-        "coloring": "378089e3efe97ea6afc59fd85748b267b872ac1f0cbe28b51b2d862dcb9d1306",
-        "decomposition": "238af0febf8b2a891ff0652d3a4f0bc9a4e334e19612c3e705669e5d12a1295f",
+        "coloring": "eabd8d45650d1582937bb27af7f43e2f83f587ca6ea8ff343af7bb72ad52db7d",
+        "decomposition": "c7c757c537b040734f130e0b1b815cf6fd77cfab9a827f9f8c45e969f2947676",
     },
     "churn-dense": {
-        "coloring": "2666cc5c4b96ba4bba7b08122fbf7e001d0c6498a19635c96d45051e226a7b3c",
-        "decomposition": "20c47cbc9c64c994932fb0e03587bd868084cd33902cb197bc33aa4bdc6fb6a2",
+        "coloring": "2c8934f3cb007a8ccc96befbabcb9af0f9722a42a5efe5be18c0ba1d51b316b4",
+        "decomposition": "2796717de89d865c4a234c989c4913f9699b211e8a04d4179fecd1753aa2c201",
     },
     "deletion-wide": {
-        "coloring": "6003431d2d036265612d96e37f70c4db3dfb09bfff44aaf906667b5d180f4ab1",
+        "coloring": "d7dd81d06e09ef5b42eb4bdff51ad96b3c55c954ada29bdeacb49ec81e0738e0",
         "decomposition": "15374f04a61f8043051936710351483bc17b3d691f4cb985e1ee7fd8bf6d3866",
     },
 }

@@ -56,9 +56,8 @@ class Engine(ColoringAlgorithm):
         self.metrics = Metrics()
         self.rng = random.Random(params.seed)
         self.graph = DynamicGraph(n, delta)
-        self.tracker = FriendTracker(
-            self.graph, params, random.Random(params.seed + TRACKER_SEED_OFFSET), self.metrics
-        )
+        tracker_rng = random.Random(params.seed + TRACKER_SEED_OFFSET)
+        self.tracker = FriendTracker(self.graph, params, tracker_rng, self.metrics)
         self.decomp = Decomposition(self.graph, self.tracker, params, self.metrics)
         self.colors = ColorState(n, self.palette)
         self.sparse = SparseColoring(

@@ -1,4 +1,4 @@
-"""Sampling-based maintenance of close-friend edges and dense vertices.
+"""Estimate-based maintenance of close-friend edges and dense vertices.
 
 For scales c_i = i*eps + tau the tracker keeps per-vertex lists N_i(v)
 of neighbors whose common neighborhood with v is large, at the two
@@ -11,7 +11,7 @@ v's list; a check that needs scale 2 belongs in `verify`'s oracle.
 
 The lists are symmetric: every writer updates both endpoints, so u is in
 N_i(v) exactly when v is in N_i(u).  A refresh takes one k-sample count
-per pair (or its exact stand-in, below), judges it at both scales, and
+per pair (drawn from its law, below), judges it at both scales, and
 writes a pair's lists only when its membership at a scale changes, which
 it reads from v's side.
 
@@ -30,51 +30,59 @@ ones, which is what keeps the amortized work bounded.
 
 A refresh reads only two verdicts of a pair's count, count >= t1 and
 count >= t3, where the count of k uniform samples of N(u) that fall in
-N(v) is Binomial(k, s/m) with s = |N(u) cap N(v)| and m = |N(u)|.  For a
-pair whose endpoints both have degree at least `DISJOINT_TEST_PER_SAMPLE
-* k` the tracker draws the verdicts from that law directly (`_counts`):
-it reads s as one AND and popcount of int bitmasks of the two
-neighborhoods (`masks`).  A vertex's mask is made from the adjacency when
-a pair first needs it, then follows every update the tracker is handed,
-and is never dropped.  The tracker sees the graph only through the
-phase-boundary replay, which is continuous across phases, so at every
-refresh the adjacency, and with it every mask, is the graph exactly as
-the replay has it; the in-phase path pays nothing.
+N(v) is Binomial(k, s/m) with s = |N(u) cap N(v)| and m = |N(u)|.  So the
+tracker draws no sample: it takes s exactly and draws both verdicts from
+that law at once (`_counts`).  Where both endpoints have degree at least
+`MASK_DEGREE_PER_SAMPLE * k` it reads s as one AND and popcount of int
+bitmasks of the two neighborhoods (`masks`); elsewhere it walks the
+smaller neighborhood, fewer than 2k probes.  A vertex's mask is made from
+the adjacency when a pair first needs it, then follows every update the
+tracker is handed, and is never dropped.  The tracker sees the graph only
+through the phase-boundary replay, which is continuous across phases, so
+at every refresh the adjacency, and with it every mask, is the graph
+exactly as the replay has it; the in-phase path pays nothing.
 """
 
 from __future__ import annotations
 
 from array import array
-from math import ceil, comb, floor, nan
+from math import ceil, fsum, nan
 
 from .sampleset import EMPTY_SET
 
-# `_counts` tests a pair for a common neighbor only while the smaller of
-# the two neighborhoods has at most this many entries per sample, and
-# judges it exactly from bitmasks once both have at least this many
-DISJOINT_TEST_PER_SAMPLE = 2
+# `_counts` reads a pair's common-neighbor count from bitmasks once both
+# endpoints have at least this many neighbors per sample, and walks the
+# smaller neighborhood below that
+MASK_DEGREE_PER_SAMPLE = 2
 
 
-def binomial_tails(coef: list[int], m: int, s: int, cuts) -> list[float]:
-    """P(Bin(k, s/m) >= j) for each j in `cuts`, with coef = [C(k, 0), .., C(k, k)].
+def binomial_tails(k: int, m: int, s: int, cuts) -> list[float]:
+    """P(Bin(k, s/m) >= j) for each j in `cuts`, in double precision.
 
-    Each is the double nearest the exact rational: the terms
-    C(k, i) s^i (m - s)^(k - i) are summed as integers, i from k down, and
-    divided by m^k once; the power of m - s grows by one factor per term.
-    A cut at or below 0 reads 1.0, a cut above k reads 0.0.
+    The terms C(k, i) p^i (1 - p)^(k - i) are taken relative to a mode's,
+    walking outward from the mode by the ratio of neighboring terms until a
+    term falls below 1e-18 of the mode's, and normalised by their sum.  A
+    cut at or below the lowest term kept reads 1.0, one above the highest
+    0.0, so a verdict the walk finds certain is certain in the table.
     """
-    k = len(coef) - 1
-    cuts = [min(max(j, 0), k + 1) for j in cuts]
-    r = m - s
-    tail = [0] * (k + 2)  # tail[i]: the sum of the terms from i up to k
-    acc = 0
-    rp = 1
-    for i in range(k, min(cuts) - 1, -1):
-        acc += coef[i] * s**i * rp
-        tail[i] = acc
-        rp *= r
-    den = m**k
-    return [tail[j] / den for j in cuts]
+    mode = min(k, (k + 1) * s // m)
+    down, up = [], [1.0]
+    t = 1.0
+    for i in range(mode, 0, -1):
+        t *= i * (m - s) / ((k - i + 1) * s)
+        if t < 1e-18:
+            break
+        down.append(t)
+    t = 1.0
+    for i in range(mode, k):
+        t *= (k - i) * s / ((i + 1) * (m - s))
+        if t < 1e-18:
+            break
+        up.append(t)
+    lo = mode - len(down)
+    terms = down[::-1] + up
+    total = fsum(terms)
+    return [1.0 if j <= lo else fsum(terms[j - lo :]) / total for j in cuts]
 
 
 def _link(lst, v: int, u: int) -> set:
@@ -113,58 +121,44 @@ class FriendTracker:
         self._dense_thr = [max(0.0, (1.0 - i * eps) * delta) for i in (1, 3)]
         # the least counts that reach the two thresholds
         self._cuts = tuple(ceil(t) for t in self._maintain_thr)
-        # the degree from which a vertex's pairs are judged exactly, from masks
-        self._exact_deg = DISJOINT_TEST_PER_SAMPLE * self.k
+        # the degree from which a vertex's pairs read s from masks
+        self._mask_deg = MASK_DEGREE_PER_SAMPLE * self.k
         self.masks: dict[int, int] = {}
         # m -> the tails P(count >= cut) for s = 0..m, two per s; a table is
         # made when a pair first needs it, a row when a pair first reads it
         self._tails: dict[int, array] = {}
-        # C(k, 0..k), made with the first table: at the paper's k it is large
-        self._coef: list[int] = []
 
     # ---- estimation core ----------------------------------------------------
 
     def _counts(self, v: int, us) -> list[int]:
-        """Per u in us, how many of k uniform samples from N(u) also neighbor v.
+        """Per u in us, a count of k samples from N(u) that also neighbor v.
 
-        Each u takes the draws of rng.choices(list(N(u)), k=k), in the order
-        of us; an isolated u draws nothing and counts 0.
+        No sample is drawn.  The count is Binomial(k, s/m), with
+        s = |N(u) cap N(v)| and m = |N(u)|, and the refresh reads only
+        whether it reaches the cuts j1 = ceil(t1) and j3 = ceil(t3), so the
+        tail probabilities q1 <= q3 of those two events (`binomial_tails`)
+        are all that matter.  s is read off the masks when both degrees
+        reach `_mask_deg` (an endpoint without a mask gets one first,
+        `_mask`); otherwise the smaller neighborhood, of fewer than
+        `_mask_deg` entries, is walked against the other's dict.  One
+        U = random() gives in1 = U < q1 and in3 = U < q3, which is the
+        joint law of the two verdicts, since in1 implies in3.  The pair
+        reports j1, j3 or 0, the least count with its verdict.  When
+        q3 == 0 or q1 == 1 the verdict is certain and nothing is drawn; an
+        isolated u is never drawn for and counts 0.
 
-        A pair whose endpoints both have degree at least `_exact_deg` draws
-        no sample; an endpoint without a mask gets one first (`_mask`).
-        Its count is Binomial(k, s/m), with s = |N(u) cap N(v)| read off
-        the masks and m = |N(u)|, and the refresh reads only whether it
-        reaches the cuts j1 = ceil(t1) and j3 = ceil(t3), so the tail
-        probabilities q1 <= q3 of those two events (`binomial_tails`) are
-        all that matter.  One U = random()
-        gives in1 = U < q1 and in3 = U < q3, which is the joint law of the
-        two verdicts, since in1 implies in3.  The pair reports j1, j3 or 0,
-        the least count with its verdict.  When q3 == 0 or q1 == 1 the
-        verdict is certain and nothing is drawn.  The estimate is charged
-        k samples and k units, as a drawn one is, so the counters do not
-        depend on which path judged a pair.
-
-        When N(u) and N(v) share no vertex, every draw misses whatever it
-        picks, so the count is 0 and the k draws are replaced by one
-        `getrandbits(64 * k)`, which leaves the generator where k
-        `random()` calls leave it (see `draws`).  The test walks the
-        smaller neighborhood and probes the other's dict.  A pair not
-        judged exactly has a side of at most `DISJOINT_TEST_PER_SAMPLE * k`
-        entries, so the test never costs more than O(k).  A skipped estimate
-        is charged as drawn, k samples and k units: the generator advanced
-        k draws, and the counters stay those of the per-draw loop.
+        Each non-isolated pair is charged k samples and k work units: the
+        paper's cost-model charge per estimate, kept on purpose although
+        no sample is drawn.
         """
         adj, random = self.graph.adj, self.rng.random
         near = adj[v]
-        k = self.k
-        draws = range(k)
         d = len(near)
         masks, tails = self.masks, self._tails
-        cap = self._exact_deg
+        cap = self._mask_deg
         j1, j3 = self._cuts
-        # u is judged exactly when both degrees reach the cap; v's mask is
-        # read when its first such pair comes up
-        exact = d >= cap
+        # v's mask is read when its first pair of two high degrees comes up
+        masked = d >= cap
         mv = None
         counts = []
         sampled = 0
@@ -173,36 +167,33 @@ class FriendTracker:
             cnt = 0
             if nu:
                 sampled += 1
-                size = len(nu)
-                if exact and size >= cap:
+                m = len(nu)
+                if masked and m >= cap:
                     # a vertex of degree >= cap has a nonzero mask
                     if mv is None:
                         mv = masks.get(v) or self._mask(v)
                     mu = masks.get(u) or self._mask(u)
-                    s = 2 * (mv & mu).bit_count()
-                    tab = tails.get(size) or self._tail_table(size)
-                    q3 = tab[s + 1]
-                    if q3:
-                        q1 = tab[s]
-                        if q1 != q1:  # NaN: the row is not built yet
-                            q1, q3 = self._tail_row(tab, size, s)
-                        if q1 == 1.0:
-                            cnt = j1
-                        elif q3:
-                            x = random()
-                            cnt = j1 if x < q1 else j3 if x < q3 else 0
-                elif near.keys().isdisjoint(nu) if size <= d else nu.keys().isdisjoint(near):
-                    self.rng.getrandbits(64 * k)
+                    at = 2 * (mv & mu).bit_count()
+                elif m <= d:
+                    at = 2 * sum(map(near.__contains__, nu))
                 else:
-                    items = list(nu)
-                    size += 0.0
-                    for _ in draws:
-                        if items[floor(random() * size)] in near:
-                            cnt += 1
+                    at = 2 * sum(map(nu.__contains__, near))
+                tab = tails.get(m) or self._tail_table(m)
+                # s's row sits at index at = 2s
+                q3 = tab[at + 1]
+                if q3:
+                    q1 = tab[at]
+                    if q1 != q1:  # NaN: the row is not built yet
+                        q1, q3 = self._tail_row(tab, m, at)
+                    if q1 == 1.0:
+                        cnt = j1
+                    elif q3:
+                        x = random()
+                        cnt = j1 if x < q1 else j3 if x < q3 else 0
             counts.append(cnt)
-        drawn = sampled * k
-        self.metrics.samples += drawn
-        self.metrics.work += drawn
+        charged = sampled * self.k
+        self.metrics.samples += charged
+        self.metrics.work += charged
         return counts
 
     def _mask(self, x: int) -> int:
@@ -211,14 +202,12 @@ class FriendTracker:
 
     def _tail_table(self, m: int) -> array:
         """m's table of tails, every row NaN until `_tail_row` builds it."""
-        if not self._coef:
-            self._coef = [comb(self.k, i) for i in range(self.k + 1)]
         tab = self._tails[m] = array("d", [nan]) * (2 * (m + 1))
         return tab
 
     def _tail_row(self, tab: array, m: int, at: int) -> list[float]:
         """Builds the row of m's table at index `at` = 2s; returns it (q1, q3)."""
-        row = binomial_tails(self._coef, m, at // 2, self._cuts)
+        row = binomial_tails(self.k, m, at // 2, self._cuts)
         tab[at], tab[at + 1] = row
         return row
 

@@ -1,4 +1,10 @@
-"""Monotone work and event counters, incremented at every probe/sample site."""
+"""Monotone work and event counters, incremented at every probe/sample site.
+
+`samples` and the k units of `work` charged per friend estimate are the
+paper's cost-model charge for an estimate from k sampled neighbors, kept on
+purpose: the tracker draws no sample, but takes the common-neighbor count
+and draws the estimate's verdicts from its law (`FriendTracker._counts`).
+"""
 
 from __future__ import annotations
 

@@ -82,8 +82,9 @@ class ParamSet:
             return self.sample_count_k
         k = math.ceil(12.0 * CONFIDENCE_C * math.log(max(n, 2)) / self.tau**2)
         if self.profile == DESK:
-            # keep sampling affordable at desk sizes; accuracy claims degrade
-            # to statistical tests, structural invariants are unaffected
+            # k shapes only the friend tracker's tail rows, so this clamp
+            # buys no speed; it keeps the desk runs' recorded streams, and
+            # whether the derived k should replace it is an open question
             k = min(k, 96)
         return max(k, 4)
 

@@ -511,10 +511,11 @@ def test_a_clique_past_delta_plus_one_keeps_the_coloring_proper(adversary_seed, 
     # with one friend sample per pair (k = 1), a valid setting, the
     # decomposition grows an almost-clique of more members than the palette
     # has colors (delta + 1), so members must share colors; properness must
-    # still hold after every update.  At k = 1 every pair of two vertices
-    # of degree >= 2 is judged from the tracker's masks, with one draw.  `verify`'s structural audit fails on
-    # these runs (a member far below its inside-degree floor), which this
-    # test does not pin
+    # still hold after every update.  At k = 1 a pair's verdict is drawn
+    # once from its common-neighbor count, read off the tracker's masks
+    # where both degrees are at least 2.  `verify`'s structural audit fails
+    # on these runs (a member far below its inside-degree floor), which
+    # this test does not pin
     n, delta = 64, 16
     engine = Engine(n, delta, EngineConfig(params=ParamSet(seed=1, sample_count_k=1)))
     adv = make_adversary("clique-churn", n, delta, seed=adversary_seed)

@@ -2,11 +2,12 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from dyncolor import Engine, EngineConfig, make_adversary
-from dyncolor.friends import DISJOINT_TEST_PER_SAMPLE, FriendTracker, binomial_tails
+from dyncolor.friends import MASK_DEGREE_PER_SAMPLE, FriendTracker, binomial_tails
 from dyncolor.graph import DynamicGraph, dele, ins
 from dyncolor.metrics import Metrics
 from dyncolor.params import ParamSet
@@ -21,6 +22,14 @@ def make_tracker(g, eps, tau, k=None, fire=None, seed=0):
 
 def paper_k(n, tau, c=3.0):
     return math.ceil(12.0 * c * math.log(n) / tau**2)
+
+
+@cache
+def fraction_tails(k, m, s, cuts):
+    """P(Bin(k, s/m) >= j) for each j in cuts, as exact `Fraction`s."""
+    p = Fraction(s, m)
+    pmf = [math.comb(k, i) * p**i * (1 - p) ** (k - i) for i in range(k + 1)]
+    return tuple(sum(pmf[max(j, 0) :]) for j in cuts)
 
 
 def judge(tr, u, v):
@@ -251,21 +260,31 @@ def test_amortized_work_shape():
 
 
 class _PerPairTracker(FriendTracker):
-    """The refresh as one sampler call and four set writes per pair.
+    """The refresh as one verdict draw and four set writes per pair.
 
-    Reference for the batched refresh: it draws through `rng.choices`, so it
-    shares no sampling or list-writing code with the tracker under test.
+    Reference for the batched refresh: it counts common neighbors with a
+    set intersection and draws the pair's two verdicts with one `random()`
+    against exact `Fraction` tails, or not at all when they are certain, so
+    it shares no counting, tail or list-writing code with the tracker under
+    test.
     """
 
     def _refresh_pair(self, u, v):
-        items = list(self.graph.adj[u])
-        cnt = 0
-        if items:
+        nu = self.graph.adj[u]
+        in1 = in3 = False
+        if nu:
             self.metrics.samples += self.k
             self.metrics.work += self.k
-            cnt = sum(w in self.graph.adj[v] for w in self.rng.choices(items, k=self.k))
-        for lst, thr in zip((self.n1, self.n3), self._maintain_thr):
-            if cnt >= thr:
+            s = len(set(nu) & set(self.graph.adj[v]))
+            cuts = tuple(math.ceil(t) for t in self._maintain_thr)
+            q1, q3 = fraction_tails(self.k, len(nu), s, cuts)
+            if q1 == 1:
+                in1 = in3 = True
+            elif q3:
+                x = self.rng.random()
+                in1, in3 = x < q1, x < q3
+        for lst, inside in zip((self.n1, self.n3), (in1, in3)):
+            if inside:
                 friend_set(lst, u).add(v)
                 friend_set(lst, v).add(u)
             else:
@@ -382,40 +401,54 @@ def _per_draw_counts(g, rng, k, v, us):
     ]
 
 
+def _path(g, u, v, cap):
+    """Where `_counts` takes s for the pair: the masks or a walk of one side."""
+    du, dv = g.degree(u), g.degree(v)
+    return "masks" if min(du, dv) >= cap else "walk u" if du <= dv else "walk v"
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_counts_match_the_per_draw_sampler(seed):
-    # k = 2 puts the exact path's degree at 4, inside these graphs' degree
-    # range; each v is counted against those of its neighbors, of a few
-    # arbitrary vertices and of the isolated one that the exact path does
-    # not judge, and the disjointness test walks either side
+    # the per-draw sampler's charge, k samples and k units per pair whose u
+    # has a neighbor, and its verdicts wherever they are certain; a doubtful
+    # pair takes exactly one random() against the exact tails, a certain one
+    # none.  k = 2 puts the mask degree at 4, inside these graphs' degree
+    # range, so s comes from the masks and from a walk of either side
     n, delta, k = 60, 16, 2
     iso = n
-    cap = DISJOINT_TEST_PER_SAMPLE * k
+    cap = MASK_DEGREE_PER_SAMPLE * k
     g = random_graph(n, delta, 220, seed=seed, g=DynamicGraph(n + 1, delta))
     tracker = FriendTracker(g, ParamSet(sample_count_k=k), random.Random(seed), Metrics())
+    (t1, t3), cuts = tracker._maintain_thr, tracker._cuts
     ref = random.Random(seed)
     pick = random.Random(~seed)
     kinds = set()
     charged = 0
     for _ in range(200):
         v = pick.randrange(n)
-        us = [
-            u for u in list(g.adj[v]) + pick.sample(range(n), 4) + [iso]
-            if min(g.degree(u), g.degree(v)) < cap
-        ]
-        assert tracker._counts(v, us) == _per_draw_counts(g, ref, k, v, us)
+        us = list(g.adj[v]) + pick.sample(range(n), 4) + [iso]
+        for u, cnt in zip(us, tracker._counts(v, us)):
+            if not g.adj[u]:
+                assert cnt == 0
+                continue
+            charged += k
+            s = len(set(g.adj[u]) & set(g.adj[v]))
+            q1, q3 = fraction_tails(k, g.degree(u), s, cuts)
+            doubt = 0 < q3 and q1 < 1
+            if doubt:
+                x = ref.random()
+                assert (cnt >= t1, cnt >= t3) == (x < q1, x < q3)
+            else:
+                # no draw of the per-draw sampler can change a certain verdict
+                (per,) = _per_draw_counts(g, random.Random(0), k, v, (u,))
+                assert (cnt >= t1, cnt >= t3) == (per >= t1, per >= t3)
+            kinds.add((_path(g, u, v, cap), doubt))
         assert tracker.rng.getstate() == ref.getstate()
-        for u in us:
-            if g.adj[u]:
-                charged += k
-                shares = not set(g.adj[u]).isdisjoint(g.adj[v])
-                kinds.add((shares, g.degree(u) <= g.degree(v)))
-    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
-    assert tracker.masks == {}
+    assert kinds == {(p, d) for p in ("masks", "walk u", "walk v") for d in (False, True)}
     assert tracker.metrics.samples == tracker.metrics.work == charged
 
 
-# ---- the exact path: pairs judged from the masks' common-neighbor count -----------
+# ---- the verdict law: tails, and s from the masks or a walk ----------------------
 
 
 @pytest.mark.parametrize("k", [2, 12])
@@ -431,14 +464,61 @@ def test_tail_tables_equal_the_exact_binomial_sums(k, m):
     assert tr._tails[m] is table and len(table) == 2 * (m + 1)
     # a row is built when a pair first reads it
     assert all(math.isnan(q) for q in table)
-    coef = [math.comb(k, i) for i in range(k + 1)]
     for s in range(m + 1):
         assert tr._tail_row(table, m, 2 * s) == list(table[2 * s : 2 * s + 2])
-        p = Fraction(s, m)
-        pmf = [math.comb(k, i) * p**i * (1 - p) ** (k - i) for i in range(k + 1)]
-        for col, j in enumerate(cuts):
-            assert abs(table[2 * s + col] - float(sum(pmf[j:]))) <= 1e-12, (s, j)
-        assert binomial_tails(coef, m, s, (0, k + 1)) == [1.0, 0.0]
+        for col, q in enumerate(fraction_tails(k, m, s, cuts)):
+            assert abs(table[2 * s + col] - float(q)) <= 1e-12, (s, cuts[col])
+        assert binomial_tails(k, m, s, (0, k + 1)) == [1.0, 0.0]
+
+
+def _integer_tails(coef, m, s, cuts):
+    """P(Bin(k, s/m) >= j) per cut, coef = [C(k, 0), .., C(k, k)], as the double
+    nearest the exact rational: the terms C(k, i) s^i (m - s)^(k - i) summed
+    as integers, i from k down, and divided by m^k once."""
+    k = len(coef) - 1
+    cuts = [min(max(j, 0), k + 1) for j in cuts]
+    tail = [0] * (k + 2)  # tail[i]: the sum of the terms from i up to k
+    acc, rp = 0, 1
+    for i in range(k, min(cuts) - 1, -1):
+        acc += coef[i] * s**i * rp
+        tail[i] = acc
+        rp *= m - s
+    return [tail[j] / m**k for j in cuts]
+
+
+@pytest.mark.parametrize("k", [96, 192, 512])
+def test_tail_rows_equal_the_integer_sums_at_large_k(k):
+    # the tracker's cuts at eps = tau = 0.2 and at the default eps, a cut
+    # at the mean and the two ends, for every s of three degrees
+    coef = [math.comb(k, i) for i in range(k + 1)]
+    cut_sets = [
+        make_tracker(DynamicGraph(2, 1), eps, tau, k=k)._cuts
+        for eps, tau in ((0.2, 0.2), (0.25, 1.0 / 12.0))
+    ]
+    for m in (7, 64, 300):
+        for s in range(m + 1):
+            cuts = [j for pair in cut_sets for j in pair] + [k * s // m, 1, k]
+            got = binomial_tails(k, m, s, cuts)
+            want = _integer_tails(coef, m, s, cuts)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12, (m, s)
+
+
+def test_tail_rows_at_the_papers_k_are_probabilities_that_fall_with_s():
+    # at n = 65, tau = 1/12 the paper's k is about 21,640: every row of a
+    # degree-64 table lies in [0, 1], has q1 <= q3 and falls as s falls,
+    # and the rows around s = 0.77 m are in doubt at the looser cut
+    n, tau = 65, 1.0 / 12.0
+    k = paper_k(n, tau)
+    assert k > 21_000
+    tr = make_tracker(DynamicGraph(n, n - 1), 0.25, tau, k=k)
+    m = n - 1
+    table = tr._tail_table(m)
+    rows = [tr._tail_row(table, m, 2 * s) for s in range(m + 1)]
+    assert all(0.0 <= q1 <= q3 <= 1.0 for q1, q3 in rows)
+    for (a1, a3), (b1, b3) in zip(rows, rows[1:]):
+        assert a1 <= b1 and a3 <= b3
+    assert rows[0] == [0.0, 0.0] and rows[m] == [1.0, 1.0]
+    assert any(0.0 < q1 < 1.0 for q1, _ in rows)
 
 
 def _pair_graph(k, m, s, dv):
@@ -464,11 +544,19 @@ def _pair_graph(k, m, s, dv):
     return g, tr
 
 
-@pytest.mark.parametrize("s,m,dv", [(12, 24, 24), (30, 36, 40), (40, 42, 60), (5, 30, 28)])
+@pytest.mark.parametrize(
+    "s,m,dv",
+    [
+        (12, 24, 24), (30, 36, 40), (40, 42, 60), (5, 30, 28), (0, 30, 28),  # masks
+        (10, 12, 30), (0, 12, 30),  # a walk of u's side, of degree below 2k
+        (12, 40, 16),  # a walk of v's side, of degree below 2k
+    ],
+)
 def test_exact_verdicts_follow_the_per_draw_law(s, m, dv):
     # one uniform draw against the tails gives the pair of verdicts
-    # (count >= t1, count >= t3) the law of k draws does; each outcome's
-    # frequency agrees within 5 sigma, and in1 without in3 never occurs
+    # (count >= t1, count >= t3) the law of k draws does, whether s comes
+    # from the masks or from a walk; each outcome's frequency agrees within
+    # 5 sigma, and in1 without in3 never occurs
     k, trials = 12, 20_000
     g, tr = _pair_graph(k, m, s, dv)
     t1, t3 = tr._maintain_thr
@@ -481,18 +569,25 @@ def test_exact_verdicts_follow_the_per_draw_law(s, m, dv):
         (cnt,) = _per_draw_counts(g, random.Random(seed), k, 1, (0,))
         drawn[cnt >= t1, cnt >= t3] += 1
     assert tr.metrics.samples - samples == k * trials
-    # the first judgement made both endpoints' masks from the adjacency
-    assert tr.masks == {0: g.neighbor_mask(0), 1: g.neighbor_mask(1)}
+    if min(m, dv) >= MASK_DEGREE_PER_SAMPLE * k:
+        # the first judgement made both endpoints' masks from the adjacency
+        assert tr.masks == {0: g.neighbor_mask(0), 1: g.neighbor_mask(1)}
+    else:
+        assert tr.masks == {}
     assert exact[True, False] == 0
     for outcome in ((True, True), (False, True), (False, False)):
         pooled = (exact[outcome] + drawn[outcome]) / (2 * trials)
         sigma = math.sqrt(pooled * (1 - pooled) * 2 / trials)
         assert abs(exact[outcome] - drawn[outcome]) / trials <= 5 * sigma + 1e-12, outcome
-    # a verdict in doubt takes exactly one random() draw
+    # a verdict in doubt takes exactly one random() draw, a certain one none
+    q1, q3 = fraction_tails(k, m, s, tr._cuts)
     tr.rng.seed(7)
     tr._counts(1, (0,))
     ref = random.Random(7)
-    ref.random()
+    if 0 < q3 and q1 < 1:
+        ref.random()
+    else:
+        assert s == 0 and exact[False, False] == trials
     assert tr.rng.getstate() == ref.getstate()
 
 

@@ -506,7 +506,7 @@ def test_phase_boundary_places_the_graphs_own_vertex_ids(strategy, n, delta, upd
     assert vertices == list(range(n))
 
 
-@pytest.mark.parametrize("adversary_seed,largest", [(9, 20), (17, 23)])
+@pytest.mark.parametrize("adversary_seed,largest", [(10, 20), (24, 22)])
 def test_a_clique_past_delta_plus_one_keeps_the_coloring_proper(adversary_seed, largest):
     # with one friend sample per pair (k = 1), a valid setting, the
     # decomposition grows an almost-clique of more members than the palette

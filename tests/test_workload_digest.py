@@ -46,11 +46,11 @@ SEED = 0
 DIGESTS = {
     "adaptive-sparse": {
         "coloring": "eabd8d45650d1582937bb27af7f43e2f83f587ca6ea8ff343af7bb72ad52db7d",
-        "decomposition": "c7c757c537b040734f130e0b1b815cf6fd77cfab9a827f9f8c45e969f2947676",
+        "decomposition": "18a252ee4bd95baedc2db07edb19c5e1afd5f35d62cb310bd81862cbed80b894",
     },
     "churn-dense": {
-        "coloring": "2c8934f3cb007a8ccc96befbabcb9af0f9722a42a5efe5be18c0ba1d51b316b4",
-        "decomposition": "2796717de89d865c4a234c989c4913f9699b211e8a04d4179fecd1753aa2c201",
+        "coloring": "8a3a9fec64daea33ca3f5d51286b5c85e492fec5fbb5173e0cc44155f971c3b0",
+        "decomposition": "8699094b9cf56ec916b0bed16e738f9080747bbc28ad4de662d84c4a63df2de6",
     },
     "deletion-wide": {
         "coloring": "d7dd81d06e09ef5b42eb4bdff51ad96b3c55c954ada29bdeacb49ec81e0738e0",

@@ -139,13 +139,14 @@ class FriendTracker:
         tail probabilities q1 <= q3 of those two events (`binomial_tails`)
         are all that matter.  s is read off the masks when both degrees
         reach `_mask_deg` (an endpoint without a mask gets one first,
-        `_mask`); otherwise the smaller neighborhood, of fewer than
-        `_mask_deg` entries, is walked against the other's dict.  One
-        U = random() gives in1 = U < q1 and in3 = U < q3, which is the
-        joint law of the two verdicts, since in1 implies in3.  The pair
-        reports j1, j3 or 0, the least count with its verdict.  When
-        q3 == 0 or q1 == 1 the verdict is certain and nothing is drawn; an
-        isolated u is never drawn for and counts 0.
+        `_mask`); otherwise it is the size of the two neighborhoods' key
+        intersection, which walks the smaller one, of fewer than
+        `_mask_deg` entries.  One U = random() gives in1 = U < q1 and
+        in3 = U < q3, which is the joint law of the two verdicts, since in1
+        implies in3.  The pair reports j1, j3 or 0, the least count with
+        its verdict.  When s == 0 the count is 0; when q3 == 0 or q1 == 1
+        the verdict is certain; in neither case is anything drawn.  An
+        isolated u counts 0.
 
         Each non-isolated pair is charged k samples and k work units: the
         paper's cost-model charge per estimate, kept on purpose although
@@ -153,12 +154,11 @@ class FriendTracker:
         """
         adj, random = self.graph.adj, self.rng.random
         near = adj[v]
-        d = len(near)
         masks, tails = self.masks, self._tails
         cap = self._mask_deg
         j1, j3 = self._cuts
         # v's mask is read when its first pair of two high degrees comes up
-        masked = d >= cap
+        masked = len(near) >= cap
         mv = None
         counts = []
         sampled = 0
@@ -174,22 +174,23 @@ class FriendTracker:
                         mv = masks.get(v) or self._mask(v)
                     mu = masks.get(u) or self._mask(u)
                     at = 2 * (mv & mu).bit_count()
-                elif m <= d:
-                    at = 2 * sum(map(near.__contains__, nu))
                 else:
-                    at = 2 * sum(map(nu.__contains__, near))
-                tab = tails.get(m) or self._tail_table(m)
-                # s's row sits at index at = 2s
-                q3 = tab[at + 1]
-                if q3:
-                    q1 = tab[at]
-                    if q1 != q1:  # NaN: the row is not built yet
-                        q1, q3 = self._tail_row(tab, m, at)
-                    if q1 == 1.0:
-                        cnt = j1
-                    elif q3:
-                        x = random()
-                        cnt = j1 if x < q1 else j3 if x < q3 else 0
+                    # the intersection walks the smaller side, of < cap entries
+                    at = 2 * len(near.keys() & nu.keys())
+                # with no common neighbor the count is 0 for certain
+                if at:
+                    tab = tails.get(m) or self._tail_table(m)
+                    # s's row sits at index at = 2s
+                    q3 = tab[at + 1]
+                    if q3:
+                        q1 = tab[at]
+                        if q1 != q1:  # NaN: the row is not built yet
+                            q1, q3 = self._tail_row(tab, m, at)
+                        if q1 == 1.0:
+                            cnt = j1
+                        elif q3:
+                            x = random()
+                            cnt = j1 if x < q1 else j3 if x < q3 else 0
             counts.append(cnt)
         charged = sampled * self.k
         self.metrics.samples += charged

@@ -3,11 +3,11 @@
 Adjacency is kept once, as one plain dict per vertex (neighbor -> None:
 O(1) membership, insert and delete), beside a flat degree list `deg`, so
 an update costs O(1) at any n and a degree is one list read.  Readers use
-the dict as a set: `in`, iteration and `len`.
-Iteration follows insertion order, so it is deterministic given the
-history of updates.  Nothing in the engine samples a uniform neighbor.
-Every dict is made up front, so no reader tests for a missing one.  `toggle` is
-the one body that mutates adjacency; it checks nothing.  `apply` is
+the dict as a set: `in`, iteration and `len`.  Iteration follows
+insertion order, so it is deterministic given the history of updates.
+Nothing in the engine samples a uniform neighbor.  Every dict is made up
+front, so no reader tests for a missing one.  `toggle` is the one body
+that mutates adjacency; it checks nothing.  `apply` is
 `check_legal` plus `toggle`, and the engine's phase rewind and replay call
 `toggle` directly, since they only undo and redo updates that `apply`
 already accepted.  Audits that count common neighborhoods for every edge

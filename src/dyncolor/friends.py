@@ -144,9 +144,9 @@ class FriendTracker:
         `_mask_deg` entries.  One U = random() gives in1 = U < q1 and
         in3 = U < q3, which is the joint law of the two verdicts, since in1
         implies in3.  The pair reports j1, j3 or 0, the least count with
-        its verdict.  When s == 0 the count is 0; when q3 == 0 or q1 == 1
-        the verdict is certain; in neither case is anything drawn.  An
-        isolated u counts 0.
+        its verdict.  When s == 0 the count is 0; when q3 == 0, q1 == 1 or
+        q1 == 0 < q3 == 1 the verdict is certain; in neither case is
+        anything drawn.  An isolated u counts 0.
 
         Each non-isolated pair is charged k samples and k work units: the
         paper's cost-model charge per estimate, kept on purpose although
@@ -188,6 +188,8 @@ class FriendTracker:
                             q1, q3 = self._tail_row(tab, m, at)
                         if q1 == 1.0:
                             cnt = j1
+                        elif q3 == 1.0 and not q1:
+                            cnt = j3
                         elif q3:
                             x = random()
                             cnt = j1 if x < q1 else j3 if x < q3 else 0

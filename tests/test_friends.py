@@ -599,6 +599,11 @@ def test_a_certain_exact_verdict_draws_nothing():
         assert tr._counts(1, (0,)) == [verdict]
         assert tr.rng.getstate() == state
         assert tr.metrics.samples >= 12
+    # at the paper's k, s = m / 2 puts q1 == 0.0 and q3 == 1.0: certain too
+    g, tr = _pair_graph(paper_k(65, 1.0 / 12.0), 64, 32, 64)
+    state = tr.rng.getstate()
+    assert tr._counts(1, (0,)) == [tr._cuts[1]]
+    assert tr.rng.getstate() == state
 
 
 def test_masks_are_made_on_demand_and_follow_later_updates():
@@ -610,8 +615,8 @@ def test_masks_are_made_on_demand_and_follow_later_updates():
     for u, v in clique_edges(range(delta + 1)):
         g.apply(ins(u, v))
         tr.maintain_friends(ins(u, v))
-    # the pairs judged exactly were the inserted ones whose endpoints both
-    # had degree >= 4 by then
+    # the pairs judged from masks were the inserted ones whose endpoints
+    # both had degree >= 4 by then
     made = sorted(tr.masks)
     assert made and len(made) < delta + 1
     tr.update_vertex(0)

@@ -82,9 +82,9 @@ class ParamSet:
             return self.sample_count_k
         k = math.ceil(12.0 * CONFIDENCE_C * math.log(max(n, 2)) / self.tau**2)
         if self.profile == DESK:
-            # k shapes only the friend tracker's tail rows, so this clamp
-            # buys no speed; it keeps the desk runs' recorded streams, and
-            # whether the derived k should replace it is an open question
+            # k sets no number of draws: it sets the verdict law's tails,
+            # a row of which walks about sqrt(k) terms, and the charge per
+            # estimate; the clamp keeps the desk runs' recorded streams
             k = min(k, 96)
         return max(k, 4)
 

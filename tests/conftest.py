@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -157,6 +158,19 @@ def dense_fixture(n, delta, members_lists, holes=(), extra_edges=(), **param_kw)
     cliques = [install_clique(engine, m) for m in members_lists]
     engine.rebuild_colors()
     return engine, cliques
+
+
+def report_bytes(rep) -> bytes:
+    """A `verify` report as bytes for a pin: every check's name, pass flag,
+    violations in full and info, except `good_colors`' info, which only
+    reports statistics."""
+    return json.dumps(
+        [
+            [name, c.passed, c.violations, None if name == "good_colors" else c.info]
+            for name, c in rep.checks.items()
+        ],
+        sort_keys=True,
+    ).encode()
 
 
 @pytest.fixture

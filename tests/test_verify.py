@@ -1,15 +1,23 @@
 """Fault-injection coverage: every verifier check has a corruption that trips it."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from dyncolor.colors import BLANK
+from dyncolor.engine import Engine, EngineConfig
 from dyncolor.graph import dele, ins
-from dyncolor.runner import run_stream
-from dyncolor.adversary import make_adversary
+from dyncolor.params import ParamSet
+from dyncolor.runner import params_from_header, run_stream
+from dyncolor.adversary import Scripted, make_adversary
 from dyncolor.baseline import TrivialBaseline
+from dyncolor.trace import TraceFile
 from dyncolor.verify import ProperWatch, verify
 
-from conftest import dense_fixture, friend_set, make_engine, oracle_fill_tracker, install_clique
+from conftest import (
+    dense_fixture, friend_set, install_clique, make_engine, oracle_fill_tracker, report_bytes,
+)
 
 
 def fresh_dense(seed=3, **kw):
@@ -486,3 +494,107 @@ def test_a_skipped_recolor_is_repaired_by_the_anchor():
     engine, _, _, ok, violations = watch_with_fault(lambda engine, v: v)
     assert ok and violations == []
     assert engine.metrics.anchor_repairs == 1
+
+
+# ---- the report pin: verify's verdicts over a fixed corpus -------------------------------
+
+DATA = Path(__file__).parent / "data"
+
+
+def _golden_reports(stem):
+    """A report at every phase boundary of a committed golden trace."""
+    trace = TraceFile.load(DATA / f"{stem}.trace")
+    n, delta = int(trace.header["n"]), int(trace.header["delta"])
+    engine = Engine(n, delta, EngineConfig(params=params_from_header(trace.header)))
+    reports = []
+
+    def at_boundary(e, upd, i):
+        if e.updates_in_phase == 0:
+            reports.append(verify(e))
+
+    run_stream(engine, Scripted(n, delta, trace.updates), len(trace.updates), per_update=at_boundary)
+    return reports
+
+
+def _k1_reports(adversary_seed):
+    """A report at every boundary of a k = 1 clique-churn run, which grows a
+    clique past delta + 1 and fails the structural audits."""
+    engine = Engine(64, 16, EngineConfig(params=ParamSet(seed=1, sample_count_k=1)))
+    adv = make_adversary("clique-churn", 64, 16, seed=adversary_seed)
+    reports = []
+
+    def at_boundary(e, upd, i):
+        if e.updates_in_phase == 0:
+            reports.append(verify(e))
+
+    run_stream(engine, adv, 400, per_update=at_boundary)
+    assert any(
+        not r.checks["decomposition_invariants"].passed
+        and not r.checks["clique_size_bounds"].passed
+        for r in reports
+    )
+    return reports
+
+
+def _accept2_reports(n, delta, seed):
+    """Reports every 10 updates over the first 600 of one of accept-2's dense
+    sweep configs, mostly inside a phase (drift > 0)."""
+    engine = make_engine(
+        n, delta, eps=0.15, tau=0.05, k=192, fire=4,
+        phase_len=max(24, delta), strict=False, seed=seed, regime_frac=1.0,
+    )
+    adv = make_adversary(
+        "clique-churn", n, delta, seed=seed + 50,
+        target_size=delta + 1 + (seed % 2), erode_frac=0.5,
+    )
+    reports = []
+
+    def every_10(e, upd, i):
+        if (i + 1) % 10 == 0:
+            reports.append(verify(e, boundary=e.updates_in_phase == 0))
+
+    run_stream(engine, adv, 600, per_update=every_10)
+    return reports
+
+
+REPORT_CORPUS = {
+    "golden-adaptive-monochrome": lambda: _golden_reports("adaptive-monochrome"),
+    "golden-clique-churn": lambda: _golden_reports("clique-churn"),
+    "golden-deletion-heavy": lambda: _golden_reports("deletion-heavy"),
+    "k1-seed1": lambda: _k1_reports(1),
+    "k1-seed9": lambda: _k1_reports(9),
+    "accept2": lambda: [
+        r
+        for cfg in ((64, 16, 0), (64, 16, 1), (64, 16, 2), (96, 24, 3), (96, 24, 4))
+        for r in _accept2_reports(*cfg)
+    ],
+}
+
+# recorded with `PYTHONPATH=src python tests/test_verify.py`
+REPORT_DIGESTS = {
+    "accept2": "7d3ae4a56a81655ca913d2811073bc753719451550602ea499aaa9d61b61a2a7",
+    "golden-adaptive-monochrome": "fb7bec6d167a8b32f272c08f4d701c2ecfbf25a17e7e8184002a4d27ac69ab52",
+    "golden-clique-churn": "d1886aa5eb35155eed9c645fd3966b6282256995392d0f3441a42b807b4d9895",
+    "golden-deletion-heavy": "30be71c56a7824c9bd60deb8e96990def92c2cffe7480a11d5a6571d589ea670",
+    "k1-seed1": "a65533d230d2fd8fd261758409dd6aedddc4c55fa70099757a9e1c955751f763",
+    "k1-seed9": "95854936e2c7aa35285b6671f1de544198a05a2ef44dd9e0040d6fa2e4d156e5",
+}
+
+
+def corpus_digest(part):
+    h = hashlib.sha256()
+    for rep in REPORT_CORPUS[part]():
+        h.update(report_bytes(rep))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("part", sorted(REPORT_CORPUS))
+def test_reports_over_the_corpus_are_unchanged(part):
+    # every check's verdict, violations in order and info, good_colors'
+    # info aside, must survive any change to how verify computes them
+    assert corpus_digest(part) == REPORT_DIGESTS[part]
+
+
+if __name__ == "__main__":
+    for part in sorted(REPORT_CORPUS):
+        print(f'    "{part}": "{corpus_digest(part)}",')

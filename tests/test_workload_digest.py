@@ -14,6 +14,10 @@ The coloring half covers:
 The decomposition half covers, at every phase boundary, every friend list
 N_1 and N_3 in iteration order and every vertex's clique.
 
+A third hash pins `verify`'s report on the run's end state (every check
+but `good_colors`' info), so a change to how `verify` computes its
+checks must leave their verdicts, violations and info as they were.
+
 The friend tracker draws from a generator of its own, so a change to its
 draws alone moves the decomposition half and leaves the coloring half as
 it was wherever no almost-clique forms.  A change that alters a draw, a
@@ -25,13 +29,14 @@ purpose, with
 
 import hashlib
 from array import array
+from functools import cache
 from itertools import compress
 
 import pytest
 
-from dyncolor import Engine, EngineConfig, make_adversary
+from dyncolor import Engine, EngineConfig, make_adversary, verify
 
-from conftest import sweep_params
+from conftest import report_bytes, sweep_params
 
 # name -> (strategy, n, delta, updates), as the benchmark defines them
 WORKLOADS = {
@@ -64,8 +69,17 @@ def _ints(h, xs):
     h.update(b"|")
 
 
+# the end state's verify report, recorded with `__main__` below
+REPORTS = {
+    "adaptive-sparse": "9b060b29fdc4e86900b4c840d8da7534771c8b7eb0c978f255bb8e2378aaf359",
+    "churn-dense": "b37d494199143c1524d46f3e6a57fd5829014db34a3ad189b17b128331e9240b",
+    "deletion-wide": "3edc2dfcae23ed9e07310414e7bc47d2ef7d3ada5133eb620a3e06c7b337a67e",
+}
+
+
+@cache
 def workload_digests(name, seed=SEED):
-    """The run's {"coloring": sha256, "decomposition": sha256}."""
+    """The run's {"coloring", "decomposition", "report"} sha256s."""
     strategy, n, delta, updates = WORKLOADS[name]
     engine = Engine(n, delta, EngineConfig(params=sweep_params(seed, delta)))
     adversary = make_adversary(strategy, n, delta, seed=seed + 1000)
@@ -95,12 +109,23 @@ def workload_digests(name, seed=SEED):
     _ints(coloring, endpoints)
     coloring.update(repr(engine.rng.getstate()).encode())
     coloring.update(repr(engine.metrics.to_dict()).encode())
-    return {"coloring": coloring.hexdigest(), "decomposition": decomposition.hexdigest()}
+    report = report_bytes(verify(engine, boundary=engine.updates_in_phase == 0))
+    return {
+        "coloring": coloring.hexdigest(),
+        "decomposition": decomposition.hexdigest(),
+        "report": hashlib.sha256(report).hexdigest(),
+    }
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_digest_is_unchanged(name):
-    assert workload_digests(name) == DIGESTS[name]
+    digests = workload_digests(name)
+    assert {half: digests[half] for half in DIGESTS[name]} == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_verify_report_at_the_end_state_is_unchanged(name):
+    assert workload_digests(name)["report"] == REPORTS[name]
 
 
 if __name__ == "__main__":
@@ -110,3 +135,5 @@ if __name__ == "__main__":
         for half in ("coloring", "decomposition"):
             print(f'        "{half}": "{digests[half]}",')
         print("    },")
+    for name in sorted(WORKLOADS):
+        print(f'    "{name}": "{workload_digests(name)["report"]}",')

@@ -28,21 +28,7 @@ never gets one.  Once made it is never dropped, even empty.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .sampleset import EMPTY_MAP, own
-
-
-class Finding(NamedTuple):
-    """One invariant miss; `vertex` is None for a clique-level one."""
-
-    invariant: str  # Density, Friendship, Size or Connectedness
-    vertex: int | None
-    clique: int | None
-    text: str
-
-    def __str__(self) -> str:
-        return f"{self.invariant}: {self.text}"
 
 
 class AlmostClique:
@@ -283,105 +269,6 @@ class Decomposition:
         self.metrics.vertex_moves += len(members)
         self.cliques.pop(c.id)
         return members
-
-    # ---- verification ------------------------------------------------------------
-
-    def check_invariants(self, drift: int = 0, common=None) -> list[Finding]:
-        """Exact audit of the four invariants via oracle common-neighbor counts.
-
-        `drift` loosens thresholds by the number of in-phase updates the
-        current state may be away from the last full maintenance pass.
-        `common(u, v)` is the exact counter; by default one is built from
-        the graph for this audit.
-        """
-        g = self.graph
-        if common is None:
-            common = g.common_neighbor_counter()
-        delta = g.delta
-        c3 = self.params.c3
-        eps, tau = self.params.epsilon, self.params.tau
-        out: list[Finding] = []
-        friend_thr = (1.0 - c3) * delta - drift
-        sparse_thr = (1.0 - (eps - 0.75 * tau)) * delta + drift
-        for v in range(g.n):
-            cid = self.clique_of[v]
-            if cid is not None:
-                if sum(1 for u in g.adj[v] if common(u, v) >= friend_thr) < friend_thr:
-                    text = f"dense vertex {v} lacks scale-3 friends"
-                    out.append(Finding("Density", v, cid, text))
-            else:
-                cnt = sum(
-                    1 for u in g.adj[v]
-                    if common(u, v) >= sparse_thr
-                )
-                # without a single qualifying friend no vertex looks dense,
-                # also where the threshold is 0 (delta = 0)
-                if cnt and cnt >= sparse_thr:
-                    text = f"sparse vertex {v} looks scale-1 dense"
-                    out.append(Finding("Density", v, None, text))
-        for cid, c in sorted(self.cliques.items()):
-            size = len(c.members)
-            if not ((1.0 - c3) * delta - drift <= size <= (1.0 + 3.0 * c3) * delta + drift):
-                out.append(Finding("Size", None, cid, f"clique {cid} has {size} members"))
-            for v in sorted(c.members):
-                friends_in = sum(
-                    1 for u in g.adj[v]
-                    if self.clique_of[u] == cid
-                    and common(u, v) >= friend_thr
-                )
-                if friends_in + c.sigma + drift < (1.0 - c3) * delta:
-                    out.append(Finding("Friendship", v, cid, f"vertex {v} in clique {cid}"))
-            if size > 1 and not self._spans(c, friend_thr, common):
-                text = f"clique {cid} not spanned by friend edges"
-                out.append(Finding("Connectedness", None, cid, text))
-        return out
-
-    def _spans(self, c: AlmostClique, thr: float, common) -> bool:
-        """Whether friend edges at `thr` connect every member of c."""
-        adj, clique_of = self.graph.adj, self.clique_of
-        start = min(c.members)
-        seen, stack = {start}, [start]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u not in seen and clique_of[u] == c.id and common(u, v) >= thr:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(c.members)
-
-    def check_structures(self) -> list[str]:
-        """Exact recomputation of every maintained list against the graph."""
-        g = self.graph
-        out = []
-        for v in range(g.n):
-            want_nc = {}
-            for u in g.adj[v]:
-                cid = self.clique_of[u]
-                if cid is not None:
-                    want_nc.setdefault(cid, set()).add(u)
-            if want_nc != self.n_c[v]:
-                out.append(f"n_c mismatch at {v}")
-            cid = self.clique_of[v]
-            if cid is not None and v not in self.cliques[cid].members:
-                out.append(f"clique pointer of {v} dangles")
-        for cid, c in self.cliques.items():
-            for v in c.members:
-                if self.clique_of[v] != cid:
-                    out.append(f"member {v} of clique {cid} points elsewhere")
-            want = {
-                v: {u for u in c.members if u != v and not g.has_edge(u, v)}
-                for v in c.members
-            }
-            if want != {v: c.nonedges.get(v, set()) for v in c.members} or any(
-                k not in c.members for k in c.nonedges
-            ):
-                out.append(f"non-edge lists of clique {cid} inexact")
-            for u, v in c.partner.items():
-                if c.partner.get(v) != u:
-                    out.append(f"matching of clique {cid} asymmetric at {u}")
-                if g.has_edge(u, v) or u not in c.members or v not in c.members:
-                    out.append(f"matched pair ({u},{v}) of clique {cid} invalid")
-        return out
 
     def snapshot(self) -> dict:
         return {

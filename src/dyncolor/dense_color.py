@@ -557,13 +557,3 @@ class DenseColoring:
         for w in left:
             if of[w] == BLANK:
                 self.rematch(clique, w)
-
-    # ---- audits ------------------------------------------------------------------------
-
-    def palette_identity_gap(self, clique) -> int:
-        """|A| - (delta + 1 - |C| + |matching| + |blank big-L|); zero when consistent."""
-        book = clique.book
-        of = self.colors.of
-        blank = sum(1 for v in book.big_l.items if of[v] == BLANK)
-        k = self.palette - len(clique.members)
-        return len(book.A) - (k + clique.matching_size() + blank)

@@ -300,30 +300,3 @@ class FriendTracker:
                     if z not in fired:
                         result.append(z)
         return result
-
-    # ---- introspection -------------------------------------------------------
-
-    def check_consistency(self, boundary: bool = True) -> list[str]:
-        """Audit the lists' symmetry and nesting, and the masks; returns violations.
-
-        Only at a phase boundary must every listed pair be an edge and
-        every mask equal its vertex's adjacency: an update inside a phase
-        reaches the tracker at the boundary replay.
-        """
-        viol = []
-        graph, n3 = self.graph, self.n3
-        has_edge = graph.has_edge
-        if boundary:
-            for v, mask in sorted(self.masks.items()):
-                if mask != graph.neighbor_mask(v):
-                    viol.append(f"mask: vertex {v}'s mask differs from its adjacency")
-        for name, lists in (("N_1", self.n1), ("N_3", n3)):
-            for v in range(self.n):
-                for u in lists[v]:
-                    if v not in lists[u]:
-                        viol.append(f"{name}: asymmetric friend pair ({v},{u})")
-                    if boundary and not has_edge(u, v):
-                        viol.append(f"{name}: stale friend pair ({v},{u})")
-                    if u not in n3[v]:
-                        viol.append(f"{name}: friend pair ({v},{u}) missing from N_3")
-        return viol

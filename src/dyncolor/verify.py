@@ -1,4 +1,4 @@
-"""Brute-force verification oracle.
+"""Brute-force verification oracle, and the one home of every audit.
 
 Everything is recomputed from scratch against the graph (the ground
 truth): properness, the graph's own structure (symmetric adjacency,
@@ -8,7 +8,16 @@ phase rewind trusts), the partition and its per-clique neighbor view
 friendship of every vertex via exact common-neighbor counts, the four
 decomposition invariants, clique size bounds, non-edge exactness,
 per-clique color discipline, the palette identity, matching floors, and
-edge-counter recounts.  Checks whose underlying claims are only
+edge-counter recounts.  The engine's modules hold only the algorithm;
+the audits here read their parts (a `Decomposition`, a `FriendTracker`,
+a clique and the `ColorState`) and nothing in the engine calls them.
+
+One `verify` call takes each undirected edge's exact common-neighbor
+count once (`edge_commons`), which feeds `friend_soundness` and all four
+invariants, and each clique member's in-clique degree once, which feeds
+the non-edge bound, the clique size bounds and the good-color bound.
+
+Checks whose underlying claims are only
 high-probability report pass rates and attribute misses to estimator
 gaps (tracker belief differing from the oracle) instead of hard-failing.
 A decomposition-invariant miss is attributed iff it names a vertex and
@@ -26,6 +35,7 @@ properness after every single update.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .colors import BLANK
 from .engine import Engine
@@ -34,6 +44,18 @@ from .engine import Engine
 # at a phase boundary
 MATCHING_FLOOR_PHASE = 50.0
 MATCHING_FLOOR_BOUNDARY = 22.0
+
+
+class Finding(NamedTuple):
+    """One invariant miss; `vertex` is None for a clique-level one."""
+
+    invariant: str  # Density, Friendship, Size or Connectedness
+    vertex: int | None
+    clique: int | None
+    text: str
+
+    def __str__(self) -> str:
+        return f"{self.invariant}: {self.text}"
 
 
 @dataclass
@@ -125,6 +147,162 @@ class ProperWatch:
         return ok
 
 
+# ---- the audits, one per part of the engine ------------------------------------------
+
+
+def edge_commons(graph) -> list[dict[int, int]]:
+    """Per vertex v, {u: |N(u) cap N(v)|} over the neighbors u of v.
+
+    One bitmask snapshot (`common_neighbor_counter`) answers the counts,
+    each undirected edge is counted once, at its first endpoint, and the
+    count is written to both endpoints' rows.  A row's keys are exactly
+    its vertex's adjacency, even where the adjacency is asymmetric.
+    """
+    count = graph.common_neighbor_counter()
+    adj = graph.adj
+    table: list[dict[int, int]] = [{} for _ in adj]
+    for v, near in enumerate(adj):
+        row = table[v]
+        for u in near:
+            if u not in row:
+                s = row[u] = count(u, v)
+                if v in adj[u]:
+                    table[u][v] = s
+    return table
+
+
+def partition_violations(dec) -> list[str]:
+    """Exact recomputation of the partition's maintained lists against the graph:
+    the neighbor views `n_c`, the clique pointers, the non-edge lists and
+    the matching."""
+    g = dec.graph
+    clique_of = dec.clique_of
+    out = []
+    for v in range(g.n):
+        want_nc: dict[int, set[int]] = {}
+        for u in g.adj[v]:
+            cid = clique_of[u]
+            if cid is not None:
+                want_nc.setdefault(cid, set()).add(u)
+        if want_nc != dec.n_c[v]:
+            out.append(f"n_c mismatch at {v}")
+        cid = clique_of[v]
+        if cid is not None and v not in dec.cliques[cid].members:
+            out.append(f"clique pointer of {v} dangles")
+    for cid, c in dec.cliques.items():
+        for v in c.members:
+            if clique_of[v] != cid:
+                out.append(f"member {v} of clique {cid} points elsewhere")
+        want = {
+            v: {u for u in c.members if u != v and not g.has_edge(u, v)}
+            for v in c.members
+        }
+        if want != {v: c.nonedges.get(v, set()) for v in c.members} or any(
+            k not in c.members for k in c.nonedges
+        ):
+            out.append(f"non-edge lists of clique {cid} inexact")
+        for u, v in c.partner.items():
+            if c.partner.get(v) != u:
+                out.append(f"matching of clique {cid} asymmetric at {u}")
+            if g.has_edge(u, v) or u not in c.members or v not in c.members:
+                out.append(f"matched pair ({u},{v}) of clique {cid} invalid")
+    return out
+
+
+def friend_list_violations(tracker, boundary: bool = True) -> list[str]:
+    """The friend lists' symmetry and nesting, and the tracker's masks.
+
+    Only at a phase boundary must every listed pair be an edge and every
+    mask equal its vertex's adjacency: an update inside a phase reaches the
+    tracker at the boundary replay.
+    """
+    viol = []
+    graph, n3 = tracker.graph, tracker.n3
+    has_edge = graph.has_edge
+    if boundary:
+        for v, mask in sorted(tracker.masks.items()):
+            if mask != graph.neighbor_mask(v):
+                viol.append(f"mask: vertex {v}'s mask differs from its adjacency")
+    for name, lists in (("N_1", tracker.n1), ("N_3", n3)):
+        for v in range(tracker.n):
+            for u in lists[v]:
+                if v not in lists[u]:
+                    viol.append(f"{name}: asymmetric friend pair ({v},{u})")
+                if boundary and not has_edge(u, v):
+                    viol.append(f"{name}: stale friend pair ({v},{u})")
+                if u not in n3[v]:
+                    viol.append(f"{name}: friend pair ({v},{u}) missing from N_3")
+    return viol
+
+
+def invariant_findings(dec, drift: int = 0, commons=None) -> list[Finding]:
+    """Exact audit of the four decomposition invariants via oracle counts.
+
+    `drift` loosens thresholds by the number of in-phase updates the
+    current state may be away from the last full maintenance pass.
+    `commons` is `edge_commons(dec.graph)`; by default it is taken here.
+    """
+    g = dec.graph
+    if commons is None:
+        commons = edge_commons(g)
+    clique_of = dec.clique_of
+    delta = g.delta
+    c3 = dec.params.c3
+    eps, tau = dec.params.epsilon, dec.params.tau
+    out: list[Finding] = []
+    friend_thr = (1.0 - c3) * delta - drift
+    sparse_thr = (1.0 - (eps - 0.75 * tau)) * delta + drift
+    for v, row in enumerate(commons):
+        cid = clique_of[v]
+        if cid is not None:
+            if sum(1 for s in row.values() if s >= friend_thr) < friend_thr:
+                text = f"dense vertex {v} lacks scale-3 friends"
+                out.append(Finding("Density", v, cid, text))
+        else:
+            cnt = sum(1 for s in row.values() if s >= sparse_thr)
+            # without a single qualifying friend no vertex looks dense,
+            # also where the threshold is 0 (delta = 0)
+            if cnt and cnt >= sparse_thr:
+                text = f"sparse vertex {v} looks scale-1 dense"
+                out.append(Finding("Density", v, None, text))
+    for cid, c in sorted(dec.cliques.items()):
+        size = len(c.members)
+        if not ((1.0 - c3) * delta - drift <= size <= (1.0 + 3.0 * c3) * delta + drift):
+            out.append(Finding("Size", None, cid, f"clique {cid} has {size} members"))
+        for v in sorted(c.members):
+            friends_in = sum(
+                1 for u, s in commons[v].items() if clique_of[u] == cid and s >= friend_thr
+            )
+            if friends_in + c.sigma + drift < (1.0 - c3) * delta:
+                out.append(Finding("Friendship", v, cid, f"vertex {v} in clique {cid}"))
+        if size > 1 and not _spans(c, clique_of, friend_thr, commons):
+            text = f"clique {cid} not spanned by friend edges"
+            out.append(Finding("Connectedness", None, cid, text))
+    return out
+
+
+def _spans(c, clique_of, thr: float, commons) -> bool:
+    """Whether friend edges at `thr` connect every member of clique c."""
+    start = min(c.members)
+    seen, stack = {start}, [start]
+    while stack:
+        v = stack.pop()
+        for u, s in commons[v].items():
+            if u not in seen and clique_of[u] == c.id and s >= thr:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == len(c.members)
+
+
+def palette_identity_gap(clique, colors) -> int:
+    """|A| - (delta + 1 - |C| + |matching| + |blank big-L|); zero when consistent."""
+    book = clique.book
+    of = colors.of
+    blank = sum(1 for v in book.big_l.items if of[v] == BLANK)
+    k = colors.palette - len(clique.members)
+    return len(book.A) - (k + clique.matching_size() + blank)
+
+
 def verify(
     engine,
     boundary: bool = True,
@@ -177,17 +355,16 @@ def verify(
     delta = g.delta
     eps = params.epsilon
     drift = 0 if boundary else engine.updates_in_phase
-    # one bitmask snapshot answers every common-neighbor count of this audit
-    common = g.common_neighbor_counter()
+    clique_of = dec.clique_of
 
     # partition and neighbor-view structures ------------------------------
-    viol = dec.check_structures()
+    viol = partition_violations(dec)
     rep.add(CheckResult("partition_structures", not viol, viol))
 
     # occupancy lists ------------------------------------------------------
     viol = []
     seen = set()
-    of, clique_of = colors.of, dec.clique_of
+    of = colors.of
     for c in range(palette):
         for name, lst, dense_side in (("L", colors.L[c], False), ("L_D", colors.L_D[c], True)):
             for v in lst:
@@ -247,7 +424,7 @@ def verify(
         cl = dec.cliques[cid]
         if cl.book is None:
             continue
-        gap = dense.palette_identity_gap(cl)
+        gap = palette_identity_gap(cl, colors)
         if gap:
             viol.append(f"clique {cid}: |A| off by {gap}")
     rep.add(CheckResult("palette_identity", not viol, viol))
@@ -260,8 +437,8 @@ def verify(
             continue
         want: dict[int, int] = {}
         for v in cl.members:
-            for u in g.adj[v]:
-                if dec.clique_of[u] is None:
+            for u in adj[v]:
+                if clique_of[u] is None:
                     c = colors.of[u]
                     if c != BLANK:
                         want[c] = want.get(c, 0) + 1
@@ -292,20 +469,26 @@ def verify(
         floors.append((cid, m, cl.nonedge_count))
     rep.add(CheckResult("matching_floors", not viol, viol, {"cliques": len(floors)}))
 
+    # each clique member's neighbors inside its clique, counted once for the
+    # non-edge bound, the clique size bounds and the good-color bound
+    inside = {
+        cid: {v: sum(1 for u in adj[v] if clique_of[u] == cid) for v in cl.members}
+        for cid, cl in dec.cliques.items()
+    }
+
     # non-edge degree bound, counted from the graph -----------------------------------
     viol = []
     c3 = params.c3
     for cid in sorted(dec.cliques):
-        cl = dec.cliques[cid]
-        for v in cl.members:
-            missing = sum(1 for u in cl.members if u != v and not g.has_edge(u, v))
-            if missing > 3 * c3 * delta + drift:
+        size = len(dec.cliques[cid].members)
+        for v, ins in inside[cid].items():
+            if size - 1 - ins > 3 * c3 * delta + drift:
                 viol.append(f"clique {cid}: non-edge degree of {v} too high")
     rep.add(CheckResult("nonedges", not viol, viol))
 
     # friend-list structure: symmetry, no stale pair at a boundary ---------------
     tracker = engine.tracker
-    viol = tracker.check_consistency(boundary=boundary)
+    viol = friend_list_violations(tracker, boundary=boundary)
     rep.add(CheckResult("friend_lists", not viol, viol))
 
     # friend-tracker soundness vs the oracle ----------------------------------------
@@ -314,8 +497,9 @@ def verify(
     # certifies closeness scaled by the sampled endpoint's degree.  The rate
     # is measured against that certificate; the absolute form (degrees at
     # the cap) is reported alongside.
-    # Each directed edge's common-neighbor count is taken once and judged
-    # at both kept scales; each scale's rate must reach the floor.
+    # Each directed edge's common-neighbor count is judged at both kept
+    # scales; each scale's rate must reach the floor.
+    commons = edge_commons(g)
     tau = params.tau
     absolute_false_in = 0
     total = 2 * g.edge_count  # directed edges, each judged at both scales
@@ -328,23 +512,22 @@ def verify(
         lo = (1.0 - (i * eps - tau)) * delta + drift
         scales.append((lists, in_v, ratio_hi, hi, lo))
     mismatches = [0, 0]
-    for v in range(g.n):
+    for v, row in enumerate(commons):
         cnt_hi = [0, 0]
-        for u in g.adj[v]:
-            commons = common(u, v)
+        for u, s in row.items():
             for j, (lists, _, ratio_hi, hi, lo) in enumerate(scales):
-                if commons >= hi:
+                if s >= hi:
                     cnt_hi[j] += 1
                 if u in lists[v]:
-                    if commons < hi:
+                    if s < hi:
                         # tracker belief diverges from the oracle's absolute
                         # form: usable for attributing invariant misses
                         absolute_false_in += 1
                         gap_vertices.update((u, v))
                     scaled = ratio_hi * min(delta, g.degree(u), g.degree(v)) - drift
-                    if commons < scaled:
+                    if s < scaled:
                         mismatches[j] += 1
-                elif commons >= lo:
+                elif s >= lo:
                     mismatches[j] += 1
                     gap_vertices.update((u, v))
         # a V_i membership, read from the list's current length, that the
@@ -369,7 +552,7 @@ def verify(
     )
 
     # the four decomposition invariants, estimator misses attributed -----------------
-    raw = dec.check_invariants(drift=drift, common=common)
+    raw = invariant_findings(dec, drift=drift, commons=commons)
     # attributed by the rule in the module docstring
     hard = [str(f) for f in raw if f.vertex is None or f.vertex not in gap_vertices]
     attributed = len(raw) - len(hard)
@@ -382,23 +565,21 @@ def verify(
         )
     )
 
-    # clique size bounds (the headline form) --------------------------------------------
+    # clique size bounds (the headline form; `invariant_findings` has the c3 form) -----
     viol = []
     lo_sz = (1.0 - 4.0 * eps) * delta
     hi_sz = (1.0 + 10.0 * eps) * delta
     nbr_floor = (1.0 - (4.0 if boundary else 5.0) * eps) * delta
     for cid in sorted(dec.cliques):
-        cl = dec.cliques[cid]
-        size = len(cl.members)
+        size = len(dec.cliques[cid].members)
         if not (lo_sz <= size <= hi_sz):
             viol.append(f"clique {cid}: size {size} outside [{lo_sz:.1f},{hi_sz:.1f}]")
-        for v in cl.members:
-            inside = sum(1 for u in g.adj[v] if dec.clique_of[u] == cid)
-            if inside < nbr_floor:
-                viol.append(f"clique {cid}: {v} has only {inside} inside neighbors")
+        for v, ins in inside[cid].items():
+            if ins < nbr_floor:
+                viol.append(f"clique {cid}: {v} has only {ins} inside neighbors")
     rep.add(CheckResult("clique_size_bounds", not viol, viol))
 
-    # good-color audit (exact consequences of the matching floor) -----------------------
+    # good-color audit (an exact consequence of the matching floor) -------------------
     viol = []
     stats = []
     for cid in sorted(dec.cliques):
@@ -406,50 +587,15 @@ def verify(
         if cl.book is None or len(cl.members) > delta:
             continue
         m = cl.matching_size()
-        big_l = sorted(v for v in cl.members if v not in cl.partner)
+        big_l = [v for v in cl.members if v not in cl.partner]
         k = palette - len(cl.members)
-        ext_edges = sum(
-            1
-            for v in big_l
-            for u in g.adj[v]
-            if dec.clique_of[u] != cid
-        )
+        ext_edges = sum(len(adj[v]) - inside[cid][v] for v in big_l)
         bound = len(big_l) * k + 100.0 * m * eps * delta
         if ext_edges > bound:
             viol.append(
                 f"clique {cid}: {ext_edges} external edges exceed bound {bound:.1f}"
             )
-        big_l_set = set(big_l)
-        blanks = [v for v in big_l if colors.of[v] == BLANK]
-
-        def available(v, c):
-            return not any(
-                x not in big_l_set and colors.of[x] == c for x in g.adj[v]
-            )
-
-        good_members = []
-        for v in big_l:
-            c = colors.of[v]
-            if c == BLANK:
-                continue
-            free = sum(1 for w in big_l if available(w, c))
-            if free >= dense.dispatch_limit:
-                good_members.append(v)
-        unused = [c for c in range(palette) if c in cl.book.A]
-        pairs = sum(
-            1 for v in good_members for c in unused if available(v, c)
-        )
-        # the pair count against |good| * |blank| is analysis-shaped and only
-        # reported; at desk scale its matching term can be negative
-        stats.append(
-            {
-                "clique": cid,
-                "big_l": len(big_l),
-                "good_colored": len(good_members),
-                "available_pairs": pairs,
-                "pair_floor": len(good_members) * len(blanks),
-            }
-        )
+        stats.append({"clique": cid, "big_l": len(big_l)})
     rep.add(CheckResult("good_colors", not viol, viol, {"cliques": stats}))
 
     # color-load report --------------------------------------------------------------------

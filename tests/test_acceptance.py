@@ -22,7 +22,7 @@ from dyncolor.graph import DynamicGraph, EdgeUpdate, ins
 from dyncolor.metrics import Metrics
 from dyncolor.params import ParamSet
 from dyncolor.runner import run_stream
-from dyncolor.verify import verify
+from dyncolor.verify import invariant_findings, palette_identity_gap, verify
 
 from conftest import make_engine, random_graph, sweep_params
 
@@ -111,7 +111,7 @@ def dense_sweep():
                     continue
                 # criterion 2: the palette identity, every clique, exactly
                 blank = any(e.colors.of[w] == BLANK for w in cl.book.big_l)
-                if e.dense.palette_identity_gap(cl) != 0 or blank:
+                if palette_identity_gap(cl, e.colors) != 0 or blank:
                     out["identity_violations"] += 1
                 # criterion 4: matching floors
                 m = cl.matching_size()
@@ -121,7 +121,7 @@ def dense_sweep():
                     out["boundary_floor_violations"] += 1
             # criterion 3: exact invariant audit on every update
             drift = 0 if boundary else e.updates_in_phase
-            raw = e.decomp.check_invariants(drift=drift)
+            raw = invariant_findings(e.decomp, drift=drift)
             out["audits"] += 1
             if not raw:
                 out["clean_audits"] += 1

@@ -4,13 +4,14 @@ import pytest
 
 from dyncolor.adversary import make_adversary
 from dyncolor.colors import ColorState
-from dyncolor.decomposition import Decomposition, Finding
+from dyncolor.decomposition import Decomposition
 from dyncolor.dense_color import DenseColoring
 from dyncolor.friends import FriendTracker
 from dyncolor.graph import DynamicGraph, dele, ins
 from dyncolor.metrics import Metrics
 from dyncolor.params import ParamSet
 from dyncolor.runner import run_stream
+from dyncolor.verify import Finding, invariant_findings, partition_violations
 
 from conftest import (
     STRICT_METRICS,
@@ -58,7 +59,7 @@ def test_sparse_insertion_changes_nothing():
     assert drive(ins(0, 1)) == ([], [], [])
     assert dec.clique_of[0] is None and dec.clique_of[1] is None
     assert not dec.n_c[0] and not dec.n_c[1]
-    assert dec.check_structures() == []
+    assert partition_violations(dec) == []
 
 
 def test_incremental_clique_build_first_dense_move():
@@ -79,7 +80,7 @@ def test_incremental_clique_build_first_dense_move():
     assert founders
     cid = dec.clique_of[founders[0]]
     assert dec.cliques[cid].members == set(moved)
-    assert dec.check_structures() == []
+    assert partition_violations(dec) == []
 
 
 def test_deletions_trigger_sparse_move_and_sigma():
@@ -98,7 +99,7 @@ def test_deletions_trigger_sparse_move_and_sigma():
             break
     assert victim in moves
     assert dec.cliques[cid].sigma > sigma0
-    assert dec.check_structures() == []
+    assert partition_violations(dec) == []
 
 
 def test_dense_move_type2_new_clique():
@@ -112,7 +113,7 @@ def test_dense_move_type2_new_clique():
     cid = dec.clique_of[v]
     assert len(dec.cliques[cid].members) == 1 + len(engine.tracker.n1[v])
     assert movers[0] == v
-    assert dec.check_structures() == []
+    assert partition_violations(dec) == []
 
 
 def test_dense_move_type1_joins_friends_clique():
@@ -134,7 +135,7 @@ def test_dense_move_type1_joins_friends_clique():
     assert dec.clique_of[v] == c.id and dec.clique_of[w] == c.id
     assert len(c.members) == size0 + len(movers)
     assert w in movers  # sparse close friend rides along
-    assert dec.check_structures() == []
+    assert partition_violations(dec) == []
 
 
 def test_dense_move_friends_in_one_clique_fuzz():
@@ -173,7 +174,7 @@ def test_sparse_move_without_nonedges():
     assert v not in c.members
     for u in others:
         assert len(dec.n_c[u][c.id]) == nc_before[u] - 1
-    assert dec.check_structures() == []
+    assert partition_violations(dec) == []
 
 
 def test_sparse_move_clears_nonedges():
@@ -188,12 +189,12 @@ def test_sparse_move_clears_nonedges():
     assert c.nonedge_count == count0 - 3
     for u in (1, 2, 3):
         assert 0 not in c.nonedges[u]
-    assert dec.check_structures() == []
+    assert partition_violations(dec) == []
 
 
 def test_check_invariants_empty_graph():
     _, _, dec, _ = standalone(8, 4)
-    assert dec.check_invariants() == []
+    assert invariant_findings(dec) == []
 
 
 def test_check_invariants_corrupted_pointer():
@@ -203,11 +204,11 @@ def test_check_invariants_corrupted_pointer():
     # orphan a member: it now looks like a sparse vertex of a dense clique
     victim = min(c.members)
     dec.clique_of[victim] = None
-    report = dec.check_invariants()
+    report = invariant_findings(dec)
     finding = Finding("Density", victim, None, f"sparse vertex {victim} looks scale-1 dense")
     assert report == [finding]
     assert str(finding) == f"Density: sparse vertex {victim} looks scale-1 dense"
-    assert dec.check_structures() != []
+    assert partition_violations(dec) != []
 
 
 def test_full_trace_sweep_invariants_and_exact_nonedges():
@@ -224,19 +225,19 @@ def test_full_trace_sweep_invariants_and_exact_nonedges():
 
     def per_update(e, upd, i):
         if e.updates_in_phase == 0:  # phase boundary just passed
-            bad = e.decomp.check_structures()
+            bad = partition_violations(e.decomp)
             if bad:
                 audit_fail.append((i, bad[:2]))
 
     res = run_stream(engine, adv, 2500, per_update=per_update)
     assert res["steps"] == 2500
     assert audit_fail == []
-    assert engine.decomp.check_structures() == []
+    assert partition_violations(engine.decomp) == []
     eps = engine.params.epsilon
     per_upd = engine.metrics.nonedge_adjustments / res["steps"]
     assert per_upd <= 4.0 / eps**4
     if engine.updates_in_phase == 0:
-        assert engine.decomp.check_invariants() == []
+        assert invariant_findings(engine.decomp) == []
 
 
 def test_nonedge_degree_bound():
@@ -301,7 +302,7 @@ def test_sparse_move_reads_the_current_scale_3_list():
     assert drive(dele(0, m - 1))[1] == [0]  # refreshes 0, 16, then 1..15
     assert len(tracker.n3[0]) == 7 and not tracker.in_v3(0)
     assert c.sigma == 1 and dec.clique_of[0] is None
-    assert dec.check_structures() == []
+    assert partition_violations(dec) == []
 
 
 def test_sparse_move_counts_only_scale_3_friends_inside_the_clique():
@@ -332,7 +333,7 @@ def test_sparse_move_counts_only_scale_3_friends_inside_the_clique():
     assert sorted(tracker.n3[0]) == list(range(6, m - 1)) + [15, 16]
     assert tracker.in_v3(0)
     assert c.sigma == 1 and dec.clique_of[0] is None
-    assert dec.check_structures() == []
+    assert partition_violations(dec) == []
 
 
 def test_clique_collapse_and_refounding():
@@ -356,4 +357,4 @@ def test_clique_collapse_and_refounding():
         if collapsed:
             break
     assert collapsed, "no collapse despite the tiny threshold"
-    assert dec.check_structures() == []
+    assert partition_violations(dec) == []

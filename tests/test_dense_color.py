@@ -6,7 +6,7 @@ import pytest
 from dyncolor.colors import BLANK
 from dyncolor.errors import IterationCapExceeded
 from dyncolor.graph import dele, ins
-from dyncolor.verify import verify
+from dyncolor.verify import palette_identity_gap, verify
 
 from conftest import dense_fixture, make_engine
 
@@ -45,7 +45,7 @@ def globally_proper(engine):
 
 
 def identity_ok(engine, clique):
-    return engine.dense.palette_identity_gap(clique) == 0
+    return palette_identity_gap(clique, engine.colors) == 0
 
 
 # ---- non-edge matching initialization -------------------------------------------

@@ -15,7 +15,7 @@ from dyncolor.runner import build_engine, replay_trace, run_stream
 from dyncolor.sampleset import EMPTY_MAP
 from dyncolor.trace import TraceFile
 from dyncolor.adversary import make_adversary
-from dyncolor.verify import ProperWatch, verify
+from dyncolor.verify import ProperWatch, palette_identity_gap, verify
 
 from conftest import clique_edges, dense_fixture, make_engine, sweep_params
 
@@ -150,7 +150,7 @@ def test_trivial_recolor_dense_degraded_pick():
     engine, (c,) = dense_fixture(
         12, delta, [list(range(delta + 1))], holes=[(0, 1)], extra_edges=[(0, x)]
     )
-    assert c.partner.get(0) == 1 and engine.dense.palette_identity_gap(c) == 0
+    assert c.partner.get(0) == 1 and palette_identity_gap(c, engine.colors) == 0
     (free,) = c.book.A
     old = engine.colors.of[x]
     engine.colors.set_sparse(x, free)
@@ -167,7 +167,7 @@ def test_trivial_recolor_dense_degraded_pick():
     assert c.partner.get(0) == 1 and c.partner.get(1) == 0
     assert c.book.an[shared] == (0, 1) and shared not in c.book.mp
     assert 0 not in c.book.big_l and 1 not in c.book.big_l
-    assert engine.dense.palette_identity_gap(c) == 0
+    assert palette_identity_gap(c, engine.colors) == 0
     rep = verify(engine, boundary=False)
     assert rep.passed, rep.failed_names()
 
@@ -218,7 +218,7 @@ def test_case2_monochromatic_insertion_on_matched_endpoint():
     assert shared not in c.book.an  # old color returned to the pair palette
     assert new in c.book.an
     assert engine.is_proper()
-    assert engine.dense.palette_identity_gap(c) == 0
+    assert palette_identity_gap(c, engine.colors) == 0
 
 
 def test_case3_deletion_colors_new_pair_and_rematches_displaced():
@@ -237,7 +237,7 @@ def test_case3_deletion_colors_new_pair_and_rematches_displaced():
     # must be recolored; in all cases everyone stays colored and proper
     assert all(engine.colors.of[m] != BLANK for m in c.members)
     assert engine.is_proper()
-    assert engine.dense.palette_identity_gap(c) == 0
+    assert palette_identity_gap(c, engine.colors) == 0
     displaced = mp_before.get(shared)
     if displaced is not None and displaced not in (u, v):
         assert engine.colors.of[displaced] != shared
@@ -383,7 +383,7 @@ def test_frozen_matching_regime_live_churn_stays_proper():
             continue
         engine.process(upd)
         assert engine.is_proper()
-        assert engine.dense.palette_identity_gap(c) == 0
+        assert palette_identity_gap(c, engine.colors) == 0
     assert engine.metrics.anchor_repairs == 0
 
 

@@ -11,6 +11,7 @@ from dyncolor.friends import MASK_DEGREE_PER_SAMPLE, FriendTracker, binomial_tai
 from dyncolor.graph import DynamicGraph, dele, ins
 from dyncolor.metrics import Metrics
 from dyncolor.params import ParamSet
+from dyncolor.verify import friend_list_violations
 
 from conftest import add_edges, clique_edges, friend_set, random_graph, sweep_params
 
@@ -96,7 +97,7 @@ def test_insertion_judgement_gap_region_no_crash():
     for seed in range(20):
         tr = make_tracker(g, eps, tau, k=256, fire=2, seed=seed)
         judge(tr, u, v)
-        assert tr.check_consistency() == []
+        assert friend_list_violations(tr) == []
 
 
 def test_update_vertex_dense_clique_and_star():
@@ -191,7 +192,7 @@ def test_counter_bound_between_updates():
             assert tr.direct[w] < limit
             assert tr.indirect[w] < limit
             assert tr.direct[w] + tr.indirect[w] <= 2 * limit - 2
-    assert tr.check_consistency() == []
+    assert friend_list_violations(tr) == []
 
 
 def test_soundness_against_oracle():
@@ -621,7 +622,7 @@ def test_masks_are_made_on_demand_and_follow_later_updates():
     assert made and len(made) < delta + 1
     tr.update_vertex(0)
     assert sorted(tr.masks) == list(range(delta + 1))
-    assert tr.check_consistency() == []
+    assert friend_list_violations(tr) == []
     for upd in (dele(0, 1), ins(0, delta + 1)):
         g.apply(upd)
         tr.maintain_friends(upd)
@@ -638,15 +639,15 @@ def test_mask_audit_names_a_planted_fault():
         tr.maintain_friends(ins(u, v))
     tr.update_vertex(0)
     assert sorted(tr.masks) == list(range(delta + 1))
-    assert tr.check_consistency() == []
+    assert friend_list_violations(tr) == []
     tr.masks[3] ^= 1 << 5
-    assert tr.check_consistency() == ["mask: vertex 3's mask differs from its adjacency"]
+    assert friend_list_violations(tr) == ["mask: vertex 3's mask differs from its adjacency"]
     # in a phase the masks lag the graph, as the lists do: no audit
-    assert tr.check_consistency(boundary=False) == []
+    assert friend_list_violations(tr, boundary=False) == []
     # a vertex without a mask is not a fault: its first exact pair makes one
     tr.masks[3] ^= 1 << 5
     del tr.masks[4]
-    assert tr.check_consistency() == []
+    assert friend_list_violations(tr) == []
 
 
 def test_masks_follow_the_graph_across_phase_boundaries():
@@ -666,5 +667,5 @@ def test_masks_follow_the_graph_across_phase_boundaries():
             with_masks += bool(tr.masks)
             for x, mask in tr.masks.items():
                 assert mask == g.neighbor_mask(x), x
-            assert tr.check_consistency() == []
+            assert friend_list_violations(tr) == []
     assert boundaries >= 10 and with_clique > 0 and with_masks > 0

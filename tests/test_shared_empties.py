@@ -18,6 +18,7 @@ from dyncolor.graph import DynamicGraph, dele
 from dyncolor.metrics import Metrics
 from dyncolor.params import ParamSet
 from dyncolor.sampleset import EMPTY_MAP
+from dyncolor.verify import partition_violations
 
 from conftest import add_edges, clique_edges, dense_fixture, feed_edges, make_engine
 
@@ -135,7 +136,7 @@ def test_neighbor_views_keep_their_containers_after_a_collapse():
     dec.dissolve(c)
     assert len(view) == 0 and dec.n_c[5] is view
     assert dec.n_c[6] is EMPTY_MAP
-    assert dec.check_structures() == []
+    assert partition_violations(dec) == []
 
 
 def test_dense_color_list_keeps_its_list_after_it_empties():
@@ -161,7 +162,7 @@ def test_journal_revert_writes_into_untouched_neighbor_views():
     J.PhaseJournal().revert(dec, [dele(0, 20)])
     assert dec.n_c[20] == {c.id: {0}}
     assert len(EMPTY_MAP) == 0
-    assert dec.check_structures() == []
+    assert partition_violations(dec) == []
 
 
 def test_engine_construction_stays_within_its_memory_budget():

@@ -7,13 +7,13 @@ import pytest
 
 from dyncolor.colors import BLANK
 from dyncolor.engine import Engine, EngineConfig
-from dyncolor.graph import dele, ins
+from dyncolor.graph import DynamicGraph, dele, ins
 from dyncolor.params import ParamSet
 from dyncolor.runner import params_from_header, run_stream
 from dyncolor.adversary import Scripted, make_adversary
 from dyncolor.baseline import TrivialBaseline
 from dyncolor.trace import TraceFile
-from dyncolor.verify import ProperWatch, verify
+from dyncolor.verify import ProperWatch, edge_commons, verify
 
 from conftest import (
     dense_fixture, friend_set, install_clique, make_engine, oracle_fill_tracker, report_bytes,
@@ -412,6 +412,39 @@ def test_verify_after_long_run_passes():
         engine.process(adv.next(None))
     rep = verify(engine)
     assert rep.passed, {n: rep.checks[n].violations[:3] for n in rep.failed_names()}
+
+
+@pytest.mark.parametrize("boundary", [True, False])
+def test_verify_counts_each_edge_once(monkeypatch, boundary):
+    # friend_soundness and all four invariants read one table of exact
+    # common-neighbor counts, taken once per undirected edge
+    engine, _ = fresh_dense(extra_edges=[(0, 20), (20, 21), (22, 23)])
+    counted = []
+    make_counter = DynamicGraph.common_neighbor_counter
+
+    def counting_counter(graph):
+        count = make_counter(graph)
+
+        def wrapped(u, v):
+            counted.append((min(u, v), max(u, v)))
+            return count(u, v)
+
+        return wrapped
+
+    monkeypatch.setattr(DynamicGraph, "common_neighbor_counter", counting_counter)
+    verify(engine, boundary=boundary)
+    assert len(counted) == len(set(counted)) == engine.graph.edge_count
+
+
+def test_edge_commons_rows_follow_an_asymmetric_adjacency():
+    # a one-sided entry is counted on the side that lists it and nowhere else
+    engine = small_sparse_engine()
+    g = engine.graph
+    g.adj[5][7] = None
+    del g.adj[1][0]
+    table = edge_commons(g)
+    assert [list(row) for row in table] == [list(near) for near in g.adj]
+    assert table[0] == {1: 0, 2: 0} and table[5] == {7: 0}
 
 
 # ---- ProperWatch: faults planted in the engine's in-phase sparse recolor --------------

@@ -17,8 +17,9 @@ through sparse moves; once a clique has lost enough members it is
 dissolved wholesale and its still-dense vertices re-enter via fresh
 dense moves.  A clique's non-edge count is read off its non-edge lists.
 
-The one neighbor view kept per vertex is `n_c[x]`: x's dense neighbors,
-grouped by clique, which feeds the clique edge counters t_c.  Sparse
+The one neighbor view kept per vertex is `n_c[x]`: per clique, the number
+of x's neighbors in it, which feeds the clique edge counters t_c.  A
+clique with none of x's neighbors has no entry.  Sparse
 neighbors are read from `graph.adj` and the occupancy lists, so a
 sparse-sparse update touches no view.  `n_c[x]` starts as the shared
 read-only `EMPTY_MAP` and becomes x's own on the first add (`own`); a
@@ -29,6 +30,16 @@ never gets one.  Once made it is never dropped, even empty.
 from __future__ import annotations
 
 from .sampleset import EMPTY_MAP, own
+
+
+def _uncount(nc: dict[int, int], cid: int) -> None:
+    """One neighbor fewer in clique `cid`; the entry goes when it reaches 0."""
+    t = nc.get(cid)
+    if t is not None:
+        if t > 1:
+            nc[cid] = t - 1
+        else:
+            nc.pop(cid)
 
 
 class AlmostClique:
@@ -71,7 +82,7 @@ class Decomposition:
         self.metrics = metrics
         n = graph.n
         self.clique_of: list[int | None] = [None] * n
-        self.n_c: list[dict[int, set[int]]] = [EMPTY_MAP] * n
+        self.n_c: list[dict[int, int]] = [EMPTY_MAP] * n
         self.cliques: dict[int, AlmostClique] = {}
         self._next_cid = 0
         delta = graph.delta
@@ -89,16 +100,13 @@ class Decomposition:
     def _nbr_add(self, x: int, w: int) -> None:
         cid = self.clique_of[w]
         if cid is not None:
-            own(self.n_c, x).setdefault(cid, set()).add(w)
+            nc = own(self.n_c, x)
+            nc[cid] = nc.get(cid, 0) + 1
 
     def _nbr_remove(self, x: int, w: int) -> None:
         cid = self.clique_of[w]
         if cid is not None:
-            s = self.n_c[x].get(cid)
-            if s is not None:
-                s.discard(w)
-                if not s:
-                    self.n_c[x].pop(cid)
+            _uncount(self.n_c[x], cid)
 
     def note_edge(self, upd) -> None:
         """Neighbor-view bookkeeping for one applied update (no non-edge work)."""
@@ -222,8 +230,10 @@ class Decomposition:
     def _join(self, c: AlmostClique, w: int) -> None:
         self.clique_of[w] = c.id
         adj_w = self.graph.adj[w]
+        cid = c.id
         for z in adj_w:
-            own(self.n_c, z).setdefault(c.id, set()).add(w)
+            nc = own(self.n_c, z)
+            nc[cid] = nc.get(cid, 0) + 1
         ne = {m for m in c.members if m not in adj_w}
         c.members.add(w)
         c.nonedges[w] = ne
@@ -243,11 +253,7 @@ class Decomposition:
         c.members.discard(v)
         self.clique_of[v] = None
         for z in self.graph.adj[v]:
-            s = self.n_c[z].get(cid)
-            if s is not None:
-                s.discard(v)
-                if not s:
-                    self.n_c[z].pop(cid)
+            _uncount(self.n_c[z], cid)
         mine = c.nonedges.pop(v, set())
         for x in mine:
             c.nonedges[x].discard(v)

@@ -258,10 +258,7 @@ class DenseColoring:
     def update_edge_counts(self, v: int, old: int, new: int) -> None:
         """Shift every clique's counters after sparse v went old -> new."""
         cliques = self.decomp.cliques
-        for cid, nbrs in self.decomp.n_c[v].items():
-            cnt = len(nbrs)
-            if not cnt:
-                continue
+        for cid, cnt in self.decomp.n_c[v].items():
             clique = cliques[cid]
             self.tc_shift(clique, old, -cnt)
             self.tc_shift(clique, new, cnt)
@@ -283,10 +280,9 @@ class DenseColoring:
             c = of[v]
             if c == BLANK:
                 continue
-            for cid, nbrs in nc.items():
-                if nbrs:
-                    self.tc_shift(cliques[cid], c, len(nbrs))
-                    self.metrics.work += 1
+            for cid, cnt in nc.items():
+                self.tc_shift(cliques[cid], c, cnt)
+                self.metrics.work += 1
 
     # ---- private-color matching (step two) ----------------------------------------------
 

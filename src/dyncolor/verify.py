@@ -3,7 +3,7 @@
 Everything is recomputed from scratch against the graph (the ground
 truth): properness, the graph's own structure (symmetric adjacency,
 the degree cap, `deg` and `edge_count`, which the engine's unchecked
-phase rewind trusts), the partition and its per-clique neighbor view
+phase rewind trusts), the partition and its per-clique neighbor counts
 `n_c`, the friend lists' symmetry and nesting, exact density and
 friendship of every vertex via exact common-neighbor counts, the four
 decomposition invariants, clique size bounds, non-edge exactness,
@@ -173,17 +173,17 @@ def edge_commons(graph) -> list[dict[int, int]]:
 
 def partition_violations(dec) -> list[str]:
     """Exact recomputation of the partition's maintained lists against the graph:
-    the neighbor views `n_c`, the clique pointers, the non-edge lists and
+    the neighbor counts `n_c`, the clique pointers, the non-edge lists and
     the matching."""
     g = dec.graph
     clique_of = dec.clique_of
     out = []
     for v in range(g.n):
-        want_nc: dict[int, set[int]] = {}
+        want_nc: dict[int, int] = {}
         for u in g.adj[v]:
             cid = clique_of[u]
             if cid is not None:
-                want_nc.setdefault(cid, set()).add(u)
+                want_nc[cid] = want_nc.get(cid, 0) + 1
         if want_nc != dec.n_c[v]:
             out.append(f"n_c mismatch at {v}")
         cid = clique_of[v]

@@ -130,7 +130,7 @@ def install_clique(engine, members):
         for u in g.adj[x]:
             cid = dec.clique_of[u]
             if cid is not None:
-                nc.setdefault(cid, set()).add(u)
+                nc[cid] = nc.get(cid, 0) + 1
         dec.n_c[x] = nc
     for v in members:
         c.nonedges[v] = {u for u in members if u != v and not g.has_edge(u, v)}

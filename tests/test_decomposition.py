@@ -167,13 +167,13 @@ def test_sparse_move_without_nonedges():
     dec = engine.decomp
     v = min(c.members)
     others = sorted(c.members - {v})
-    nc_before = {u: len(dec.n_c[u][c.id]) for u in others}
+    nc_before = {u: dec.n_c[u][c.id] for u in others}
     assert not c.nonedges[v]
     dec.sparse_move(v)
     assert dec.clique_of[v] is None
     assert v not in c.members
     for u in others:
-        assert len(dec.n_c[u][c.id]) == nc_before[u] - 1
+        assert dec.n_c[u][c.id] == nc_before[u] - 1
     assert partition_violations(dec) == []
 
 

@@ -112,7 +112,7 @@ def test_fault_graph_structure_one_sided_entry():
 def test_fault_partition_structures():
     engine, (c,) = fresh_dense()
     assert not engine.graph.has_edge(0, 1)
-    engine.decomp.n_c[0][c.id].add(1)  # a non-neighbor listed as a dense neighbor
+    engine.decomp.n_c[0][c.id] += 1  # a non-neighbor counted as a dense neighbor
     rep = verify(engine)
     assert "partition_structures" in rep.failed_names()
     assert "n_c mismatch at 0" in rep.checks["partition_structures"].violations

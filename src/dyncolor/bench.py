@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 from .adversary import make_adversary
 from .params import ParamSet
@@ -66,16 +65,8 @@ def run_cell(cell: dict) -> list[dict]:
     return rows
 
 
-def run_grid(cells: list[dict], workers: int = 1) -> list[dict]:
-    rows: list[dict] = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(run_cell, cells):
-                rows.extend(part)
-    else:
-        for cell in cells:
-            rows.extend(run_cell(cell))
-    return rows
+def run_grid(cells: list[dict]) -> list[dict]:
+    return [row for cell in cells for row in run_cell(cell)]
 
 
 def loglog_slope(points: list[tuple[float, float]]) -> float:

@@ -15,17 +15,30 @@ from .trace import TraceFile
 from .verify import verify
 
 
+# the keys a --config file may set, each read as the flag of the same name
+CONFIG_KEYS = ("n", "delta", "epsilon", "tau", "nu", "phase-len", "samples", "profile", "seed")
+
+
 def _load_config(path: str | None) -> dict:
+    """The `key=value` lines of a config file; blank and `#` lines are skipped.
+
+    A key the CLI does not read, or a line without `=`, raises `ValueError`.
+    """
     if not path:
         return {}
     out = {}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
+            if "=" not in line:
+                raise ValueError(f"--config {path}: {line!r} is not key=value")
             k, _, v = line.partition("=")
-            out[k.strip()] = v.strip()
+            k = k.strip()
+            if k not in CONFIG_KEYS:
+                raise ValueError(f"--config {path}: unknown key {k!r}")
+            out[k] = v.strip()
     return out
 
 
@@ -149,7 +162,7 @@ def cmd_bench(args) -> int:
                         "tau": args.tau,
                     }
                 )
-    rows = benchmod.run_grid(cells, workers=args.workers)
+    rows = benchmod.run_grid(cells)
     benchmod.write_csv(args.out, rows)
     slopes = benchmod.slope_rows(rows)
     for s in slopes:
@@ -212,7 +225,6 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=int, default=1)
     p.add_argument("--epsilon", type=float, default=0.2)
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="bench.csv")
     p.add_argument("--report-json")
     p.set_defaults(fn=cmd_bench)

@@ -48,8 +48,9 @@ class ParamSet:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.tau is None:
             self.tau = self.epsilon / 3.0
-        if self.tau > self.epsilon:
-            raise ValueError("tau must not exceed epsilon")
+        # tau = 0 would divide by zero in the derived sample count
+        if not (0.0 < self.tau <= self.epsilon):
+            raise ValueError("tau must lie in (0, epsilon]")
         if self.nu is None:
             self.nu = 2.0 * self.epsilon / 3.0
         # below 1 the rejection loop makes no attempt, and k = 0 befriends every edge

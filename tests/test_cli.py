@@ -181,6 +181,21 @@ def test_bench_subcommand(tmp_path):
     assert len(data["slopes"]) == 2
 
 
+@pytest.mark.parametrize(
+    "line,error",
+    [
+        ("epsilom=0.1", "unknown key 'epsilom'"),  # once dropped: the run took the default
+        ("mode=auto", "unknown key 'mode'"),  # the mode comes from --mode only
+        ("epsilon 0.1", "'epsilon 0.1' is not key=value"),
+    ],
+)
+def test_config_file_refuses_what_the_cli_does_not_read(tmp_path, line, error):
+    cfg = tmp_path / "conf"
+    cfg.write_text(f"# a comment\nn=16\n{line}\n")
+    with pytest.raises(ValueError, match=error):
+        main(["run", "--config", str(cfg), "--steps", "5"])
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "conf"
     cfg.write_text("n=32\ndelta=8\nepsilon=0.25\nphase-len=16\n")

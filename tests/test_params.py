@@ -38,6 +38,14 @@ def test_tau_cannot_exceed_epsilon():
     ParamSet(epsilon=0.1, tau=0.1)  # equality allowed
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.1])
+def test_tau_at_or_below_zero_is_refused(tau):
+    # tau = 0 was accepted, and the engine then died dividing by tau**2 in
+    # the derived sample count
+    with pytest.raises(ValueError, match=r"tau must lie in \(0, epsilon\]"):
+        ParamSet(tau=tau)
+
+
 @pytest.mark.parametrize("cap_factor", [0, -3])
 def test_cap_factor_below_one_is_refused(cap_factor):
     # a loop cap of 0 or less left the rejection loop without an attempt

@@ -142,6 +142,7 @@ def test_unknown_header_key_is_rejected():
         ("phase_len_t", "2.5"),  # parses, but not as the field's int
         ("cap_factor", "none"),  # only an optional field may be unset
         ("epsilon", "2.0"),  # parses, but ParamSet refuses it
+        ("tau", "0.0"),  # likewise: the sample count would divide by zero
         ("n", "12x"),
     ],
 )

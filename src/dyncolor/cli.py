@@ -15,15 +15,13 @@ from .trace import TraceFile
 from .verify import verify
 
 
-# the keys a --config file may set, each read as the flag of the same name
+# the keys a --config file may set; a flag of the same name overrides one
 CONFIG_KEYS = ("n", "delta", "epsilon", "tau", "nu", "phase-len", "samples", "profile", "seed")
 
 
 def _load_config(path: str | None) -> dict:
-    """The `key=value` lines of a config file; blank and `#` lines are skipped.
-
-    A key the CLI does not read, or a line without `=`, raises `ValueError`.
-    """
+    """A config file's `key=value` lines; a key not in `CONFIG_KEYS` or a
+    line without `=` raises `ValueError`, a blank or `#` line is skipped."""
     if not path:
         return {}
     out = {}

@@ -17,14 +17,13 @@ through sparse moves; once a clique has lost enough members it is
 dissolved wholesale and its still-dense vertices re-enter via fresh
 dense moves.  A clique's non-edge count is read off its non-edge lists.
 
-The one neighbor view kept per vertex is `n_c[x]`: per clique, the number
-of x's neighbors in it, which feeds the clique edge counters t_c.  A
-clique with none of x's neighbors has no entry.  Sparse
-neighbors are read from `graph.adj` and the occupancy lists, so a
-sparse-sparse update touches no view.  `n_c[x]` starts as the shared
-read-only `EMPTY_MAP` and becomes x's own on the first add (`own`); a
-vertex with no dense neighbor, which is most vertices on most graphs,
-never gets one.  Once made it is never dropped, even empty.
+The one neighbor view kept per vertex is `n_c[x]`: per clique holding a
+neighbor of x, the number of them, which feeds the clique edge counters
+t_c.  Sparse neighbors are read from `graph.adj` and the occupancy
+lists, so a sparse-sparse update touches no view.  `n_c[x]` starts as
+the shared read-only `EMPTY_MAP` and becomes x's own on the first add
+(`own`); a vertex with no dense neighbor, which is most vertices on most
+graphs, never gets one.  Once made it is never dropped, even empty.
 """
 
 from __future__ import annotations

@@ -8,17 +8,11 @@ phase rewind trusts), the partition and its per-clique neighbor counts
 friendship of every vertex via exact common-neighbor counts, the four
 decomposition invariants, clique size bounds, non-edge exactness,
 per-clique color discipline, the palette identity, matching floors, and
-edge-counter recounts.  The engine's modules hold only the algorithm;
-the audits here read their parts (a `Decomposition`, a `FriendTracker`,
-a clique and the `ColorState`) and nothing in the engine calls them.
-
-One `verify` call takes each undirected edge's exact common-neighbor
-count once (`edge_commons`), which feeds `friend_soundness` and all four
-invariants, and each clique member's in-clique degree once, which feeds
-the non-edge bound, the clique size bounds and the good-color bound.
-
-Checks whose underlying claims are only
-high-probability report pass rates and attribute misses to estimator
+edge-counter recounts.  Every audit lives here, as a function of the
+engine part it reads; one `verify` call counts each edge's common
+neighbors once (`edge_commons`) and each clique member's in-clique degree
+once.  Checks whose underlying claims are only high-probability report
+pass rates and attribute misses to estimator
 gaps (tracker belief differing from the oracle) instead of hard-failing.
 A decomposition-invariant miss is attributed iff it names a vertex and
 that vertex is a gap vertex; a clique-level miss (Size, Connectedness)
@@ -151,12 +145,11 @@ class ProperWatch:
 
 
 def edge_commons(graph) -> list[dict[int, int]]:
-    """Per vertex v, {u: |N(u) cap N(v)|} over the neighbors u of v.
+    """Per vertex v, {u: |N(u) cap N(v)|} over v's neighbors u.
 
-    One bitmask snapshot (`common_neighbor_counter`) answers the counts,
-    each undirected edge is counted once, at its first endpoint, and the
-    count is written to both endpoints' rows.  A row's keys are exactly
-    its vertex's adjacency, even where the adjacency is asymmetric.
+    Each undirected edge is counted once and written to both endpoints'
+    rows; a row's keys are exactly its vertex's adjacency, even an
+    asymmetric one.
     """
     count = graph.common_neighbor_counter()
     adj = graph.adj
@@ -172,9 +165,7 @@ def edge_commons(graph) -> list[dict[int, int]]:
 
 
 def partition_violations(dec) -> list[str]:
-    """Exact recomputation of the partition's maintained lists against the graph:
-    the neighbor counts `n_c`, the clique pointers, the non-edge lists and
-    the matching."""
+    """Exact recomputation of every list the partition maintains, against the graph."""
     g = dec.graph
     clique_of = dec.clique_of
     out = []
@@ -236,11 +227,11 @@ def friend_list_violations(tracker, boundary: bool = True) -> list[str]:
 
 
 def invariant_findings(dec, drift: int = 0, commons=None) -> list[Finding]:
-    """Exact audit of the four decomposition invariants via oracle counts.
+    """Exact audit of the four decomposition invariants.
 
     `drift` loosens thresholds by the number of in-phase updates the
     current state may be away from the last full maintenance pass.
-    `commons` is `edge_commons(dec.graph)`; by default it is taken here.
+    `commons` is `edge_commons(dec.graph)`, taken here when not given.
     """
     g = dec.graph
     if commons is None:
@@ -451,7 +442,6 @@ def verify(
 
     # matching floors (partition_structures checks the pairs themselves) ----------
     viol = []
-    floors = []
     for cid in sorted(dec.cliques):
         cl = dec.cliques[cid]
         m = cl.matching_size()
@@ -466,8 +456,7 @@ def verify(
                 viol.append(
                     f"clique {cid}: matching {m} below boundary floor {need_b:.2f}"
                 )
-        floors.append((cid, m, cl.nonedge_count))
-    rep.add(CheckResult("matching_floors", not viol, viol, {"cliques": len(floors)}))
+    rep.add(CheckResult("matching_floors", not viol, viol, {"cliques": len(dec.cliques)}))
 
     # each clique member's neighbors inside its clique, counted once for the
     # non-edge bound, the clique size bounds and the good-color bound

@@ -188,6 +188,7 @@ def test_bench_subcommand(tmp_path):
         ("mode=auto", "unknown key 'mode'"),  # the mode comes from --mode only
         ("epsilon 0.1", "'epsilon 0.1' is not key=value"),
     ],
+    ids=["misspelt-key", "mode-key", "no-equals-sign"],
 )
 def test_config_file_refuses_what_the_cli_does_not_read(tmp_path, line, error):
     cfg = tmp_path / "conf"

@@ -534,19 +534,24 @@ def test_a_skipped_recolor_is_repaired_by_the_anchor():
 DATA = Path(__file__).parent / "data"
 
 
-def _golden_reports(stem):
-    """A report at every phase boundary of a committed golden trace."""
-    trace = TraceFile.load(DATA / f"{stem}.trace")
-    n, delta = int(trace.header["n"]), int(trace.header["delta"])
-    engine = Engine(n, delta, EngineConfig(params=params_from_header(trace.header)))
+def _boundary_reports(engine, adversary, steps):
+    """A report at every phase boundary of a run."""
     reports = []
 
     def at_boundary(e, upd, i):
         if e.updates_in_phase == 0:
             reports.append(verify(e))
 
-    run_stream(engine, Scripted(n, delta, trace.updates), len(trace.updates), per_update=at_boundary)
+    run_stream(engine, adversary, steps, per_update=at_boundary)
     return reports
+
+
+def _golden_reports(stem):
+    """A report at every phase boundary of a committed golden trace."""
+    trace = TraceFile.load(DATA / f"{stem}.trace")
+    n, delta = int(trace.header["n"]), int(trace.header["delta"])
+    engine = Engine(n, delta, EngineConfig(params=params_from_header(trace.header)))
+    return _boundary_reports(engine, Scripted(n, delta, trace.updates), len(trace.updates))
 
 
 def _k1_reports(adversary_seed):
@@ -554,13 +559,7 @@ def _k1_reports(adversary_seed):
     clique past delta + 1 and fails the structural audits."""
     engine = Engine(64, 16, EngineConfig(params=ParamSet(seed=1, sample_count_k=1)))
     adv = make_adversary("clique-churn", 64, 16, seed=adversary_seed)
-    reports = []
-
-    def at_boundary(e, upd, i):
-        if e.updates_in_phase == 0:
-            reports.append(verify(e))
-
-    run_stream(engine, adv, 400, per_update=at_boundary)
+    reports = _boundary_reports(engine, adv, 400)
     assert any(
         not r.checks["decomposition_invariants"].passed
         and not r.checks["clique_size_bounds"].passed

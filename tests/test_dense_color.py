@@ -6,7 +6,7 @@ import pytest
 from dyncolor.colors import BLANK
 from dyncolor.errors import IterationCapExceeded
 from dyncolor.graph import dele, ins
-from dyncolor.verify import palette_identity_gap, verify
+from dyncolor.verify import ProperWatch, palette_identity_gap, verify
 
 from conftest import dense_fixture, make_engine
 
@@ -621,3 +621,142 @@ def test_color_discipline_after_update_volley(rng):
         m = c.matching_size()
         eps = engine.params.epsilon
         assert m >= c.nonedge_count / (50 * eps * delta)
+
+
+# ---- two adjacent cliques ---------------------------------------------------------------------
+
+TWO_A = list(range(15))
+TWO_B = list(range(15, 30))
+TWO_SPARSE = list(range(30, 60))
+
+
+def spy_on_dense_paths(engine):
+    """Count four dense paths by wrapping the engine's methods on the instance.
+
+    - "cross": a conflict resolved for an inserted edge between two cliques;
+    - "evict": a member resolved by `evict_conflicts`;
+    - "full_ld": `full_feasible` rejecting on a dense neighbor, L(c) clear;
+    - "pair_ld": `_pair_external_feasible` rejecting on a dense neighbor of
+      u or v outside the clique, L(c) clear of both.
+    """
+    counts = dict.fromkeys(("cross", "evict", "full_ld", "pair_ld"), 0)
+    dense = engine.dense
+    clique_of, adj, L = engine.decomp.clique_of, engine.graph.adj, engine.colors.L
+    state = {"upd": None, "evicting": False}
+    process, resolve, evict = engine.process, dense.resolve_conflict, dense.evict_conflicts
+    full, pair = dense.full_feasible, dense._pair_external_feasible
+
+    def spy_process(upd):
+        state["upd"] = upd
+        process(upd)
+
+    def spy_resolve(d):
+        upd = state["upd"]
+        cu, cv = clique_of[upd.u], clique_of[upd.v]
+        if state["evicting"]:
+            counts["evict"] += 1
+        elif upd.insert and None not in (cu, cv) and cu != cv:
+            counts["cross"] += 1
+        resolve(d)
+
+    def spy_evict(v, c):
+        state["evicting"] = True
+        try:
+            evict(v, c)
+        finally:
+            state["evicting"] = False
+
+    def spy_full(v, c, exclude=()):
+        ok = full(v, c, exclude)
+        if not ok and not any(w in adj[v] for w in L[c]):
+            counts["full_ld"] += 1
+        return ok
+
+    def spy_pair(clique, u, v, c):
+        ok = pair(clique, u, v, c)
+        if not ok and not any(w in adj[u] or w in adj[v] for w in L[c]):
+            counts["pair_ld"] += 1
+        return ok
+
+    engine.process = spy_process
+    dense.resolve_conflict = spy_resolve
+    dense.evict_conflicts = spy_evict
+    dense.full_feasible = spy_full
+    dense._pair_external_feasible = spy_pair
+    return counts
+
+
+def two_clique_update(engine, rng):
+    """One update next to or between the two cliques, or None.
+
+    A monochromatic edge between the cliques (either endpoint gives way),
+    an edge from a sparse vertex to a member, a monochromatic sparse edge
+    whose recolored endpoint has a dense neighbor, else the deletion of an
+    edge that is not inside a clique.
+    """
+    g, of, clique_of = engine.graph, engine.colors.of, engine.decomp.clique_of
+    delta = g.delta
+
+    def free(x):
+        return g.degree(x) < delta
+
+    r = rng.random()
+    if r < 0.4:
+        a = rng.choice(TWO_A + TWO_B)
+        other = TWO_B if a in TWO_A else TWO_A
+        cands = [b for b in other if of[b] == of[a] and not g.has_edge(a, b) and free(b)]
+        if cands and free(a):
+            b = rng.choice(cands)
+            return ins(a, b) if rng.random() < 0.5 else ins(b, a)
+    elif r < 0.6:
+        s, m = rng.choice(TWO_SPARSE), rng.choice(TWO_A + TWO_B)
+        if not g.has_edge(s, m) and free(s) and free(m):
+            return ins(s, m)
+    elif r < 0.8:
+        near = [x for x in TWO_SPARSE if any(clique_of[w] is not None for w in g.adj[x])]
+        s = rng.choice(near or TWO_SPARSE)
+        cands = [
+            x for x in TWO_SPARSE
+            if x != s and of[x] == of[s] and not g.has_edge(s, x) and free(x)
+        ]
+        if cands and free(s):
+            return ins(rng.choice(cands), s)  # s, the second endpoint, recolors
+    edges = [
+        (u, v) for u, v in g.edges()
+        if clique_of[u] is None or clique_of[u] != clique_of[v]
+    ]
+    return dele(*rng.choice(edges)) if edges else None
+
+
+def test_two_adjacent_cliques_stay_proper_on_every_dense_path():
+    """Monochromatic edges between two cliques and sparse edges beside them.
+
+    Each clique has three holes, so three pairs are matched, and its last
+    nine members each have a sparse neighbor.  Over the seeds the run must
+    reach all four counted paths, with no watch violation, no anchor
+    repair and a clean in-phase audit at the end of every run.
+    """
+    holes = [(0, 1), (2, 3), (4, 5), (15, 16), (17, 18), (19, 20)]
+    extra = [(30 + i // 3, m) for i, m in enumerate(TWO_A[6:] + TWO_B[6:])]
+    total = dict.fromkeys(("cross", "evict", "full_ld", "pair_ld"), 0)
+    for seed in range(20):
+        engine, cliques = dense_fixture(
+            60, 16, [TWO_A, TWO_B], holes=holes, extra_edges=extra, seed=seed
+        )
+        assert [c.matching_size() for c in cliques] == [3, 3]
+        counts = spy_on_dense_paths(engine)
+        watch = ProperWatch(engine)
+        rng = random.Random(seed)
+        for _ in range(60):
+            upd = two_clique_update(engine, rng)
+            if upd is None:
+                continue
+            engine.process(upd)
+            watch.check(upd)
+        assert watch.violations == [], f"seed {seed}"
+        assert engine.metrics.anchor_repairs == 0, f"seed {seed}"
+        rep = verify(engine, boundary=False)
+        assert rep.passed, f"seed {seed}: {rep.failed_names()}"
+        for key, n in counts.items():
+            total[key] += n
+    assert all(total.values()), total

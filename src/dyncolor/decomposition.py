@@ -119,24 +119,13 @@ class Decomposition:
 
     # ---- non-edge list primitives -------------------------------------------
 
-    def _nonedge_add_raw(self, c: AlmostClique, u: int, v: int) -> None:
-        c.nonedges.setdefault(u, set()).add(v)
-        c.nonedges.setdefault(v, set()).add(u)
-
-    def _nonedge_remove_raw(self, c: AlmostClique, u: int, v: int) -> None:
-        s = c.nonedges.get(u)
-        if s is None or v not in s:
-            return
-        s.discard(v)
-        c.nonedges[v].discard(u)
-
     def nonedge_add(self, c: AlmostClique, u: int, v: int) -> None:
-        self._nonedge_add_raw(c, u, v)
-        self.metrics.nonedge_adjustments += 1
+        c.nonedges[u].add(v)
+        c.nonedges[v].add(u)
 
     def nonedge_remove(self, c: AlmostClique, u: int, v: int) -> None:
-        self._nonedge_remove_raw(c, u, v)
-        self.metrics.nonedge_adjustments += 1
+        c.nonedges[u].discard(v)
+        c.nonedges[v].discard(u)
 
     def match_add(self, c: AlmostClique, u: int, v: int) -> None:
         c.partner[u] = v

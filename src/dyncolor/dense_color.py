@@ -77,12 +77,11 @@ class DenseColoring:
         old = self.colors.clear_dense(v)
         if old != BLANK:
             book = clique.book
-            users = book.usage.get(old)
-            if users is not None:
-                users.discard(v)
-                if not users:
-                    book.usage.pop(old)
-                    book.A.add(old)
+            users = book.usage[old]
+            users.discard(v)
+            if not users:
+                book.usage.pop(old)
+                book.A.add(old)
             if book.mp.get(old) == v:
                 book.mp.pop(old)
         return old
@@ -91,6 +90,11 @@ class DenseColoring:
         self._set_member(clique, v, c)
         clique.book.mp[c] = v
         self.metrics.dense_recolorings += 1
+
+    def _claim_shared(self, clique, u: int, v: int, c: int) -> None:
+        clique.book.an[c] = (u, v)
+        self._set_member(clique, u, c)
+        self._set_member(clique, v, c)
 
     # ---- feasibility scans ------------------------------------------------------
 
@@ -145,16 +149,18 @@ class DenseColoring:
             clique.large_regime = clique.matching_size() > self.regime_limit
 
     def _extend_maximal(self, clique) -> None:
-        partner = clique.partner
         for u in sorted(clique.nonedges):
-            if u in partner:
-                continue
-            for v in sorted(clique.nonedges[u]):
-                if v not in partner:
-                    partner[u] = v
-                    partner[v] = u
-                    break
+            if u not in clique.partner:
+                self._match_lowest(clique, u)
         self.metrics.work += clique.nonedge_count + 1
+
+    def _match_lowest(self, clique, w: int) -> int | None:
+        """Match the unmatched w to its lowest unmatched non-neighbor, if any."""
+        for x in sorted(clique.nonedges[w]):
+            if x not in clique.partner:
+                self.decomp.match_add(clique, w, x)
+                return x
+        return None
 
     def maintain_matching(self, clique, upd, extend: bool = True) -> list[tuple[int, int]]:
         """Keep the matching maximal across one same-clique update.
@@ -170,6 +176,7 @@ class DenseColoring:
         u, v = upd.u, upd.v
         dec = self.decomp
         added: list[tuple[int, int]] = []
+        self.metrics.nonedge_adjustments += 1
         if upd.insert:
             if clique.partner.get(u) == v:
                 dec.match_remove(clique, u, v)
@@ -177,15 +184,10 @@ class DenseColoring:
             for w in (u, v) if extend else ():
                 if w in clique.partner:
                     continue
-                cands = clique.nonedges.get(w)
-                if not cands:
-                    continue
-                self.metrics.work += len(cands)
-                for x in sorted(cands):
-                    if x not in clique.partner:
-                        dec.match_add(clique, w, x)
-                        added.append((w, x))
-                        break
+                self.metrics.work += len(clique.nonedges[w])
+                x = self._match_lowest(clique, w)
+                if x is not None:
+                    added.append((w, x))
         else:
             dec.nonedge_add(clique, u, v)
             if extend and u not in clique.partner and v not in clique.partner:
@@ -193,18 +195,13 @@ class DenseColoring:
                 added.append((u, v))
         return added
 
-    def update_non_edges(self, clique, upd):
-        """Same-clique update entry point; returns (left, entered, new_pairs).
+    def update_non_edges(self, clique, upd) -> list[tuple[int, int]]:
+        """Same-clique update entry point; returns the pairs added.
 
-        `left` are vertices that stopped being matched endpoints, `entered`
-        the endpoints of newly matched pairs.  In the large regime the
-        matching is never extended, only trimmed by insertions.
+        In the large regime the matching is never extended, only trimmed
+        by insertions.
         """
-        was = [w for w in (upd.u, upd.v) if w in clique.partner]
-        pairs = self.maintain_matching(clique, upd, extend=not clique.large_regime)
-        left = [w for w in was if w not in clique.partner]
-        entered = [x for pair in pairs for x in pair]
-        return left, entered, pairs
+        return self.maintain_matching(clique, upd, extend=not clique.large_regime)
 
     # ---- pair recoloring -------------------------------------------------------------
 
@@ -219,12 +216,9 @@ class DenseColoring:
             raise ValueError(f"({u},{v}) is not a matched non-edge")
         book = clique.book
         for w in (u, v):
-            old = self.colors.of[w]
-            if old != BLANK:
-                pair = book.an.get(old)
-                if pair is not None and w in pair:
-                    book.an.pop(old)
-                self.release_private(clique, w)
+            old = self.release_private(clique, w)
+            if w in book.an.get(old, ()):
+                book.an.pop(old)
         draw = palette_drawer(self.rng, self.palette)
         for _ in range(self.cap):
             c = draw()
@@ -232,9 +226,7 @@ class DenseColoring:
             if c in book.an:
                 continue
             if self._pair_external_feasible(clique, u, v, c):
-                book.an[c] = (u, v)
-                self._set_member(clique, u, c)
-                self._set_member(clique, v, c)
+                self._claim_shared(clique, u, v, c)
                 self.metrics.dense_recolorings += 2
                 return c
         raise IterationCapExceeded("recolor_non_edge", (u, v))
@@ -242,8 +234,6 @@ class DenseColoring:
     # ---- edge counters ------------------------------------------------------------------
 
     def tc_shift(self, clique, c: int, d: int) -> None:
-        if c == BLANK or clique.book is None:
-            return
         book = clique.book
         t = book.t_c.get(c, 0) + d
         if t:
@@ -277,9 +267,7 @@ class DenseColoring:
         for v, nc in enumerate(self.decomp.n_c):
             if not nc or clique_of[v] is not None:
                 continue
-            c = of[v]
-            if c == BLANK:
-                continue
+            c = of[v]  # color_sparse has just colored every sparse vertex
             for cid, cnt in nc.items():
                 self.tc_shift(cliques[cid], c, cnt)
                 self.metrics.work += 1
@@ -410,10 +398,7 @@ class DenseColoring:
             self.metrics.fallbacks += 1
             c = self._scan_pair(clique, u, v)
             if c is None:
-                self.decomp.match_remove(clique, u, v)
-                clique.book.big_l.add(u)
-                clique.book.big_l.add(v)
-                self.rescan(u)
+                self.rescan(u)  # takes the pair out of the matching
                 self.rescan(v)
                 return None
         owner = clique.book.mp.get(c)
@@ -427,9 +412,7 @@ class DenseColoring:
         self.metrics.work += self.palette
         for c in range(self.palette):
             if c not in book.an and self._pair_external_feasible(clique, u, v, c):
-                book.an[c] = (u, v)
-                self._set_member(clique, u, c)
-                self._set_member(clique, v, c)
+                self._claim_shared(clique, u, v, c)
                 return c
         return None
 
@@ -454,9 +437,7 @@ class DenseColoring:
         book = clique.book
         p = clique.partner.get(v)
         if p is not None:
-            old = colors.of[v]
-            if old != BLANK:
-                book.an.pop(old, None)
+            book.an.pop(colors.of[v], None)
             self.decomp.match_remove(clique, v, p)
             book.big_l.add(v)
             book.big_l.add(p)
@@ -534,22 +515,22 @@ class DenseColoring:
         """
         book = clique.book
         of = self.colors.of
-        pre_matched = clique.partner.get(upd.u) == upd.v
-        left, entered, pairs = self.update_non_edges(clique, upd)
-        if upd.insert and pre_matched:
+        broken = (upd.u, upd.v) if clique.partner.get(upd.u) == upd.v else ()
+        pairs = self.update_non_edges(clique, upd)
+        if broken:
             # the inserted edge destroyed a matched pair; drop its shared color
-            shared = of[upd.u]
-            if shared != BLANK:
-                book.an.pop(shared, None)
-            for w in (upd.u, upd.v):
+            book.an.pop(of[upd.u], None)
+            for w in broken:
                 self.release_private(clique, w)
                 book.big_l.add(w)
-        for w in entered:
-            if w in book.big_l:
-                self.release_private(clique, w)
-                book.big_l.discard(w)
+        for pair in pairs:
+            for w in pair:
+                if w in book.big_l:
+                    self.release_private(clique, w)
+                    book.big_l.discard(w)
         for w, x in pairs:
             self.recolor_pair(clique, w, x)
-        for w in left:
+        # an endpoint of the broken pair that no new pair took is still blank
+        for w in broken:
             if of[w] == BLANK:
                 self.rematch(clique, w)

@@ -103,29 +103,30 @@ class Engine(ColoringAlgorithm):
         u, v = upd.u, upd.v
         dec = self.decomp
         cu, cv = dec.clique_of[u], dec.clique_of[v]
-        colors = self.colors
-        if cu is not None or cv is not None:
-            dec.note_edge(upd)  # a sparse-sparse update changes no neighbor view
+        of = self.colors.of
         if cu is None and cv is None:
-            # sparse-sparse: only a monochromatic insertion needs color work
-            if upd.insert and colors.of[u] == colors.of[v]:
-                old = colors.of[v]
+            # sparse-sparse: only a monochromatic insertion needs color work,
+            # and the update changes no neighbor view
+            if upd.insert and of[u] == of[v]:
+                old = of[v]
                 new = self.sparse.recolor_sparse(v)
                 if dec.cliques:
                     # without a clique every n_c[x] and L_D(c) is empty, so
                     # these hooks would do nothing and charge nothing
                     self.dense.update_edge_counts(v, old, new)
                     self.dense.evict_conflicts(v, new)
-        elif cu is None or cv is None:
-            s, d = (u, v) if cu is None else (v, u)
-            clique = dec.cliques[cv if cu is None else cu]
-            self.dense.tc_shift(clique, colors.of[s], 1 if upd.insert else -1)
-            if upd.insert and colors.of[s] == colors.of[d]:
-                self.dense.resolve_conflict(d)
-        elif cu == cv:
+            return
+        dec.note_edge(upd)
+        if cu == cv:
             self.dense.same_clique_update(dec.cliques[cu], upd)
-        elif upd.insert and colors.of[u] == colors.of[v]:
-            self.dense.resolve_conflict(v)
+            return
+        if cu is None or cv is None:
+            # a sparse-dense edge moves one edge counter of the clique
+            s, cid = (u, cv) if cu is None else (v, cu)
+            self.dense.tc_shift(dec.cliques[cid], of[s], 1 if upd.insert else -1)
+        if upd.insert and of[u] == of[v]:
+            # the dense endpoint gives way, v when both are dense
+            self.dense.resolve_conflict(v if cv is not None else u)
 
     def trivial_recolor(self, v: int) -> int:
         """Full-neighborhood rescan: the smallest color no neighbor holds.

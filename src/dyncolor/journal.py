@@ -37,12 +37,12 @@ class PhaseJournal:
                 decomp._nbr_remove(v, u)
                 decomp._nbr_remove(u, v)
                 if cu == cv:
-                    decomp._nonedge_add_raw(cliques[cu], u, v)
+                    decomp.nonedge_add(cliques[cu], u, v)
             else:
                 decomp._nbr_add(v, u)
                 decomp._nbr_add(u, v)
                 if cu == cv:
-                    decomp._nonedge_remove_raw(cliques[cu], u, v)
+                    decomp.nonedge_remove(cliques[cu], u, v)
         for cid, partner in self.partners.items():
             cliques[cid].partner = partner
         self.partners = {}

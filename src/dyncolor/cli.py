@@ -230,8 +230,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DynColorError as exc:
-        # a bad trace or an illegal update is the input's fault: one line, no traceback
+    except (DynColorError, ValueError) as exc:
+        # a bad trace, an illegal update or a refused setting is the input's
+        # fault: one line, no traceback
         print(f"dyncolor: {exc}", file=sys.stderr)
         return 2
 

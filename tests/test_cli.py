@@ -69,10 +69,11 @@ def test_run_report_holds_one_record_per_closed_phase(tmp_path, mode):
     assert all(r["updates"] == 8 and r["phase_inits"] == 1 for r in phases)
 
 
-def test_explicit_zero_sizes_are_not_replaced_by_defaults(tmp_path):
+def test_explicit_zero_sizes_are_not_replaced_by_defaults(tmp_path, capsys):
     for cmd in ("run", "verify"):
-        with pytest.raises(ValueError, match="n must be positive"):
-            main([cmd, "--n", "0", "--steps", "5"])
+        capsys.readouterr()
+        assert main([cmd, "--n", "0", "--steps", "5"]) == 2
+        assert capsys.readouterr().err == "dyncolor: n must be positive\n"
     report = tmp_path / "report.json"
     rc = main(["run", "--n", "16", "--delta", "0", "--steps", "5", "--report-json", str(report)])
     assert rc == 0
@@ -80,12 +81,15 @@ def test_explicit_zero_sizes_are_not_replaced_by_defaults(tmp_path):
     assert (snap["n"], snap["delta"], snap["edges"]) == (16, 0, 0)
 
 
-def test_explicit_zero_epsilon_is_not_replaced_by_the_default(tmp_path):
+def test_explicit_zero_epsilon_is_not_replaced_by_the_default(tmp_path, capsys):
     out = tmp_path / "bench.csv"
-    with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
-        main(["run", "--epsilon", "0", "--n", "16", "--steps", "5"])
-    with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
-        main(["bench", "--epsilon", "0", "--sizes", "16", "--steps", "5", "--out", str(out)])
+    for argv in (
+        ["run", "--epsilon", "0", "--n", "16", "--steps", "5"],
+        ["bench", "--epsilon", "0", "--sizes", "16", "--steps", "5", "--out", str(out)],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "dyncolor: epsilon must lie in (0, 1)\n"
     assert not out.exists()
 
 
@@ -190,11 +194,12 @@ def test_bench_subcommand(tmp_path):
     ],
     ids=["misspelt-key", "mode-key", "no-equals-sign"],
 )
-def test_config_file_refuses_what_the_cli_does_not_read(tmp_path, line, error):
+def test_config_file_refuses_what_the_cli_does_not_read(tmp_path, capsys, line, error):
     cfg = tmp_path / "conf"
     cfg.write_text(f"# a comment\nn=16\n{line}\n")
-    with pytest.raises(ValueError, match=error):
-        main(["run", "--config", str(cfg), "--steps", "5"])
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--steps", "5"]) == 2
+    assert capsys.readouterr().err == f"dyncolor: --config {cfg}: {error}\n"
 
 
 def test_config_file_with_flag_override(tmp_path):

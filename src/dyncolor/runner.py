@@ -14,7 +14,7 @@ from .errors import Exhausted, MalformedTrace
 from .metrics import SCALARS
 from .params import ParamSet, auto_epsilon, trivial_cutoff
 from .trace import TraceFile
-from .verify import ProperWatch, verify
+from .verify import ProperWatch
 
 MODES = ("full", "auto", "baseline")
 
@@ -98,17 +98,16 @@ def run_stream(
     steps: int,
     watch: bool = False,
     per_update=None,
-    audit_every: int = 0,
     record: TraceFile | None = None,
 ) -> dict:
     """Feed `steps` adversary updates to the engine.
 
     `watch` attaches the incremental properness oracle; `per_update` is an
-    arbitrary callback (engine, update, index); `audit_every` runs the full
-    verifier on that stride.  Returns a summary dict; its `algo_s` is the
-    time spent in `engine.process` and its `adversary_s` the time spent in
-    `adversary.next`, so neither is billed for the other.  Its `phases`
-    holds one `_phase_record` per phase that closed during the run.
+    arbitrary callback (engine, update, index).  Returns a summary dict;
+    its `algo_s` is the time spent in `engine.process` and its
+    `adversary_s` the time spent in `adversary.next`, so neither is billed
+    for the other.  Its `phases` holds one `_phase_record` per phase that
+    closed during the run.
     """
     view = engine.coloring_view() if adversary.adaptive else None
     metrics = engine.metrics
@@ -117,8 +116,6 @@ def run_stream(
     inits = metrics.phase_inits
     phases: list[dict] = []
     watcher = ProperWatch(engine) if watch else None
-    audits = 0
-    audit_failures: list[str] = []
     deltas: list[tuple[int, int]] | None = None
     if record is not None and record.outputs is None:
         record.outputs = []
@@ -159,11 +156,6 @@ def run_stream(
                 record.outputs.append(deltas)
             if per_update is not None:
                 per_update(engine, upd, i)
-            if audit_every and (i + 1) % audit_every == 0:
-                rep = verify(engine, boundary=engine.updates_in_phase == 0)
-                audits += 1
-                if not rep.passed:
-                    audit_failures.append(f"update {i}: {rep.failed_names()}")
             done += 1
     finally:
         if capturing:
@@ -174,8 +166,6 @@ def run_stream(
         "steps": done,
         "exhausted": exhausted,
         "watch_violations": list(watcher.violations) if watcher else None,
-        "audits": audits,
-        "audit_failures": audit_failures,
         "monochrome_hits": adversary.monochrome_hits,
         "algo_s": algo_s,
         "adversary_s": adversary_s,

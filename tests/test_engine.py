@@ -281,9 +281,15 @@ def test_unknown_mode_is_rejected():
 def test_watch_and_audits_run_on_the_baseline():
     base = TrivialBaseline(64, 16)
     adv = make_adversary("adaptive-monochrome", 64, 16, seed=2)
-    res = run_stream(base, adv, 500, watch=True, audit_every=100)
+    audits = []  # each audit's failed check names
+
+    def audit_every_100(engine, upd, i):
+        if (i + 1) % 100 == 0:
+            audits.append(verify(engine).failed_names())
+
+    res = run_stream(base, adv, 500, watch=True, per_update=audit_every_100)
     assert res["watch_violations"] == []
-    assert res["audits"] == 5 and res["audit_failures"] == []
+    assert audits == [[]] * 5
     assert base.metrics.sparse_recolorings > 0
     assert base.colors.listeners == []
     # the watch sees the baseline's color events: a forced clash is caught

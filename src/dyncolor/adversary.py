@@ -19,6 +19,13 @@ from .errors import Exhausted
 from .graph import DynamicGraph, EdgeUpdate
 from .sampleset import SampleSet
 
+# draws a random edit makes before it gives up
+EDIT_TRIES = 50
+# vertices adaptive-monochrome tries before it falls back to a deletion
+MONOCHROME_TRIES = 24
+# clique-churn's churn stage lasts this many updates per target vertex
+CHURN_STEPS_PER_VERTEX = 4
+
 STRATEGIES = (
     "adaptive-monochrome",
     "oblivious-random",
@@ -81,9 +88,9 @@ class _RandomEdits(_Mirrored):
             self.nbrs[v].discard(u)
         return upd
 
-    def _random_insert(self, tries: int = 50) -> EdgeUpdate | None:
+    def _random_insert(self) -> EdgeUpdate | None:
         g, rng = self.mirror, self.rng
-        for _ in range(tries):
+        for _ in range(EDIT_TRIES):
             u = rng.randrange(self.n)
             v = rng.randrange(self.n)
             if u == v or g.has_edge(u, v):
@@ -92,11 +99,11 @@ class _RandomEdits(_Mirrored):
                 return EdgeUpdate(u, v, True)
         return None
 
-    def _random_delete(self, tries: int = 50) -> EdgeUpdate | None:
+    def _random_delete(self) -> EdgeUpdate | None:
         g, rng = self.mirror, self.rng
         if g.edge_count == 0:
             return None
-        for _ in range(tries):
+        for _ in range(EDIT_TRIES):
             u = rng.randrange(self.n)
             if g.degree(u):
                 v = self.nbrs[u].sample(rng)
@@ -135,14 +142,10 @@ class AdaptiveMonochrome(_RandomEdits):
 
     adaptive = True
 
-    def __init__(self, n, delta, seed=0, tries=24):
-        super().__init__(n, delta, seed)
-        self.tries = tries
-
     def _propose(self, view):
         if view is not None:
             g, rng = self.mirror, self.rng
-            for _ in range(self.tries):
+            for _ in range(MONOCHROME_TRIES):
                 u = rng.randrange(self.n)
                 if g.degree(u) >= self.delta:
                     continue
@@ -172,13 +175,10 @@ class CliqueChurn(_Mirrored):
     dense moves, non-edge and matching churn, and clique collapse.
     """
 
-    def __init__(self, n, delta, seed=0, target_size=None, erode_frac=0.5, churn_steps=None):
+    def __init__(self, n, delta, seed=0, target_size=None, erode_frac=0.5):
         super().__init__(n, delta, seed)
         self.target_size = min(target_size or delta + 1, n)
         self.erode_frac = erode_frac
-        self.churn_steps = (
-            churn_steps if churn_steps is not None else 4 * self.target_size
-        )
         self._target: list[int] = []
         self._missing: list[tuple[int, int]] = []
         self._built: list[tuple[int, int]] = []
@@ -199,7 +199,7 @@ class CliqueChurn(_Mirrored):
         self.rng.shuffle(self._missing)
         self._built = []
         self._stage = "build"
-        self._churn_left = self.churn_steps
+        self._churn_left = CHURN_STEPS_PER_VERTEX * self.target_size
 
     def _start_churn(self):
         # the target pairs in lexicographic order and the sorted indices of
@@ -275,7 +275,7 @@ class Scripted(Adversary):
 
 def make_adversary(kind: str, n: int, delta: int, seed: int = 0, **kw) -> Adversary:
     if kind == "adaptive-monochrome":
-        return AdaptiveMonochrome(n, delta, seed, **kw)
+        return AdaptiveMonochrome(n, delta, seed)
     if kind == "oblivious-random":
         return ObliviousRandom(n, delta, seed, **kw)
     if kind == "deletion-heavy":

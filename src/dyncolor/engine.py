@@ -48,8 +48,7 @@ class Engine(ColoringAlgorithm):
     mode = "full"
 
     def __init__(self, n: int, delta: int, config: EngineConfig | None = None):
-        self.config = config or EngineConfig()
-        self.params = params = self.config.params
+        self.params = params = (config or EngineConfig()).params
         self.n = n
         self.delta = delta
         self.palette = delta + 1

@@ -1,9 +1,10 @@
 """Bit-identity gate at benchmark scale: the three perfbench workloads at seed 0.
 
 The golden traces pin runs with n <= 512 and palettes <= 129.  This test
-rebuilds the benchmark's workloads (adaptive-sparse, churn-dense and
-deletion-wide) from their strategy, n, delta and parameter profile, plays
-each whole stream against a fresh engine and hashes two halves.
+takes the benchmark's workloads (adaptive-sparse, churn-dense and
+deletion-wide) from `perfbench/harness.py`, builds each engine and
+adversary with the harness's own `new_engine` and `new_adversary`, plays
+each whole stream against the engine and hashes two halves.
 
 The coloring half covers:
 
@@ -28,22 +29,33 @@ purpose, with
 """
 
 import hashlib
+import importlib.util
+import sys
 from array import array
 from functools import cache
 from itertools import compress
+from pathlib import Path
 
 import pytest
 
-from dyncolor import Engine, EngineConfig, make_adversary, verify
+from dyncolor import verify
 
-from conftest import report_bytes, sweep_params
+from conftest import report_bytes
 
-# name -> (strategy, n, delta, updates), as the benchmark defines them
-WORKLOADS = {
-    "adaptive-sparse": ("adaptive-monochrome", 4096, 2048, 28_000),
-    "churn-dense": ("clique-churn", 1024, 128, 20_000),
-    "deletion-wide": ("deletion-heavy", 8192, 256, 6_400),
-}
+HARNESS = Path(__file__).resolve().parents[1] / "perfbench" / "harness.py"
+
+
+def _harness():
+    spec = importlib.util.spec_from_file_location("perfbench_harness", HARNESS)
+    harness = importlib.util.module_from_spec(spec)
+    # a dataclass resolves its string annotations through sys.modules
+    sys.modules[spec.name] = harness
+    spec.loader.exec_module(harness)
+    return harness
+
+
+harness = _harness()
+WORKLOADS = harness.WORKLOADS
 
 SEED = 0
 
@@ -80,16 +92,16 @@ REPORTS = {
 @cache
 def workload_digests(name, seed=SEED):
     """The run's {"coloring", "decomposition", "report"} sha256s."""
-    strategy, n, delta, updates = WORKLOADS[name]
-    engine = Engine(n, delta, EngineConfig(params=sweep_params(seed, delta)))
-    adversary = make_adversary(strategy, n, delta, seed=seed + 1000)
+    wl = WORKLOADS[name]
+    engine = harness.new_engine(wl, seed)
+    adversary = harness.new_adversary(wl, seed)
     view = engine.coloring_view() if adversary.adaptive else None
     of, L = engine.colors.of, engine.colors.L
     lists = (engine.tracker.n1, engine.tracker.n3)
     clique_of = engine.decomp.clique_of
     coloring, decomposition = hashlib.sha256(), hashlib.sha256()
     endpoints = []
-    for _ in range(updates):
+    for _ in range(wl.updates):
         upd = adversary.next(view)
         engine.process(upd)
         endpoints += (of[upd.u], of[upd.v])

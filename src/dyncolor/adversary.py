@@ -275,7 +275,7 @@ class Scripted(Adversary):
 
 def make_adversary(kind: str, n: int, delta: int, seed: int = 0, **kw) -> Adversary:
     if kind == "adaptive-monochrome":
-        return AdaptiveMonochrome(n, delta, seed)
+        return AdaptiveMonochrome(n, delta, seed, **kw)
     if kind == "oblivious-random":
         return ObliviousRandom(n, delta, seed, **kw)
     if kind == "deletion-heavy":

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from dyncolor.cli import main
+from dyncolor.trace import TraceFile
 
 
 def test_run_with_verify_and_reports(tmp_path):
@@ -216,3 +217,35 @@ def test_config_file_with_flag_override(tmp_path):
     data = json.loads(report.read_text())
     assert data["snapshot"]["n"] == 32
     assert data["snapshot"]["delta"] == 8
+
+
+# (setting, value, trace header key, flags both runs share)
+SETTINGS = [
+    ("n", "24", "n", []),
+    ("delta", "10", "delta", []),
+    ("epsilon", "0.25", "epsilon", []),
+    ("tau", "0.05", "tau", []),
+    ("nu", "0.1", "nu", []),
+    ("phase-len", "16", "phase_len_t", []),
+    ("samples", "8", "sample_count_k", []),
+    # the paper profile needs epsilon < 3/50; a pinned k keeps the run small
+    ("profile", "paper", "profile", ["--epsilon", "0.05", "--samples", "8"]),
+    ("seed", "5", "seed", []),
+]
+
+
+@pytest.mark.parametrize("name,value,key,shared", SETTINGS, ids=[s[0] for s in SETTINGS])
+def test_a_flag_and_a_config_line_give_the_same_run(tmp_path, name, value, key, shared):
+    def record(*argv):
+        trace = tmp_path / "run.trace"
+        rc = main(["record", "--steps", "3", "--trace-out", str(trace), *shared, *argv])
+        assert rc == 0
+        return TraceFile.load(trace)
+
+    by_flag = record(f"--{name}", value)
+    cfg = tmp_path / "conf"
+    cfg.write_text(f"{name}={value}\n")
+    by_file = record("--config", str(cfg))
+    assert by_flag.header == by_file.header
+    assert by_flag.header[key] == value
+    assert (by_flag.updates, by_flag.outputs) == (by_file.updates, by_file.outputs)

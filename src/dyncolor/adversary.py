@@ -26,15 +26,6 @@ MONOCHROME_TRIES = 24
 # clique-churn's churn stage lasts this many updates per target vertex
 CHURN_STEPS_PER_VERTEX = 4
 
-STRATEGIES = (
-    "adaptive-monochrome",
-    "oblivious-random",
-    "deletion-heavy",
-    "clique-churn",
-    "scripted",
-)
-
-
 class Adversary:
     """Base: hands out one update per `next` call."""
 
@@ -262,7 +253,7 @@ class CliqueChurn(_Mirrored):
 class Scripted(Adversary):
     """Hands out `updates` in order, unchecked; the consumer rejects an illegal one."""
 
-    def __init__(self, n, delta, updates, seed=0):
+    def __init__(self, n, delta, seed=0, *, updates):
         super().__init__(n, delta, seed)
         self._queue = iter(updates)
 
@@ -273,15 +264,20 @@ class Scripted(Adversary):
         return upd
 
 
+ADVERSARIES = {
+    "adaptive-monochrome": AdaptiveMonochrome,
+    "oblivious-random": ObliviousRandom,
+    "deletion-heavy": DeletionHeavy,
+    "clique-churn": CliqueChurn,
+    "scripted": Scripted,
+}
+STRATEGIES = tuple(ADVERSARIES)
+# the strategies that make their own stream; `scripted` only hands one on
+GENERATORS = tuple(k for k, cls in ADVERSARIES.items() if cls is not Scripted)
+
+
 def make_adversary(kind: str, n: int, delta: int, seed: int = 0, **kw) -> Adversary:
-    if kind == "adaptive-monochrome":
-        return AdaptiveMonochrome(n, delta, seed, **kw)
-    if kind == "oblivious-random":
-        return ObliviousRandom(n, delta, seed, **kw)
-    if kind == "deletion-heavy":
-        return DeletionHeavy(n, delta, seed)
-    if kind == "clique-churn":
-        return CliqueChurn(n, delta, seed, **kw)
-    if kind == "scripted":
-        return Scripted(n, delta, kw.pop("updates"), seed)
-    raise ValueError(f"unknown strategy {kind!r}")
+    """A `kind` adversary; a keyword its constructor does not take raises `TypeError`."""
+    if kind not in ADVERSARIES:
+        raise ValueError(f"unknown strategy {kind!r}")
+    return ADVERSARIES[kind](n, delta, seed, **kw)

@@ -223,7 +223,7 @@ def replay_trace(trace: TraceFile, check: bool = False):
     engine = build_engine(n, delta, params_from_header(hdr), mode=hdr.get("mode", "full"))
     updates = trace.updates
     replayed = TraceFile(outputs=[]) if check and trace.outputs is not None else None
-    run_stream(engine, Scripted(n, delta, updates), len(updates), record=replayed)
+    run_stream(engine, Scripted(n, delta, updates=updates), len(updates), record=replayed)
     if replayed is None:
         return engine, []
     pairs = enumerate(zip(replayed.outputs, trace.outputs))

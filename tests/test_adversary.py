@@ -94,6 +94,17 @@ def test_strategy_registry():
         make_adversary("bogus", 4, 2)
 
 
+@pytest.mark.parametrize(
+    "kind,kw",
+    [("deletion-heavy", {"p_insert": 0.5}), ("scripted", {"updates": [], "tries": 3})],
+    ids=["deletion-heavy", "scripted"],
+)
+def test_a_keyword_the_strategy_does_not_take_is_refused(kind, kw):
+    # once dropped without a word: deletion-heavy kept its own p_insert
+    with pytest.raises(TypeError):
+        make_adversary(kind, 4, 2, **kw)
+
+
 # sha256 of (u, v, insert) per update, recorded on the generator that
 # rebuilt its inside-edge and hole lists over all target pairs every step
 CHURN_STREAMS = [

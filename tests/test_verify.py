@@ -551,7 +551,7 @@ def _golden_reports(stem):
     trace = TraceFile.load(DATA / f"{stem}.trace")
     n, delta = int(trace.header["n"]), int(trace.header["delta"])
     engine = Engine(n, delta, EngineConfig(params=params_from_header(trace.header)))
-    return _boundary_reports(engine, Scripted(n, delta, trace.updates), len(trace.updates))
+    return _boundary_reports(engine, Scripted(n, delta, updates=trace.updates), len(trace.updates))
 
 
 def _k1_reports(adversary_seed):

@@ -67,8 +67,6 @@ class Engine(ColoringAlgorithm):
         )
         self.journal = PhaseJournal()
         self.phase_len = params.phase_len(delta)
-        self.phase_index = 0
-        self.updates_in_phase = 0
         self.phase_updates: list[EdgeUpdate] = []
         # the empty graph is colored before the first update arrives
         self.sparse.color_sparse()
@@ -85,14 +83,17 @@ class Engine(ColoringAlgorithm):
             self.metrics.anchor_repairs += 1
             self.trivial_recolor(upd.v)
         self.phase_updates.append(upd)
-        self.updates_in_phase += 1
-        if self.updates_in_phase >= self.phase_len:
+        if len(self.phase_updates) >= self.phase_len:
             self.initialization()
+
+    @property
+    def updates_in_phase(self) -> int:
+        return len(self.phase_updates)
 
     def snapshot(self) -> dict:
         snap = super().snapshot()
-        snap["phase_index"] = self.phase_index
-        snap["updates_in_phase"] = self.updates_in_phase
+        snap["phase_index"] = self.metrics.phase_inits
+        snap["updates_in_phase"] = len(self.phase_updates)
         snap["decomposition"] = self.decomp.snapshot()
         return snap
 
@@ -168,8 +169,6 @@ class Engine(ColoringAlgorithm):
             self.decomp.update_decomposition(upd, self.dense.maintain_matching)
         self.rebuild_colors()
         self.phase_updates.clear()
-        self.updates_in_phase = 0
-        self.phase_index += 1
         self.metrics.init_work.append(self.metrics.work - work0)
 
     def rebuild_colors(self) -> None:

@@ -7,20 +7,31 @@ import json
 import sys
 
 from . import bench as benchmod
-from .params import ParamSet
+from .adversary import GENERATORS
+from .params import DESK, PAPER, ParamSet
 from .runner import MODES, record_run, replay_trace
-from .adversary import STRATEGIES
 from .errors import DynColorError
 from .trace import TraceFile
 from .verify import verify
 
 
-# the keys a --config file may set; a flag of the same name overrides one
-CONFIG_KEYS = ("n", "delta", "epsilon", "tau", "nu", "phase-len", "samples", "profile", "seed")
+# every setting a flag or a --config line may give: its type, the ParamSet
+# field it fills (none for the sizes) and any further argparse keywords
+SETTINGS = {
+    "n": (int, None, {}),
+    "delta": (int, None, {}),
+    "epsilon": (float, "epsilon", {}),
+    "tau": (float, "tau", {}),
+    "nu": (float, "nu", {}),
+    "phase-len": (int, "phase_len_t", {}),
+    "samples": (int, "sample_count_k", {"help": "friend-estimate sample count"}),
+    "profile": (str, "profile", {"choices": [DESK, PAPER]}),
+    "seed": (int, "seed", {}),
+}
 
 
 def _load_config(path: str | None) -> dict:
-    """A config file's `key=value` lines; a key not in `CONFIG_KEYS` or a
+    """A config file's `key=value` lines; a key not in `SETTINGS` or a
     line without `=` raises `ValueError`, a blank or `#` line is skipped."""
     if not path:
         return {}
@@ -34,64 +45,43 @@ def _load_config(path: str | None) -> dict:
                 raise ValueError(f"--config {path}: {line!r} is not key=value")
             k, _, v = line.partition("=")
             k = k.strip()
-            if k not in CONFIG_KEYS:
+            if k not in SETTINGS:
                 raise ValueError(f"--config {path}: unknown key {k!r}")
             out[k] = v.strip()
     return out
 
 
-def _params_from(args, cfg: dict) -> ParamSet:
-    def pick(name, cast, default=None):
-        val = getattr(args, name.replace("-", "_"), None)
-        if val is not None:
-            return val
-        if name in cfg:
-            return cast(cfg[name])
-        return default
+def _settings(args) -> tuple[int, int, ParamSet]:
+    """(n, delta, params), each setting from its flag, else the config file.
 
-    eps = pick("epsilon", float, 0.2)
-    return ParamSet(
-        epsilon=eps,
-        tau=pick("tau", float),
-        nu=pick("nu", float),
-        phase_len_t=pick("phase-len", int),
-        sample_count_k=pick("samples", int),
-        profile=pick("profile", str, "desk"),
-        seed=pick("seed", int, 0),
-    )
-
-
-def _size_from(args, cfg: dict) -> tuple[int, int]:
-    """(n, delta) from the flags, else the config file, else 256 and n // 2.
-
-    An explicit zero is kept, so the library rejects or runs it as given.
+    n defaults to 256, delta to n // 2, and a `ParamSet` field nobody gave
+    to `ParamSet`'s own default.  An explicit zero is kept, so the library
+    rejects or runs it as given.
     """
-    n = args.n if args.n is not None else int(cfg.get("n", 256))
-    delta = args.delta if args.delta is not None else int(cfg.get("delta", n // 2))
-    return n, delta
+    cfg = _load_config(args.config)
+    given = {}
+    for name, (cast, _, _) in SETTINGS.items():
+        val = getattr(args, name.replace("-", "_"))
+        if val is None and name in cfg:
+            val = cast(cfg[name])
+        if val is not None:
+            given[name] = val
+    n = given.pop("n", 256)
+    delta = given.pop("delta", n // 2)
+    return n, delta, ParamSet(**{SETTINGS[k][1]: v for k, v in given.items()})
 
 
 def _add_common(p):
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--delta", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--phase-len", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None, help="friend-estimate sample count")
-    p.add_argument("--profile", choices=["desk", "paper"], default=None)
-    p.add_argument("--seed", type=int, default=None)
+    for name, (cast, _, extra) in SETTINGS.items():
+        p.add_argument(f"--{name}", type=cast, **extra)
     p.add_argument("--mode", choices=MODES, default="full")
     p.add_argument("--config", help="key=value file; flags override")
+    p.add_argument("--strategy", choices=GENERATORS, default="oblivious-random")
+    p.add_argument("--steps", type=int, default=1000)
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    params = _params_from(args, cfg)
-    n, delta = _size_from(args, cfg)
-    engine, trace, summary = record_run(
-        n, delta, params, args.strategy, args.steps, mode=args.mode
-    )
+    engine, trace, summary = record_run(*_settings(args), args.strategy, args.steps, mode=args.mode)
     if args.trace_out:
         if not args.record_colors:
             trace.outputs = None
@@ -106,13 +96,6 @@ def cmd_run(args) -> int:
         benchmod.write_load_histogram(args.load_csv, engine)
     _emit(out, args.report_json)
     return 0
-
-
-def cmd_record(args) -> int:
-    args.record_colors = True
-    args.verify = False
-    args.load_csv = None
-    return cmd_run(args)
 
 
 def cmd_replay(args) -> int:
@@ -132,10 +115,7 @@ def cmd_verify(args) -> int:
         trace = TraceFile.load(args.trace)
         engine, _ = replay_trace(trace)
     else:
-        cfg = _load_config(args.config)
-        params = _params_from(args, cfg)
-        n, delta = _size_from(args, cfg)
-        engine, _, _ = record_run(n, delta, params, args.strategy, args.steps, mode=args.mode)
+        engine, _, _ = record_run(*_settings(args), args.strategy, args.steps, mode=args.mode)
     rep = verify(engine, boundary=engine.updates_in_phase == 0)
     print(rep.format_lines())
     _emit({"verify": rep.to_dict(), "passed": rep.passed}, args.report_json)
@@ -145,6 +125,11 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     strategies = args.strategies.split(",")
+    for strategy in strategies:
+        if strategy not in GENERATORS:
+            raise ValueError(
+                f"unknown strategy {strategy!r}; expected one of {', '.join(GENERATORS)}"
+            )
     cells = []
     for strategy in strategies:
         for n in sizes:
@@ -184,22 +169,17 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", help="run an adversary stream through the engine")
     _add_common(p)
-    p.add_argument("--strategy", choices=STRATEGIES, default="oblivious-random")
-    p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--trace-out")
-    p.add_argument("--record-colors", action="store_true")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--load-csv")
     p.add_argument("--report-json")
-    p.set_defaults(fn=cmd_run)
+    p.set_defaults(fn=cmd_run, record_colors=False)
 
     p = sub.add_parser("record", help="run and save a trace with color outputs")
     _add_common(p)
-    p.add_argument("--strategy", choices=STRATEGIES, default="oblivious-random")
-    p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--trace-out", required=True)
     p.add_argument("--report-json")
-    p.set_defaults(fn=cmd_record)
+    p.set_defaults(fn=cmd_run, record_colors=True, verify=False, load_csv=None)
 
     p = sub.add_parser("replay", help="replay a trace deterministically")
     p.add_argument("--trace", required=True)
@@ -209,8 +189,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="run (or replay) then verify everything")
     _add_common(p)
-    p.add_argument("--strategy", choices=STRATEGIES, default="oblivious-random")
-    p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--trace")
     p.add_argument("--report-json")
     p.set_defaults(fn=cmd_verify)
@@ -230,9 +208,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DynColorError, ValueError) as exc:
-        # a bad trace, an illegal update or a refused setting is the input's
-        # fault: one line, no traceback
+    except (DynColorError, ValueError, OSError) as exc:
+        # a bad trace, an illegal update, a refused setting or a file that
+        # cannot be read or written is the input's fault: one line, no traceback
         print(f"dyncolor: {exc}", file=sys.stderr)
         return 2
 

@@ -249,3 +249,49 @@ def test_a_flag_and_a_config_line_give_the_same_run(tmp_path, name, value, key, 
     assert by_flag.header == by_file.header
     assert by_flag.header[key] == value
     assert (by_flag.updates, by_flag.outputs) == (by_file.updates, by_file.outputs)
+
+
+@pytest.mark.parametrize("cmd", ["run", "record", "verify"])
+def test_strategy_scripted_is_refused_on_the_command_line(tmp_path, capsys, cmd):
+    # no flag supplies its updates: it only replays a trace's stream
+    argv = [cmd, "--strategy", "scripted", "--steps", "3"]
+    if cmd == "record":
+        argv += ["--trace-out", str(tmp_path / "run.trace")]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice: 'scripted'" in capsys.readouterr().err
+
+
+def test_bench_refuses_a_strategy_before_any_cell_runs(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr("dyncolor.bench.run_cell", lambda cell: ran.append(cell) or [])
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--strategies", "oblivious-random,scripted", "--sizes", "16", "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "dyncolor: unknown strategy 'scripted'; expected one of "
+        "adaptive-monochrome, oblivious-random, deletion-heavy, clique-churn\n"
+    )
+    assert ran == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["run", "--config", "{missing}", "--steps", "3"], "No such file or directory: '{missing}'"),
+        (["replay", "--trace", "{missing}"], "No such file or directory: '{missing}'"),
+        (["record", "--steps", "3", "--trace-out", "{dir}"], "Is a directory: '{dir}'"),
+    ],
+    ids=["config", "trace", "trace-out"],
+)
+def test_a_file_that_cannot_be_read_or_written_fails_with_one_line(tmp_path, capsys, argv, error):
+    paths = {"missing": tmp_path / "missing", "dir": tmp_path}
+    argv = [a.format(**paths) for a in argv]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dyncolor: [Errno ") and err.endswith(error.format(**paths) + "\n")
+    assert err.count("\n") == 1

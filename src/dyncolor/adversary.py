@@ -26,6 +26,7 @@ MONOCHROME_TRIES = 24
 # clique-churn's churn stage lasts this many updates per target vertex
 CHURN_STEPS_PER_VERTEX = 4
 
+
 class Adversary:
     """Base: hands out one update per `next` call."""
 

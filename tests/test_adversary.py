@@ -100,7 +100,7 @@ def test_strategy_registry():
     ids=["deletion-heavy", "scripted"],
 )
 def test_a_keyword_the_strategy_does_not_take_is_refused(kind, kw):
-    # once dropped without a word: deletion-heavy kept its own p_insert
+    # deletion-heavy fixes its own p_insert, and scripted makes no edit to retry
     with pytest.raises(TypeError):
         make_adversary(kind, 4, 2, **kw)
 

@@ -247,7 +247,7 @@ class Decomposition:
             c.nonedges[x].discard(v)
         self.metrics.nonedge_adjustments += len(mine)
         self.metrics.vertex_moves += 1
-        self.metrics.work += len(mine) + self.graph.deg[v]
+        self.metrics.work += len(mine) + len(self.graph.adj[v])
 
     def dissolve(self, c: AlmostClique) -> list[int]:
         """Drop a whole clique; every member returns to the sparse side."""

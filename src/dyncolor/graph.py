@@ -1,11 +1,12 @@
 """Dynamic simple-graph substrate with a fixed vertex set and degree cap.
 
 Adjacency is kept once, as one plain dict per vertex (neighbor -> None:
-O(1) membership, insert and delete), beside a flat degree list `deg`, so
-an update costs O(1) at any n and a degree is one list read.  Readers use
-the dict as a set: `in`, iteration and `len`.  Iteration follows
-insertion order, so it is deterministic given the history of updates.
-Nothing in the engine samples a uniform neighbor.  Every dict is made up
+O(1) membership, insert and delete), so an update costs O(1) at any n and
+a degree is the size of a dict.  The dicts and `edge_count` are the
+graph's one record of its edges.  Readers use the dict as a set: `in`,
+iteration and `len`.  Iteration follows insertion order, so it is
+deterministic given the history of updates.  Nothing in the engine
+samples a uniform neighbor.  Every dict is made up
 front, so no reader tests for a missing one.  `toggle` is the one body
 that mutates adjacency; it checks nothing.  `apply` is
 `check_legal` plus `toggle`, and the engine's phase rewind and replay call
@@ -57,7 +58,6 @@ class DynamicGraph:
         self.delta = delta
         self.vertices: list[int] = list(range(n))
         self.adj: list[dict[int, None]] = [{} for _ in range(n)]
-        self.deg: list[int] = [0] * n
         self.edge_count = 0
 
     # ---- queries ----------------------------------------------------------
@@ -66,7 +66,7 @@ class DynamicGraph:
         return v in self.adj[u]
 
     def degree(self, v: int) -> int:
-        return self.deg[v]
+        return len(self.adj[v])
 
     def edges(self):
         for u in range(self.n):
@@ -100,14 +100,14 @@ class DynamicGraph:
         u, v = e.u, e.v
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             raise BadEndpoints(u, v)
-        present = v in self.adj[u]
+        adj = self.adj
+        present = v in adj[u]
         if e.insert:
             if present:
                 raise DuplicateEdge(u, v)
-            deg = self.deg
-            if deg[u] >= self.delta:
+            if len(adj[u]) >= self.delta:
                 raise DegreeCapExceeded(u, v, u, self.delta)
-            if deg[v] >= self.delta:
+            if len(adj[v]) >= self.delta:
                 raise DegreeCapExceeded(u, v, v, self.delta)
         elif not present:
             raise MissingEdge(u, v)
@@ -129,16 +129,12 @@ class DynamicGraph:
         An insertion adds each endpoint to the other's dict, a deletion
         removes it.  The caller guarantees legality; `apply` checks first.
         """
-        adj, deg = self.adj, self.deg
+        adj = self.adj
         if insert:
             adj[u][v] = None
             adj[v][u] = None
-            deg[u] += 1
-            deg[v] += 1
             self.edge_count += 1
         else:
             del adj[u][v]
             del adj[v][u]
-            deg[u] -= 1
-            deg[v] -= 1
             self.edge_count -= 1

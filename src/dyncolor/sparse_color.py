@@ -24,7 +24,8 @@ engine reconciles dense neighbors afterwards.  A neighbor w sits in L(c)
 iff `of[w] == c and clique_of[w] is None`: at phase start every dense
 vertex is blank, and inside a phase the side test leaves dense neighbors
 out.  A draw whose L(c) is empty is feasible whatever v's neighbors are,
-so the check reads v's adjacency only when L(c) is occupied.
+so the check walks v's adjacency only when L(c) is occupied.  v's degree
+is the size of its adjacency dict; the graph keeps no other count.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class SparseColoring:
         # indexed by its `phase_start`
         self._bound = (
             colors.of, colors.L, colors.listeners, decomp.clique_of,
-            graph.adj, graph.deg, self.palette, self.palette.bit_length(),
+            graph.adj, self.palette, self.palette.bit_length(),
         )
         self._attempts = (range(self.cap), range(1))
 
@@ -83,19 +84,21 @@ class SparseColoring:
         `of[w] == c and clique_of[w] is None`, an occupant of L(c) by v's
         adjacency index.  It is charged whole: a probe per element, and a
         unit per element plus one.  A draw on an empty L(c) is feasible
-        without reading v's adjacency; it walks nothing and is charged as
+        without walking v's adjacency; it walks nothing and is charged as
         such a walk, as is an unchecked draw.  Placement is
         `of[v] = c; L[c].append(v)` and fires the listeners with
         (v, BLANK, c), as `set_sparse` on a blank v does.
 
         The in-phase recolor hands over one vertex per call, so the set-up
         is kept to one read: `of`, `L`, `listeners`, `clique_of`, `adj`,
-        `deg`, the palette, its bit length and both attempt ranges are
-        bound in `__init__`.  None of them is ever rebound (`blank_all`
-        rewrites `of[:]` in place).  `self.rng` is read on every call, so
-        a generator swapped in takes effect.
+        the palette, its bit length and both attempt ranges are bound in
+        `__init__`.  None of them is ever rebound (`blank_all` rewrites
+        `of[:]` in place).  `self.rng` is read on every call, so a
+        generator swapped in takes effect.  v's adjacency dict is read once
+        per vertex: an empty one gets the unchecked draw, else its size is
+        v's degree and a check walks it.
         """
-        of, L, listeners, clique_of, adj, degree, palette, k = self._bound
+        of, L, listeners, clique_of, adj, palette, k = self._bound
         rng = self.rng
         getrandbits = rng.getrandbits
         random = rng.random if phase_start else None
@@ -105,7 +108,8 @@ class SparseColoring:
         for v in vertices:
             if of[v] != BLANK:
                 raise InvariantViolation(f"vertex {v} is not blank")
-            if not degree[v]:
+            near = adj[v]
+            if not near:
                 c = getrandbits(k)
                 while c >= palette:
                     c = getrandbits(k)
@@ -114,7 +118,7 @@ class SparseColoring:
                 if phase_start and random() >= 0.5:
                     deferred.append(v)
                     continue
-                deg = degree[v]
+                deg = len(near)
                 for i in attempts:
                     c = getrandbits(k)
                     while c >= palette:
@@ -124,14 +128,13 @@ class SparseColoring:
                         break
                     if deg < len(lst):
                         probes += deg
-                        for w in adj[v]:
+                        for w in near:
                             if of[w] == c and clique_of[w] is None:
                                 break
                         else:
                             break
                     else:
                         probes += len(lst)
-                        near = adj[v]
                         for w in lst:
                             if w in near:
                                 break

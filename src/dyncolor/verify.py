@@ -2,18 +2,20 @@
 
 Everything is recomputed from scratch against the graph (the ground
 truth): properness, the graph's own structure (symmetric adjacency,
-the degree cap, `deg` and `edge_count`, which the engine's unchecked
-phase rewind trusts), the partition and its per-clique neighbor counts
+the degree cap and `edge_count`, which the engine's unchecked phase
+rewind trusts), the partition and its per-clique neighbor counts
 `n_c`, the friend lists' symmetry and nesting, exact density and
 friendship of every vertex via exact common-neighbor counts, the four
 decomposition invariants, clique size bounds, non-edge exactness,
 per-clique color discipline, the palette identity, matching floors, and
 edge-counter recounts.  Every audit lives here, as a function of the
-engine part it reads; one `verify` call counts each edge's common
-neighbors once (`edge_commons`) and each clique member's in-clique degree
-once.  Checks whose underlying claims are only high-probability report
-pass rates and attribute misses to estimator
-gaps (tracker belief differing from the oracle) instead of hard-failing.
+engine part it reads; one `verify` call takes one bitmask snapshot of the
+adjacency (`common_neighbor_counter`), which counts an edge's common
+neighbors with one AND and popcount wherever an audit reads the edge, and
+counts each clique member's in-clique degree once.  Checks whose
+underlying claims are only high-probability report pass rates and
+attribute misses to estimator gaps (tracker belief differing from the
+oracle) instead of hard-failing.
 A decomposition-invariant miss is attributed iff it names a vertex and
 that vertex is a gap vertex; a clique-level miss (Size, Connectedness)
 names none and is always hard, the strictest rule, since one judged by
@@ -144,26 +146,6 @@ class ProperWatch:
 # ---- the audits, one per part of the engine ------------------------------------------
 
 
-def edge_commons(graph) -> list[dict[int, int]]:
-    """Per vertex v, {u: |N(u) cap N(v)|} over v's neighbors u.
-
-    Each undirected edge is counted once and written to both endpoints'
-    rows; a row's keys are exactly its vertex's adjacency, even an
-    asymmetric one.
-    """
-    count = graph.common_neighbor_counter()
-    adj = graph.adj
-    table: list[dict[int, int]] = [{} for _ in adj]
-    for v, near in enumerate(adj):
-        row = table[v]
-        for u in near:
-            if u not in row:
-                s = row[u] = count(u, v)
-                if v in adj[u]:
-                    table[u][v] = s
-    return table
-
-
 def partition_violations(dec) -> list[str]:
     """Exact recomputation of every list the partition maintains, against the graph."""
     g = dec.graph
@@ -226,16 +208,18 @@ def friend_list_violations(tracker, boundary: bool = True) -> list[str]:
     return viol
 
 
-def invariant_findings(dec, drift: int = 0, commons=None) -> list[Finding]:
+def invariant_findings(dec, drift: int = 0, count=None) -> list[Finding]:
     """Exact audit of the four decomposition invariants.
 
     `drift` loosens thresholds by the number of in-phase updates the
     current state may be away from the last full maintenance pass.
-    `commons` is `edge_commons(dec.graph)`, taken here when not given.
+    `count` is `dec.graph.common_neighbor_counter()`, taken here when not
+    given.
     """
     g = dec.graph
-    if commons is None:
-        commons = edge_commons(g)
+    adj = g.adj
+    if count is None:
+        count = g.common_neighbor_counter()
     clique_of = dec.clique_of
     delta = g.delta
     c3 = dec.params.c3
@@ -243,14 +227,14 @@ def invariant_findings(dec, drift: int = 0, commons=None) -> list[Finding]:
     out: list[Finding] = []
     friend_thr = (1.0 - c3) * delta - drift
     sparse_thr = (1.0 - (eps - 0.75 * tau)) * delta + drift
-    for v, row in enumerate(commons):
+    for v, near in enumerate(adj):
         cid = clique_of[v]
         if cid is not None:
-            if sum(1 for s in row.values() if s >= friend_thr) < friend_thr:
+            if sum(1 for u in near if count(u, v) >= friend_thr) < friend_thr:
                 text = f"dense vertex {v} lacks scale-3 friends"
                 out.append(Finding("Density", v, cid, text))
         else:
-            cnt = sum(1 for s in row.values() if s >= sparse_thr)
+            cnt = sum(1 for u in near if count(u, v) >= sparse_thr)
             # without a single qualifying friend no vertex looks dense,
             # also where the threshold is 0 (delta = 0)
             if cnt and cnt >= sparse_thr:
@@ -262,27 +246,25 @@ def invariant_findings(dec, drift: int = 0, commons=None) -> list[Finding]:
             out.append(Finding("Size", None, cid, f"clique {cid} has {size} members"))
         for v in sorted(c.members):
             friends_in = sum(
-                1 for u, s in commons[v].items() if clique_of[u] == cid and s >= friend_thr
+                1 for u in adj[v] if clique_of[u] == cid and count(u, v) >= friend_thr
             )
             if friends_in + c.sigma + drift < (1.0 - c3) * delta:
                 out.append(Finding("Friendship", v, cid, f"vertex {v} in clique {cid}"))
-        if size > 1 and not _spans(c, clique_of, friend_thr, commons):
+        if size < 2:
+            continue
+        # friend edges at friend_thr must connect every member
+        start = min(c.members)
+        seen, stack = {start}, [start]
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if u not in seen and clique_of[u] == cid and count(u, v) >= friend_thr:
+                    seen.add(u)
+                    stack.append(u)
+        if len(seen) != size:
             text = f"clique {cid} not spanned by friend edges"
             out.append(Finding("Connectedness", None, cid, text))
     return out
-
-
-def _spans(c, clique_of, thr: float, commons) -> bool:
-    """Whether friend edges at `thr` connect every member of clique c."""
-    start = min(c.members)
-    seen, stack = {start}, [start]
-    while stack:
-        v = stack.pop()
-        for u, s in commons[v].items():
-            if u not in seen and clique_of[u] == c.id and s >= thr:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(c.members)
 
 
 def palette_identity_gap(clique, colors) -> int:
@@ -327,17 +309,16 @@ def verify(
 
     # graph structure: what the phase rewind's unchecked toggles trust ------
     viol = []
-    adj, deg = g.adj, g.deg
+    adj = g.adj
     for v, near in enumerate(adj):
-        if deg[v] != len(near):
-            viol.append(f"deg[{v}] = {deg[v]}, but adj[{v}] holds {len(near)}")
-        if deg[v] > g.delta:
-            viol.append(f"deg[{v}] = {deg[v]} exceeds delta = {g.delta}")
+        if len(near) > g.delta:
+            viol.append(f"deg[{v}] = {len(near)} exceeds delta = {g.delta}")
         for w in near:
             if v not in adj[w]:
                 viol.append(f"edge ({v},{w}) is missing from adj[{w}]")
-    if g.edge_count != sum(deg) // 2:
-        viol.append(f"edge_count = {g.edge_count}, but the degrees sum to {sum(deg)}")
+    degree_sum = sum(map(len, adj))
+    if 2 * g.edge_count != degree_sum:
+        viol.append(f"edge_count = {g.edge_count}, but the degrees sum to {degree_sum}")
     rep.add(CheckResult("graph_structure", not viol, viol))
 
     dec = engine.decomp
@@ -488,7 +469,7 @@ def verify(
     # the cap) is reported alongside.
     # Each directed edge's common-neighbor count is judged at both kept
     # scales; each scale's rate must reach the floor.
-    commons = edge_commons(g)
+    count = g.common_neighbor_counter()
     tau = params.tau
     absolute_false_in = 0
     total = 2 * g.edge_count  # directed edges, each judged at both scales
@@ -501,9 +482,10 @@ def verify(
         lo = (1.0 - (i * eps - tau)) * delta + drift
         scales.append((lists, in_v, ratio_hi, hi, lo))
     mismatches = [0, 0]
-    for v, row in enumerate(commons):
+    for v, near in enumerate(adj):
         cnt_hi = [0, 0]
-        for u, s in row.items():
+        for u in near:
+            s = count(u, v)
             for j, (lists, _, ratio_hi, hi, lo) in enumerate(scales):
                 if s >= hi:
                     cnt_hi[j] += 1
@@ -541,7 +523,7 @@ def verify(
     )
 
     # the four decomposition invariants, estimator misses attributed -----------------
-    raw = invariant_findings(dec, drift=drift, commons=commons)
+    raw = invariant_findings(dec, drift=drift, count=count)
     # attributed by the rule in the module docstring
     hard = [str(f) for f in raw if f.vertex is None or f.vertex not in gap_vertices]
     attributed = len(raw) - len(hard)

@@ -131,21 +131,21 @@ def test_symmetry_and_cap_hold_after_every_update(pairs, rnd):
         assert _degree_seen_by_others(g, u) == g.degree(u)
 
 
-def _state(adj, deg, edge_count):
-    return [list(s) for s in adj], list(deg), edge_count
+def _state(adj, edge_count):
+    return [list(s) for s in adj], edge_count
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_toggle_and_apply_agree_through_undo_and_replay(seed):
     # a legal stream, undone newest first and replayed, through `apply` on
     # one graph, through `toggle` on a second, and through plain dict
-    # writes on a reference: adjacency dicts (with their iteration order),
-    # degrees and the edge count agree at every stage
+    # writes on a reference: adjacency dicts (with their iteration order)
+    # and the edge count agree at every stage
     n, delta = 12, 5
     rng = random.Random(seed)
     checked, unchecked = DynamicGraph(n, delta), DynamicGraph(n, delta)
     ref = [{} for _ in range(n)]
-    ref_deg, ref_edges = [0] * n, 0
+    ref_edges = 0
 
     def ref_toggle(u, v, insert):
         nonlocal ref_edges
@@ -155,13 +155,12 @@ def test_toggle_and_apply_agree_through_undo_and_replay(seed):
                 ref[a][b] = None
             else:
                 del ref[a][b]
-            ref_deg[a] += 1 if insert else -1
         ref_edges += 1 if insert else -1
 
     def agree():
-        want = _state(ref, ref_deg, ref_edges)
-        assert _state(checked.adj, checked.deg, checked.edge_count) == want
-        assert _state(unchecked.adj, unchecked.deg, unchecked.edge_count) == want
+        want = _state(ref, ref_edges)
+        assert _state(checked.adj, checked.edge_count) == want
+        assert _state(unchecked.adj, unchecked.edge_count) == want
 
     stream, inner = [], 0
     while len(stream) < 400:
@@ -184,7 +183,7 @@ def test_toggle_and_apply_agree_through_undo_and_replay(seed):
         unchecked.toggle(upd.u, upd.v, not upd.insert)
         ref_toggle(upd.u, upd.v, not upd.insert)
     agree()
-    assert checked.edge_count == 0 and not any(checked.deg)
+    assert checked.edge_count == 0 and not any(checked.adj)
     for upd in stream:
         checked.apply(upd)
         unchecked.toggle(upd.u, upd.v, upd.insert)
@@ -196,5 +195,6 @@ def test_degree_reads_the_flat_list():
     g = DynamicGraph(5, 3)
     add_edges(g, [(0, 1), (0, 2), (3, 0)])
     g.apply(dele(0, 2))
-    assert g.deg == [2, 1, 0, 1, 0]
-    assert [g.degree(v) for v in range(5)] == g.deg
+    # the degrees, read as one flat list, are the sizes of the adjacency dicts
+    assert [g.degree(v) for v in range(5)] == [2, 1, 0, 1, 0]
+    assert [len(g.adj[v]) for v in range(5)] == [2, 1, 0, 1, 0]

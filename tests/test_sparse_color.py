@@ -162,7 +162,17 @@ def test_isolated_vertex_takes_the_same_draw_through_the_walk():
 
 
 class _UnreadAdjacency:
-    """Stands in for a vertex's adjacency dict; any read of it fails the test."""
+    """Stands in for a vertex's adjacency dict of `size` neighbors.
+
+    Its size (`len` and truth) is the one thing the draw loop may read; a
+    membership test, an iteration or an attribute read fails the test.
+    """
+
+    def __init__(self, size):
+        self.size = size
+
+    def __len__(self):
+        return self.size
 
     def __getattr__(self, name):
         raise AssertionError(f"the draw loop read adjacency attribute {name!r}")
@@ -170,22 +180,22 @@ class _UnreadAdjacency:
     def _read(self, *args):
         raise AssertionError("the draw loop read the adjacency")
 
-    __iter__ = __contains__ = __len__ = __bool__ = __getitem__ = _read
+    __iter__ = __contains__ = __getitem__ = _read
 
 
 def test_vertex_that_lost_its_last_edge_in_phase_takes_the_unchecked_draw():
-    # its dict exists but is empty; the phase-start pass reads deg,
-    # leaves the adjacency alone, makes no pick draw, and charges what the
+    # its dict exists but is empty; the phase-start pass reads only its
+    # size, walks nothing, makes no pick draw, and charges what the
     # isolated-vertex test above pins
     e = make_engine(6, 3, phase_len=10**9)
     e.process(ins(1, 2))
     e.process(ins(1, 3))
     e.process(dele(1, 2))
     e.process(dele(3, 1))
-    assert e.graph.deg[1] == 0 and e.updates_in_phase == 4
+    assert e.graph.degree(1) == 0 and e.updates_in_phase == 4
     c = next(c for c in range(e.palette) if e.colors.L[c] and c != e.colors.of[1])
     e.colors.clear_sparse(1)
-    e.graph.adj[1] = _UnreadAdjacency()
+    e.graph.adj[1] = _UnreadAdjacency(0)
     e.sparse.rng = _ForcedDraws(c)
     m = e.metrics
     before = (m.work, m.probes, m.samples)
@@ -536,12 +546,12 @@ def test_phase_start_pass_charges_picks_draws_walks_and_swaps():
 def test_draw_on_an_empty_class_does_not_read_adjacency():
     # 0's neighbor 1 holds color 2; a draw of the empty color 3 is feasible
     # whatever 0's neighbors are, so the in-phase recolor and the
-    # phase-start pass place 0 on it without reading 0's adjacency, charging
-    # a walk of nothing (and, in the pass, the pick)
+    # phase-start pass place 0 on it reading only the size of 0's adjacency,
+    # charging a walk of nothing (and, in the pass, the pick)
     e = blank_engine(4, 3)
     e.graph.apply(ins(0, 1))
     e.colors.set_sparse(1, 2)
-    e.graph.adj[0] = _UnreadAdjacency()
+    e.graph.adj[0] = _UnreadAdjacency(1)
     e.sparse.rng = _ForcedDraws(3)
     assert charged(e.metrics, lambda: e.sparse.recolor_sparse(0)) == (2, 0, 1)
     assert e.colors.of[0] == 3

@@ -13,7 +13,7 @@ from dyncolor.runner import params_from_header, run_stream
 from dyncolor.adversary import Scripted, make_adversary
 from dyncolor.baseline import TrivialBaseline
 from dyncolor.trace import TraceFile
-from dyncolor.verify import ProperWatch, edge_commons, verify
+from dyncolor.verify import ProperWatch, verify
 
 from conftest import (
     dense_fixture, friend_set, install_clique, make_engine, oracle_fill_tracker, report_bytes,
@@ -73,21 +73,12 @@ def small_sparse_engine():
     return engine
 
 
-def test_fault_graph_structure_degree():
-    engine = small_sparse_engine()
-    engine.graph.deg[0] += 1  # adj[0] still holds two neighbors
-    rep = verify(engine)
-    assert "graph_structure" in rep.failed_names()
-    assert rep.checks["graph_structure"].violations == ["deg[0] = 3, but adj[0] holds 2"]
-
-
 def test_fault_graph_structure_one_sided_edge():
-    # adj[1] loses 0 through its dict, and deg[1] follows it, so only the
-    # symmetry and the edge count can tell
+    # adj[1] loses 0 through its dict, so only the symmetry and the edge
+    # count can tell
     engine = small_sparse_engine()
     g = engine.graph
     del g.adj[1][0]
-    g.deg[1] -= 1
     rep = verify(engine)
     assert "graph_structure" in rep.failed_names()
     assert rep.checks["graph_structure"].violations == [
@@ -97,15 +88,15 @@ def test_fault_graph_structure_one_sided_edge():
 
 
 def test_fault_graph_structure_one_sided_entry():
-    # adj[5] gains 7 behind the graph's back: deg[5] does not follow, and
-    # adj[7] does not know 5; the degrees still sum to twice the edge count
+    # adj[5] gains 7 behind the graph's back and adj[7] does not know 5:
+    # the degrees sum to one more than twice the edge count
     engine = small_sparse_engine()
     engine.graph.adj[5][7] = None
     rep = verify(engine)
     assert rep.failed_names() == ["graph_structure"]
     assert rep.checks["graph_structure"].violations == [
-        "deg[5] = 0, but adj[5] holds 1",
         "edge (5,7) is missing from adj[7]",
+        "edge_count = 3, but the degrees sum to 7",
     ]
 
 
@@ -415,36 +406,27 @@ def test_verify_after_long_run_passes():
 
 
 @pytest.mark.parametrize("boundary", [True, False])
-def test_verify_counts_each_edge_once(monkeypatch, boundary):
-    # friend_soundness and all four invariants read one table of exact
-    # common-neighbor counts, taken once per undirected edge
+def test_verify_takes_one_counter_per_call(monkeypatch, boundary):
+    # friend_soundness and all four invariants count common neighbors from
+    # one bitmask snapshot, taken once per call, and ask it about edges only
     engine, _ = fresh_dense(extra_edges=[(0, 20), (20, 21), (22, 23)])
-    counted = []
+    built, counted = [], set()
     make_counter = DynamicGraph.common_neighbor_counter
 
     def counting_counter(graph):
+        built.append(graph)
         count = make_counter(graph)
 
         def wrapped(u, v):
-            counted.append((min(u, v), max(u, v)))
+            counted.add((min(u, v), max(u, v)))
             return count(u, v)
 
         return wrapped
 
     monkeypatch.setattr(DynamicGraph, "common_neighbor_counter", counting_counter)
     verify(engine, boundary=boundary)
-    assert len(counted) == len(set(counted)) == engine.graph.edge_count
-
-
-def test_edge_commons_rows_follow_an_asymmetric_adjacency():
-    # a one-sided entry is counted on the side that lists it and nowhere else
-    engine = small_sparse_engine()
-    g = engine.graph
-    g.adj[5][7] = None
-    del g.adj[1][0]
-    table = edge_commons(g)
-    assert [list(row) for row in table] == [list(near) for near in g.adj]
-    assert table[0] == {1: 0, 2: 0} and table[5] == {7: 0}
+    assert built == [engine.graph]
+    assert counted == set(engine.graph.edges())
 
 
 # ---- ProperWatch: faults planted in the engine's in-phase sparse recolor --------------

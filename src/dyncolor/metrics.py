@@ -8,37 +8,29 @@ and draws the estimate's verdicts from its law (`FriendTracker._counts`).
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field, fields
 
+
+@dataclass(slots=True)
 class Metrics:
-    __slots__ = (
-        "updates", "work", "probes", "samples",
-        "sparse_recolorings", "dense_recolorings",
-        "fallbacks", "fallback_degraded", "anchor_repairs",
-        "estimator_gap_events", "nonedge_adjustments",
-        "vertex_moves", "tracker_updates", "phase_inits",
-        "random_match_calls", "match_large_calls", "match_small_calls",
-        "init_work",
-    )
-
-    def __init__(self):
-        self.updates = 0
-        self.work = 0
-        self.probes = 0
-        self.samples = 0
-        self.sparse_recolorings = 0
-        self.dense_recolorings = 0
-        self.fallbacks = 0
-        self.fallback_degraded = 0
-        self.anchor_repairs = 0
-        self.estimator_gap_events = 0
-        self.nonedge_adjustments = 0
-        self.vertex_moves = 0
-        self.tracker_updates = 0
-        self.phase_inits = 0
-        self.random_match_calls = 0
-        self.match_large_calls = 0
-        self.match_small_calls = 0
-        self.init_work: list[int] = []
+    updates: int = 0
+    work: int = 0
+    probes: int = 0
+    samples: int = 0
+    sparse_recolorings: int = 0
+    dense_recolorings: int = 0
+    fallbacks: int = 0
+    fallback_degraded: int = 0
+    anchor_repairs: int = 0
+    estimator_gap_events: int = 0
+    nonedge_adjustments: int = 0
+    vertex_moves: int = 0
+    tracker_updates: int = 0
+    phase_inits: int = 0
+    random_match_calls: int = 0
+    match_large_calls: int = 0
+    match_small_calls: int = 0
+    init_work: list[int] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         d = {name: getattr(self, name) for name in SCALARS}
@@ -46,4 +38,4 @@ class Metrics:
         return d
 
 
-SCALARS = tuple(name for name in Metrics.__slots__ if name != "init_work")
+SCALARS = tuple(f.name for f in fields(Metrics) if f.name != "init_work")

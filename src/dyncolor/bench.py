@@ -22,19 +22,22 @@ COLUMNS = [
 
 
 def run_cell(cell: dict) -> list[dict]:
-    """One grid cell: run both algorithms, return their rows."""
+    """One grid cell: run both algorithms, return their rows.
+
+    `ParamSet` gets only the settings the cell gives (a missing or None
+    one takes its default).
+    """
     n, delta = cell["n"], cell["delta"]
     steps, seed = cell["steps"], cell["seed"]
     strategy = cell["strategy"]
+    given = {
+        key: cell[key]
+        for key in ("epsilon", "tau", "phase_len_t", "sample_count_k")
+        if cell.get(key) is not None
+    }
     rows = []
     for algo in cell.get("algos", ("engine", "baseline")):
-        params = ParamSet(
-            epsilon=cell.get("epsilon", 0.2),
-            tau=cell.get("tau"),
-            seed=seed,
-            phase_len_t=cell.get("phase_len_t"),
-            sample_count_k=cell.get("sample_count_k"),
-        )
+        params = ParamSet(seed=seed, **given)
         mode = "full" if algo == "engine" else "baseline"
         engine = build_engine(n, delta, params, mode)
         adversary = make_adversary(strategy, n, delta, seed=seed + 7)

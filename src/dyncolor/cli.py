@@ -199,8 +199,8 @@ def main(argv=None) -> int:
     p.add_argument("--strategies", default="adaptive-monochrome")
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--epsilon", type=float, default=0.2)
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--tau", type=float)
     p.add_argument("--out", default="bench.csv")
     p.add_argument("--report-json")
     p.set_defaults(fn=cmd_bench)

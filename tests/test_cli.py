@@ -94,6 +94,22 @@ def test_explicit_zero_epsilon_is_not_replaced_by_the_default(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_without_epsilon_takes_the_paramset_default(tmp_path):
+    # ParamSet alone keeps epsilon's default: no --epsilon runs the grid that
+    # --epsilon 0.2 runs, row for row, apart from the wall-clock columns
+    # (clique-churn at n = 32 charges different work at epsilon 0.1 or 0.3)
+    tables = []
+    for extra in ([], ["--epsilon", "0.2"]):
+        out = tmp_path / f"bench{len(extra)}.csv"
+        argv = ["bench", "--strategies", "clique-churn", "--sizes", "32,64", "--steps", "150",
+                "--out", str(out)]
+        assert main(argv + extra + ["--report-json", str(tmp_path / "r.json")]) == 0
+        rows = csv.DictReader(out.open())
+        clock = ("wall_s", "adversary_s")
+        tables.append([{k: v for k, v in r.items() if k not in clock} for r in rows])
+    assert len(tables[0]) == 4 and tables[0] == tables[1]
+
+
 def test_record_then_replay_check(tmp_path):
     trace = tmp_path / "run.trace"
     rc = main(

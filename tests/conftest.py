@@ -1,6 +1,9 @@
+import importlib.util
 import itertools
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,18 +24,25 @@ def make_params(eps=0.2, tau=None, seed=0, phase_len=None, k=None, fire=None, **
     )
 
 
-def sweep_params(seed, delta):
-    # cheap-tracker desk profile for the large properness and scaling sweeps:
-    # refresh firing and phase length scale with delta so per-update work is
-    # homogeneous across sizes
-    return ParamSet(
-        epsilon=0.2,
-        tau=0.2,
-        seed=seed,
-        sample_count_k=12,
-        fire_threshold=max(8.0, delta / 4.0),
-        phase_len_t=max(64, delta // 8),
-    )
+HARNESS = Path(__file__).resolve().parents[1] / "perfbench" / "harness.py"
+
+
+def _harness():
+    """The benchmark's harness module, loaded by path (perfbench is no package)."""
+    spec = importlib.util.spec_from_file_location("perfbench_harness", HARNESS)
+    module = importlib.util.module_from_spec(spec)
+    # a dataclass resolves its string annotations through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+harness = _harness()
+
+# cheap-tracker desk profile for the large properness and scaling sweeps, the
+# one the benchmark runs: refresh firing and phase length scale with delta so
+# per-update work is homogeneous across sizes
+sweep_params = harness.sweep_params
 
 
 # the metrics of the engines a test made strict; see no_estimator_gaps

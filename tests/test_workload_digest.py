@@ -29,32 +29,16 @@ purpose, with
 """
 
 import hashlib
-import importlib.util
-import sys
 from array import array
 from functools import cache
 from itertools import compress
-from pathlib import Path
 
 import pytest
 
 from dyncolor import verify
 
-from conftest import report_bytes
+from conftest import harness, report_bytes
 
-HARNESS = Path(__file__).resolve().parents[1] / "perfbench" / "harness.py"
-
-
-def _harness():
-    spec = importlib.util.spec_from_file_location("perfbench_harness", HARNESS)
-    harness = importlib.util.module_from_spec(spec)
-    # a dataclass resolves its string annotations through sys.modules
-    sys.modules[spec.name] = harness
-    spec.loader.exec_module(harness)
-    return harness
-
-
-harness = _harness()
 WORKLOADS = harness.WORKLOADS
 
 SEED = 0

@@ -6,14 +6,17 @@ a degree is the size of a dict.  The dicts and `edge_count` are the
 graph's one record of its edges.  Readers use the dict as a set: `in`,
 iteration and `len`.  Iteration follows insertion order, so it is
 deterministic given the history of updates.  Nothing in the engine
-samples a uniform neighbor.  Every dict is made up
-front, so no reader tests for a missing one.  `toggle` is the one body
-that mutates adjacency; it checks nothing.  `apply` is
-`check_legal` plus `toggle`, and the engine's phase rewind and replay call
-`toggle` directly, since they only undo and redo updates that `apply`
-already accepted.  Audits that count common neighborhoods for every edge
-take a bitmask snapshot once per pass (`common_neighbor_counter`, built
-from `neighbor_mask`) and answer each count with a single AND + popcount.
+samples a uniform neighbor.  Every dict is made up front, so no reader
+tests for a missing one, and a deletion that empties a dict clears it, so
+an isolated vertex costs one empty dict whatever its history.  With Delta
+far below n, most vertices are isolated at any moment under churn.
+`toggle` is the one body that mutates adjacency; it checks nothing.
+`apply` is `check_legal` plus `toggle`, and the engine's phase rewind and
+replay call `toggle` directly, since they only undo and redo updates that
+`apply` already accepted.  Audits that count common neighborhoods for
+every edge take a bitmask snapshot once per pass
+(`common_neighbor_counter`, built from `neighbor_mask`) and answer each
+count with a single AND + popcount.
 
 `vertices` is the id list `list(range(n))`, made once and never mutated.
 A pass over every vertex hands on these objects rather than counting
@@ -127,7 +130,11 @@ class DynamicGraph:
         """Insert or delete the edge {u, v} without checking that it is legal.
 
         An insertion adds each endpoint to the other's dict, a deletion
-        removes it.  The caller guarantees legality; `apply` checks first.
+        removes it.  A deletion that leaves a dict empty clears it, which
+        frees the table CPython keeps after the last key goes; the dict
+        object stays, and a later insertion starts a fresh table in
+        insertion order.  The caller guarantees legality; `apply` checks
+        first.
         """
         adj = self.adj
         if insert:
@@ -135,6 +142,12 @@ class DynamicGraph:
             adj[v][u] = None
             self.edge_count += 1
         else:
-            del adj[u][v]
-            del adj[v][u]
+            near = adj[u]
+            del near[v]
+            if not near:
+                near.clear()
+            near = adj[v]
+            del near[u]
+            if not near:
+                near.clear()
             self.edge_count -= 1

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from dyncolor.errors import DegreeCapExceeded, DuplicateEdge, MissingEdge
 from dyncolor.graph import DynamicGraph, EdgeUpdate, dele, ins
 
-from conftest import add_edges, clique_edges, random_graph
+from conftest import add_edges, clique_edges, make_engine, random_graph
 
 
 def test_first_edge_insert():
@@ -198,3 +199,42 @@ def test_degree_reads_the_flat_list():
     # the degrees, read as one flat list, are the sizes of the adjacency dicts
     assert [g.degree(v) for v in range(5)] == [2, 1, 0, 1, 0]
     assert [len(g.adj[v]) for v in range(5)] == [2, 1, 0, 1, 0]
+
+
+EMPTY_DICT_BYTES = sys.getsizeof({})
+
+
+def test_apply_that_empties_a_dict_gives_back_its_table():
+    # CPython keeps a dict's grown table after its last key goes; a deletion
+    # that empties a dict clears it, so an isolated vertex costs one empty
+    # dict whatever its history, and stays the dict the constructor made
+    g = DynamicGraph(12, 10)
+    made = list(map(id, g.adj))
+    add_edges(g, [(0, v) for v in range(1, 11)])
+    g.apply(dele(0, 4))
+    assert sys.getsizeof(g.adj[4]) == EMPTY_DICT_BYTES
+    for v in (1, 2, 3, 5, 6, 7, 8, 9, 10):
+        g.apply(dele(v, 0))
+    assert g.edge_count == 0
+    assert [sys.getsizeof(near) for near in g.adj] == [EMPTY_DICT_BYTES] * g.n
+    assert list(map(id, g.adj)) == made
+    add_edges(g, [(0, 7), (3, 0), (0, 9)])
+    assert list(g.adj[0]) == [7, 3, 9]
+    assert list(g.adj[3]) == [0]
+
+
+def test_phase_rewind_and_replay_give_back_the_table_of_an_emptied_dict():
+    # the phase inserts and deletes (0, 1); its boundary rewinds the graph
+    # to phase start and replays the phase, each through `toggle`
+    engine = make_engine(16, 6, phase_len=4)
+    g = engine.graph
+    made = list(map(id, g.adj))
+    for upd in (ins(0, 1), ins(2, 3), dele(0, 1), ins(4, 5)):
+        engine.process(upd)
+    assert engine.metrics.phase_inits == 1 and engine.updates_in_phase == 0
+    assert sys.getsizeof(g.adj[0]) == sys.getsizeof(g.adj[1]) == EMPTY_DICT_BYTES
+    assert list(map(id, g.adj)) == made
+    for upd in (ins(0, 6), ins(1, 0), ins(0, 2)):
+        engine.process(upd)
+    assert list(g.adj[0]) == [6, 1, 2]
+    assert list(g.adj[1]) == [0]

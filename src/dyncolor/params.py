@@ -53,11 +53,14 @@ class ParamSet:
             raise ValueError("tau must lie in (0, epsilon]")
         if self.nu is None:
             self.nu = 2.0 * self.epsilon / 3.0
-        # below 1 the rejection loop makes no attempt, and k = 0 befriends every edge
+        # below 1 the rejection loop makes no attempt, k = 0 befriends every
+        # edge, and a phase length would have been read as 1
         if self.cap_factor < 1:
             raise ValueError("cap_factor must be at least 1")
         if self.sample_count_k is not None and self.sample_count_k < 1:
             raise ValueError("sample_count_k must be at least 1")
+        if self.phase_len_t is not None and self.phase_len_t < 1:
+            raise ValueError("phase_len_t must be at least 1")
         if self.profile == PAPER:
             if not self.epsilon < 3.0 / 50.0:
                 raise ValueError("paper profile requires epsilon < 3/50")
@@ -91,7 +94,7 @@ class ParamSet:
 
     def phase_len(self, delta: int) -> int:
         if self.phase_len_t is not None:
-            return max(1, self.phase_len_t)
+            return self.phase_len_t
         t = math.floor(self.epsilon**2 * delta / (18.0 * E6))
         if self.profile == DESK:
             t = max(t, 16, delta // 8)

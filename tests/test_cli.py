@@ -94,6 +94,12 @@ def test_explicit_zero_epsilon_is_not_replaced_by_the_default(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_phase_len_zero_is_refused(capsys):
+    # --phase-len 0 once ran quietly with phase length 1
+    assert main(["run", "--phase-len", "0", "--n", "16", "--steps", "5"]) == 2
+    assert capsys.readouterr().err == "dyncolor: phase_len_t must be at least 1\n"
+
+
 def test_bench_without_epsilon_takes_the_paramset_default(tmp_path):
     # ParamSet alone keeps epsilon's default: no --epsilon runs the grid that
     # --epsilon 0.2 runs, row for row, apart from the wall-clock columns

@@ -62,6 +62,14 @@ def test_sample_count_below_one_is_refused(k):
     assert ParamSet(sample_count_k=1).sample_count(10) == 1
 
 
+@pytest.mark.parametrize("t", [0, -3])
+def test_phase_len_below_one_is_refused(t):
+    # a phase length of 0 or less once ran silently as a phase of one update
+    with pytest.raises(ValueError, match="^phase_len_t must be at least 1$"):
+        ParamSet(phase_len_t=t)
+    assert ParamSet(phase_len_t=1).phase_len(64) == 1
+
+
 def test_desk_sampling_is_capped():
     p = ParamSet(epsilon=0.2)
     assert p.sample_count(10**6) <= 96

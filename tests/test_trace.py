@@ -143,6 +143,7 @@ def test_unknown_header_key_is_rejected():
         ("cap_factor", "none"),  # only an optional field may be unset
         ("epsilon", "2.0"),  # parses, but ParamSet refuses it
         ("tau", "0.0"),  # likewise: the sample count would divide by zero
+        ("phase_len_t", "0"),  # likewise: a phase needs at least one update
         ("n", "12x"),
     ],
 )

@@ -312,7 +312,7 @@ def verify(
     adj = g.adj
     for v, near in enumerate(adj):
         if len(near) > g.delta:
-            viol.append(f"deg[{v}] = {len(near)} exceeds delta = {g.delta}")
+            viol.append(f"vertex {v} has {len(near)} neighbors, over delta = {g.delta}")
         for w in near:
             if v not in adj[w]:
                 viol.append(f"edge ({v},{w}) is missing from adj[{w}]")

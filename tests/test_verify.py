@@ -100,6 +100,21 @@ def test_fault_graph_structure_one_sided_entry():
     ]
 
 
+def test_fault_graph_structure_degree_cap():
+    # vertex 10 gains delta + 1 symmetric neighbors behind the graph's back,
+    # with the edge count kept in step, so only the cap can tell
+    engine = small_sparse_engine()
+    g = engine.graph
+    for w in range(11, 11 + g.delta + 1):
+        g.adj[10][w] = None
+        g.adj[w][10] = None
+        g.edge_count += 1
+    rep = verify(engine)
+    assert rep.checks["graph_structure"].violations == [
+        "vertex 10 has 9 neighbors, over delta = 8",
+    ]
+
+
 def test_fault_partition_structures():
     engine, (c,) = fresh_dense()
     assert not engine.graph.has_edge(0, 1)

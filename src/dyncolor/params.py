@@ -54,7 +54,7 @@ class ParamSet:
         if self.nu is None:
             self.nu = 2.0 * self.epsilon / 3.0
         # below 1 the rejection loop makes no attempt, k = 0 befriends every
-        # edge, and a phase length would have been read as 1
+        # edge, and a phase needs at least one update
         if self.cap_factor < 1:
             raise ValueError("cap_factor must be at least 1")
         if self.sample_count_k is not None and self.sample_count_k < 1:

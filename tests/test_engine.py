@@ -10,6 +10,7 @@ from dyncolor.colors import BLANK, ColorState
 from dyncolor.engine import Engine, EngineConfig
 from dyncolor.errors import BadEndpoints, DynColorError
 from dyncolor.graph import dele, ins
+from dyncolor.journal import PhaseJournal
 from dyncolor.params import ParamSet, auto_epsilon, trivial_cutoff
 from dyncolor.runner import build_engine, replay_trace, run_stream
 from dyncolor.sampleset import EMPTY_MAP
@@ -17,7 +18,7 @@ from dyncolor.trace import TraceFile
 from dyncolor.adversary import make_adversary
 from dyncolor.verify import ProperWatch, palette_identity_gap, verify
 
-from conftest import clique_edges, dense_fixture, make_engine, sweep_params
+from conftest import clique_edges, dense_fixture, harness, make_engine, sweep_params
 
 
 def test_phase_counter_triggers_single_initialization():
@@ -100,6 +101,58 @@ def test_journal_revert_is_identity():
         engine.graph.toggle(upd.u, upd.v, not upd.insert)
     engine.journal.revert(engine.decomp, engine.phase_updates)
     assert structural_snapshot(engine) == before
+
+
+def frozen_views(engine):
+    """The graph's adjacency, `n_c`, and each clique's non-edge lists and matching."""
+    dec = engine.decomp
+    return (
+        [set(a) for a in engine.graph.adj],
+        [dict(nc) for nc in dec.n_c],
+        {
+            cid: ({m: set(s) for m, s in c.nonedges.items()}, dict(c.partner))
+            for cid, c in dec.cliques.items()
+        },
+    )
+
+
+class PinnedJournal(PhaseJournal):
+    """Pins the frozen views after each rebuild; checks each rewind restores them."""
+
+    __slots__ = ("engine", "pinned", "rewinds", "same_clique")
+
+    def __init__(self, engine):
+        super().__init__()
+        self.engine = engine
+        self.pinned = frozen_views(engine)
+        self.rewinds = self.same_clique = 0
+
+    def start(self, decomp):
+        super().start(decomp)
+        self.pinned = frozen_views(self.engine)
+
+    def revert(self, decomp, updates):
+        clique_of = decomp.clique_of
+        self.same_clique += sum(
+            clique_of[x.u] is not None and clique_of[x.u] == clique_of[x.v] for x in updates
+        )
+        super().revert(decomp, updates)
+        assert frozen_views(self.engine) == self.pinned
+        self.rewinds += 1
+
+
+def test_rewind_restores_every_boundary_of_a_clique_churn_stream():
+    # churn-dense at seed 0 forms an almost-clique near update 8000 and
+    # loses it near 13000; the phases between rewind thousands of
+    # same-clique updates and the n_c views of the clique's neighbors
+    wl = harness.WORKLOADS["churn-dense"]
+    engine = harness.new_engine(wl, 0)
+    adversary = harness.new_adversary(wl, 0)
+    engine.journal = journal = PinnedJournal(engine)
+    for _ in range(14_000):
+        engine.process(adversary.next())
+    assert journal.rewinds == engine.metrics.phase_inits > 200
+    assert journal.same_clique > 1000
 
 
 def test_sparse_updates_journal_nothing():

@@ -21,24 +21,21 @@ The one neighbor view kept per vertex is `n_c[x]`: per clique holding a
 neighbor of x, the number of them, which feeds the clique edge counters
 t_c.  Sparse neighbors are read from `graph.adj` and the occupancy
 lists, so a sparse-sparse update touches no view.  `n_c[x]` starts as
-the shared read-only `EMPTY_MAP` and becomes x's own on the first add
-(`own`); a vertex with no dense neighbor, which is most vertices on most
+the shared read-only `EMPTY_MAP` and becomes x's own on the first
+`nc_add`; a vertex with no dense neighbor, which is most vertices on most
 graphs, never gets one.  Once made it is never dropped, even empty.
+A count moves by one only through `nc_add` and `nc_remove`; `dissolve`
+drops a clique's entries whole.
+
+`note_edge` writes everything one update does to the views a phase keeps
+frozen: both endpoints' `n_c` counts and, for an edge inside one clique,
+its two non-edge lists.  The live path, the boundary replay and the
+journal's rewind (which passes it the inverse update) all call it.
 """
 
 from __future__ import annotations
 
-from .sampleset import EMPTY_MAP, own
-
-
-def _uncount(nc: dict[int, int], cid: int) -> None:
-    """One neighbor fewer in clique `cid`; the entry goes when it reaches 0."""
-    t = nc.get(cid)
-    if t is not None:
-        if t > 1:
-            nc[cid] = t - 1
-        else:
-            nc.pop(cid)
+from .sampleset import EMPTY_MAP
 
 
 class AlmostClique:
@@ -96,36 +93,42 @@ class Decomposition:
 
     # ---- neighbor views ------------------------------------------------------
 
-    def _nbr_add(self, x: int, w: int) -> None:
-        cid = self.clique_of[w]
-        if cid is not None:
-            nc = own(self.n_c, x)
-            nc[cid] = nc.get(cid, 0) + 1
+    def nc_add(self, x: int, cid: int) -> None:
+        """One more neighbor of x in clique `cid`."""
+        nc = self.n_c[x]
+        if nc is EMPTY_MAP:
+            nc = self.n_c[x] = {}
+        nc[cid] = nc.get(cid, 0) + 1
 
-    def _nbr_remove(self, x: int, w: int) -> None:
-        cid = self.clique_of[w]
-        if cid is not None:
-            _uncount(self.n_c[x], cid)
+    def nc_remove(self, x: int, cid: int) -> None:
+        """One neighbor fewer; the entry goes when it reaches 0."""
+        nc = self.n_c[x]
+        t = nc.get(cid)
+        if t is not None:
+            if t > 1:
+                nc[cid] = t - 1
+            else:
+                nc.pop(cid)
 
     def note_edge(self, upd) -> None:
-        """Neighbor-view bookkeeping for one applied update (no non-edge work)."""
-        u, v = upd.u, upd.v
-        if upd.insert:
-            self._nbr_add(u, v)
-            self._nbr_add(v, u)
-        else:
-            self._nbr_remove(u, v)
-            self._nbr_remove(v, u)
+        """Write one applied update into `n_c` and, inside a clique, its non-edges."""
+        u, v, insert = upd.u, upd.v, upd.insert
+        cu, cv = self.clique_of[u], self.clique_of[v]
+        count = self.nc_add if insert else self.nc_remove
+        if cv is not None:
+            count(u, cv)
+        if cu is not None:
+            count(v, cu)
+            if cu == cv:
+                nonedges = self.cliques[cu].nonedges
+                if insert:
+                    nonedges[u].discard(v)
+                    nonedges[v].discard(u)
+                else:
+                    nonedges[u].add(v)
+                    nonedges[v].add(u)
 
-    # ---- non-edge list primitives -------------------------------------------
-
-    def nonedge_add(self, c: AlmostClique, u: int, v: int) -> None:
-        c.nonedges[u].add(v)
-        c.nonedges[v].add(u)
-
-    def nonedge_remove(self, c: AlmostClique, u: int, v: int) -> None:
-        c.nonedges[u].discard(v)
-        c.nonedges[v].discard(u)
+    # ---- matching primitives ------------------------------------------------
 
     def match_add(self, c: AlmostClique, u: int, v: int) -> None:
         c.partner[u] = v
@@ -140,8 +143,8 @@ class Decomposition:
     def update_decomposition(self, upd, matching_hook) -> None:
         """Process one applied update end to end (friend tracking, moves).
 
-        `matching_hook(clique, upd)` owns the non-edge-list and matching
-        surgery of a same-clique update; the engine passes
+        `matching_hook(clique, upd)` keeps the matching of a same-clique
+        update, after `note_edge` wrote its non-edge; the engine passes
         `DenseColoring.maintain_matching`.  Only the phase-boundary replay
         calls it, so this is where the partition changes.
         """
@@ -218,10 +221,9 @@ class Decomposition:
     def _join(self, c: AlmostClique, w: int) -> None:
         self.clique_of[w] = c.id
         adj_w = self.graph.adj[w]
-        cid = c.id
+        nc_add, cid = self.nc_add, c.id
         for z in adj_w:
-            nc = own(self.n_c, z)
-            nc[cid] = nc.get(cid, 0) + 1
+            nc_add(z, cid)
         ne = {m for m in c.members if m not in adj_w}
         c.members.add(w)
         c.nonedges[w] = ne
@@ -240,8 +242,9 @@ class Decomposition:
             c.partner.pop(p, None)
         c.members.discard(v)
         self.clique_of[v] = None
+        nc_remove = self.nc_remove
         for z in self.graph.adj[v]:
-            _uncount(self.n_c[z], cid)
+            nc_remove(z, cid)
         mine = c.nonedges.pop(v, set())
         for x in mine:
             c.nonedges[x].discard(v)

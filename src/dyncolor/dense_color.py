@@ -165,6 +165,7 @@ class DenseColoring:
     def maintain_matching(self, clique, upd, extend: bool = True) -> list[tuple[int, int]]:
         """Keep the matching maximal across one same-clique update.
 
+        `Decomposition.note_edge` has already written the update's non-edge.
         An insertion kills the pair (u,v) if matched and tries to rematch
         each endpoint with a free non-neighbor; a deletion matches the new
         non-edge when both sides are free.  Returns the pairs added.  With
@@ -174,13 +175,11 @@ class DenseColoring:
         remains, until the next boundary rebuilds the matching.
         """
         u, v = upd.u, upd.v
-        dec = self.decomp
         added: list[tuple[int, int]] = []
         self.metrics.nonedge_adjustments += 1
         if upd.insert:
             if clique.partner.get(u) == v:
-                dec.match_remove(clique, u, v)
-            dec.nonedge_remove(clique, u, v)
+                self.decomp.match_remove(clique, u, v)
             for w in (u, v) if extend else ():
                 if w in clique.partner:
                     continue
@@ -188,18 +187,17 @@ class DenseColoring:
                 x = self._match_lowest(clique, w)
                 if x is not None:
                     added.append((w, x))
-        else:
-            dec.nonedge_add(clique, u, v)
-            if extend and u not in clique.partner and v not in clique.partner:
-                dec.match_add(clique, u, v)
-                added.append((u, v))
+        elif extend and u not in clique.partner and v not in clique.partner:
+            self.decomp.match_add(clique, u, v)
+            added.append((u, v))
         return added
 
     def update_non_edges(self, clique, upd) -> list[tuple[int, int]]:
-        """Same-clique update entry point; returns the pairs added.
+        """Same-clique update entry point: keep the non-edge matching.
 
-        In the large regime the matching is never extended, only trimmed
-        by insertions.
+        The non-edge lists are `Decomposition.note_edge`'s; this returns
+        the pairs the matching added.  In the large regime the matching is
+        never extended, only trimmed by insertions.
         """
         return self.maintain_matching(clique, upd, extend=not clique.large_regime)
 

@@ -154,16 +154,13 @@ class Engine(ColoringAlgorithm):
         work0 = self.metrics.work
         # rewind the graph, the neighbor views, the non-edge lists and the
         # matchings to phase start, so the replay sees the historically
-        # correct adjacency at every step.  `process` applied each of these
-        # updates, so undoing them newest first and redoing them in order
-        # is legal at every step and needs no check
-        toggle = self.graph.toggle
-        for upd in reversed(self.phase_updates):
-            toggle(upd.u, upd.v, not upd.insert)
+        # correct adjacency at every step; the replay redoes the updates in
+        # order, which is as legal as the `process` calls that first did them
         self.journal.revert(self.decomp, self.phase_updates)
         self.metrics.work += 2 * len(self.phase_updates)
         # colors and color books stay as they are until rebuild_colors
         # replaces them: the replay below never reads them
+        toggle = self.graph.toggle
         for upd in self.phase_updates:
             toggle(upd.u, upd.v, upd.insert)
             self.decomp.update_decomposition(upd, self.dense.maintain_matching)

@@ -85,10 +85,3 @@ class _EmptyMap(dict):
 EMPTY_SET = _EmptySet()
 EMPTY_MAP = _EmptyMap()
 
-
-def own(containers: list, i: int):
-    """containers[i], first made its own if it is `EMPTY_MAP`."""
-    c = containers[i]
-    if c is EMPTY_MAP:
-        c = containers[i] = {}
-    return c

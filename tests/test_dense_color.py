@@ -102,6 +102,7 @@ def test_maintain_matching_deletion_matches_free_pair():
     engine, (c,) = dense_fixture(26, delta, [members])
     u, v = 4, 9
     engine.graph.apply(dele(u, v))
+    engine.decomp.note_edge(dele(u, v))
     added = engine.dense.maintain_matching(c, dele(u, v))
     assert added == [(min(u, v), max(u, v))] or added == [(u, v)]
     assert c.partner[u] == v
@@ -114,6 +115,7 @@ def test_maintain_matching_insertion_rematches_both_sides():
     engine, (c,) = dense_fixture(26, delta, [members], holes=holes)
     assert c.matching_pairs() == [(0, 1)]  # greedy takes the lowest pair
     engine.graph.apply(ins(0, 1))
+    engine.decomp.note_edge(ins(0, 1))
     added = engine.dense.maintain_matching(c, ins(0, 1))
     assert sorted(added) == [(0, 2), (1, 3)]
     assert c.matching_size() == 2
@@ -126,6 +128,7 @@ def test_maintain_matching_insertion_on_unmatched_pair():
     engine, (c,) = dense_fixture(26, delta, [members], holes=holes)
     assert c.matching_pairs() == [(0, 1)]
     engine.graph.apply(ins(0, 2))
+    engine.decomp.note_edge(ins(0, 2))
     added = engine.dense.maintain_matching(c, ins(0, 2))
     assert added == []
     assert c.matching_pairs() == [(0, 1)]
@@ -141,6 +144,7 @@ def test_update_non_edges_large_regime_insertion_unmatches():
     engine, (c,) = dense_fixture(26, delta, [members], holes=holes)
     c.large_regime = True
     engine.graph.apply(ins(0, 1))
+    engine.decomp.note_edge(ins(0, 1))
     assert engine.dense.update_non_edges(c, ins(0, 1)) == []
     assert 0 not in c.partner and 1 not in c.partner
     assert c.matching_pairs() == [(2, 3)]
@@ -152,6 +156,7 @@ def test_update_non_edges_small_regime_deletion():
     engine, (c,) = dense_fixture(26, delta, [members])
     assert not c.large_regime
     engine.graph.apply(dele(5, 6))
+    engine.decomp.note_edge(dele(5, 6))
     assert engine.dense.update_non_edges(c, dele(5, 6)) == [(5, 6)]
     assert c.partner[5] == 6 and c.matching_pairs() == [(5, 6)]
 
@@ -162,6 +167,7 @@ def test_update_non_edges_untouched_matching():
     holes = [(0, 1), (0, 2)]
     engine, (c,) = dense_fixture(26, delta, [members], holes=holes)
     engine.graph.apply(ins(0, 2))  # (0,2) is an unmatched non-edge
+    engine.decomp.note_edge(ins(0, 2))
     assert engine.dense.update_non_edges(c, ins(0, 2)) == []
     assert c.matching_pairs() == [(0, 1)]
 

@@ -157,9 +157,11 @@ def test_journal_revert_writes_into_untouched_neighbor_views():
     members = list(range(delta))
     engine, (c,) = dense_fixture(24, delta, [members], extra_edges=[(0, 20)], seed=3)
     dec = engine.decomp
-    dec._nbr_remove(20, 0)
+    engine.graph.apply(dele(0, 20))
+    dec.nc_remove(20, c.id)
     dec.n_c[20] = EMPTY_MAP  # as if never written
     J.PhaseJournal().revert(dec, [dele(0, 20)])
+    assert engine.graph.has_edge(0, 20)
     assert dec.n_c[20] == {c.id: 1}
     assert len(EMPTY_MAP) == 0
     assert partition_violations(dec) == []

@@ -10,7 +10,7 @@ from operator import attrgetter
 from .adversary import Scripted, make_adversary
 from .baseline import TrivialBaseline
 from .engine import Engine, EngineConfig
-from .errors import Exhausted, MalformedTrace
+from .errors import DynColorError, Exhausted, MalformedTrace
 from .metrics import SCALARS
 from .params import ParamSet, auto_epsilon, trivial_cutoff
 from .trace import TraceFile
@@ -213,8 +213,12 @@ def replay_trace(trace: TraceFile, check: bool = False):
 
     With `check`, the replayed per-update color deltas are compared with
     the recorded ones, and `mismatches` lists the updates where they
-    differ (determinism gate).  A header fault raises `MalformedTrace`.
+    differ (determinism gate); a trace without color lines has none to
+    compare, so `check` on it raises `DynColorError`.  A header fault
+    raises `MalformedTrace`.
     """
+    if check and trace.outputs is None:
+        raise DynColorError("the trace records no colors to check ('!' lines)")
     hdr = trace.header
     for key in ("n", "delta"):
         if key not in hdr:
@@ -222,7 +226,7 @@ def replay_trace(trace: TraceFile, check: bool = False):
     n, delta = (_header_value(key, hdr[key], "int") for key in ("n", "delta"))
     engine = build_engine(n, delta, params_from_header(hdr), mode=hdr.get("mode", "full"))
     updates = trace.updates
-    replayed = TraceFile(outputs=[]) if check and trace.outputs is not None else None
+    replayed = TraceFile(outputs=[]) if check else None
     run_stream(engine, Scripted(n, delta, updates=updates), len(updates), record=replayed)
     if replayed is None:
         return engine, []

@@ -134,6 +134,21 @@ def test_record_then_replay_check(tmp_path):
     assert data["mismatched_updates"] == []
 
 
+def test_replay_check_of_a_trace_without_colors_fails_with_one_line(tmp_path, capsys):
+    # `run --trace-out` writes no '!' lines; the check once compared nothing
+    # and reported no mismatch
+    trace = tmp_path / "t.trace"
+    argv = ["run", "--n", "32", "--delta", "8", "--steps", "20", "--trace-out", str(trace)]
+    assert main(argv) == 0
+    assert not any(line.startswith("!") for line in trace.read_text().splitlines())
+    capsys.readouterr()
+    assert main(["replay", "--trace", str(trace), "--check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dyncolor: the trace records no colors to check ('!' lines)\n"
+    assert main(["replay", "--trace", str(trace)]) == 0
+
+
 def _recorded_trace(tmp_path):
     trace = tmp_path / "run.trace"
     rc = main(

@@ -3,7 +3,7 @@ from dataclasses import fields
 import pytest
 
 from dyncolor.baseline import TrivialBaseline
-from dyncolor.errors import DuplicateEdge, MalformedTrace
+from dyncolor.errors import DuplicateEdge, DynColorError, MalformedTrace
 from dyncolor.graph import EdgeUpdate, ins
 from dyncolor.params import ParamSet
 from dyncolor.runner import (
@@ -102,6 +102,18 @@ def test_baseline_trace_records_and_replays_color_deltas():
     replayed, mismatches = replay_trace(TraceFile.loads(trace.dumps()), check=True)
     assert mismatches == []
     assert replayed.colors.of == base.colors.of
+
+
+def test_check_of_a_trace_without_colors_is_refused():
+    # with no '!' lines there is nothing to compare: the check once passed
+    _, trace, _ = record_run(32, 8, ParamSet(seed=1, phase_len_t=16), "oblivious-random", 40)
+    trace.outputs = None
+    bare = TraceFile.loads(trace.dumps())
+    assert bare.outputs is None and len(bare.updates) == 40
+    with pytest.raises(DynColorError, match=r"^the trace records no colors to check \('!' lines\)$"):
+        replay_trace(bare, check=True)
+    engine, mismatches = replay_trace(bare)
+    assert mismatches == [] and engine.metrics.updates == 40
 
 
 def test_header_round_trips_every_param_field():

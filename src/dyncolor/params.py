@@ -53,8 +53,13 @@ class ParamSet:
             raise ValueError("tau must lie in (0, epsilon]")
         if self.nu is None:
             self.nu = 2.0 * self.epsilon / 3.0
-        # below 1 the rejection loop makes no attempt, k = 0 befriends every
+        # below these bounds nu and fire_threshold would be read as a limit
+        # of 1, the rejection loop makes no attempt, k = 0 befriends every
         # edge, and a phase needs at least one update
+        if not self.nu > 0.0:
+            raise ValueError("nu must be positive")
+        if self.fire_threshold is not None and self.fire_threshold < 1:
+            raise ValueError("fire_threshold must be at least 1")
         if self.cap_factor < 1:
             raise ValueError("cap_factor must be at least 1")
         if self.sample_count_k is not None and self.sample_count_k < 1:
@@ -102,7 +107,7 @@ class ParamSet:
 
     def fire_limit(self, delta: int) -> float:
         if self.fire_threshold is not None:
-            return max(1.0, self.fire_threshold)
+            return self.fire_threshold
         return max(1.0, self.tau * delta / 8.0)
 
     def collapse_limit(self, delta: int) -> float:

@@ -100,6 +100,12 @@ def test_phase_len_zero_is_refused(capsys):
     assert capsys.readouterr().err == "dyncolor: phase_len_t must be at least 1\n"
 
 
+def test_nu_zero_is_refused(capsys):
+    # --nu 0 once ran quietly with a collapse limit of 1
+    assert main(["run", "--nu", "0", "--n", "16", "--steps", "5"]) == 2
+    assert capsys.readouterr().err == "dyncolor: nu must be positive\n"
+
+
 def test_bench_without_epsilon_takes_the_paramset_default(tmp_path):
     # ParamSet alone keeps epsilon's default: no --epsilon runs the grid that
     # --epsilon 0.2 runs, row for row, apart from the wall-clock columns

@@ -70,6 +70,23 @@ def test_phase_len_below_one_is_refused(t):
     assert ParamSet(phase_len_t=1).phase_len(64) == 1
 
 
+@pytest.mark.parametrize("nu", [0.0, -0.5])
+def test_nu_at_or_below_zero_is_refused(nu):
+    # nu <= 0 once ran silently as a collapse limit of 1
+    with pytest.raises(ValueError, match="^nu must be positive$"):
+        ParamSet(nu=nu)
+    assert ParamSet(nu=0.5).collapse_limit(1) == 1.0  # a derived limit keeps its clamp
+
+
+@pytest.mark.parametrize("fire", [0.0, -2.0])
+def test_fire_threshold_below_one_is_refused(fire):
+    # a threshold below 1 once ran silently as a fire limit of 1
+    with pytest.raises(ValueError, match="^fire_threshold must be at least 1$"):
+        ParamSet(fire_threshold=fire)
+    assert ParamSet(fire_threshold=1.0).fire_limit(64) == 1.0
+    assert ParamSet(tau=0.01).fire_limit(64) == 1.0  # a derived limit keeps its clamp
+
+
 def test_desk_sampling_is_capped():
     p = ParamSet(epsilon=0.2)
     assert p.sample_count(10**6) <= 96

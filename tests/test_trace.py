@@ -156,6 +156,7 @@ def test_unknown_header_key_is_rejected():
         ("epsilon", "2.0"),  # parses, but ParamSet refuses it
         ("tau", "0.0"),  # likewise: the sample count would divide by zero
         ("phase_len_t", "0"),  # likewise: a phase needs at least one update
+        ("nu", "0.0"),  # likewise: it was read as a collapse limit of 1
         ("n", "12x"),
     ],
 )

@@ -19,8 +19,10 @@ Every list starts as the shared read-only `EMPTY_SET` and becomes a set
 of the vertex's own on its first add (`_link`); most vertices never gain
 a friend, so an untouched vertex costs one list slot, not two sets.  A
 list is never dropped once it exists, even when it empties: a set that
-grew and shrank can iterate in a different order from a fresh one, and
-the order of a list decides the order of later writes.
+grew and shrank can iterate in a different order from a fresh one.  No
+engine write reads that order (`dense_move` breaks ties by clique id and
+sorts its movers, and `update_decomposition` sums over a list), but it
+fixes the bytes of `verify`'s reports and the workload digest.
 
 Recomputation is driven by per-vertex update counters: each vertex fires
 a full refresh of its incident estimates after enough direct updates
@@ -41,6 +43,13 @@ tracker is handed, and is never dropped.  The tracker sees the graph only
 through the phase-boundary replay, which is continuous across phases, so
 at every refresh the adjacency, and with it every mask, is the graph
 exactly as the replay has it; the in-phase path pays nothing.
+
+An inserted pair whose endpoints share no neighbor, with at least one of
+them below the mask degree, counts 0 for certain.  Where a count of 0
+lists a pair at neither scale and the pair is on neither list (in the
+replay a new edge never is: the lists stay inside the current edges),
+`maintain_friends` charges it what `_counts` would and skips the
+refresh, which would draw nothing, make no mask and write nothing.
 """
 
 from __future__ import annotations
@@ -121,6 +130,9 @@ class FriendTracker:
         self._dense_thr = [max(0.0, (1.0 - i * eps) * delta) for i in (1, 3)]
         # the least counts that reach the two thresholds
         self._cuts = tuple(ceil(t) for t in self._maintain_thr)
+        # whether a count of 0 lists a pair at neither scale; it lists it in
+        # N_3 once 3*eps - tau/4 >= 1
+        self._zero_unlisted = self._cuts[1] > 0
         # the degree from which a vertex's pairs read s from masks
         self._mask_deg = MASK_DEGREE_PER_SAMPLE * self.k
         self.masks: dict[int, int] = {}
@@ -263,7 +275,9 @@ class FriendTracker:
         """Process one (already applied) edge update; returns the refresh set U.
 
         Direct counters of both endpoints advance; the touched pair is
-        re-estimated (insertion) or dropped (deletion).  Vertices whose
+        re-estimated (insertion; only charged when it counts 0 for certain
+        and nothing would change, see the module docstring) or dropped
+        (deletion).  Vertices whose
         direct counter reaches the firing limit are refreshed and spread
         one indirect credit to each neighbor; neighbors reaching the limit
         refresh too but spread nothing further.  An endpoint's mask, if it
@@ -275,28 +289,45 @@ class FriendTracker:
             masks[u] ^= 1 << v
         if v in masks:
             masks[v] ^= 1 << u
-        self.direct[u] += 1
-        self.direct[v] += 1
+        direct = self.direct
+        direct[u] += 1
+        direct[v] += 1
         if upd.insert:
-            self._refresh(v, (u,))
+            near, nu = self.graph.adj[v], self.graph.adj[u]
+            if (
+                self._zero_unlisted
+                and (len(near) < self._mask_deg or len(nu) < self._mask_deg)
+                and near.keys().isdisjoint(nu.keys())
+                and u not in self.n1[v]
+                and u not in self.n3[v]
+            ):
+                # `_refresh(v, (u,))` would walk the two neighborhoods, find
+                # no common neighbor, count 0 and write nothing; only its
+                # charge is left
+                k = self.k
+                self.metrics.samples += k
+                self.metrics.work += k
+            else:
+                self._refresh(v, (u,))
         else:
             self._drop_pair(u, v)
         fired: list[int] = []
         for w in (u, v):
-            if self.direct[w] >= self.fire_limit:
+            if direct[w] >= self.fire_limit:
                 self.update_vertex(w)
-                self.direct[w] = 0
+                direct[w] = 0
                 fired.append(w)
+        if not fired:
+            return fired
         result = list(fired)
-        if fired:
-            spread = set()
-            for y in fired:
-                spread.update(self.graph.adj[y])
-            for z in sorted(spread):
-                self.indirect[z] += 1
-                if self.indirect[z] >= self.fire_limit:
-                    self.update_vertex(z)
-                    self.indirect[z] = 0
-                    if z not in fired:
-                        result.append(z)
+        spread = set()
+        for y in fired:
+            spread.update(self.graph.adj[y])
+        for z in sorted(spread):
+            self.indirect[z] += 1
+            if self.indirect[z] >= self.fire_limit:
+                self.update_vertex(z)
+                self.indirect[z] = 0
+                if z not in fired:
+                    result.append(z)
         return result

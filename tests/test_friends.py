@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -391,6 +392,95 @@ def test_batched_refresh_matches_the_per_pair_refresh(seed):
             assert new.maintain_friends(upd) == ref.maintain_friends(upd)
         assert _tracker_state(new) == _tracker_state(ref)
     assert new.metrics.tracker_updates > 80
+
+
+class _RefreshEveryInsertion(FriendTracker):
+    """The tracker without the zero-common-neighbor shortcut: every
+    insertion is judged by `_refresh(v, (u,))`.  It fires nothing, so the
+    trackers it is compared with need a fire limit no test reaches."""
+
+    def maintain_friends(self, upd):
+        u, v = upd.u, upd.v
+        for a, b in ((u, v), (v, u)):
+            if a in self.masks:
+                self.masks[a] ^= 1 << b
+        self.direct[u] += 1
+        self.direct[v] += 1
+        if upd.insert:
+            self._refresh(v, (u,))
+        else:
+            self._drop_pair(u, v)
+        return []
+
+
+def _full_tracker_state(tr):
+    # list(s) keeps each set's iteration order
+    return (
+        [[list(s) for s in lst] for lst in (tr.n1, tr.n3)],
+        sorted(tr.masks.items()),
+        tr.direct,
+        dataclasses.asdict(tr.metrics),
+        tr.rng.getstate(),
+    )
+
+
+@pytest.mark.parametrize("eps, tau", [(0.25, 0.25), (0.5, 0.1)])
+@pytest.mark.parametrize("k", [2, 16])
+@pytest.mark.parametrize("seed", range(3))
+def test_zero_common_neighbor_shortcut_matches_the_refresh(seed, k, eps, tau):
+    # k = 2 puts the mask degree at 4, inside these graphs' degree range, so
+    # pairs of two high degrees are judged from masks (made on demand); at
+    # k = 16 every pair walks.  At eps = 0.5, tau = 0.1 a count of 0 reaches
+    # the scale-3 cut, so a pair with no common neighbor enters N_3.  Half
+    # the planted list pairs are non-edges, so an insertion can find its
+    # pair listed already
+    n, delta = 80, 12
+    g = random_graph(n, delta, 80, seed=seed)
+    params = ParamSet(epsilon=eps, tau=tau, sample_count_k=k, fire_threshold=10**9, seed=seed)
+    new, ref = (
+        cls(g, params, random.Random(seed), Metrics())
+        for cls in (FriendTracker, _RefreshEveryInsertion)
+    )
+    assert (new._cuts[1] == 0) == (eps == 0.5)
+    edges = list(g.edges())
+    for tr in (new, ref):
+        pick = random.Random(seed + 1)
+        for lst in (tr.n1, tr.n3):
+            for _ in range(80):
+                u, v = pick.choice(edges) if pick.random() < 0.5 else pick.sample(range(n), 2)
+                friend_set(lst, u).add(v)
+                friend_set(lst, v).add(u)
+    assert _full_tracker_state(new) == _full_tracker_state(ref)
+    cap = new._mask_deg
+    seen = Counter()
+    ops = random.Random(seed + 2)
+    for _ in range(600):
+        if ops.random() < 0.1:
+            v = ops.randrange(n)
+            new.update_vertex(v)
+            ref.update_vertex(v)
+            continue
+        u, v = ops.sample(range(n), 2)
+        upd = dele(u, v) if g.has_edge(u, v) else ins(u, v)
+        if not g.is_legal(upd):
+            continue
+        g.apply(upd)
+        kind = "deletion"
+        if upd.insert:
+            kind = (
+                "common" if g.adj[u].keys() & g.adj[v].keys()
+                else "masked" if min(g.degree(u), g.degree(v)) >= cap
+                else "listed" if u in new.n1[v] or u in new.n3[v]
+                else "unlisted"
+            )
+        seen[kind] += 1
+        assert new.maintain_friends(upd) == ref.maintain_friends(upd)
+        assert _full_tracker_state(new) == _full_tracker_state(ref)
+        if kind == "unlisted":
+            # the pair the shortcut skips where a count of 0 lists nothing
+            assert (u in new.n1[v], u in new.n3[v]) == (False, eps == 0.5)
+    assert seen["unlisted"] >= 50 and seen["common"] >= 50
+    assert seen["masked" if k == 2 else "listed"] >= 1
 
 
 def _per_draw_counts(g, rng, k, v, us):

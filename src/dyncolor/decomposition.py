@@ -146,15 +146,18 @@ class Decomposition:
         `matching_hook(clique, upd)` keeps the matching of a same-clique
         update, after `note_edge` wrote its non-edge; the engine passes
         `DenseColoring.maintain_matching`.  Only the phase-boundary replay
-        calls it, so this is where the partition changes.
+        calls it, so this is where the partition changes.  An update that
+        refreshes no vertex moves none, so it returns right after the hook.
         """
-        u, v = upd.u, upd.v
         refresh = self.tracker.maintain_friends(upd)
-        if self.cliques:  # with no clique, no neighbor view changes
+        cliques = self.cliques
+        if cliques:  # with no clique, no neighbor view changes and no pair matches
             self.note_edge(upd)
-        cu, cv = self.clique_of[u], self.clique_of[v]
-        if cu is not None and cu == cv:
-            matching_hook(self.cliques[cu], upd)
+            cu = self.clique_of[upd.u]
+            if cu is not None and cu == self.clique_of[upd.v]:
+                matching_hook(cliques[cu], upd)
+        if not refresh:
+            return
         tracker, clique_of = self.tracker, self.clique_of
         if upd.insert:
             for w in refresh:

@@ -161,9 +161,10 @@ class Engine(ColoringAlgorithm):
         # colors and color books stay as they are until rebuild_colors
         # replaces them: the replay below never reads them
         toggle = self.graph.toggle
+        update, hook = self.decomp.update_decomposition, self.dense.maintain_matching
         for upd in self.phase_updates:
             toggle(upd.u, upd.v, upd.insert)
-            self.decomp.update_decomposition(upd, self.dense.maintain_matching)
+            update(upd, hook)
         self.rebuild_colors()
         self.phase_updates.clear()
         self.metrics.init_work.append(self.metrics.work - work0)

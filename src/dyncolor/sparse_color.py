@@ -26,6 +26,12 @@ vertex is blank, and inside a phase the side test leaves dense neighbors
 out.  A draw whose L(c) is empty is feasible whatever v's neighbors are,
 so the check walks v's adjacency only when L(c) is occupied.  v's degree
 is the size of its adjacency dict; the graph keeps no other count.
+
+Every pass colors distinct blank vertices.  The draw loop tests none of
+them: `color_sparse` and a direct `greedy_coloring` call refuse a colored
+vertex at entry, before any draw (`_refuse_colored`, one count of the
+color list while every vertex is blank, as at phase start), and
+`recolor_sparse` blanks its vertex itself.
 """
 
 from __future__ import annotations
@@ -58,26 +64,46 @@ class SparseColoring:
     def greedy_coloring(self, vertices) -> None:
         """Color every vertex by rejection sampling, in uniform random order.
 
-        `vertices` must ascend, so the shuffle alone fixes the order.  Each
-        swap of the shuffle costs a unit.
+        `vertices` must be distinct and blank, and ascend, so the shuffle
+        alone fixes the order.  A colored vertex is refused before any draw
+        (`_refuse_colored`).  Each swap of the shuffle costs a unit.
         """
         order = list(vertices)
+        self._refuse_colored(order)
+        self._greedy(order)
+
+    def _greedy(self, order: list) -> None:
+        """`greedy_coloring` of a list of blank vertices, shuffled in place."""
         shuffle(self.rng, order)
         self.metrics.work += max(len(order) - 1, 0)
         self._rejection_color(order)
 
-    def _rejection_color(self, vertices, phase_start: bool = False) -> list[int]:
-        """Give each blank vertex in turn the first feasible of its color draws.
+    def _refuse_colored(self, vertices) -> None:
+        """Raise for the first vertex of `vertices` that is not blank.
 
-        `vertices` is a sequence.  A vertex with no neighbor takes one
-        draw, unchecked: every color is feasible for it.  A vertex with
-        neighbors draws up to `cap` colors, each as `palette_drawer` does,
-        and takes the first feasible one, or the fallback color when none
-        is.  In the
-        phase-start pass it first makes its fair pick (`random() < 0.5`,
-        a sample and a unit) and, if picked, makes one draw; an unpicked
-        vertex, or a picked one whose draw is infeasible, stays blank and
-        is returned in the order met.
+        While every vertex is blank, which is how a phase starts, one count
+        of the color list says so; only when it does not are `vertices`
+        scanned.  `_rejection_color` tests no vertex, so each caller that
+        takes vertices from outside checks them here, before any draw.
+        """
+        of = self.colors.of
+        if of.count(BLANK) != len(of):
+            for v in vertices:
+                if of[v] != BLANK:
+                    raise InvariantViolation(f"vertex {v} is not blank")
+
+    def _rejection_color(self, vertices, phase_start: bool = False) -> list[int]:
+        """Give each vertex in turn the first feasible of its color draws.
+
+        `vertices` is a sequence of distinct blank vertices; the loop does
+        not test them (see `_refuse_colored`).  A vertex with no neighbor
+        takes one draw, unchecked: every color is feasible for it.  A
+        vertex with neighbors draws up to `cap` colors, each as
+        `palette_drawer` does, and takes the first feasible one, or the
+        fallback color when none is.  In the phase-start pass it first
+        makes its fair pick (`random() < 0.5`, a sample and a unit) and, if
+        picked, makes one draw; an unpicked vertex, or a picked one whose
+        draw is infeasible, stays blank and is returned in the order met.
 
         A draw costs a sample and a unit.  A check walks the shorter of
         v's adjacency and L(c): a neighbor w is probed by
@@ -106,8 +132,6 @@ class SparseColoring:
         deferred = []
         drawn = probes = linked = 0
         for v in vertices:
-            if of[v] != BLANK:
-                raise InvariantViolation(f"vertex {v} is not blank")
             near = adj[v]
             if not near:
                 c = getrandbits(k)
@@ -172,23 +196,29 @@ class SparseColoring:
     def color_sparse(self, vertices=None) -> None:
         """Phase-start recoloring of the sparse side, which must be all blank.
 
-        `vertices` is an ascending sequence; by default every sparse
-        vertex, as the graph's own id objects: `graph.vertices` itself
-        while no clique exists, else the ids in it whose `clique_of` is
-        None.  One ascending phase-start pass of `_rejection_color` gives
-        each vertex with no neighbor its draw and each picked vertex its
-        one-shot draw; the vertices it leaves blank, still ascending, go
-        to `greedy_coloring`.
+        `vertices` is an ascending sequence of distinct vertices; by
+        default every sparse vertex, as the graph's own id objects:
+        `graph.vertices` itself while no clique exists, else the ids in it
+        whose `clique_of` is None.  A colored vertex among them is refused
+        before any draw (`_refuse_colored`).  One ascending phase-start
+        pass of `_rejection_color` gives each vertex with no neighbor its
+        draw and each picked vertex its one-shot draw; the vertices it
+        leaves blank, still ascending, go to the greedy stage (`_greedy`)
+        unchecked.
         """
         if vertices is None:
             vertices = self.graph.vertices
             if self.decomp.cliques:
                 sparse = map(is_, self.decomp.clique_of, repeat(None))
                 vertices = list(compress(vertices, sparse))
-        self.greedy_coloring(self._rejection_color(vertices, phase_start=True))
+        self._refuse_colored(vertices)
+        self._greedy(self._rejection_color(vertices, phase_start=True))
 
     def recolor_sparse(self, v: int) -> int:
-        """Drop v's color and rejection-sample a fresh one."""
+        """Drop v's color and rejection-sample a fresh one.
+
+        v is blank once dropped, so nothing is checked.
+        """
         self.colors.clear_sparse(v)
         self.metrics.sparse_recolorings += 1
         self._rejection_color((v,))

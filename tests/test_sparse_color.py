@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import math
 import random
@@ -204,23 +205,59 @@ def test_vertex_that_lost_its_last_edge_in_phase_takes_the_unchecked_draw():
     assert tuple(a - b for a, b in zip((m.work, m.probes, m.samples), before)) == (2, 0, 1)
 
 
+def coloring_state(engine):
+    """What a coloring pass may change: the colors, every L(c), the
+    counters and what is left of the generator (its state, or a scripted
+    stub's scripts)."""
+    rng = engine.sparse.rng
+    left = rng.getstate() if hasattr(rng, "getstate") else (list(rng.draws), list(rng.picks))
+    return (
+        list(engine.colors.of),
+        [list(lst) for lst in engine.colors.L],
+        dataclasses.asdict(engine.metrics),
+        left,
+    )
+
+
 def test_color_sparse_rejects_a_colored_vertex():
     # vertices 0..9 are matched in pairs and 10, 11 are isolated; whether
-    # the pass picks or defers the vertices before it, a colored vertex
-    # with a neighbor and a colored isolated vertex are refused, before the
-    # pass draws for them
+    # the pass would pick or defer the vertices before it, a colored vertex
+    # with a neighbor and a colored isolated vertex are refused before the
+    # pass draws for any vertex
     for pick in (PICKED, UNPICKED):
         for colored in (5, 11):
             e = blank_engine(12, 4)
             for u in range(0, 10, 2):
                 e.graph.apply(ins(u, u + 1))
             e.colors.set_sparse(colored, 2)
-            linked = min(colored, 10)  # the vertices with a neighbor before it
-            drawn = (linked if pick == PICKED else 0) + colored - linked
-            e.sparse.rng = rng = _ScriptedDraws([3] * drawn, [pick] * linked)
+            e.sparse.rng = _ScriptedDraws([3] * 12, [pick] * 12)
+            before = coloring_state(e)
             with pytest.raises(InvariantViolation, match=f"vertex {colored} is not blank"):
                 e.sparse.color_sparse()
-            assert rng.spent() and e.colors.of[colored] == 2
+            assert coloring_state(e) == before and e.colors.of[colored] == 2
+
+
+@pytest.mark.parametrize("colored", [0, 3, 7, 11])
+def test_refused_pass_draws_nothing_and_colors_nothing(colored):
+    # a random graph on 0..11 with 10 and 11 isolated and one vertex
+    # colored, first, inside or last of the vertices handed over: the
+    # phase-start pass and the greedy pass refuse it before any draw, with
+    # the default vertices too, and leave the generator, the colors, every
+    # L(c) and the counters as they were
+    e = blank_engine(12, 4, seed=colored)
+    random_graph(10, 4, 12, seed=colored, g=e.graph)
+    e.colors.set_sparse(colored, 1)
+    before = coloring_state(e)
+    passes = (
+        lambda: e.sparse.color_sparse(),
+        lambda: e.sparse.color_sparse(range(12)),
+        lambda: e.sparse.greedy_coloring(range(12)),
+        lambda: e.sparse.greedy_coloring([colored]),
+    )
+    for color_pass in passes:
+        with pytest.raises(InvariantViolation, match=f"vertex {colored} is not blank"):
+            color_pass()
+        assert coloring_state(e) == before
 
 
 def test_one_shot_conflict_first_processed_wins():
@@ -297,7 +334,7 @@ def test_one_shot_success_rate_matches_reference():
             e.decomp.note_edge(ins(u, v))
         e.sparse.rng = _AllPicked(s)
         missed = []
-        e.sparse.greedy_coloring = missed.extend
+        e.sparse._greedy = missed.extend
         e.sparse.color_sparse()
         assert sparse_proper(e)
         assert all((e.colors.of[v] == BLANK) == (v in missed) for v in range(n))

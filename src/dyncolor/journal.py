@@ -4,9 +4,8 @@ Inside a phase the partition is frozen, so the graph and the views that
 `Decomposition.note_edge` writes (the per-clique neighbor counts `n_c`
 and the same-clique non-edge lists) follow from the phase's own updates:
 `revert` runs them backwards, newest first, toggling each edge back and
-handing `note_edge` the inverse update.  An update between two sparse
-vertices changed no view, and without a clique no update did, so for
-those only the graph is rewound.  The non-edge matching does not follow
+handing `note_edge` the inverse update.  Without a clique no view changed
+and only the graph is rewound.  The non-edge matching does not follow
 from the graph, because the pair fallbacks break and form pairs, so
 `start` copies each clique's matching when a phase starts and `revert`
 puts the copies back.
@@ -33,15 +32,12 @@ class PhaseJournal:
         `process` applied each of them, so undoing them in this order is
         legal at every step and `toggle` needs no check.
         """
-        toggle, clique_of = decomp.graph.toggle, decomp.clique_of
+        toggle = decomp.graph.toggle
         note_edge = decomp.note_edge if decomp.cliques else None
         for upd in reversed(updates):
             u, v, insert = upd.u, upd.v, not upd.insert
             toggle(u, v, insert)
-            if note_edge is None:
-                continue
-            # an update between two sparse vertices wrote no view
-            if clique_of[u] is not None or clique_of[v] is not None:
+            if note_edge is not None:
                 note_edge(EdgeUpdate(u, v, insert))
         cliques = decomp.cliques
         for cid, partner in self.partners.items():

@@ -8,7 +8,7 @@ import sys
 
 from . import bench as benchmod
 from .adversary import GENERATORS
-from .params import DESK, PAPER, ParamSet
+from .params import ParamSet
 from .runner import MODES, record_run, replay_trace
 from .errors import DynColorError
 from .trace import TraceFile
@@ -25,7 +25,6 @@ SETTINGS = {
     "nu": (float, "nu", {}),
     "phase-len": (int, "phase_len_t", {}),
     "samples": (int, "sample_count_k", {"help": "friend-estimate sample count"}),
-    "profile": (str, "profile", {"choices": [DESK, PAPER]}),
     "seed": (int, "seed", {}),
 }
 

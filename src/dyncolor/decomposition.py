@@ -110,9 +110,8 @@ class Decomposition:
             else:
                 nc.pop(cid)
 
-    def note_edge(self, upd) -> None:
+    def note_edge(self, u: int, v: int, insert: bool) -> None:
         """Write one applied update into `n_c` and, inside a clique, its non-edges."""
-        u, v, insert = upd.u, upd.v, upd.insert
         cu, cv = self.clique_of[u], self.clique_of[v]
         count = self.nc_add if insert else self.nc_remove
         if cv is not None:
@@ -152,7 +151,7 @@ class Decomposition:
         refresh = self.tracker.maintain_friends(upd)
         cliques = self.cliques
         if cliques:  # with no clique, no neighbor view changes and no pair matches
-            self.note_edge(upd)
+            self.note_edge(upd.u, upd.v, upd.insert)
             cu = self.clique_of[upd.u]
             if cu is not None and cu == self.clique_of[upd.v]:
                 matching_hook(cliques[cu], upd)

@@ -116,7 +116,7 @@ class Engine(ColoringAlgorithm):
                     self.dense.update_edge_counts(v, old, new)
                     self.dense.evict_conflicts(v, new)
             return
-        dec.note_edge(upd)
+        dec.note_edge(u, v, upd.insert)
         if cu == cv:
             self.dense.same_clique_update(dec.cliques[cu], upd)
             return

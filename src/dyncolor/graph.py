@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadEndpoints, DegreeCapExceeded, DuplicateEdge, GraphError, MissingEdge
+from .errors import BadEndpoints, DegreeCapExceeded, DuplicateEdge, MissingEdge
 
 @dataclass(frozen=True, slots=True)
 class EdgeUpdate:
@@ -114,13 +114,6 @@ class DynamicGraph:
                 raise DegreeCapExceeded(u, v, v, self.delta)
         elif not present:
             raise MissingEdge(u, v)
-
-    def is_legal(self, e: EdgeUpdate) -> bool:
-        try:
-            self.check_legal(e)
-        except GraphError:
-            return False
-        return True
 
     def apply(self, e: EdgeUpdate) -> None:
         self.check_legal(e)

@@ -13,8 +13,6 @@ puts the copies back.
 
 from __future__ import annotations
 
-from .graph import EdgeUpdate
-
 
 class PhaseJournal:
     __slots__ = ("partners",)
@@ -38,7 +36,7 @@ class PhaseJournal:
             u, v, insert = upd.u, upd.v, not upd.insert
             toggle(u, v, insert)
             if note_edge is not None:
-                note_edge(EdgeUpdate(u, v, insert))
+                note_edge(u, v, insert)
         cliques = decomp.cliques
         for cid, partner in self.partners.items():
             cliques[cid].partner = partner

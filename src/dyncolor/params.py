@@ -1,29 +1,32 @@
 """Global parameter set shared by all subsystems.
 
-Two profiles exist.  The ``paper`` (analysis-grade) profile derives every
-threshold from (epsilon, tau) with the full-strength constants; it
-requires epsilon < 3/50 and tau = epsilon/3 and is only meaningful for
-very large graphs.  The ``desk`` profile keeps the same formulas but lets
-every derived quantity be pinned to a small value so that all code paths
-are reachable at n up to a few thousand.
+Every threshold derives from (epsilon, tau) and the sizes by one rule,
+and any derived quantity can be pinned, so that all code paths are
+reachable at n up to a few thousand.  The rule clamps two of the paper's
+formulas:
+
+- its phase length T = floor(epsilon^2 delta / (18 e^6)), with
+  epsilon < 3/50, is below 1 for every delta < 2*10^6, so every update
+  would run the whole phase rebuild.  On adaptive-monochrome at n = 256
+  and 1024, delta = n/2, that cost 269 and 478 us per update, against 38
+  and 17 us at the clamped T and 6.4 and 6.5 us for the rescan baseline.
+  As epsilon^2 / (18 e^6) < 1/8 for every epsilon < 1, the paper's T never
+  exceeds delta // 8, and the phase length is max(16, delta // 8);
+- its sample count k = 12 c ln(n) / tau^2 is about 7.2*10^5 at n = 256,
+  epsilon = 0.05, tau = epsilon/3, and each estimate charges k; k is
+  capped at 96.
 
 Three constants of the construction are fixed rather than settable:
-`CONFIDENCE_C`, the constant c in the derived sample count
-k = 12 c ln(n) / tau^2; `DISPATCH_FRAC`, the non-edge matching size, as a
-fraction of delta, from which a blank clique member draws its color at
-random; and `HEAVY_FRAC`, the edge count into a clique, as a fraction of
-delta, above which a color is heavy for it.
+`CONFIDENCE_C`, the constant c in the derived sample count; `DISPATCH_FRAC`,
+the non-edge matching size, as a fraction of delta, from which a blank
+clique member draws its color at random; and `HEAVY_FRAC`, the edge count
+into a clique, as a fraction of delta, above which a color is heavy for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-E6 = math.e ** 6
-
-PAPER = "paper"
-DESK = "desk"
 
 CONFIDENCE_C = 3.0
 DISPATCH_FRAC = 0.1
@@ -32,7 +35,6 @@ HEAVY_FRAC = 0.01
 
 @dataclass
 class ParamSet:
-    profile: str = DESK
     epsilon: float = 0.2
     tau: float | None = None  # default epsilon / 3
     nu: float | None = None  # clique-collapse fraction; default 2*epsilon/3
@@ -66,13 +68,6 @@ class ParamSet:
             raise ValueError("sample_count_k must be at least 1")
         if self.phase_len_t is not None and self.phase_len_t < 1:
             raise ValueError("phase_len_t must be at least 1")
-        if self.profile == PAPER:
-            if not self.epsilon < 3.0 / 50.0:
-                raise ValueError("paper profile requires epsilon < 3/50")
-            if abs(self.tau - self.epsilon / 3.0) > 1e-12:
-                raise ValueError("paper profile requires tau = epsilon/3")
-        elif self.profile != DESK:
-            raise ValueError(f"unknown profile {self.profile!r}")
 
     # ---- scale constants ------------------------------------------------
 
@@ -89,21 +84,15 @@ class ParamSet:
     def sample_count(self, n: int) -> int:
         if self.sample_count_k is not None:
             return self.sample_count_k
-        k = math.ceil(12.0 * CONFIDENCE_C * math.log(max(n, 2)) / self.tau**2)
-        if self.profile == DESK:
-            # k sets no number of draws: it sets the verdict law's tails,
-            # a row of which walks about sqrt(k) terms, and the charge per
-            # estimate; the clamp keeps the desk runs' recorded streams
-            k = min(k, 96)
-        return max(k, 4)
+        # k sets no number of draws: it sets the verdict law's tails, a row
+        # of which walks about sqrt(k) terms, and the charge per estimate;
+        # the clamp keeps the recorded streams
+        return min(math.ceil(12.0 * CONFIDENCE_C * math.log(max(n, 2)) / self.tau**2), 96)
 
     def phase_len(self, delta: int) -> int:
         if self.phase_len_t is not None:
             return self.phase_len_t
-        t = math.floor(self.epsilon**2 * delta / (18.0 * E6))
-        if self.profile == DESK:
-            t = max(t, 16, delta // 8)
-        return max(t, 1)
+        return max(16, delta // 8)
 
     def fire_limit(self, delta: int) -> float:
         if self.fire_threshold is not None:

@@ -23,12 +23,11 @@ RUN_KEYS = ("n", "delta", "strategy", "mode")
 
 
 def params_to_header(params: ParamSet) -> dict[str, str]:
-    """Every `ParamSet` field in order: `profile` as its text, any other
-    as its `repr`, or `none` when unset."""
+    """Every `ParamSet` field in order, as its `repr` or `none` when unset."""
     hdr = {}
     for f in fields(ParamSet):
         val = getattr(params, f.name)
-        hdr[f.name] = val if f.name == "profile" else "none" if val is None else repr(val)
+        hdr[f.name] = "none" if val is None else repr(val)
     return hdr
 
 
@@ -46,7 +45,7 @@ def params_from_header(hdr: dict[str, str]) -> ParamSet:
             continue
         if key not in types:
             raise MalformedTrace(None, f"unknown key {key!r}")
-        kw[key] = raw if key == "profile" else _header_value(key, raw, types[key])
+        kw[key] = _header_value(key, raw, types[key])
     try:
         return ParamSet(**kw)
     except ValueError as err:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from dyncolor.engine import Engine, EngineConfig
+from dyncolor.errors import GraphError
 from dyncolor.graph import DynamicGraph, EdgeUpdate, dele, ins
 from dyncolor.params import ParamSet
 
@@ -39,7 +40,7 @@ def _harness():
 
 harness = _harness()
 
-# cheap-tracker desk profile for the large properness and scaling sweeps, the
+# cheap-tracker parameter set for the large properness and scaling sweeps, the
 # one the benchmark runs: refresh firing and phase length scale with delta so
 # per-update work is homogeneous across sizes
 sweep_params = harness.sweep_params
@@ -73,6 +74,15 @@ def no_estimator_gaps():
 def add_edges(g: DynamicGraph, pairs):
     for u, v in pairs:
         g.apply(ins(u, v))
+
+
+def is_legal(g: DynamicGraph, upd: EdgeUpdate) -> bool:
+    """Whether `g.check_legal` accepts `upd`; only a `GraphError` is a refusal."""
+    try:
+        g.check_legal(upd)
+    except GraphError:
+        return False
+    return True
 
 
 def clique_edges(vertices):

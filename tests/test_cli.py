@@ -234,9 +234,10 @@ def test_bench_subcommand(tmp_path):
     [
         ("epsilom=0.1", "unknown key 'epsilom'"),  # once dropped: the run took the default
         ("mode=auto", "unknown key 'mode'"),  # the mode comes from --mode only
+        ("profile=desk", "unknown key 'profile'"),  # a setting no longer read
         ("epsilon 0.1", "'epsilon 0.1' is not key=value"),
     ],
-    ids=["misspelt-key", "mode-key", "no-equals-sign"],
+    ids=["misspelt-key", "mode-key", "profile-key", "no-equals-sign"],
 )
 def test_config_file_refuses_what_the_cli_does_not_read(tmp_path, capsys, line, error):
     cfg = tmp_path / "conf"
@@ -262,26 +263,24 @@ def test_config_file_with_flag_override(tmp_path):
     assert data["snapshot"]["delta"] == 8
 
 
-# (setting, value, trace header key, flags both runs share)
+# (setting, value, trace header key)
 SETTINGS = [
-    ("n", "24", "n", []),
-    ("delta", "10", "delta", []),
-    ("epsilon", "0.25", "epsilon", []),
-    ("tau", "0.05", "tau", []),
-    ("nu", "0.1", "nu", []),
-    ("phase-len", "16", "phase_len_t", []),
-    ("samples", "8", "sample_count_k", []),
-    # the paper profile needs epsilon < 3/50; a pinned k keeps the run small
-    ("profile", "paper", "profile", ["--epsilon", "0.05", "--samples", "8"]),
-    ("seed", "5", "seed", []),
+    ("n", "24", "n"),
+    ("delta", "10", "delta"),
+    ("epsilon", "0.25", "epsilon"),
+    ("tau", "0.05", "tau"),
+    ("nu", "0.1", "nu"),
+    ("phase-len", "16", "phase_len_t"),
+    ("samples", "8", "sample_count_k"),
+    ("seed", "5", "seed"),
 ]
 
 
-@pytest.mark.parametrize("name,value,key,shared", SETTINGS, ids=[s[0] for s in SETTINGS])
-def test_a_flag_and_a_config_line_give_the_same_run(tmp_path, name, value, key, shared):
+@pytest.mark.parametrize("name,value,key", SETTINGS, ids=[s[0] for s in SETTINGS])
+def test_a_flag_and_a_config_line_give_the_same_run(tmp_path, name, value, key):
     def record(*argv):
         trace = tmp_path / "run.trace"
-        rc = main(["record", "--steps", "3", "--trace-out", str(trace), *shared, *argv])
+        rc = main(["record", "--steps", "3", "--trace-out", str(trace), *argv])
         assert rc == 0
         return TraceFile.load(trace)
 
@@ -292,6 +291,15 @@ def test_a_flag_and_a_config_line_give_the_same_run(tmp_path, name, value, key, 
     assert by_flag.header == by_file.header
     assert by_flag.header[key] == value
     assert (by_flag.updates, by_flag.outputs) == (by_file.updates, by_file.outputs)
+
+
+def test_the_profile_flag_is_refused(capsys):
+    # one rule derives every threshold, so no flag picks a profile
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--profile", "desk", "--steps", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --profile desk" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", ["run", "record", "verify"])

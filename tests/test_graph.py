@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyncolor.errors import DegreeCapExceeded, DuplicateEdge, MissingEdge
+from dyncolor.errors import BadEndpoints, DegreeCapExceeded, DuplicateEdge, GraphError, MissingEdge
 from dyncolor.graph import DynamicGraph, EdgeUpdate, dele, ins
 
-from conftest import add_edges, clique_edges, make_engine, random_graph
+from conftest import add_edges, clique_edges, is_legal, make_engine, random_graph
 
 
 def test_first_edge_insert():
@@ -55,15 +55,25 @@ def test_self_loop_rejected():
         g.apply(ins(1, 1))
 
 
-def test_is_legal_answers_for_graph_errors_only():
+def test_check_legal_raises_graph_errors_only():
     g = DynamicGraph(4, 1)
     g.apply(ins(0, 1))
-    assert g.is_legal(dele(0, 1)) and g.is_legal(ins(2, 3))
-    for upd in (ins(0, 1), dele(2, 3), ins(0, 2), ins(1, 1), ins(0, 9)):
-        assert not g.is_legal(upd)
+    g.check_legal(dele(0, 1))
+    g.check_legal(ins(2, 3))
+    illegal = [
+        (ins(0, 1), DuplicateEdge),
+        (dele(2, 3), MissingEdge),
+        (ins(0, 2), DegreeCapExceeded),
+        (ins(1, 1), BadEndpoints),
+        (ins(0, 9), BadEndpoints),
+    ]
+    for upd, err in illegal:
+        with pytest.raises(err) as exc:
+            g.check_legal(upd)
+        assert isinstance(exc.value, GraphError)
     # a programming error is not an illegal update
     with pytest.raises(AttributeError):
-        g.is_legal(None)
+        g.check_legal(None)
 
 
 def test_common_neighbors_k4():
@@ -124,7 +134,7 @@ def test_symmetry_and_cap_hold_after_every_update(pairs, rnd):
         if u == v:
             continue
         upd = EdgeUpdate(u, v, not g.has_edge(u, v))
-        if not g.is_legal(upd):
+        if not is_legal(g, upd):
             continue
         g.apply(upd)
         assert (v in g.adj[u]) == (u in g.adj[v])
@@ -167,7 +177,7 @@ def test_toggle_and_apply_agree_through_undo_and_replay(seed):
     while len(stream) < 400:
         u, v = rng.sample(range(n), 2)
         upd = EdgeUpdate(u, v, not checked.has_edge(u, v))
-        if not checked.is_legal(upd):
+        if not is_legal(checked, upd):
             continue
         if not upd.insert:
             # a deletion of a neighbor that is not the newest leaves the

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from dyncolor.params import E6, ParamSet, auto_epsilon, trivial_cutoff
+from dyncolor.params import ParamSet, auto_epsilon, trivial_cutoff
 
 
 def test_defaults_and_derivations():
@@ -19,17 +19,18 @@ def test_defaults_and_derivations():
     assert p.heavy_limit(100) == pytest.approx(1)
 
 
-def test_paper_profile_constraints():
-    with pytest.raises(ValueError):
-        ParamSet(epsilon=0.1, profile="paper")  # eps too large
-    with pytest.raises(ValueError):
-        ParamSet(epsilon=0.05, tau=0.02, profile="paper")  # tau != eps/3
-    p = ParamSet(epsilon=0.05, profile="paper")
-    n = 10**6
-    want_k = math.ceil(12 * 3 * math.log(n) / p.tau**2)
-    assert p.sample_count(n) == want_k
-    delta = 10**7
-    assert p.phase_len(delta) == math.floor(p.epsilon**2 * delta / (18 * E6))
+def test_phase_len_and_sample_count_follow_one_rule():
+    # the paper's T = floor(eps^2 delta / (18 e^6)) never exceeds delta // 8,
+    # so the clamp alone is the phase length; k is the paper's, capped at 96
+    for eps, tau in [(0.05, None), (0.2, None), (0.5, 0.01), (0.9, 0.9)]:
+        p = ParamSet(epsilon=eps, tau=tau)
+        for delta in (0, 1, 127, 128, 136, 2048, 10**7):
+            assert p.phase_len(delta) == max(16, delta // 8)
+        for n in (1, 2, 8, 64, 256, 10**6):
+            want_k = math.ceil(12 * 3 * math.log(max(n, 2)) / p.tau**2)
+            assert p.sample_count(n) == min(want_k, 96)
+    # at tiny n and large tau the derived k stays below the clamp
+    assert ParamSet(epsilon=0.9, tau=0.9).sample_count(8) == 93
 
 
 def test_tau_cannot_exceed_epsilon():

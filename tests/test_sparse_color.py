@@ -122,7 +122,7 @@ def test_isolated_vertex_is_charged_what_feasible_charges():
     # does: vertex 1 has a neighbor and its draw lands on an empty L(1)
     e = blank_engine(6, 3)
     e.graph.apply(ins(1, 2))
-    e.decomp.note_edge(ins(1, 2))
+    e.decomp.note_edge(1, 2, True)
     e.sparse.rng = _ForcedDraws(1)
     m = e.metrics
 
@@ -265,7 +265,7 @@ def test_one_shot_conflict_first_processed_wins():
     # and takes its greedy draw, with no fallback
     e = blank_engine(8, 6)
     e.graph.apply(ins(0, 1))
-    e.decomp.note_edge(ins(0, 1))
+    e.decomp.note_edge(0, 1, True)
     e.sparse.rng = rng = _ScriptedDraws([3, 3, 2], [PICKED, PICKED])
     events = []
     e.colors.listeners.append(lambda v, old, new: events.append((v, new)))
@@ -282,7 +282,7 @@ def test_capped_draws_fall_back_to_lowest_free_color():
     e = blank_engine(8, 4, cap_factor=1)
     for u, c in ((1, 3), (2, 0)):
         e.graph.apply(ins(0, u))
-        e.decomp.note_edge(ins(0, u))
+        e.decomp.note_edge(0, u, True)
         e.colors.set_sparse(u, c)
     e.sparse.rng = _ForcedDraws(3)
     m = e.metrics
@@ -331,7 +331,7 @@ def test_one_shot_success_rate_matches_reference():
         e = blank_engine(n, delta)
         add_edges(e.graph, pairs)
         for u, v in pairs:
-            e.decomp.note_edge(ins(u, v))
+            e.decomp.note_edge(u, v, True)
         e.sparse.rng = _AllPicked(s)
         missed = []
         e.sparse._greedy = missed.extend
@@ -355,7 +355,7 @@ def test_greedy_path_proper_exhaustive():
         e = blank_engine(3, 2, seed=seed)
         add_edges(e.graph, [(0, 1), (1, 2)])
         for p in [(0, 1), (1, 2)]:
-            e.decomp.note_edge(ins(*p))
+            e.decomp.note_edge(*p, True)
         e.sparse.greedy_coloring([0, 1, 2])
         assert all(e.colors.of[v] != BLANK for v in range(3))
         assert sparse_proper(e)
@@ -366,7 +366,7 @@ def test_greedy_full_clique_uses_every_color_once():
     e = blank_engine(delta + 1, delta, seed=4)
     add_edges(e.graph, clique_edges(range(delta + 1)))
     for u, v in clique_edges(range(delta + 1)):
-        e.decomp.note_edge(ins(u, v))
+        e.decomp.note_edge(u, v, True)
     e.sparse.greedy_coloring(range(delta + 1))
     used = sorted(e.colors.of)
     assert used == list(range(delta + 1))  # pigeonhole: all colors, once each
@@ -660,7 +660,7 @@ def test_recolor_sparse_unique_available_color():
     v = 0
     for i, u in enumerate(range(1, delta + 1)):
         e.graph.apply(ins(v, u))
-        e.decomp.note_edge(ins(v, u))
+        e.decomp.note_edge(v, u, True)
         e.colors.set_sparse(u, i)  # colors 0..delta-1
     survivor = delta  # brute force: the single free color
     brute = [

@@ -117,10 +117,10 @@ def test_check_of_a_trace_without_colors_is_refused():
 
 
 def test_header_round_trips_every_param_field():
-    # every field away from its default; the paper profile pins tau = eps / 3
+    # every field away from its default
     p = ParamSet(
-        profile="paper", epsilon=0.05, tau=0.05 / 3, nu=0.3, phase_len_t=7,
-        sample_count_k=33, cap_factor=9, fire_threshold=2.5, regime_frac=0.07, seed=11,
+        epsilon=0.05, tau=0.02, nu=0.3, phase_len_t=7, sample_count_k=33,
+        cap_factor=9, fire_threshold=2.5, regime_frac=0.07, seed=11,
     )
     default = ParamSet()
     assert all(getattr(p, f.name) != getattr(default, f.name) for f in fields(ParamSet))
@@ -145,6 +145,11 @@ def test_unknown_header_key_is_rejected():
     with pytest.raises(MalformedTrace, match="^trace header: unknown key 'phase_len'$") as err:
         replay_trace(trace)
     assert err.value.lineno is None
+    # a header from before the one derivation rule is refused, not read back
+    trace = _recorded_trace()
+    trace.header["profile"] = "desk"
+    with pytest.raises(MalformedTrace, match="^trace header: unknown key 'profile'$"):
+        replay_trace(trace)
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def _names(backticked: str) -> list[str]:
     """The names in backticks, one per span or comma-separated within one."""
-    return [name.strip() for span in re.findall(r"`([^`]*)`", backticked) for name in span.split(",")]
+    spans = re.findall(r"`([^`]*)`", backticked)
+    return [name.strip() for span in spans for name in span.split(",")]
 
 
 def test_readme_lists_every_header_key_and_cli_setting():
